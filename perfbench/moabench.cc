@@ -2,7 +2,7 @@
 //
 //   moabench --workload <search_memory|search_segments|mixed_rw>
 //            --seed <n> --seconds <s> --trace <0|1> --workdir <dir>
-//            [--size smoke] [--inject-wrong-answer]
+//            [--size smoke] [--inject-wrong-answer] [--inject-failed-query]
 //
 // Drives only public entry points: MmDatabase for the end-to-end numbers,
 // each layer's own public calls (StrategyPlanner, StrategyRegistry,
@@ -17,6 +17,7 @@
 // every metric with its unit and sample count. A wrong answer prints
 // "correct": false with no metrics and exits 1; an invalid mixed_rw run
 // (writer lag or backlog past its bound) prints nothing and exits 3.
+#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -165,6 +166,7 @@ struct Args {
   bool trace = false;
   bool smoke = false;
   bool wrong_answer = false;
+  bool failed_query = false;
   std::string workdir = ".bench_build/work";
 };
 
@@ -176,25 +178,25 @@ struct Size {
   size_t pool;           ///< distinct queries in the stream
   int setups;            ///< set-ups per run; setup_s is their median
   size_t probe_queries;  ///< queries the per-layer probes time
-  double write_rate;     ///< mixed_rw open-loop writes per second
   size_t flush_trigger;  ///< mixed_rw memtable docs per shard per flush
 };
 
-// mixed_rw sends 40 writes/s (adds, updates, deletes 2:1:1) beside two
-// closed-loop query clients. A write holds the facade's mutation lock for
-// about a millisecond, so the writers use a few percent of what the
-// serialized write path can take. An open loop of queries too (400
-// operations/s, 80% queries) spread query_p50_ms by 0.6 to 0.8 of its
+constexpr Size kFullSize{20000, 30000, 12000, 3, 200, 32};
+constexpr Size kSmokeSize{2000, 5000, 200, 1, 20, 16};
+
+// mixed_rw sends kWriteRate writes/s (adds, updates, deletes 2:1:1) beside
+// kMixedReadClients closed-loop query clients. A write holds the facade's
+// mutation lock for about a millisecond, so the writers use a few percent
+// of what the serialized write path can take. An open loop of queries too
+// (400 operations/s, 80% queries) spread query_p50_ms by 0.6 to 0.8 of its
 // median over ten seeds on a 4-vCPU VM: every query woke a sleeping
 // thread, whose wake-up the host delayed irregularly. At 80 writes/s the
 // query metrics spread by up to 0.26; every write invalidates the sharded
 // snapshot, whose rebuild the queries then pay.
-constexpr Size kFullSize{20000, 30000, 12000, 3, 200, 40.0, 32};
-constexpr Size kSmokeSize{2000, 5000, 200, 1, 20, 40.0, 16};
-
-// mixed_rw maintenance policy. Flush at `flush_trigger` buffered documents per shard, merge the
-// three smallest adjacent segments once a shard holds four, block writers
-// (never fail them) past four flushes of backlog.
+constexpr double kWriteRate = 40.0;
+// Maintenance policy: flush at `flush_trigger` buffered documents per
+// shard, merge the three smallest adjacent segments once a shard holds
+// four, block writers (never fail them) past four flushes of backlog.
 constexpr size_t kNumShards = 2;
 constexpr size_t kMergeTriggerSegments = 4;
 constexpr size_t kMergeFanin = 3;
@@ -211,6 +213,14 @@ constexpr double kWarmupSeconds = 2.0;
 
 constexpr size_t kTopN = 10;
 constexpr int kReadClients = 2;
+// mixed_rw runs the whole process on one CPU, with one query client. A
+// sharded query hands a shard to a pool thread and waits for it; writers
+// and the flush and merge jobs wake other threads again. Spread over the
+// four vCPUs of the reference VM, these hand-offs raised the VM's steal
+// time from about 1% to 3-16%, and query_qps spread by 0.44 to 0.57 of its
+// median over interleaved runs. On one CPU it spread by 0.05 to 0.16, with
+// steal at 0.3 to 2.4%.
+constexpr int kMixedReadClients = 1;
 constexpr double kProbeMinSeconds = 0.05;
 // Traced runs time the read-view call before one query in this many (the
 // extra call takes the catalog's snapshot lock, so timing every query
@@ -380,7 +390,6 @@ uint64_t LiveDocs(const MmDatabase& db) {
 /// What one measured phase observed (merged across client threads).
 struct PhaseStats {
   std::vector<double> query_ms;
-  std::vector<double> query_end_s;  ///< completion, seconds since start
   std::vector<double> write_ms;
   std::vector<double> lag_ms;
   std::vector<double> read_view_us;  ///< traced phases only
@@ -412,7 +421,6 @@ struct PhaseStats {
       a.insert(a.end(), b.begin(), b.end());
     };
     append(query_ms, o.query_ms);
-    append(query_end_s, o.query_end_s);
     append(write_ms, o.write_ms);
     append(read_view_us, o.read_view_us);
     attempted += o.attempted;
@@ -437,9 +445,8 @@ struct PhaseStats {
   }
 
   /// Books one completed query into the record.
-  void RecordQuery(const SearchResult& r, double ms, double end_s) {
+  void RecordQuery(const SearchResult& r, double ms) {
     query_ms.push_back(ms);
-    query_end_s.push_back(end_s);
     cost += r.top.stats.cost;
     predicted_scalar += r.estimate.scalar;
     observed_scalar += r.top.stats.cost.Scalar();
@@ -457,6 +464,7 @@ struct PhaseStats {
 /// Closed loop: kReadClients threads each send their next query of the
 /// shared stream as soon as the previous one returns, for `seconds`.
 /// Every answer is checked against the expected one computed at set-up.
+/// Nothing writes, so a query error is a defect and counts as a mismatch.
 PhaseStats ClosedLoop(const MmDatabase& db,
                       const std::vector<QueryRequest>& stream,
                       const std::vector<std::vector<ScoredDoc>>& expected,
@@ -484,10 +492,11 @@ PhaseStats ClosedLoop(const MmDatabase& db,
         ++st.attempted;
         if (!r.ok()) {
           ++st.failed;
+          ++st.mismatches;
           continue;
         }
         const SearchResult& res = r.ValueOrDie();
-        st.RecordQuery(res, ms, Seconds(t1 - start));
+        st.RecordQuery(res, ms);
         st.scalar_by_query[i] = res.top.stats.cost.Scalar();
         if (!SameScores(res.top.items, expected[i])) ++st.mismatches;
       }
@@ -529,14 +538,22 @@ std::vector<PlannedWrite> PlanWrites(uint64_t seed, double rate, double seconds,
   return writes;
 }
 
-/// Every document of the collection as (term, tf) pairs: new documents are
-/// drawn like the collection by copying a random one.
-std::vector<DocTerms> CollectionDocs(const InvertedFile& file) {
+/// The collection documents the write schedule copies, as (term, tf)
+/// pairs indexed by document id (others left empty): new documents are
+/// drawn like the collection by copying a random one. Only those few
+/// hundred are transposed, so the harness's own memory stays out of
+/// peak_rss_mb.
+std::vector<DocTerms> PlannedDocs(const InvertedFile& file,
+                                  const std::vector<PlannedWrite>& writes) {
+  std::vector<bool> wanted(file.num_docs(), false);
+  for (const PlannedWrite& w : writes) {
+    if (w.kind != PlannedWrite::kDelete) wanted[w.doc] = true;
+  }
   std::vector<DocTerms> docs(file.num_docs());
   for (TermId t = 0; t < file.num_terms(); ++t) {
     const PostingList& list = file.list(t);
     for (size_t i = 0; i < list.size(); ++i) {
-      docs[list[i].doc].emplace_back(t, list[i].tf);
+      if (wanted[list[i].doc]) docs[list[i].doc].emplace_back(t, list[i].tf);
     }
   }
   return docs;
@@ -630,7 +647,7 @@ void ExecuteWrite(MmDatabase& db, const std::vector<QueryRequest>& stream,
   }
 }
 
-/// mixed_rw: kReadClients closed-loop query clients, as in the read
+/// mixed_rw: kMixedReadClients closed-loop query clients, as in the read
 /// workloads, beside `writers` open-loop writer threads. Each writer sends
 /// its share of the write schedule at the due time and is timed from it,
 /// so a stalled write also charges the writes due behind it. Readers never
@@ -638,6 +655,7 @@ void ExecuteWrite(MmDatabase& db, const std::vector<QueryRequest>& stream,
 /// rest, because a sleeping thread on a virtual CPU wakes irregularly late.
 /// Operations in the first `warmup_s` run but are not timed (the ledger
 /// still counts their writes). The calling thread samples the catalog.
+/// A query error is a defect and counts as a mismatch.
 PhaseStats MixedLoop(MmDatabase& db, const std::vector<QueryRequest>& stream,
                      const std::vector<DocTerms>& docs,
                      const std::vector<PlannedWrite>& writes, double warmup_s,
@@ -651,11 +669,11 @@ PhaseStats MixedLoop(MmDatabase& db, const std::vector<QueryRequest>& stream,
                          std::chrono::duration<double>(seconds));
   Targets targets;
   std::atomic<size_t> next{0};
-  std::atomic<size_t> running{kReadClients + writers};
-  std::vector<PhaseStats> per_thread(kReadClients + writers);
+  std::atomic<size_t> running{kMixedReadClients + writers};
+  std::vector<PhaseStats> per_thread(kMixedReadClients + writers);
   std::vector<std::thread> threads;
 
-  for (int c = 0; c < kReadClients; ++c) {
+  for (int c = 0; c < kMixedReadClients; ++c) {
     threads.emplace_back([&, c] {
       PhaseStats& st = per_thread[c];
       while (Clock::now() < deadline) {
@@ -671,9 +689,10 @@ PhaseStats MixedLoop(MmDatabase& db, const std::vector<QueryRequest>& stream,
         ++st.attempted;
         if (!r.ok()) {
           ++st.failed;
+          ++st.mismatches;
           continue;
         }
-        if (measured) st.RecordQuery(r.ValueOrDie(), Millis(t2 - t1), Seconds(t2 - start));
+        if (measured) st.RecordQuery(r.ValueOrDie(), Millis(t2 - t1));
         targets.Offer(r.ValueOrDie().top.items);
       }
       --running;
@@ -682,7 +701,7 @@ PhaseStats MixedLoop(MmDatabase& db, const std::vector<QueryRequest>& stream,
 
   for (size_t w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
-      PhaseStats& st = per_thread[kReadClients + w];
+      PhaseStats& st = per_thread[kMixedReadClients + w];
       for (size_t k = w; k < writes.size(); k += writers) {
         const PlannedWrite& op = writes[k];
         const Clock::time_point due = start + std::chrono::nanoseconds(op.due_ns);
@@ -866,6 +885,7 @@ class LayerProbes {
     m["exec.fagin_ta_us"] = Median(exec_us[PhysicalStrategy::kFaginTA]);
     m["exec.heap_us"] = Median(exec_us[PhysicalStrategy::kHeap]);
     m["coordinator.overhead_us"] = Median(coord_us);
+    m["coordinator.samples"] = static_cast<double>(coord_us.size());
 
     std::vector<TermId> terms;
     for (const QueryRequest& req : queries_) {
@@ -913,30 +933,36 @@ class LayerProbes {
     return StrategyRegistry::Global().Execute(s, context_, req.query, req.n);
   }
 
-  /// ShardCoordinator::Run minus the slowest shard's own execution of the
-  /// strategy its planner picked.
+  /// ShardCoordinator::Run minus the shards' own executions of the
+  /// strategies their planners picked. mixed_rw runs on one CPU, where the
+  /// shards execute one after the other, so their sum is the critical
+  /// path. Only queries on which the coordinator visited every shard are
+  /// sampled.
   void CoordinatorProbe(const QueryRequest& req,
                         const std::vector<PhysicalStrategy>& per_shard,
                         std::vector<double>* out) const {
+    int64_t skipped = 0;
     const double t_run = MedianMicros(3, [&] {
-      Check(ShardCoordinator::Run(snapshot_, req, false, false, nullptr,
-                                  ShardCoordinator::Options{}),
-            "coordinator run");
+      skipped = Check(ShardCoordinator::Run(snapshot_, req, false, false,
+                                            nullptr, ShardCoordinator::Options{}),
+                      "coordinator run")
+                    .top.stats.cost.shards_skipped;
     });
-    double slowest = 0.0;
+    if (skipped != 0) return;
+    double shards = 0.0;
     for (size_t s = 0; s < snapshot_->num_shards(); ++s) {
       ExecContext ctx;
       ctx.model = &snapshot_->shard_model(s);
       ctx.postings = &snapshot_->shard_source(s);
       ctx.sparse_cache = &snapshot_->shard_sparse_cache(s);
       ctx.postings_owner = snapshot_;
-      slowest = std::max(slowest, MedianMicros(3, [&] {
+      shards += MedianMicros(3, [&] {
         Check(StrategyRegistry::Global().Execute(per_shard[s], ctx, req.query,
                                                   req.n),
               "shard execute");
-      }));
+      });
     }
-    out->push_back(t_run - slowest);
+    out->push_back(t_run - shards);
   }
 
   /// Block codec decode of the query terms' postings, encoded bit-packed
@@ -1151,6 +1177,8 @@ Args ParseArgs(int argc, char** argv) {
       a.smoke = size == "smoke";
     } else if (arg == "--inject-wrong-answer") {
       a.wrong_answer = true;
+    } else if (arg == "--inject-failed-query") {
+      a.failed_query = true;
     } else {
       Die("unknown argument " + arg, 2);
     }
@@ -1187,6 +1215,23 @@ void RefuseUnfitBuild() {
   }
 }
 
+/// Restricts the process to the first CPU it may run on (see
+/// kMixedReadClients) and returns that CPU.
+int PinToOneCpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    Die("sched_getaffinity failed");
+  }
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &allowed)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) Die("sched_setaffinity failed");
+  return cpu;
+}
+
 /// One measured phase of the workload on a fresh set-up.
 struct Phase {
   Served served;
@@ -1209,19 +1254,25 @@ class Bench {
   int Main() {
     std::filesystem::create_directories(args_.workdir);
     // Client threads never outnumber the CPUs: mixed_rw's writers fill
-    // what the two query clients leave, up to two (concurrent writers are
-    // what group commit could batch).
+    // what the query client leaves, up to two (concurrent writers are what
+    // group commit could batch).
     const long nproc = std::max(1L, sysconf(_SC_NPROCESSORS_ONLN));
-    writers_ = static_cast<size_t>(std::clamp(nproc - kReadClients, 1L, 2L));
+    writers_ =
+        static_cast<size_t>(std::clamp(nproc - kMixedReadClients, 1L, 2L));
+    // Before any thread exists, so the engine's pool threads inherit it.
+    const int cpu =
+        args_.workload == Workload::kMixedRw ? PinToOneCpu() : -1;
     std::printf("env nproc=%ld compiler=\"%s\" build_type=%s moa_obs=%s "
-                "seed=%llu workload=%s size=%s client_threads=%d\n",
+                "seed=%llu workload=%s size=%s client_threads=%d "
+                "pinned_cpu=%s\n",
                 nproc, MOABENCH_COMPILER,
                 MOABENCH_BUILD_TYPE, obs::kEnabled ? "ON" : "OFF",
                 static_cast<unsigned long long>(args_.seed),
                 args_.workload_name.c_str(), args_.smoke ? "smoke" : "full",
                 args_.workload == Workload::kMixedRw
-                    ? kReadClients + static_cast<int>(writers_)
-                    : kReadClients);
+                    ? kMixedReadClients + static_cast<int>(writers_)
+                    : kReadClients,
+                cpu < 0 ? "none" : std::to_string(cpu).c_str());
 
     // Untraced phase: the end-to-end numbers (set-up repeated, median).
     Phase a = RunPhase(/*traced=*/false, args_.trace ? 1 : size_.setups);
@@ -1299,25 +1350,36 @@ class Bench {
     }
     for (std::thread& t : threads) t.join();
     if (args_.wrong_answer && !expected[0].empty()) expected[0][0].score += 1.0;
+    InjectFailedQuery();
     obs::MetricsRegistry::Global().ResetForTest();
     p->stats = ClosedLoop(db, stream_, expected, args_.seconds, traced);
     p->correct = p->stats.mismatches == 0;
     if (p->stats.mismatches != 0) {
-      std::printf("check %zu of %zu answers differ from the exact top-%zu\n",
-                  p->stats.mismatches, p->stats.query_ms.size(), kTopN);
+      std::printf("check %zu of %zu queries failed or differ from the exact "
+                  "top-%zu\n",
+                  p->stats.mismatches, p->stats.attempted, kTopN);
     }
   }
 
+  /// --inject-failed-query: a malformed first query (negative deadline),
+  /// which Search refuses, so the test can see a query error fail the run.
+  void InjectFailedQuery() {
+    if (args_.failed_query) stream_[0].options.deadline_millis = -1.0;
+  }
+
   void RunMixed(MmDatabase& db, bool traced, Phase* p) {
-    if (docs_.empty()) docs_ = CollectionDocs(db.file());
-    const std::vector<PlannedWrite> writes = PlanWrites(
-        args_.seed, size_.write_rate, kWarmupSeconds + args_.seconds, size_.docs);
+    if (writes_.empty()) {
+      writes_ = PlanWrites(args_.seed, kWriteRate,
+                           kWarmupSeconds + args_.seconds, size_.docs);
+      docs_ = PlannedDocs(db.file(), writes_);
+    }
+    InjectFailedQuery();
     Check(db.WaitForMaintenance(), "WaitForMaintenance");
     p->initial_live = LiveDocs(db);
     obs::MetricsRegistry::Global().ResetForTest();
     const double written0 = ProcessWrittenBytes();
 
-    p->stats = MixedLoop(db, stream_, docs_, writes, kWarmupSeconds,
+    p->stats = MixedLoop(db, stream_, docs_, writes_, kWarmupSeconds,
                          args_.seconds, writers_, traced);
     PhaseStats& st = p->stats;
     Check(db.WaitForMaintenance(), "WaitForMaintenance");
@@ -1325,7 +1387,7 @@ class Bench {
     const double lag_p99 = Quantile(st.lag_ms, 0.99);
     std::printf("writes offered=%.0f/s sent=%zu writer_lag_p99_ms=%.3f "
                 "max_backlog=%zu stale_targets=%zu\n",
-                size_.write_rate, writes.size(), lag_p99, st.max_backlog,
+                kWriteRate, writes_.size(), lag_p99, st.max_backlog,
                 st.stale_targets);
     if (lag_p99 > kMaxWriterLagP99Ms || st.max_backlog > kMaxBacklog) {
       Die("invalid open-loop run: writer lag p99 " +
@@ -1347,8 +1409,13 @@ class Bench {
     p->bg_flushes = CounterValue("moa_bg_flush_total");
     p->bg_merges = CounterValue("moa_bg_merge_total");
 
-    // Correctness: the ledger of acknowledged writes, then answers on the
-    // settled state against the exact top-n.
+    // Correctness: no query error in the loop, the ledger of acknowledged
+    // writes, then answers on the settled state against the exact top-n.
+    if (st.mismatches != 0) {
+      std::printf("check %zu of %zu queries failed\n", st.mismatches,
+                  st.attempted);
+      p->correct = false;
+    }
     const uint64_t expected_live = LedgerLive(*p);
     if (LiveDocs(db) != expected_live) {
       std::printf("check live documents %llu, ledger says %llu\n",
@@ -1360,8 +1427,8 @@ class Bench {
     for (size_t i = 0; i < checked; ++i) {
       std::vector<ScoredDoc> want = db.GroundTruth(stream_[i].query, kTopN);
       if (i == 0 && args_.wrong_answer && !want.empty()) want[0].score += 1.0;
-      const SearchResult got = Check(db.Search(stream_[i]), "check Search");
-      if (!SameScores(got.top.items, want)) {
+      const Result<SearchResult> got = db.Search(stream_[i]);
+      if (!got.ok() || !SameScores(got.ValueOrDie().top.items, want)) {
         std::printf("check query %zu differs from the exact top-%zu\n", i, kTopN);
         p->correct = false;
       }
@@ -1380,14 +1447,8 @@ class Bench {
     const ShardedCatalog::Options options = CatalogOptions(*p->served.db);
     p->served.db.reset();
     const Clock::time_point t0 = Clock::now();
-    uint64_t live = 0;
-    if (options.num_shards > 1) {
-      live = Check(ShardedCatalog::Open(options), "reopen catalog")
-                 ->Snapshot()->stats().num_live_docs;
-    } else {
-      live = Check(IndexCatalog::Open(options.shard), "reopen catalog")
-                 ->Snapshot()->stats().num_live_docs;
-    }
+    const uint64_t live = Check(ShardedCatalog::Open(options), "reopen catalog")
+                              ->Snapshot()->stats().num_live_docs;
     p->recover_s = Seconds(Clock::now() - t0);
     if (live != expected_live) {
       std::printf("check after reopen live documents %llu, ledger says %llu\n",
@@ -1446,27 +1507,6 @@ class Bench {
       }
       PrintWriteSide(p);
     }
-    {
-      double last = 0.0;
-      for (double t : st.query_end_s) last = std::max(last, t);
-      std::vector<double> per_s(static_cast<size_t>(last) + 1, 0.0);
-      for (double t : st.query_end_s) per_s[static_cast<size_t>(t)] += 1.0;
-      std::printf("profile qps_by_second");
-      for (double c : per_s) std::printf(" %.0f", c);
-      std::vector<std::vector<double>> ms_by_s(per_s.size());
-      for (size_t i = 0; i < st.query_ms.size(); ++i) {
-        ms_by_s[static_cast<size_t>(st.query_end_s[i])].push_back(st.query_ms[i]);
-      }
-      std::printf("\nprofile p50_by_second");
-      for (const auto& v : ms_by_s) std::printf(" %.3f", Quantile(v, 0.5));
-      std::printf("\n");
-    }
-    std::printf("profile query_ms p10 %.4f p25 %.4f p50 %.4f p75 %.4f "
-                "p90 %.4f p95 %.4f p99 %.4f\n",
-                Quantile(st.query_ms, 0.1), Quantile(st.query_ms, 0.25),
-                Quantile(st.query_ms, 0.5), Quantile(st.query_ms, 0.75),
-                Quantile(st.query_ms, 0.9), Quantile(st.query_ms, 0.95),
-                Quantile(st.query_ms, 0.99));
     PrintMetrics("metric", e2e);
     PrintResult(true, st.attempted, st.failed, e2e);
   }
@@ -1585,7 +1625,8 @@ class Bench {
         {"bg.backpressure_stalls", m["bg.backpressure_stalls"], "count", 1},
         {"bg.flushes", m["bg.flushes"], "count", 1},
         {"bg.merges", m["bg.merges"], "count", 1},
-        {"coordinator.overhead_us", m["coordinator.overhead_us"], "us", mixed ? probes : 0},
+        {"coordinator.overhead_us", m["coordinator.overhead_us"], "us",
+         static_cast<size_t>(m["coordinator.samples"])},
         {"coordinator.skip_rate", m["coordinator.skip_rate"], "ratio", q},
         {"obs.trace_overhead", m["obs.trace_overhead"], "ratio", q},
     };
@@ -1600,7 +1641,8 @@ class Bench {
   size_t writers_ = 1;
   int dir_seq_ = 0;
   std::vector<QueryRequest> stream_;
-  std::vector<DocTerms> docs_;
+  std::vector<PlannedWrite> writes_;  ///< mixed_rw's schedule, from the seed
+  std::vector<DocTerms> docs_;        ///< the documents writes_ copies
 };
 
 }  // namespace

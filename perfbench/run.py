@@ -10,8 +10,8 @@ perfbench/README.md. The script builds the harness from the checkout's
 sources into .bench_build/ (an up-to-date build is a no-op), runs one
 workload, prints an environment stamp and the harness's per-metric lines,
 and ends with one JSON line: {"correct", "attempted", "failed", "metrics"}.
-Extra arguments after the four above (--size smoke, --inject-wrong-answer)
-go to the harness unchanged.
+Extra arguments after the four above (--size smoke, --inject-wrong-answer,
+--inject-failed-query) go to the harness unchanged.
 """
 
 import argparse

@@ -8,8 +8,9 @@ Run from the root of a checkout:
 For every workload in BENCHMARK.json: an untraced run must print every
 end-to-end metric, and a traced run every per-layer metric, each with the
 unit BENCHMARK.json gives it, on the last line and on a per-metric line
-before it; and a run whose expected answer is deliberately wrong must fail
-its correctness check instead of reporting numbers.
+before it; and a run whose expected answer is deliberately wrong, or one
+of whose queries is deliberately malformed so that Search refuses it, must
+fail its correctness check instead of reporting numbers.
 """
 
 import json
@@ -66,14 +67,20 @@ class BenchmarkTest(unittest.TestCase):
             with self.subTest(workload=workload):
                 self.check_metrics(workload, 1, "per_layer")
 
-    def test_wrong_expected_answer_fails_the_run(self):
+    def check_run_fails(self, flag):
         for workload in self.workloads:
             with self.subTest(workload=workload):
-                proc = bench(workload, 0, "--inject-wrong-answer")
+                proc = bench(workload, 0, flag)
                 self.assertNotEqual(proc.returncode, 0)
                 result = json.loads(proc.stdout.strip().split("\n")[-1])
                 self.assertIs(result["correct"], False)
                 self.assertEqual(result["metrics"], {})
+
+    def test_wrong_expected_answer_fails_the_run(self):
+        self.check_run_fails("--inject-wrong-answer")
+
+    def test_query_error_fails_the_run(self):
+        self.check_run_fails("--inject-failed-query")
 
 
 if __name__ == "__main__":
