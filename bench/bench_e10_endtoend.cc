@@ -37,9 +37,7 @@ void BM_OptimizerChoice(benchmark::State& state) {
         benchutil::StrategyOrDie("quality_switch_full")};
     std::vector<double> fixed_work(fixed.size(), 0.0);
     for (const Query& q : MixFor(mix)) {
-      SearchOptions opts;
-      opts.n = n;
-      auto r = db.Search(q, opts);
+      auto r = db.Search(QueryRequest{q, n, {}});
       optimizer_work += r.ValueOrDie().top.stats.cost.Scalar();
       for (size_t i = 0; i < fixed.size(); ++i) {
         auto rf = db.Execute(fixed[i], q, n);
@@ -73,14 +71,11 @@ void BM_UnsafeFrontier(benchmark::State& state) {
     safe_work = unsafe_work = 0.0;
     unsafe_chosen = 0;
     for (const Query& q : benchutil::Workload()) {
-      SearchOptions safe_opts;
-      safe_opts.n = n;
-      auto rs = db.Search(q, safe_opts);
+      auto rs = db.Search(QueryRequest{q, n, {}});
       safe_work += rs.ValueOrDie().top.stats.cost.Scalar();
-      SearchOptions unsafe_opts;
-      unsafe_opts.n = n;
-      unsafe_opts.safe_only = false;
-      auto ru = db.Search(q, unsafe_opts);
+      QueryRequest unsafe{q, n, {}};
+      unsafe.options.quality_target = 0.0;
+      auto ru = db.Search(unsafe);
       unsafe_work += ru.ValueOrDie().top.stats.cost.Scalar();
       unsafe_chosen += IsSafeStrategy(ru.ValueOrDie().strategy) ? 0 : 1;
     }

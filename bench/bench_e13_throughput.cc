@@ -80,50 +80,16 @@ void ReportBatch(benchmark::State& state, const BatchStats& last) {
   state.counters["p99_ms"] = last.p99_millis;
 }
 
-void RunBatchOver(benchmark::State& state, const std::vector<Query>& queries,
-                  const char* strategy_name) {
-  const size_t parallelism = static_cast<size_t>(state.range(0));
-  MmDatabase& db = ThroughputDb();
-
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = benchutil::StrategyOrDie(strategy_name);
-
-  BatchStats last;
-  for (auto _ : state) {
-    auto r = db.SearchBatch(queries, opts, parallelism);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    last = r.ValueOrDie().stats;
-    benchmark::DoNotOptimize(r.ValueOrDie().results.data());
-  }
-  ReportBatch(state, last);
-}
-
-void RunBatch(benchmark::State& state, const char* strategy_name) {
-  RunBatchOver(state, ThroughputWorkload(), strategy_name);
-}
-
-/// Planner-on: no forced strategy — the cost-based planner chooses per
-/// query under `quality_target`.
-void RunBatchPlanned(benchmark::State& state,
-                     const std::vector<Query>& queries,
-                     double quality_target) {
+/// Times SearchBatch over `queries` (top-10, every query with `options`)
+/// at the benchmark's parallelism argument.
+void RunRequests(benchmark::State& state, const std::vector<Query>& queries,
+                 const QueryOptions& options) {
   const size_t parallelism = static_cast<size_t>(state.range(0));
   MmDatabase& db = ThroughputDb();
 
   std::vector<QueryRequest> requests;
   requests.reserve(queries.size());
-  for (const Query& q : queries) {
-    QueryRequest request;
-    request.query = q;
-    request.n = 10;
-    request.options.quality_target = quality_target;
-    requests.push_back(request);
-  }
+  for (const Query& q : queries) requests.push_back({q, 10, options});
 
   BatchStats last;
   for (auto _ : state) {
@@ -136,6 +102,27 @@ void RunBatchPlanned(benchmark::State& state,
     benchmark::DoNotOptimize(r.ValueOrDie().results.data());
   }
   ReportBatch(state, last);
+}
+
+void RunBatchOver(benchmark::State& state, const std::vector<Query>& queries,
+                  const char* strategy_name) {
+  QueryOptions options;
+  options.strategy = benchutil::StrategyOrDie(strategy_name);
+  RunRequests(state, queries, options);
+}
+
+void RunBatch(benchmark::State& state, const char* strategy_name) {
+  RunBatchOver(state, ThroughputWorkload(), strategy_name);
+}
+
+/// Planner-on: no forced strategy — the cost-based planner chooses per
+/// query under `quality_target`.
+void RunBatchPlanned(benchmark::State& state,
+                     const std::vector<Query>& queries,
+                     double quality_target) {
+  QueryOptions options;
+  options.quality_target = quality_target;
+  RunRequests(state, queries, options);
 }
 
 void BM_BatchHeap(benchmark::State& state) { RunBatch(state, "heap"); }

@@ -72,13 +72,14 @@ struct StoredFormats {
   StoredFormats() {
     MmDatabase& db = StorageDb();
     Status v1 = WriteInvertedFile(db.file(), v1_path);
-    Status v2 = db.SaveSegment(v2_path);
-    SegmentWriterOptions vb_options;
-    vb_options.codec = SegmentCodec::kVarbyte;
-    vb_options.impact_model = db.model().name();
-    vb_options.impact_fn = [&db](TermId t, const Posting& p) {
+    SegmentWriterOptions v2_options;
+    v2_options.impact_model = db.model().name();
+    v2_options.impact_fn = [&db](TermId t, const Posting& p) {
       return db.model().Weight(t, p);
     };
+    Status v2 = WriteSegment(db.file(), v2_path, v2_options);
+    SegmentWriterOptions vb_options = v2_options;
+    vb_options.codec = SegmentCodec::kVarbyte;
     Status vb = WriteSegment(db.file(), vb_path, vb_options);
     if (!v1.ok() || !v2.ok() || !vb.ok()) {
       std::fprintf(stderr, "bench_e14: write failed: %s / %s / %s\n",

@@ -1,30 +1,45 @@
 // E9 — Step 3: the centralized cost model. For every strategy, compares the
-// model's predicted scalar cost with the measured scalar cost over the
+// planner's predicted scalar cost with the measured scalar cost over the
 // workload, and reports whether the *ranking* of strategies matches (which
 // is what a planner needs; absolute calibration matters less).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "bench_util.h"
-#include "optimizer/cost_model.h"
+#include "optimizer/strategy_planner.h"
 
 namespace moa {
 namespace {
+
+/// The static planner's predicted scalar cost of every strategy for
+/// (q, top-10), read off its full candidate table (0 when uncosted).
+std::map<PhysicalStrategy, double> Predicted(const StrategyPlanner& planner,
+                                             const Query& q) {
+  PlanRequest request;
+  request.n = 10;
+  std::map<PhysicalStrategy, double> scalar;
+  const PlanDecision decision = planner.Plan(q, request).ValueOrDie();
+  for (const PlanCandidate& c : decision.candidates) {
+    scalar[c.strategy] = c.scalar;
+  }
+  return scalar;
+}
 
 void BM_CostModelPerStrategy(benchmark::State& state) {
   const auto strategy =
       static_cast<PhysicalStrategy>(state.range(0));
   MmDatabase& db = benchutil::Db();
   CardinalityEstimator est(&db.file(), &db.fragmentation());
-  CostModel model(&est);
+  StrategyPlanner planner(&est);
 
   double predicted = 0.0, measured = 0.0;
   for (auto _ : state) {
     predicted = measured = 0.0;
     for (const Query& q : benchutil::Workload()) {
-      predicted += model.Estimate(strategy, q, 10).scalar;
+      predicted += Predicted(planner, q)[strategy];
       auto r = db.Execute(strategy, q, 10);
       measured += r.ValueOrDie().stats.cost.Scalar();
     }
@@ -46,7 +61,7 @@ BENCHMARK(BM_CostModelPerStrategy)
 void BM_CostModelRankAgreement(benchmark::State& state) {
   MmDatabase& db = benchutil::Db();
   CardinalityEstimator est(&db.file(), &db.fragmentation());
-  CostModel model(&est);
+  StrategyPlanner planner(&est);
   const auto strategies = AllStrategies();
 
   double mean_rho = 0.0;
@@ -55,9 +70,10 @@ void BM_CostModelRankAgreement(benchmark::State& state) {
     mean_rho = 0.0;
     top1_hits = 0.0;
     for (const Query& q : benchutil::Workload()) {
+      std::map<PhysicalStrategy, double> predicted = Predicted(planner, q);
       std::vector<double> pred, meas;
       for (PhysicalStrategy s : strategies) {
-        pred.push_back(model.Estimate(s, q, 10).scalar);
+        pred.push_back(predicted[s]);
         meas.push_back(
             db.Execute(s, q, 10).ValueOrDie().stats.cost.Scalar());
       }

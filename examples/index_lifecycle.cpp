@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   Rng rng(2026);
   std::vector<DocTerms> fresh;
   for (int i = 0; i < 1000; ++i) fresh.push_back(SynthDoc(rng, 8000));
-  const DocId first = db.AddDocuments(fresh).ValueOrDie();
+  const DocId first = db.AddDocuments(fresh).ValueOrDie().front();
   std::printf("ingested %zu docs (first new id %u); live docs: %llu\n",
               fresh.size(), first,
               static_cast<unsigned long long>(

@@ -1,376 +1,31 @@
 #!/usr/bin/env python3
-"""Distill and compare the persisted benchmark snapshots
-(BENCH_cursor.json, BENCH_planner.json).
+"""Check the planner's cost-model calibration from a metrics dump.
 
-Four modes:
+Usage:
 
-  --distill e14.json e13.json
-      Reads the Google Benchmark JSON output of bench_e14_storage and
-      bench_e13_throughput and prints the distilled snapshot schema to
-      stdout (what scripts/bench_snapshot.sh writes to BENCH_cursor.json).
+  python3 scripts/bench_compare.py --calibration metrics.json
 
-  --distill-planner e13.json
-      Reads the bench_e13_throughput output and prints the planner
-      snapshot (BENCH_planner.json): batch QPS of the planner-routed
-      searches next to their forced-maxscore baselines per query class,
-      plus the planned/forced ratios the acceptance criterion tracks.
+Reads a metrics-registry JSON dump (example_metrics_dump --json) and
+distills the planner's predicted-vs-observed cost ratio from
+moa_plan_observed_scalar_total / moa_plan_predicted_scalar_total. Warns
+(non-fatally: exit code stays 0) when the drift exceeds 25% in either
+direction — the signal that the cost model's constants need re-fitting.
+Exit code 2 for malformed input or a dump with no planner traffic.
 
-  --distill-lifecycle e15.json
-      Reads the bench_e15_lifecycle output and prints the lifecycle
-      snapshot (BENCH_lifecycle.json): durable ingest docs/second by
-      batch size, flush throughput, the merge win, and the headline
-      maintenance numbers — ingest-with-auto-maintenance docs/second
-      with flushes on the ingest thread (foreground) vs scheduled by
-      BackgroundMaintenance on the shared pool (background), plus their
-      ratio. The acceptance floor is background >= 1.5x foreground;
-      because the overlap needs a second core, the snapshot records the
-      runner's CPU count and the comparison only warns about a missed
-      floor when the baseline itself met it.
-
-  --distill-shard e16.json
-      Reads the bench_e16_sharding output and prints the sharding
-      snapshot (BENCH_shard.json): per shard count and query class the
-      wall QPS, total cost-scalar work, naive (pruning-off) work,
-      critical-path span and shard-skip rate, plus the 4-vs-1 speedup
-      ratios the acceptance criterion tracks. Note the hardware caveat
-      recorded in the snapshot: on a single-CPU runner the wall ratio
-      reflects serialized waves; the span ratio is the intra-query
-      parallel speedup available once cores exist.
-
-  --calibration metrics.json
-      Reads a metrics-registry JSON dump (example_metrics_dump --json)
-      and distills the planner's predicted-vs-observed cost ratio from
-      moa_plan_observed_scalar_total / moa_plan_predicted_scalar_total.
-      Warns (non-fatally: exit code stays 0) when the drift exceeds 25%
-      in either direction — the signal that the cost model's constants
-      need re-fitting. Exit code 2 for malformed input or a dump with no
-      planner traffic.
-
-  baseline.json current.json
-      Compares two distilled snapshots of the same schema and warns
-      (non-fatally: exit code stays 0) when any tracked throughput entry
-      of `current` regresses more than 10% against `baseline` — and, for
-      planner snapshots, when a planned/forced-maxscore ratio falls
-      materially below parity. CI points `baseline` at the committed
-      snapshot and `current` at a fresh bench_snapshot.sh run. Exit code
-      2 is reserved for malformed input, so a broken snapshot never
-      masquerades as "no regression".
+Benchmark numbers live in BENCHMARK.json and perfbench/run.py; see
+CONTRIBUTING.md for the recalibration procedure.
 """
 
 import json
-import os
 import sys
 
-SCHEMA = "moa-bench-cursor-v1"
-PLANNER_SCHEMA = "moa-bench-planner-v1"
-SHARD_SCHEMA = "moa-bench-shard-v1"
-LIFECYCLE_SCHEMA = "moa-bench-lifecycle-v1"
-REGRESSION_THRESHOLD = 0.10
 CALIBRATION_DRIFT_THRESHOLD = 0.25
-# Acceptance floor: span(1 shard) / span(4 shards) on the mixed class.
-SHARD_SPEEDUP_FLOOR = 1.5
-# Acceptance floor: background-maintenance ingest docs/s over
-# foreground-flush ingest docs/s (needs >= 2 cores to be reachable).
-BACKGROUND_INGEST_FLOOR = 1.5
-
-# bench_e16_sharding benchmark base name -> query class label.
-SHARD_CLASSES = {
-    "BM_ShardedMixed": "mixed",
-    "BM_ShardedSelective": "selective",
-}
-SHARD_COUNTERS = ("qps", "work_per_query", "naive_work_per_query",
-                  "span_per_query", "skip_rate", "postings_skipped_pq")
-
-# Planner-routed bench -> its forced-maxscore baseline on the same query
-# class (bench_e13_throughput names, without the /threads/real_time tail).
-PLANNER_PAIRS = {
-    "BM_BatchPlanned": "BM_BatchMaxScore",
-    "BM_BatchSelectivePlanned": "BM_BatchSelectiveMaxScore",
-}
-
-# e14 benchmark name -> (section, key) in the distilled snapshot.
-E14_RATES = {
-    "BM_ScanRawVectors": ("scan", "raw_vectors"),
-    "BM_ScanInMemoryCursor": ("scan", "inmemory_cursor"),
-    "BM_ScanSegmentCursorVarbyte": ("scan", "segment_cursor_varbyte"),
-    "BM_ScanSegmentCursorBitPacked": ("scan", "segment_cursor_bitpacked"),
-    "BM_ScanSegmentBlocksVarbyte": ("scan", "segment_blocks_varbyte"),
-    "BM_ScanSegmentBlocksBitPacked": ("scan", "segment_blocks_bitpacked"),
-    "BM_AdvanceInMemoryCursor": ("advance", "inmemory_cursor"),
-    "BM_AdvanceSegmentCursorVarbyte": ("advance", "segment_cursor_varbyte"),
-    "BM_AdvanceSegmentCursorBitPacked": ("advance",
-                                         "segment_cursor_bitpacked"),
-}
-
-
-def load(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-def distill(e14_path, e13_path):
-    snapshot = {
-        "schema": SCHEMA,
-        "mode": "tiny",
-        "scan": {},       # postings/second by source + idiom
-        "advance": {},    # advance_to probes/second by source
-        "size": {},       # on-disk bytes + ratios
-        "e13_qps": {},    # end-to-end batch QPS by strategy/threads
-    }
-    for bench in load(e14_path).get("benchmarks", []):
-        name = bench.get("name", "").split("/")[0]
-        if name in E14_RATES and "items_per_second" in bench:
-            section, key = E14_RATES[name]
-            snapshot[section][key] = bench["items_per_second"]
-        if name == "BM_OnDiskSize":
-            for counter in ("v1_bytes", "v2_bytes", "vb_bytes", "v1_over_v2",
-                            "varbyte_over_bitpacked"):
-                if counter in bench:
-                    snapshot["size"][counter] = bench[counter]
-    scan = snapshot["scan"]
-    if "segment_cursor_varbyte" in scan and "segment_blocks_bitpacked" in scan:
-        # The headline number: new bit-packed block-batch hot path vs the
-        # old per-posting varbyte cursor scan.
-        scan["bitpacked_blocks_over_varbyte_cursor"] = (
-            scan["segment_blocks_bitpacked"] / scan["segment_cursor_varbyte"])
-    for bench in load(e13_path).get("benchmarks", []):
-        if "qps" in bench:
-            snapshot["e13_qps"][bench["name"]] = bench["qps"]
-    return snapshot
-
-
-def distill_planner(e13_path):
-    snapshot = {
-        "schema": PLANNER_SCHEMA,
-        "mode": "tiny",
-        # Planner-on and forced-maxscore batch QPS by bench/threads, the
-        # quality-target sweep included.
-        "qps": {},
-        # planned / forced-maxscore per query class, single-threaded: the
-        # planner must hold >= ~parity here (it may beat it outright).
-        "planned_over_maxscore": {},
-    }
-    for bench in load(e13_path).get("benchmarks", []):
-        name = bench.get("name", "")
-        base = name.split("/")[0]
-        if "qps" not in bench:
-            continue
-        if "Planned" in base or base in PLANNER_PAIRS.values():
-            snapshot["qps"][name] = bench["qps"]
-    qps = snapshot["qps"]
-    for planned, forced in PLANNER_PAIRS.items():
-        planned_key = f"{planned}/1/real_time"
-        forced_key = f"{forced}/1/real_time"
-        if qps.get(forced_key):
-            label = "mixed" if planned == "BM_BatchPlanned" else "selective"
-            snapshot["planned_over_maxscore"][label] = (
-                qps.get(planned_key, 0.0) / qps[forced_key])
-    return snapshot
-
-
-def distill_shard(e16_path):
-    snapshot = {
-        "schema": SHARD_SCHEMA,
-        "mode": "tiny",
-        # On a 1-CPU runner shard waves serialize, so wall qps dips with
-        # shard count while `span` (max per-shard work = the parallel
-        # wave's critical path) measures the intra-query speedup
-        # available once cores exist. Both are recorded on purpose.
-        "note": ("wall ratios are from a serialized single-CPU run; "
-                 "span ratios are the multi-core critical-path speedup"),
-        # classes.<class>.<shards> -> {qps, work_per_query, ...}
-        "classes": {},
-        # The acceptance ratios at 4 shards vs 1.
-        "speedup_4_over_1": {},
-        "selective_skip_rate_at_4": 0.0,
-    }
-    classes = snapshot["classes"]
-    for bench in load(e16_path).get("benchmarks", []):
-        name = bench.get("name", "")
-        parts = name.split("/")
-        label = SHARD_CLASSES.get(parts[0])
-        if label is None or len(parts) < 2:
-            continue
-        shards = parts[1]
-        entry = {}
-        for counter in SHARD_COUNTERS:
-            if counter in bench:
-                entry[counter] = bench[counter]
-        classes.setdefault(label, {})[shards] = entry
-
-    def ratio(label, num_key, den_key, num_shards_a="1", num_shards_b="4"):
-        a = classes.get(label, {}).get(num_shards_a, {}).get(num_key)
-        b = classes.get(label, {}).get(num_shards_b, {}).get(den_key)
-        if a and b:
-            return a / b
-        return None
-
-    speedups = snapshot["speedup_4_over_1"]
-    for label in ("mixed", "selective"):
-        span = ratio(label, "span_per_query", "span_per_query")
-        if span is not None:
-            speedups[f"{label}_span"] = span
-        four = classes.get(label, {}).get("4", {})
-        one = classes.get(label, {}).get("1", {})
-        if one.get("qps") and four.get("qps"):
-            speedups[f"{label}_wall"] = four["qps"] / one["qps"]
-        if four.get("work_per_query") and four.get("naive_work_per_query"):
-            speedups[f"{label}_pruned_over_naive_work"] = (
-                four["naive_work_per_query"] / four["work_per_query"])
-    snapshot["selective_skip_rate_at_4"] = (
-        classes.get("selective", {}).get("4", {}).get("skip_rate", 0.0))
-    return snapshot
-
-
-def distill_lifecycle(e15_path):
-    snapshot = {
-        "schema": LIFECYCLE_SCHEMA,
-        "mode": "tiny",
-        # Honest-hardware caveat: the background flush only overlaps
-        # ingest when a second core exists to run it; on a single-CPU
-        # runner the ratio collapses toward 1.0 and that is the true
-        # number for that machine, not a bug in the scheduler.
-        "note": ("background/foreground ingest ratio needs >= 2 cores "
-                 "to overlap flush with ingest; measured on a runner "
-                 "with the recorded cpu count"),
-        "cpus": os.cpu_count() or 1,
-        "ingest": {},              # docs/s by AddDocuments batch size
-        "flush": {},               # docs/s through Flush by buffered docs
-        "maintenance_ingest": {},  # docs/s: foreground vs background flush
-        "background_over_foreground": None,
-        "frag_over_merged": None,
-    }
-    for bench in load(e15_path).get("benchmarks", []):
-        parts = bench.get("name", "").split("/")
-        base = parts[0]
-        if "items_per_second" in bench and len(parts) >= 2:
-            if base == "BM_IngestThroughput":
-                snapshot["ingest"][parts[1]] = bench["items_per_second"]
-            elif base == "BM_FlushLatency":
-                snapshot["flush"][parts[1]] = bench["items_per_second"]
-            elif base == "BM_IngestWithMaintenance":
-                mode = "background" if parts[1] == "1" else "foreground"
-                snapshot["maintenance_ingest"][mode] = (
-                    bench["items_per_second"])
-        if base == "BM_QueryAfterMerge" and "frag_over_merged" in bench:
-            snapshot["frag_over_merged"] = bench["frag_over_merged"]
-    maintenance = snapshot["maintenance_ingest"]
-    if maintenance.get("foreground"):
-        snapshot["background_over_foreground"] = (
-            maintenance.get("background", 0.0) / maintenance["foreground"])
-    return snapshot
-
-
-def compare_lifecycle(baseline, current):
-    """Lifecycle snapshots: throughput entries under the usual 10% rule,
-    plus the background-ingest floor on the *current* run — demanded
-    only when the baseline machine itself reached it, so a single-CPU
-    runner comparing against a multi-core snapshot warns about its
-    hardware, not about a scheduler regression."""
-    warnings = 0
-    for section in ("ingest", "flush", "maintenance_ingest"):
-        base = baseline.get(section, {})
-        cur = current.get(section, {})
-        for key, base_rate in base.items():
-            cur_rate = cur.get(key)
-            if not isinstance(base_rate, (int, float)) or base_rate <= 0:
-                continue
-            if not isinstance(cur_rate, (int, float)):
-                continue
-            drop = 1.0 - cur_rate / base_rate
-            if drop > REGRESSION_THRESHOLD:
-                warnings += 1
-                print(
-                    f"WARNING: {section}.{key} regressed {drop:.1%} "
-                    f"({base_rate:.3g} -> {cur_rate:.3g} docs/s)",
-                    file=sys.stderr)
-    base_ratio = baseline.get("background_over_foreground")
-    cur_ratio = current.get("background_over_foreground")
-    floor_applies = (isinstance(base_ratio, (int, float)) and
-                     base_ratio >= BACKGROUND_INGEST_FLOOR)
-    if not isinstance(cur_ratio, (int, float)):
-        warnings += 1
-        print("WARNING: background/foreground ingest ratio missing from "
-              "current lifecycle snapshot", file=sys.stderr)
-    elif floor_applies and cur_ratio < BACKGROUND_INGEST_FLOOR:
-        warnings += 1
-        print(
-            f"WARNING: background-maintenance ingest fell to "
-            f"{cur_ratio:.2f}x foreground (floor "
-            f"{BACKGROUND_INGEST_FLOOR}x; baseline {base_ratio:.2f}x on "
-            f"{baseline.get('cpus', '?')} cpus, current run on "
-            f"{current.get('cpus', '?')} cpus)", file=sys.stderr)
-    return warnings
-
-
-def compare_shard(baseline, current):
-    """Sharding snapshots: QPS entries under the usual 10% rule, plus the
-    acceptance floors on the *current* run — mixed span speedup >= 1.5x
-    at 4 shards and a nonzero selective shard-skip rate."""
-    warnings = 0
-    for label, base_by_shards in baseline.get("classes", {}).items():
-        cur_by_shards = current.get("classes", {}).get(label, {})
-        for shards, base_entry in base_by_shards.items():
-            base_rate = base_entry.get("qps")
-            cur_rate = cur_by_shards.get(shards, {}).get("qps")
-            if not base_rate or not cur_rate:
-                continue
-            drop = 1.0 - cur_rate / base_rate
-            if drop > REGRESSION_THRESHOLD:
-                warnings += 1
-                print(
-                    f"WARNING: {label}/{shards} shards qps regressed "
-                    f"{drop:.1%} ({base_rate:.3g} -> {cur_rate:.3g} qps)",
-                    file=sys.stderr)
-    span = current.get("speedup_4_over_1", {}).get("mixed_span")
-    if not isinstance(span, (int, float)) or span < SHARD_SPEEDUP_FLOOR:
-        warnings += 1
-        print(
-            f"WARNING: mixed-class span speedup at 4 shards is "
-            f"{span if span is not None else 'missing'} "
-            f"(floor {SHARD_SPEEDUP_FLOOR}x)", file=sys.stderr)
-    skip_rate = current.get("selective_skip_rate_at_4", 0.0)
-    if not isinstance(skip_rate, (int, float)) or skip_rate <= 0.0:
-        warnings += 1
-        print(
-            "WARNING: selective-class shard-skip rate at 4 shards is zero "
-            "— bound-aware gather is not pruning", file=sys.stderr)
-    return warnings
-
-
-def compare_planner(baseline, current):
-    """Planner snapshots: QPS entries under the usual 10% rule, plus a
-    parity floor on the planned/forced ratios of the *current* run."""
-    warnings = 0
-    base_qps = baseline.get("qps", {})
-    cur_qps = current.get("qps", {})
-    for key, base_rate in base_qps.items():
-        if key not in cur_qps or not isinstance(base_rate, (int, float)):
-            continue
-        if base_rate <= 0:
-            continue
-        drop = 1.0 - cur_qps[key] / base_rate
-        if drop > REGRESSION_THRESHOLD:
-            warnings += 1
-            print(
-                f"WARNING: qps.{key} regressed {drop:.1%} "
-                f"({base_rate:.3g} -> {cur_qps[key]:.3g} qps)",
-                file=sys.stderr)
-    for label, ratio in current.get("planned_over_maxscore", {}).items():
-        if not isinstance(ratio, (int, float)):
-            continue
-        if ratio < 1.0 - REGRESSION_THRESHOLD:
-            warnings += 1
-            print(
-                f"WARNING: planner loses to forced maxscore on the {label} "
-                f"class (planned/forced = {ratio:.2f})",
-                file=sys.stderr)
-    return warnings
 
 
 def calibration(metrics_path):
     """Predicted-vs-observed planner calibration from a registry dump."""
-    dump = load(metrics_path)
+    with open(metrics_path, "r", encoding="utf-8") as f:
+        dump = json.load(f)
     totals = {}
     for counter in dump.get("counters", []):
         name = counter.get("name")
@@ -401,105 +56,9 @@ def calibration(metrics_path):
     return 0
 
 
-def compare(baseline_path, current_path):
-    baseline = load(baseline_path)
-    current = load(current_path)
-    if baseline.get("schema") != current.get("schema"):
-        print(
-            f"bench_compare: schema mismatch ({baseline.get('schema')} vs "
-            f"{current.get('schema')})", file=sys.stderr)
-        return 2
-    warnings = 0
-    if baseline.get("schema") == SHARD_SCHEMA:
-        warnings = compare_shard(baseline, current)
-        if warnings:
-            print(
-                f"bench_compare: {warnings} sharding "
-                f"entr{'y' if warnings == 1 else 'ies'} regressed vs "
-                f"{baseline_path} (non-fatal)", file=sys.stderr)
-        else:
-            print(
-                "bench_compare: sharded span speedup holds >= "
-                f"{SHARD_SPEEDUP_FLOOR}x on mixed, selective skip rate "
-                f"nonzero, no >{REGRESSION_THRESHOLD:.0%} QPS regression vs "
-                f"{baseline_path}")
-        return 0
-    if baseline.get("schema") == LIFECYCLE_SCHEMA:
-        warnings = compare_lifecycle(baseline, current)
-        if warnings:
-            print(
-                f"bench_compare: {warnings} lifecycle "
-                f"entr{'y' if warnings == 1 else 'ies'} regressed vs "
-                f"{baseline_path} (non-fatal)", file=sys.stderr)
-        else:
-            ratio = current.get("background_over_foreground")
-            shown = f"{ratio:.2f}x" if isinstance(ratio, (int, float)) \
-                else "n/a"
-            print(
-                f"bench_compare: background-maintenance ingest at {shown} "
-                f"foreground, no >{REGRESSION_THRESHOLD:.0%} throughput "
-                f"regression vs {baseline_path}")
-        return 0
-    if baseline.get("schema") == PLANNER_SCHEMA:
-        warnings = compare_planner(baseline, current)
-        if warnings:
-            print(
-                f"bench_compare: {warnings} planner "
-                f"entr{'y' if warnings == 1 else 'ies'} regressed vs "
-                f"{baseline_path} (non-fatal)", file=sys.stderr)
-        else:
-            print("bench_compare: planner holds >= ~parity with forced "
-                  f"maxscore, no >{REGRESSION_THRESHOLD:.0%} QPS regression "
-                  f"vs {baseline_path}")
-        return 0
-    for section in ("scan", "advance"):
-        base = baseline.get(section, {})
-        cur = current.get(section, {})
-        for key, base_rate in base.items():
-            if key not in cur or not isinstance(base_rate, (int, float)):
-                continue
-            if base_rate <= 0:
-                continue
-            drop = 1.0 - cur[key] / base_rate
-            if drop > REGRESSION_THRESHOLD:
-                warnings += 1
-                print(
-                    f"WARNING: {section}.{key} regressed {drop:.1%} "
-                    f"({base_rate:.3g} -> {cur[key]:.3g} items/s)",
-                    file=sys.stderr)
-    if warnings:
-        print(
-            f"bench_compare: {warnings} entr{'y' if warnings == 1 else 'ies'}"
-            f" regressed >{REGRESSION_THRESHOLD:.0%} vs {baseline_path}"
-            " (non-fatal)",
-            file=sys.stderr)
-    else:
-        print(f"bench_compare: no >{REGRESSION_THRESHOLD:.0%} scan/advance"
-              f" regression vs {baseline_path}")
-    return 0
-
-
 def main(argv):
-    if len(argv) == 4 and argv[1] == "--distill":
-        json.dump(distill(argv[2], argv[3]), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
-    if len(argv) == 3 and argv[1] == "--distill-planner":
-        json.dump(distill_planner(argv[2]), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
-    if len(argv) == 3 and argv[1] == "--distill-shard":
-        json.dump(distill_shard(argv[2]), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
-    if len(argv) == 3 and argv[1] == "--distill-lifecycle":
-        json.dump(distill_lifecycle(argv[2]), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
     if len(argv) == 3 and argv[1] == "--calibration":
         return calibration(argv[2])
-    if len(argv) == 3:
-        return compare(argv[1], argv[2])
     print(__doc__.strip(), file=sys.stderr)
     return 2
 
@@ -507,6 +66,7 @@ def main(argv):
 if __name__ == "__main__":
     try:
         sys.exit(main(sys.argv))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as err:
         print(f"bench_compare: malformed input: {err}", file=sys.stderr)
         sys.exit(2)

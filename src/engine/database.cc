@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 
 #include "common/timer.h"
 #include "engine/shard_coordinator.h"
 #include "exec/registry.h"
 #include "obs/metrics.h"
 #include "optimizer/explain.h"
-#include "storage/segment/segment_writer.h"
 
 namespace moa {
 
@@ -38,15 +36,11 @@ Result<std::unique_ptr<MmDatabase>> MmDatabase::Open(
   file.BuildImpactOrders([&](TermId t, const Posting& p) {
     return db->model_->Weight(t, p);
   });
+  db->memory_ = std::make_unique<const InMemoryPostingSource>(&file);
   db->fragmentation_ = Fragmentation::Build(file, config.fragmentation);
   db->estimator_ = std::make_unique<CardinalityEstimator>(
       &file, &db->fragmentation_);
   return db;
-}
-
-std::shared_ptr<const SegmentReader> MmDatabase::segment_snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  return segment_;
 }
 
 std::shared_ptr<const CatalogReadView> MmDatabase::catalog_view() const {
@@ -115,14 +109,13 @@ ExecContext MmDatabase::catalog_context(
 }
 
 ExecContext MmDatabase::static_context() const {
+  // The generated collection never changes, so the borrowed context needs
+  // no snapshot owner and no lock.
   ExecContext context;
-  context.file = &file();
+  context.postings = memory_.get();
   context.model = model_.get();
   context.fragmentation = &fragmentation_;
   context.sparse_cache = &sparse_cache_;
-  std::shared_ptr<const SegmentReader> segment = segment_snapshot();
-  context.postings = segment.get();
-  context.postings_owner = std::move(segment);
   return context;
 }
 
@@ -149,82 +142,24 @@ ExecContext MmDatabase::exec_context() const {
   return static_context();
 }
 
+// ------------------------------------------------------ index lifecycle
+
 namespace {
 
-/// Header-stamped model identifier: ScoringModel::name() truncated the
-/// same way the writer truncates it, so save/attach agree even for names
-/// longer than the header field.
-std::string SegmentModelId(const ScoringModel& model) {
-  return model.name().substr(0, kImpactModelBytes - 1);
+/// The seed batch of a fresh catalog: the generated collection transposed
+/// into per-document compositions, indexed by its doc ids.
+std::vector<DocTerms> SeedDocuments(const InvertedFile& f) {
+  std::vector<DocTerms> docs(f.num_docs());
+  for (TermId t = 0; t < f.num_terms(); ++t) {
+    const PostingList& list = f.list(t);
+    for (size_t i = 0; i < list.size(); ++i) {
+      docs[list[i].doc].emplace_back(t, list[i].tf);
+    }
+  }
+  return docs;
 }
 
 }  // namespace
-
-Status MmDatabase::SaveSegment(const std::string& path,
-                               uint32_t block_size) const {
-  if (is_dynamic()) {
-    return Status::FailedPrecondition(
-        "SaveSegment serves the static collection; a dynamic database "
-        "persists through Flush()");
-  }
-  SegmentWriterOptions options;
-  options.block_size = block_size;
-  options.impact_fn = [this](TermId t, const Posting& p) {
-    return model_->Weight(t, p);
-  };
-  options.impact_model = SegmentModelId(*model_);
-  return WriteSegment(file(), path, options);
-}
-
-Status MmDatabase::AttachSegment(const std::string& path,
-                                 const AttachSegmentOptions& options) {
-  if (is_dynamic()) {
-    return Status::FailedPrecondition(
-        "AttachSegment is a static-mode operation; the dynamic catalog "
-        "manages its own segments");
-  }
-  Result<std::unique_ptr<SegmentReader>> reader = SegmentReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  SegmentReader& segment = *reader.ValueOrDie();
-  if (segment.num_terms() != file().num_terms() ||
-      segment.num_docs() != file().num_docs() ||
-      segment.total_tokens() != static_cast<uint64_t>(file().total_tokens())) {
-    return Status::InvalidArgument(
-        "segment does not match this database's collection: " + path);
-  }
-  // Impact bounds are only upper bounds under the model that computed
-  // them; pruning with another model's bounds silently drops true top-N
-  // documents. The engine therefore only attaches segments whose stamped
-  // model matches its own (SaveSegment always stamps).
-  if (!segment.has_impacts() ||
-      segment.impact_model() != SegmentModelId(*model_)) {
-    return Status::InvalidArgument(
-        "segment impact bounds were not computed with this database's "
-        "scoring model (" + model_->name() + "): " + path);
-  }
-  // Open only validates the directories; a flipped payload byte would
-  // otherwise show up as a silently truncated posting list at query time
-  // (the cursor fails closed on decode errors, it cannot report them).
-  if (options.verify_payload) {
-    Status integrity = segment.CheckIntegrity();
-    if (!integrity.ok()) return integrity;
-  }
-  // Publish by pointer swap: in-flight queries keep the storage snapshot
-  // they started with (exec_context copies the shared_ptr).
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  segment_ = std::shared_ptr<const SegmentReader>(
-      std::move(reader).ValueOrDie().release());
-  segment_path_ = path;
-  return Status::OK();
-}
-
-void MmDatabase::DetachSegment() {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  segment_.reset();
-  segment_path_.clear();
-}
-
-// ------------------------------------------------------ index lifecycle
 
 Status MmDatabase::EnsureDynamicLocked() {
   if (catalog_ != nullptr || sharded_ != nullptr) return Status::OK();
@@ -272,20 +207,12 @@ Status MmDatabase::EnsureDynamicLocked() {
           ShardedCatalog::Create(soptions);
       if (!created.ok()) return created.status();
       sharded = std::move(created).ValueOrDie();
-      const InvertedFile& f = file();
-      if (f.num_docs() > 0) {
-        // Same transposed batch seed as below. Round-robin routing from
-        // an empty catalog assigns document k the global id k — the seed
-        // keeps the generated collection's ids under sharding too.
-        std::vector<DocTerms> docs(f.num_docs());
-        for (TermId t = 0; t < f.num_terms(); ++t) {
-          const PostingList& list = f.list(t);
-          for (size_t i = 0; i < list.size(); ++i) {
-            docs[list[i].doc].emplace_back(t, list[i].tf);
-          }
-        }
-        Result<std::vector<DocId>> ids = sharded->AddDocuments(docs);
-        if (!ids.ok()) return ids.status();
+      if (file().num_docs() > 0) {
+        // Round-robin routing from an empty catalog assigns document k
+        // the global id k — the seed keeps the generated collection's ids
+        // under sharding too.
+        MOA_RETURN_NOT_OK(
+            sharded->AddDocuments(SeedDocuments(file())).status());
       }
     }
 
@@ -320,19 +247,9 @@ Status MmDatabase::EnsureDynamicLocked() {
     if (!created.ok()) return created.status();
     catalog = std::move(created).ValueOrDie();
     // Seed the fresh catalog with the generated collection under the
-    // same doc ids: transpose the inverted file into per-document
-    // compositions and ingest them as one batch.
-    const InvertedFile& f = file();
-    if (f.num_docs() > 0) {
-      std::vector<DocTerms> docs(f.num_docs());
-      for (TermId t = 0; t < f.num_terms(); ++t) {
-        const PostingList& list = f.list(t);
-        for (size_t i = 0; i < list.size(); ++i) {
-          docs[list[i].doc].emplace_back(t, list[i].tf);
-        }
-      }
-      Result<DocId> first = catalog->AddDocuments(docs);
-      if (!first.ok()) return first.status();
+    // same doc ids, as one batch.
+    if (file().num_docs() > 0) {
+      MOA_RETURN_NOT_OK(catalog->AddDocuments(SeedDocuments(file())).status());
     }
   }
 
@@ -372,19 +289,19 @@ Result<DocId> MmDatabase::AddDocument(const DocTerms& terms) {
   return catalog_->AddDocument(terms);
 }
 
-Result<DocId> MmDatabase::AddDocuments(const std::vector<DocTerms>& docs) {
+Result<std::vector<DocId>> MmDatabase::AddDocuments(
+    const std::vector<DocTerms>& docs) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) {
-    // Sharded routing still returns the first document's global id; ids
-    // are consecutive whenever the shards are balanced (always true for
-    // the pristine seed and pure-append workloads).
-    Result<std::vector<DocId>> ids = sharded_->AddDocuments(docs);
-    if (!ids.ok()) return ids.status();
-    const std::vector<DocId>& v = ids.ValueOrDie();
-    return v.empty() ? DocId{0} : v.front();
+  if (sharded_ != nullptr) return sharded_->AddDocuments(docs);
+  // A single catalog appends the batch under consecutive ids.
+  Result<DocId> first = catalog_->AddDocuments(docs);
+  if (!first.ok()) return first.status();
+  std::vector<DocId> ids(docs.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = first.ValueOrDie() + static_cast<DocId>(i);
   }
-  return catalog_->AddDocuments(docs);
+  return ids;
 }
 
 Status MmDatabase::DeleteDocument(DocId doc) {
@@ -432,8 +349,13 @@ Result<TopNResult> MmDatabase::Execute(PhysicalStrategy strategy,
   // harnesses use this to drive any strategy over any backend with no
   // validation beyond the registry's own. The strategy is known here, so
   // dynamic contexts only pay for the live-statistics fragmentation when
-  // a fragment strategy runs.
-  if (is_dynamic() && sharded_ != nullptr) {
+  // a fragment strategy runs. The dynamic flag is read once, as in
+  // RunQuery.
+  if (!is_dynamic()) {
+    return StrategyRegistry::Global().Execute(strategy, static_context(),
+                                              query, n, options);
+  }
+  if (sharded_ != nullptr) {
     const std::shared_ptr<const ShardedSnapshot> snapshot =
         sharded_->Snapshot();
     const std::shared_ptr<const Fragmentation> frag =
@@ -445,17 +367,13 @@ Result<TopNResult> MmDatabase::Execute(PhysicalStrategy strategy,
     return ShardCoordinator::Execute(snapshot, strategy, query, n, options,
                                      copts);
   }
-  ExecContext context;
-  if (is_dynamic()) {
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    context = catalog_context(view, NeedsFragmentation(strategy)
-                                        ? DynamicFragmentation(view->state())
-                                        : nullptr);
-  } else {
-    context = static_context();
-  }
-  return StrategyRegistry::Global().Execute(strategy, context, query, n,
-                                            options);
+  const std::shared_ptr<const CatalogReadView> view = catalog_view();
+  return StrategyRegistry::Global().Execute(
+      strategy,
+      catalog_context(view, NeedsFragmentation(strategy)
+                                ? DynamicFragmentation(view->state())
+                                : nullptr),
+      query, n, options);
 }
 
 StrategyCostInputs MmDatabase::DynamicStorageInputs(
@@ -470,13 +388,6 @@ StrategyCostInputs MmDatabase::DynamicStorageInputs(
     dyn_storage_valid_ = true;
   }
   return dyn_storage_;
-}
-
-StrategyCostInputs MmDatabase::StaticStorageInputs(
-    const SegmentReader* segment) const {
-  if (segment == nullptr) return StrategyCostInputs{};  // neutral in-memory
-  return StorageInputsForSegment(segment->codec(),
-                                 segment->has_fragment_directory());
 }
 
 namespace {
@@ -565,12 +476,20 @@ Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
 Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
                                           bool explain,
                                           PlanDecision* decision_out) const {
-  // deadline_millis is reserved (ROADMAP item 4 will enforce it), but a
-  // negative value is malformed today, not merely unenforced — reject it
-  // instead of silently accepting a request no future version could honor.
-  if (request.options.deadline_millis < 0.0) {
+  // deadline_millis is reserved (not yet enforced), but a negative or NaN
+  // value is malformed today, not merely unenforced —
+  // reject it instead of silently accepting a request no future version
+  // could honor. A NaN quality_target would pass every
+  // `predicted_quality < target` test in the planner and admit unsafe
+  // strategies, so it is rejected with the out-of-range targets. The
+  // negated comparisons are false for NaN.
+  const QueryOptions& options = request.options;
+  if (!(options.deadline_millis >= 0.0)) {
     return Status::InvalidArgument(
         "query: deadline_millis must be >= 0 (0 = no deadline)");
+  }
+  if (!(options.quality_target >= 0.0 && options.quality_target <= 1.0)) {
+    return Status::InvalidArgument("query: quality_target must be in [0, 1]");
   }
   // One storage snapshot per query: plan and execution must see the same
   // state. The dynamic/static decision is read once; a query that raced
@@ -578,16 +497,32 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
   // generated collection is immutable), instead of planning statically
   // and then executing against the catalog.
   const bool trace = !explain && SampleTrace(config_.trace_every);
-  if (is_dynamic() && sharded_ != nullptr) {
+  if (!is_dynamic()) {
+    // Static serving: neutral in-memory storage signals.
+    const StrategyPlanner planner(estimator_.get());
+    return FinishQuery(PlanAndRun(planner, static_context(), request, explain,
+                                  trace, decision_out),
+                       explain);
+  }
+
+  // The live-statistics fragmentation is only built when a fragment
+  // strategy could actually run: a forced fragment strategy, or planner
+  // choice with a quality target that admits unsafe strategies. At target
+  // 1.0 no fragment strategy can win — the safe one (quality_switch_full)
+  // predicts exactly heap's cost and loses the deterministic tie — so the
+  // default cursor path skips the build and its cache lock entirely.
+  // Explain always builds it: the candidate table should show the fragment
+  // strategies' predictions.
+  const bool want_frag =
+      explain || (options.strategy.has_value()
+                      ? NeedsFragmentation(*options.strategy)
+                      : options.quality_target < 1.0);
+  if (sharded_ != nullptr) {
     // Sharded serving: one consistent multi-shard snapshot, then the
     // bound-aware scatter-gather coordinator (per-shard planning, bound-
     // ordered visits with suffix skipping, threshold-seeded max-score).
     const std::shared_ptr<const ShardedSnapshot> snapshot =
         sharded_->Snapshot();
-    const bool want_frag =
-        explain || (request.options.strategy.has_value()
-                        ? NeedsFragmentation(*request.options.strategy)
-                        : request.options.quality_target < 1.0);
     const std::shared_ptr<const Fragmentation> frag =
         want_frag
             ? DynamicFragmentation(snapshot->stats().df, snapshot->version())
@@ -598,42 +533,19 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
                                              decision_out, copts),
                        explain);
   }
-  if (is_dynamic()) {
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    const CatalogState& state = view->state();
 
-    // The live-statistics fragmentation is only built when a fragment
-    // strategy could actually run: a forced fragment strategy, or planner
-    // choice with a quality target that admits unsafe strategies. At
-    // target 1.0 no fragment strategy can win — the safe one
-    // (quality_switch_full) predicts exactly heap's cost and loses the
-    // deterministic tie — so the default cursor path skips the build and
-    // its cache lock entirely. Explain always builds it: the candidate
-    // table should show the fragment strategies' predictions.
-    const bool want_frag =
-        explain || (request.options.strategy.has_value()
-                        ? NeedsFragmentation(*request.options.strategy)
-                        : request.options.quality_target < 1.0);
-    const std::shared_ptr<const Fragmentation> frag =
-        want_frag ? DynamicFragmentation(state) : nullptr;
-
-    // Statistics are borrowed straight from the snapshot (pinned by the
-    // read view for the query's lifetime) — planning copies nothing.
-    const CardinalityEstimator estimator(
-        &state.stats().df, static_cast<int64_t>(state.stats().num_live_docs),
-        frag.get());
-    const StrategyPlanner planner(&estimator, DynamicStorageInputs(state));
-    return FinishQuery(PlanAndRun(planner, catalog_context(view, frag),
-                                  request, explain, trace, decision_out),
-                       explain);
-  }
-
-  const ExecContext context = static_context();
-  const SegmentReader* segment =
-      static_cast<const SegmentReader*>(context.postings);
-  const StrategyPlanner planner(estimator_.get(), StaticStorageInputs(segment));
-  return FinishQuery(PlanAndRun(planner, context, request, explain, trace,
-                                decision_out),
+  const std::shared_ptr<const CatalogReadView> view = catalog_view();
+  const CatalogState& state = view->state();
+  const std::shared_ptr<const Fragmentation> frag =
+      want_frag ? DynamicFragmentation(state) : nullptr;
+  // Statistics are borrowed straight from the snapshot (pinned by the read
+  // view for the query's lifetime) — planning copies nothing.
+  const CardinalityEstimator estimator(
+      &state.stats().df, static_cast<int64_t>(state.stats().num_live_docs),
+      frag.get());
+  const StrategyPlanner planner(&estimator, DynamicStorageInputs(state));
+  return FinishQuery(PlanAndRun(planner, catalog_context(view, frag), request,
+                                explain, trace, decision_out),
                      explain);
 }
 
@@ -728,21 +640,6 @@ Result<SearchResult> MmDatabase::Search(const QueryRequest& request) const {
   return RunQuery(request, /*explain=*/false, nullptr);
 }
 
-Result<TopNResult> MmDatabase::Execute(const QueryRequest& request) const {
-  Result<SearchResult> result = RunQuery(request, /*explain=*/false, nullptr);
-  if (!result.ok()) return result.status();
-  return std::move(result).ValueOrDie().top;
-}
-
-Result<SearchResult> MmDatabase::Search(const Query& query,
-                                        const SearchOptions& options) const {
-  QueryRequest request;
-  request.query = query;
-  request.n = options.n;
-  request.options = options.ToQueryOptions();
-  return Search(request);
-}
-
 std::vector<ScoredDoc> MmDatabase::GroundTruth(const Query& query,
                                                size_t n) const {
   if (is_dynamic()) {
@@ -804,15 +701,6 @@ std::string MmDatabase::DescribeStorage() const {
     if (sharded_ != nullptr) return sharded_->Snapshot()->Describe();
     return catalog_->Snapshot()->Describe();
   }
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  if (segment_ != nullptr) {
-    return "in-memory inverted file; all strategies read mmap segment " +
-           segment_path_ + " [" + segment_->format_name() + ", " +
-           SegmentCodecName(segment_->codec()) + " codec]" +
-           (segment_->has_fragment_directory()
-                ? " (impact-ordered fragment directory)"
-                : " (no fragment directory)");
-  }
   return "in-memory inverted file";
 }
 
@@ -873,17 +761,6 @@ Result<ExplainReport> MmDatabase::ExplainSearch(
     report.trace.predicted_quality = report.decision.chosen.predicted_quality;
   }
   return report;
-}
-
-Result<std::string> MmDatabase::ExplainSearch(
-    const Query& query, const SearchOptions& options) const {
-  QueryRequest request;
-  request.query = query;
-  request.n = options.n;
-  request.options = options.ToQueryOptions();
-  Result<ExplainReport> report = ExplainSearch(request);
-  if (!report.ok()) return report.status();
-  return report.ValueOrDie().ToString();
 }
 
 }  // namespace moa

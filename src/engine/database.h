@@ -9,23 +9,26 @@
 // and storage signals (codec, tombstone density, component count,
 // fragment-directory presence).
 //
-// Storage spine. The database starts *static*: queries read the in-memory
-// InvertedFile (optionally swapped for an attached mmap segment on the
-// cursor strategies). The first mutation (AddDocument / DeleteDocument)
-// seeds an IndexCatalog (storage/catalog/) with the collection and flips
-// the database to *dynamic* serving: queries snapshot the catalog per
-// query, statistics track the live documents exactly, and the index
-// evolves through the memtable → flush → merge lifecycle. Every
-// registered strategy runs in dynamic mode: all executors are
-// cursor-based, the Step-1 fragmentation is derived from the snapshot's
-// live statistics (cached per snapshot version), and sparse-probe
-// indexes live in a snapshot-scoped cache.
+// Storage spine. The database starts *static*: queries stream the
+// immutable in-memory InvertedFile through one InMemoryPostingSource the
+// database owns. The first mutation (AddDocument / DeleteDocument) seeds
+// an IndexCatalog (storage/catalog/) — or a ShardedCatalog when
+// DatabaseConfig::num_shards > 1 — with the collection and flips the
+// database to *dynamic* serving: queries snapshot the catalog per query,
+// statistics track the live documents exactly, and the index evolves
+// through the memtable → flush → merge lifecycle; segment files are
+// served only by the catalog. Every executor is cursor-based and reads
+// ExecContext::postings on every path; in dynamic mode the Step-1
+// fragmentation is derived from the snapshot's live statistics (cached
+// per snapshot version), and sparse-probe indexes live in a
+// snapshot-scoped cache.
 //
 // Concurrency: Search / Execute / SearchBatch are safe from many threads,
-// and remain safe while another thread attaches/detaches a segment or
-// mutates the catalog — every query pins the storage it started with via
-// a shared_ptr snapshot (ExecContext::postings_owner); mutations
-// serialize internally and publish by pointer swap.
+// and remain safe while another thread mutates the catalog. Static
+// queries read immutable state and take no lock; dynamic queries pin the
+// storage they started with via a shared_ptr snapshot
+// (ExecContext::postings_owner); mutations serialize internally and
+// publish by pointer swap.
 #ifndef MOA_ENGINE_DATABASE_H_
 #define MOA_ENGINE_DATABASE_H_
 
@@ -42,13 +45,12 @@
 #include "ir/metrics.h"
 #include "obs/query_trace.h"
 #include "optimizer/explain.h"
-#include "optimizer/planner.h"
 #include "optimizer/strategy_planner.h"
 #include "storage/catalog/background_jobs.h"
 #include "storage/catalog/index_catalog.h"
 #include "storage/catalog/sharded_catalog.h"
 #include "storage/fragmentation.h"
-#include "storage/segment/segment_reader.h"
+#include "storage/segment/posting_cursor.h"
 #include "storage/sparse_index_cache.h"
 #include "topn/fragment_topn.h"
 #include "topn/topn_result.h"
@@ -130,48 +132,33 @@ struct QueryOptions {
   /// Forced strategy. Absent = the cost-based StrategyPlanner decides
   /// from live statistics and storage signals.
   std::optional<PhysicalStrategy> strategy;
-  /// Minimum predicted overlap@n for planner-chosen strategies: 1.0
-  /// (default) admits only exact (safe) strategies; lower values let the
-  /// planner pick cheap unsafe ones whose predicted quality still meets
-  /// the target. Ignored when `strategy` is set.
+  /// Minimum predicted overlap@n for planner-chosen strategies, in
+  /// [0, 1]: 1.0 (default) admits only exact (safe) strategies; lower
+  /// values let the planner pick cheap unsafe ones whose predicted quality
+  /// still meets the target. Ignored when `strategy` is set, but NaN or
+  /// out-of-range values are rejected with InvalidArgument either way.
   double quality_target = 1.0;
   /// Quality-switch threshold used by fragment strategies.
   double switch_threshold = 0.0;
   /// Reserved: per-query deadline in milliseconds (0 = none). Validated —
-  /// negative values are rejected with InvalidArgument — but not yet
-  /// enforced (ROADMAP item 4, adaptive re-planning, will consume it);
-  /// carried so the wire format is stable.
+  /// negative and NaN values are rejected with InvalidArgument — but not
+  /// yet enforced; carried so the wire format is stable.
   double deadline_millis = 0.0;
 };
 
 /// \brief One retrieval query: the single entry point Search /
-/// SearchBatch / Execute / ExplainSearch all consume.
+/// SearchBatch / ExplainSearch all consume.
 struct QueryRequest {
   Query query;
   size_t n = 10;
   QueryOptions options;
 };
 
-/// \brief Per-search options (legacy surface).
-/// \deprecated Use QueryRequest/QueryOptions; this maps onto them
-/// (`force` -> `strategy`, `safe_only` -> quality_target 1.0 / 0.0).
-struct SearchOptions {
-  size_t n = 10;
-  /// Only exact strategies may be chosen by the planner.
-  bool safe_only = true;
-  /// Force a specific strategy instead of cost-based choice.
-  std::optional<PhysicalStrategy> force;
-  /// Quality-switch threshold used by fragment strategies.
-  double switch_threshold = 0.0;
-
-  /// The QueryOptions this legacy bundle means.
-  QueryOptions ToQueryOptions() const {
-    QueryOptions q;
-    q.strategy = force;
-    q.quality_target = safe_only ? 1.0 : 0.0;
-    q.switch_threshold = switch_threshold;
-    return q;
-  }
+/// \brief Predicted work + scalar cost of the strategy a query ran with.
+struct PlanCostEstimate {
+  PhysicalStrategy strategy = PhysicalStrategy::kHeap;
+  CostCounters predicted;
+  double scalar = 0.0;  ///< predicted.Scalar()
 };
 
 /// \brief A search answer plus plan/bookkeeping.
@@ -222,18 +209,6 @@ struct BatchSearchResult {
   BatchStats stats;
 };
 
-/// \brief Options for MmDatabase::AttachSegment.
-struct AttachSegmentOptions {
-  /// Decode and verify every payload block (SegmentReader::CheckIntegrity)
-  /// before attaching. Open only validates the header and directories
-  /// structurally; without this pass, payload bit rot would surface as
-  /// silently truncated posting lists — wrong top-N results with no error.
-  /// Skipping the scan restores O(directories) attach cost and is only
-  /// safe for segments with trusted provenance (e.g. written and verified
-  /// by this same process moments earlier).
-  bool verify_payload = true;
-};
-
 /// \brief The MM retrieval database.
 class MmDatabase {
  public:
@@ -246,7 +221,9 @@ class MmDatabase {
   /// cheapest registered strategy whose predicted quality meets
   /// request.options.quality_target, from live statistics and storage
   /// signals (codec, tombstones, component count, fragment directory).
-  /// Thread-safe.
+  /// Rejects a NaN or out-of-range quality_target and a NaN or negative
+  /// deadline_millis with InvalidArgument (SearchBatch and ExplainSearch
+  /// share the check). Thread-safe.
   Result<SearchResult> Search(const QueryRequest& request) const;
 
   /// Fans `requests` out across a ThreadPool of `parallelism` workers
@@ -259,22 +236,6 @@ class MmDatabase {
   Result<BatchSearchResult> SearchBatch(
       const std::vector<QueryRequest>& requests, size_t parallelism = 0) const;
 
-  /// Execute over the unified request: same planning as Search (forced
-  /// when request.options.strategy is set, cost-based otherwise), but
-  /// returns just the TopNResult. Thread-safe.
-  Result<TopNResult> Execute(const QueryRequest& request) const;
-
-  /// \deprecated Legacy shim over Search(QueryRequest); see
-  /// SearchOptions::ToQueryOptions for the mapping.
-  Result<SearchResult> Search(const Query& query,
-                              const SearchOptions& options) const;
-
-  /// \deprecated Legacy shim over SearchBatch(std::vector<QueryRequest>):
-  /// every query gets the same options.
-  Result<BatchSearchResult> SearchBatch(const std::vector<Query>& queries,
-                                        const SearchOptions& options,
-                                        size_t parallelism = 0) const;
-
   /// Executes a specific strategy directly, bypassing the planner (bench
   /// / harness path: no validation beyond the registry's own, so it can
   /// drive any strategy over any backend). `switch_threshold` is a common
@@ -286,15 +247,15 @@ class MmDatabase {
                              size_t n, double switch_threshold = 0.0) const;
 
   /// Registry execution with full per-strategy options (no default: keeps
-  /// the legacy overload above unambiguous). Rejects typed options that do
-  /// not belong to `strategy`'s family. Thread-safe.
+  /// the overload above unambiguous). Rejects typed options that do not
+  /// belong to `strategy`'s family. Thread-safe.
   Result<TopNResult> Execute(PhysicalStrategy strategy, const Query& query,
                              size_t n, const ExecOptions& options) const;
 
   /// Borrowed exec-layer view of this database's state; hand it to
   /// StrategyRegistry::Global().Execute (benches swap in their own
   /// fragmentation or sparse cache before doing so). In static mode this
-  /// is the in-memory file (plus the attached segment snapshot, if any);
+  /// is the in-memory file behind the database's InMemoryPostingSource;
   /// in dynamic mode it is the current catalog snapshot. Under sharding
   /// no single PostingSource spans the collection, so the borrowed
   /// context covers shard 0 only (local postings under the global
@@ -311,8 +272,11 @@ class MmDatabase {
   /// Adds a document (any order of (term, tf) pairs; terms must be below
   /// the collection's vocabulary). Returns its doc id.
   Result<DocId> AddDocument(const DocTerms& terms);
-  /// Bulk ingest under consecutive ids; one snapshot publication total.
-  Result<DocId> AddDocuments(const std::vector<DocTerms>& docs);
+  /// Bulk ingest; returns every document's id, in input order. One
+  /// snapshot publication per catalog (per touched shard under sharding,
+  /// where documents go to the least-loaded shard, so ids need not be
+  /// consecutive).
+  Result<std::vector<DocId>> AddDocuments(const std::vector<DocTerms>& docs);
   /// Tombstones a document: it disappears from results immediately and
   /// statistics drop its exact composition; storage is reclaimed by
   /// Merge.
@@ -367,46 +331,13 @@ class MmDatabase {
   /// Planner Explain, structured. The report carries the full planning
   /// decision — every candidate with predicted cost, predicted quality
   /// and a reject reason — plus what storage the plan reads (the
-  /// in-memory file, an attached segment with its format/codec, or the
-  /// catalog snapshot composition), the fragmentation a fragment strategy
+  /// in-memory file or the catalog snapshot composition), the
+  /// fragmentation a fragment strategy
   /// would use, and, when the chosen strategy can execute here,
   /// best-effort block counters from actually running the query
   /// (compressed blocks decoded vs skipped undecoded). Explain always
   /// runs the full candidate enumeration, forced strategies included.
   Result<ExplainReport> ExplainSearch(const QueryRequest& request) const;
-
-  /// \deprecated Legacy shim: ExplainSearch(QueryRequest).ToString().
-  Result<std::string> ExplainSearch(const Query& query,
-                                    const SearchOptions& options) const;
-
-  /// Writes the collection as a compressed segment (MOAIF03 bit-packed,
-  /// the writer default; atomic overwrite).
-  /// Per-term/per-block max impacts are computed with this
-  /// database's scoring model, so max-score pruning over the reopened
-  /// segment takes bit-identical decisions to the in-memory path.
-  /// Static mode only — a dynamic database persists through Flush.
-  Status SaveSegment(const std::string& path,
-                     uint32_t block_size = kDefaultSegmentBlockSize) const;
-
-  /// Memory-maps the MOAIF02 segment at `path` and routes every
-  /// registered strategy through it (the Fagin and fragment families use
-  /// its impact-ordered fragment directory when present). The segment
-  /// must describe this database's collection (validated by shape), and
-  /// by default its payload is fully decoded once to rule out bit rot
-  /// (see AttachSegmentOptions::verify_payload). Safe against in-flight
-  /// searches: queries already running keep the storage they started
-  /// with (snapshot-per-query). Static mode only.
-  Status AttachSegment(const std::string& path,
-                       const AttachSegmentOptions& options = {});
-
-  /// Reverts to pure in-memory execution. Safe against in-flight
-  /// searches (same snapshot mechanism as AttachSegment).
-  void DetachSegment();
-  bool has_segment() const { return segment_snapshot() != nullptr; }
-  /// Shared snapshot of the attached segment (nullptr when none).
-  std::shared_ptr<const SegmentReader> segment() const {
-    return segment_snapshot();
-  }
 
   const InvertedFile& file() const { return collection_->inverted_file(); }
   const Collection& collection() const { return *collection_; }
@@ -417,7 +348,6 @@ class MmDatabase {
  private:
   MmDatabase() = default;
 
-  std::shared_ptr<const SegmentReader> segment_snapshot() const;
   /// Creates and seeds the catalog on first mutation (caller holds
   /// mutation_mutex_).
   Status EnsureDynamicLocked();
@@ -430,8 +360,8 @@ class MmDatabase {
   ExecContext catalog_context(
       const std::shared_ptr<const CatalogReadView>& view,
       std::shared_ptr<const Fragmentation> fragmentation) const;
-  /// The static-mode context (in-memory file + optional attached
-  /// segment); exec_context() dispatches here when not dynamic.
+  /// The static-mode context (the in-memory file through memory_);
+  /// exec_context() dispatches here when not dynamic.
   ExecContext static_context() const;
   /// Fragmentation of one catalog snapshot, derived from its live df
   /// under this database's policy. Cached per snapshot version (a single
@@ -447,9 +377,6 @@ class MmDatabase {
   /// from its composition. Cached per snapshot version (single entry,
   /// like DynamicFragmentation — Composition() walks all components).
   StrategyCostInputs DynamicStorageInputs(const CatalogState& state) const;
-  /// Storage signals for static serving: neutral in-memory defaults, or
-  /// the attached segment's codec / fragment-directory signals.
-  StrategyCostInputs StaticStorageInputs(const SegmentReader* segment) const;
   /// The one implementation behind Search / SearchBatch / Execute /
   /// ExplainSearch: snapshots storage once, plans, and executes. A forced
   /// strategy takes the PlanForced fast path (no enumeration). With
@@ -472,16 +399,11 @@ class MmDatabase {
 
   DatabaseConfig config_;
   std::unique_ptr<Collection> collection_;
+  /// The cursor view every static query streams the collection through.
+  std::unique_ptr<const InMemoryPostingSource> memory_;
   Fragmentation fragmentation_;
   std::unique_ptr<ScoringModel> model_;
   std::unique_ptr<CardinalityEstimator> estimator_;
-
-  /// Optional mmap-backed posting storage attached by AttachSegment
-  /// (static mode). Guarded by snapshot_mutex_ for pointer load/store;
-  /// queries copy the shared_ptr once and keep it for their lifetime.
-  mutable std::mutex snapshot_mutex_;
-  std::shared_ptr<const SegmentReader> segment_;
-  std::string segment_path_;  ///< for Explain output; guarded like segment_
 
   /// Index lifecycle (dynamic mode). catalog_ is created once under
   /// mutation_mutex_ and never replaced; dynamic_ flips (release) after

@@ -9,14 +9,14 @@
 //
 // Concurrency contract: one ExecContext (or copies of it) may be used from
 // many threads at once — this is what MmDatabase::SearchBatch does. The
-// inverted file, scoring model and fragmentation are borrowed *read-only*
-// (const) and must not be mutated while executions are in flight; the
-// sparse cache is the only shared mutable state and synchronizes
-// internally (build-once / read-many, see storage/sparse_index_cache.h).
-// When the engine serves a mutable index (segment attach/detach, the
-// IndexCatalog), each query's context carries a shared_ptr snapshot of the
-// storage it reads (`postings_owner`), so in-flight executions keep their
-// storage alive across concurrent swaps.
+// posting storage, scoring model and fragmentation are borrowed
+// *read-only* (const) and must not be mutated while executions are in
+// flight; the sparse cache is the only shared mutable state and
+// synchronizes internally (build-once / read-many, see
+// storage/sparse_index_cache.h). When the engine serves a mutable index
+// (the IndexCatalog), each query's context carries a shared_ptr snapshot
+// of the storage it reads (`postings_owner`), so in-flight executions
+// keep their storage alive across concurrent mutations.
 #ifndef MOA_EXEC_EXEC_CONTEXT_H_
 #define MOA_EXEC_EXEC_CONTEXT_H_
 
@@ -26,7 +26,6 @@
 #include "common/status.h"
 #include "ir/scoring.h"
 #include "storage/fragmentation.h"
-#include "storage/inverted_file.h"
 #include "storage/segment/posting_cursor.h"
 #include "storage/sparse_index_cache.h"
 
@@ -34,16 +33,14 @@ namespace moa {
 
 /// \brief Borrowed execution state shared by all strategy executors.
 ///
-/// All raw pointers are non-owning; `model` plus at least one of
-/// `file`/`postings` are required, the rest are optional capabilities a
-/// strategy may demand via Validate().
+/// All raw pointers are non-owning; `postings` and `model` are required,
+/// the rest are optional capabilities a strategy may demand via
+/// Validate().
 struct ExecContext {
-  /// In-memory inverted file. May be null when `postings` is set: a
-  /// catalog-backed context has no materialized InvertedFile; every
-  /// executor then streams from `postings` (all strategies are
-  /// cursor-based since the fragment/Fagin/probabilistic families moved
-  /// onto the PostingSource API).
-  const InvertedFile* file = nullptr;
+  /// Representation-agnostic posting storage every executor streams from:
+  /// the in-memory file through an InMemoryPostingSource, an mmap-backed
+  /// segment, or a multi-segment catalog snapshot.
+  const PostingSource* postings = nullptr;
   const ScoringModel* model = nullptr;
   /// Step-1 fragmentation; required by fragment strategies only.
   const Fragmentation* fragmentation = nullptr;
@@ -51,25 +48,18 @@ struct ExecContext {
   /// for concurrent executions; nullptr makes the probe build throw-away
   /// indexes).
   SparseIndexCache* sparse_cache = nullptr;
-  /// Optional representation-agnostic posting storage (an mmap-backed
-  /// MOAIF02 segment, or a multi-segment catalog snapshot). When set,
-  /// every executor streams postings from here instead of `file`; when
-  /// null they adapt `file` through InMemoryPostingSource. When both are
-  /// set they must describe the same collection.
-  const PostingSource* postings = nullptr;
   /// Optional owner of `postings` (and anything it depends on — model,
   /// statistics view, catalog state). Copying the context copies the
   /// shared_ptr, so a query holding any copy keeps its storage snapshot
-  /// alive even if the engine swaps segments or mutates the catalog
-  /// mid-flight. Null for purely borrowed static contexts.
+  /// alive even if the engine mutates the catalog mid-flight. Null for
+  /// purely borrowed static contexts.
   std::shared_ptr<const void> postings_owner;
 
   /// OK iff the required pieces are present.
   Status Validate(bool needs_fragmentation = false) const {
-    if (file == nullptr && postings == nullptr) {
+    if (postings == nullptr) {
       return Status::FailedPrecondition(
-          "ExecContext: missing posting storage (no inverted file and no "
-          "posting source)");
+          "ExecContext: missing posting storage");
     }
     if (model == nullptr) {
       return Status::FailedPrecondition("ExecContext: missing scoring model");

@@ -1,11 +1,10 @@
 // StrategyExecutor: the uniform interface every physical top-N strategy is
 // executed through, plus the unified ExecOptions bundle.
 //
-// The legacy free functions in src/topn/ keep their heterogeneous
-// signatures (they remain the implementation and the source-compatible
-// API); executors adapt them to one shape so the engine, the planner's
-// RetrievalPlan::Execute, Explain and the benches all dispatch identically
-// through the StrategyRegistry.
+// The free functions in src/topn/ keep their heterogeneous signatures
+// (they remain the implementation); executors adapt them to one shape so
+// the engine, Explain and the benches all dispatch identically through the
+// StrategyRegistry.
 #ifndef MOA_EXEC_EXECUTOR_H_
 #define MOA_EXEC_EXECUTOR_H_
 

@@ -2,10 +2,6 @@
 // unoptimized full sort and the bounded-heap scan. Neither takes typed
 // strategy options, so both register with the default kNoStrategyOptions
 // and the registry rejects any typed payload aimed at them.
-//
-// Both are cursor-based: when the context carries a PostingSource (e.g.
-// an mmap-backed segment) they stream from it, otherwise they adapt the
-// in-memory file — same code path, bit-identical results.
 #include "exec/builtin.h"
 #include "exec/registry.h"
 #include "topn/baselines.h"
@@ -18,10 +14,7 @@ class FullSortExecutor : public StrategyExecutor {
   Result<TopNResult> Execute(const ExecContext& context, const Query& query,
                              size_t n) const override {
     MOA_RETURN_NOT_OK(context.Validate());
-    if (context.postings != nullptr) {
-      return FullSortTopN(*context.postings, *context.model, query, n);
-    }
-    return FullSortTopN(*context.file, *context.model, query, n);
+    return FullSortTopN(*context.postings, *context.model, query, n);
   }
 };
 
@@ -30,10 +23,7 @@ class HeapExecutor : public StrategyExecutor {
   Result<TopNResult> Execute(const ExecContext& context, const Query& query,
                              size_t n) const override {
     MOA_RETURN_NOT_OK(context.Validate());
-    if (context.postings != nullptr) {
-      return HeapTopN(*context.postings, *context.model, query, n);
-    }
-    return HeapTopN(*context.file, *context.model, query, n);
+    return HeapTopN(*context.postings, *context.model, query, n);
   }
 };
 

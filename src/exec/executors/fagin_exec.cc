@@ -3,9 +3,7 @@
 // All three are cursor-based: sorted access comes from
 // PostingSource::OpenImpactCursor (materialized order in memory, lazy
 // fragment-directory decode over a segment, live postings over a catalog
-// snapshot) and random access from PostingSource::FindTf, so a context
-// carrying a PostingSource streams from it and an in-memory context
-// adapts the file — same code path, bit-identical results.
+// snapshot) and random access from PostingSource::FindTf.
 #include <algorithm>
 #include <cmath>
 
@@ -33,11 +31,7 @@ class FaginExecutor : public StrategyExecutor {
   Result<TopNResult> Execute(const ExecContext& context, const Query& query,
                              size_t n) const override {
     MOA_RETURN_NOT_OK(context.Validate());
-    if (context.postings != nullptr) {
-      return fn_(*context.postings, *context.model, query, n, options_);
-    }
-    return fn_(InMemoryPostingSource(context.file), *context.model, query, n,
-               options_);
+    return fn_(*context.postings, *context.model, query, n, options_);
   }
 
  private:

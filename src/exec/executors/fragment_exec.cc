@@ -2,10 +2,9 @@
 // (topn/fragment_topn.h): small-fragment-only, quality-switch with a full
 // large-fragment scan, and quality-switch with sparse-index probes.
 //
-// Cursor-based: a context carrying a PostingSource (segment or catalog
-// snapshot) streams from it; an in-memory context adapts the file. Both
-// still require a Fragmentation — the engine derives one from live
-// statistics for catalog snapshots (see MmDatabase).
+// Cursor-based, and all three require a Fragmentation — the engine
+// derives one from live statistics for catalog snapshots (see
+// MmDatabase).
 #include <algorithm>
 
 #include "exec/builtin.h"
@@ -20,13 +19,8 @@ class SmallFragmentExecutor : public StrategyExecutor {
   Result<TopNResult> Execute(const ExecContext& context, const Query& query,
                              size_t n) const override {
     MOA_RETURN_NOT_OK(context.Validate(/*needs_fragmentation=*/true));
-    if (context.postings != nullptr) {
-      return SmallFragmentTopN(*context.postings, *context.fragmentation,
-                               *context.model, query, n);
-    }
-    return SmallFragmentTopN(InMemoryPostingSource(context.file),
-                             *context.fragmentation, *context.model, query,
-                             n);
+    return SmallFragmentTopN(*context.postings, *context.fragmentation,
+                             *context.model, query, n);
   }
 };
 
@@ -40,13 +34,8 @@ class QualitySwitchExecutor : public StrategyExecutor {
     MOA_RETURN_NOT_OK(context.Validate(/*needs_fragmentation=*/true));
     QualitySwitchOptions opts = options_;
     if (opts.sparse_cache == nullptr) opts.sparse_cache = context.sparse_cache;
-    if (context.postings != nullptr) {
-      return QualitySwitchTopN(*context.postings, *context.fragmentation,
-                               *context.model, query, n, opts);
-    }
-    return QualitySwitchTopN(InMemoryPostingSource(context.file),
-                             *context.fragmentation, *context.model, query,
-                             n, opts);
+    return QualitySwitchTopN(*context.postings, *context.fragmentation,
+                             *context.model, query, n, opts);
   }
 
  private:

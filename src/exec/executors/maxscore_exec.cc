@@ -17,11 +17,8 @@ class MaxScoreExecutor : public StrategyExecutor {
   Result<TopNResult> Execute(const ExecContext& context, const Query& query,
                              size_t n) const override {
     MOA_RETURN_NOT_OK(context.Validate());
-    if (context.postings != nullptr) {
-      return MaxScoreTopN(*context.postings, *context.model, query, n,
-                          options_);
-    }
-    return MaxScoreTopN(*context.file, *context.model, query, n, options_);
+    return MaxScoreTopN(*context.postings, *context.model, query, n,
+                        options_);
   }
 
  private:

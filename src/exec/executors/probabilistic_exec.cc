@@ -20,11 +20,7 @@ class ProbabilisticExecutor : public StrategyExecutor {
   Result<TopNResult> Execute(const ExecContext& context, const Query& query,
                              size_t n) const override {
     MOA_RETURN_NOT_OK(context.Validate());
-    if (context.postings != nullptr) {
-      return ProbabilisticTopN(*context.postings, *context.model, query, n,
-                               options_);
-    }
-    return ProbabilisticTopN(*context.file, *context.model, query, n,
+    return ProbabilisticTopN(*context.postings, *context.model, query, n,
                              options_);
   }
 

@@ -15,11 +15,8 @@ class StopAfterExecutor : public StrategyExecutor {
   Result<TopNResult> Execute(const ExecContext& context, const Query& query,
                              size_t n) const override {
     MOA_RETURN_NOT_OK(context.Validate());
-    if (context.postings != nullptr) {
-      return StopAfterTopN(*context.postings, *context.model, query, n,
-                           options_);
-    }
-    return StopAfterTopN(*context.file, *context.model, query, n, options_);
+    return StopAfterTopN(*context.postings, *context.model, query, n,
+                         options_);
   }
 
  private:

@@ -1,18 +1,13 @@
 // Per-strategy planner hooks: the cost and quality formulas a strategy
 // registers alongside its executor factory.
 //
-// The Step-3 cost model used to keep one big switch over all strategies in
-// optimizer/cost_model.cc; that knowledge now lives with each executor
-// (exec/executors/*.cc) as a PlannerHooks bundle on its StrategyRegistry
-// entry. Two consumers read the hooks through the registry:
-//
-//   - CostModel (optimizer/cost_model.h) with *neutral* storage signals —
-//     bit-identical to the historical formulas, calibrated against the
-//     e5/e9/e11 benches;
-//   - StrategyPlanner (optimizer/strategy_planner.h) with signals derived
-//     from the live snapshot (codec decode cost, tombstone density,
-//     segment count, fragment-directory presence), which is what makes the
-//     per-query adaptive choice storage-aware.
+// The Step-3 cost model lives with each executor (exec/executors/*.cc) as
+// a PlannerHooks bundle on its StrategyRegistry entry. StrategyPlanner
+// (optimizer/strategy_planner.h) reads the hooks through the registry with
+// signals derived from the live snapshot (codec decode cost, tombstone
+// density, segment count, fragment-directory presence), which is what
+// makes the per-query adaptive choice storage-aware; with neutral signals
+// the formulas are the ones calibrated against the e5/e9/e11 benches.
 //
 // Formulas are pure functions of StrategyCostInputs: no executor state, no
 // storage access — planning a query must never touch a posting.

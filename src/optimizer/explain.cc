@@ -4,7 +4,6 @@
 
 #include "exec/registry.h"
 #include "optimizer/order_property.h"
-#include "optimizer/planner.h"
 
 namespace moa {
 namespace {
@@ -112,28 +111,6 @@ std::string ExplainReport::ToString() const {
       os << "  stage " << span.stage << ": wall=" << span.wall_millis
          << "ms scalar=" << span.cost.Scalar() << "\n";
     }
-  }
-  return os.str();
-}
-
-std::string ExplainPlan(const RetrievalPlan& plan) {
-  const StrategyRegistry& registry = StrategyRegistry::Global();
-  std::ostringstream os;
-  os << "chosen: " << StrategyName(plan.strategy) << "\n";
-  os << "alternatives (cheapest first):\n";
-  for (const auto& alt : plan.alternatives) {
-    os << "  " << alt.ToString();
-    const StrategyRegistry::Entry* entry = registry.Find(alt.strategy);
-    if (entry == nullptr) {
-      os << " [unregistered]";
-    } else {
-      os << (entry->safe ? " [safe]" : " [unsafe]");
-      if (entry->accepts_options != kNoStrategyOptions) {
-        os << " [options: "
-           << ExecOptionsVariantName(entry->accepts_options) << "]";
-      }
-    }
-    os << "\n";
   }
   return os.str();
 }

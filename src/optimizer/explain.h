@@ -21,13 +21,6 @@ std::string ExplainExpr(const ExprPtr& expr,
 /// Renders a rewrite trace ("rule1 -> rule2 -> ...").
 std::string ExplainTrace(const RewriteTrace& trace);
 
-struct RetrievalPlan;
-
-/// Multi-line Explain rendering of a plan decision. Each alternative is
-/// annotated with its exec-registry metadata ([safe] / [unsafe] /
-/// [unregistered]) — no per-strategy knowledge lives here.
-std::string ExplainPlan(const RetrievalPlan& plan);
-
 /// \brief Structured result of MmDatabase::ExplainSearch.
 ///
 /// Everything the old text output said, as data: the full planning

@@ -13,8 +13,8 @@ namespace {
 // Measured against the cursor benches (bench_e13 batch throughput,
 // bench_e14 storage comparison, bench_e15 lifecycle): scan rate over
 // mmap-compressed blocks vs the in-memory file, and FindTf over a
-// multi-component snapshot vs a single segment. Recalibrate with
-// scripts/bench_snapshot.sh (see CONTRIBUTING.md).
+// multi-component snapshot vs a single segment. Recalibrate from the
+// per-layer metrics of `perfbench/run.py --trace 1` (see CONTRIBUTING.md).
 
 /// Bit-packed (MOAIF03) blocks bulk-decode close to memory speed.
 constexpr double kBitPackedDecodeFactor = 1.15;
@@ -36,6 +36,29 @@ constexpr double kQualityEps = 1e-9;
 double Share(uint64_t part, uint64_t whole) {
   return whole == 0 ? 0.0
                     : static_cast<double>(part) / static_cast<double>(whole);
+}
+
+/// Digests (query, n) into the inputs a strategy's registered cost hook
+/// consumes: cardinalities from `est`, fragment split when `est` carries a
+/// fragmentation, storage signals copied from `storage`.
+StrategyCostInputs BuildCostInputs(const CardinalityEstimator& est,
+                                   const Query& query, size_t n,
+                                   const StrategyCostInputs& storage) {
+  StrategyCostInputs in = storage;
+  in.volume = static_cast<double>(est.QueryVolume(query));
+  in.candidates = std::max(1.0, est.ExpectedCandidates(query));
+  in.n = std::max<double>(1.0, static_cast<double>(n));
+  in.active_terms = static_cast<double>(std::max(1, est.ActiveTerms(query)));
+  in.has_fragmentation = est.fragmentation() != nullptr;
+  if (in.has_fragmentation) {
+    in.small_volume =
+        static_cast<double>(est.QueryVolume(query, FragmentId::kSmall));
+    in.large_volume =
+        static_cast<double>(est.QueryVolume(query, FragmentId::kLarge));
+    in.large_active_terms =
+        static_cast<double>(est.ActiveTerms(query, FragmentId::kLarge));
+  }
+  return in;
 }
 
 /// One candidate's evaluation — shared verbatim by Plan() (which collects
@@ -137,17 +160,6 @@ StrategyCostInputs StorageInputsFor(const CatalogComposition& c) {
       kNoDirectorySortedFactor *
           Share(c.segment_slots - std::min(c.segment_slots, c.directory_slots),
                 total);
-  return in;
-}
-
-StrategyCostInputs StorageInputsForSegment(SegmentCodec codec,
-                                           bool has_fragment_directory) {
-  StrategyCostInputs in;
-  in.decode_factor = codec == SegmentCodec::kBitPacked
-                         ? kBitPackedDecodeFactor
-                         : kVarbyteDecodeFactor;
-  in.sorted_access_factor = has_fragment_directory ? kDirectorySortedFactor
-                                                   : kNoDirectorySortedFactor;
   return in;
 }
 

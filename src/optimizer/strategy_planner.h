@@ -22,10 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "common/cost_ticker.h"
 #include "common/status.h"
 #include "exec/plan_hooks.h"
 #include "exec/strategy.h"
-#include "optimizer/cost_model.h"
+#include "optimizer/cardinality.h"
 #include "storage/catalog/catalog_state.h"
 
 namespace moa {
@@ -82,14 +83,10 @@ struct PlanRequest {
 
 /// Digests a catalog snapshot's composition into the storage-signal
 /// fields of StrategyCostInputs (cardinality fields are left at their
-/// defaults; BuildCostInputs fills them per query). Constants calibrated
+/// defaults; the planner fills them per query). Constants calibrated
 /// against the e13/e14/e15 benches — see CONTRIBUTING.md for the
 /// recalibration procedure.
 StrategyCostInputs StorageInputsFor(const CatalogComposition& composition);
-
-/// Storage signals for static serving over an attached mmap segment.
-StrategyCostInputs StorageInputsForSegment(SegmentCodec codec,
-                                           bool has_fragment_directory);
 
 /// \brief Enumerates registered strategies, costs them through their
 /// planner hooks, picks the cheapest meeting the quality target.

@@ -46,10 +46,12 @@ SegmentWriterOptions CatalogSegmentWriterOptions(
 /// Opens one durable segment (reader + sidecar) and cross-validates the
 /// two against each other: document counts, per-document lengths, and the
 /// full per-term document frequencies — a sidecar that drifted from its
-/// segment would silently corrupt statistics maintenance.
+/// segment would silently corrupt statistics maintenance. Every payload
+/// block is decoded once (CheckIntegrity): structural validation cannot
+/// see bit rot, which would otherwise surface as silently truncated
+/// posting lists.
 Result<std::shared_ptr<const CatalogSegment>> OpenCatalogSegment(
-    const std::string& dir, const ManifestSegment& entry, size_t num_terms,
-    bool verify_payload) {
+    const std::string& dir, const ManifestSegment& entry, size_t num_terms) {
   auto seg = std::make_shared<CatalogSegment>();
   seg->id = entry.id;
   seg->segment_path = dir + "/" + SegmentFileName(entry.id);
@@ -68,9 +70,7 @@ Result<std::shared_ptr<const CatalogSegment>> OpenCatalogSegment(
         "catalog: segment document count disagrees with manifest: " +
         seg->segment_path);
   }
-  if (verify_payload) {
-    MOA_RETURN_NOT_OK(seg->reader->CheckIntegrity());
-  }
+  MOA_RETURN_NOT_OK(seg->reader->CheckIntegrity());
 
   Result<ForwardIndex> fwd = ReadForwardIndex(
       dir + "/" + ForwardFileName(entry.id), entry.num_docs, num_terms);
@@ -225,8 +225,7 @@ Result<std::unique_ptr<IndexCatalog>> IndexCatalog::Open(
   uint64_t segment_space = 0;
   for (const ManifestSegment& entry : manifest.segments) {
     Result<std::shared_ptr<const CatalogSegment>> seg =
-        OpenCatalogSegment(options.dir, entry, options.num_terms,
-                           options.verify_payload_at_open);
+        OpenCatalogSegment(options.dir, entry, options.num_terms);
     if (!seg.ok()) return seg.status();
     // Live statistics: apply every surviving document's composition.
     const CatalogSegment& s = *seg.ValueOrDie();

@@ -106,9 +106,6 @@ class IndexCatalog {
     /// file's own statistics.
     ScoringModelKind scoring = ScoringModelKind::kBm25;
     uint32_t segment_block_size = kDefaultSegmentBlockSize;
-    /// Decode every payload block of every segment at Open (CheckIntegrity)
-    /// — catches bit rot the structural validation cannot see.
-    bool verify_payload_at_open = true;
     /// Write-ahead log (directory-backed catalogs only). Acknowledged
     /// mutations survive a crash; see the file comment for the full
     /// contract.

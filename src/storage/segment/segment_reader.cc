@@ -145,10 +145,10 @@ class BlockPostingCursor final : public PostingCursor {
         current_.count, current_.last_doc, docs_.data(), tfs_.data());
     if (!status.ok()) {
       // Unreachable on verified segments: Open validates the directories
-      // and AttachSegment runs CheckIntegrity over the payload by default,
-      // so only post-attach corruption (or an explicit verify opt-out)
-      // lands here. The cursor API has no error channel; fail closed and
-      // behave as exhausted instead of serving garbage.
+      // and IndexCatalog::Open runs CheckIntegrity over the payload, so
+      // only corruption after the catalog opened lands here. The cursor
+      // API has no error channel; fail closed and behave as exhausted
+      // instead of serving garbage.
       block_idx_ = num_blocks_;
       return;
     }

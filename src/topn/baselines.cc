@@ -85,14 +85,4 @@ TopNResult HeapTopN(const PostingSource& source, const ScoringModel& model,
   return result;
 }
 
-TopNResult FullSortTopN(const InvertedFile& file, const ScoringModel& model,
-                        const Query& query, size_t n) {
-  return FullSortTopN(InMemoryPostingSource(&file), model, query, n);
-}
-
-TopNResult HeapTopN(const InvertedFile& file, const ScoringModel& model,
-                    const Query& query, size_t n) {
-  return HeapTopN(InMemoryPostingSource(&file), model, query, n);
-}
-
 }  // namespace moa

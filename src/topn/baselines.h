@@ -12,20 +12,16 @@ namespace moa {
 /// \brief Unoptimized execution: accumulate every posting of every query
 /// term, materialize all matching documents, full sort, cut at n. Safe.
 ///
-/// This is the paper's reference point: "the unoptimized case". The
-/// PostingSource overload is the implementation (representation-agnostic
-/// via cursors); the InvertedFile overload adapts and delegates.
+/// This is the paper's reference point: "the unoptimized case".
+/// Representation-agnostic via cursors (wrap an in-memory file in an
+/// InMemoryPostingSource).
 TopNResult FullSortTopN(const PostingSource& source, const ScoringModel& model,
-                        const Query& query, size_t n);
-TopNResult FullSortTopN(const InvertedFile& file, const ScoringModel& model,
                         const Query& query, size_t n);
 
 /// \brief Accumulate all postings but keep only a bounded min-heap of the
 /// current best n while scanning candidates. Safe; saves the full sort
 /// (O(D log n) instead of O(D log D)).
 TopNResult HeapTopN(const PostingSource& source, const ScoringModel& model,
-                    const Query& query, size_t n);
-TopNResult HeapTopN(const InvertedFile& file, const ScoringModel& model,
                     const Query& query, size_t n);
 
 }  // namespace moa

@@ -375,26 +375,4 @@ Result<TopNResult> FaginNRA(const PostingSource& source,
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// InvertedFile adapters
-// ---------------------------------------------------------------------------
-
-Result<TopNResult> FaginTA(const InvertedFile& file, const ScoringModel& model,
-                           const Query& query, size_t n,
-                           const FaginOptions& options) {
-  return FaginTA(InMemoryPostingSource(&file), model, query, n, options);
-}
-
-Result<TopNResult> FaginFA(const InvertedFile& file, const ScoringModel& model,
-                           const Query& query, size_t n,
-                           const FaginOptions& options) {
-  return FaginFA(InMemoryPostingSource(&file), model, query, n, options);
-}
-
-Result<TopNResult> FaginNRA(const InvertedFile& file,
-                            const ScoringModel& model, const Query& query,
-                            size_t n, const FaginOptions& options) {
-  return FaginNRA(InMemoryPostingSource(&file), model, query, n, options);
-}
-
 }  // namespace moa

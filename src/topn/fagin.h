@@ -40,10 +40,8 @@ struct FaginOptions {
 // PostingSource::OpenImpactCursor and random access through
 // PostingSource::FindTf, so the same implementation serves the in-memory
 // file (materialized impact order), a compressed mmap segment (lazy
-// fragment-directory decode) and a catalog snapshot (live postings). The
-// PostingSource overload is the implementation; the InvertedFile overload
-// adapts and delegates — bit-identical by construction. All require
-// impact metadata (HasImpacts) on every non-empty query-term list.
+// fragment-directory decode) and a catalog snapshot (live postings). All
+// require impact metadata (HasImpacts) on every non-empty query-term list.
 
 /// Fagin's original algorithm (FA): sorted phase until n documents have
 /// been seen in every list, then random-access completion of all seen
@@ -51,9 +49,6 @@ struct FaginOptions {
 Result<TopNResult> FaginFA(const PostingSource& source,
                            const ScoringModel& model, const Query& query,
                            size_t n, const FaginOptions& options = {});
-Result<TopNResult> FaginFA(const InvertedFile& file, const ScoringModel& model,
-                           const Query& query, size_t n,
-                           const FaginOptions& options = {});
 
 /// Threshold Algorithm (TA): round-robin sorted access with immediate
 /// random-access completion; stops when the n-th best score reaches the
@@ -61,17 +56,11 @@ Result<TopNResult> FaginFA(const InvertedFile& file, const ScoringModel& model,
 Result<TopNResult> FaginTA(const PostingSource& source,
                            const ScoringModel& model, const Query& query,
                            size_t n, const FaginOptions& options = {});
-Result<TopNResult> FaginTA(const InvertedFile& file, const ScoringModel& model,
-                           const Query& query, size_t n,
-                           const FaginOptions& options = {});
 
 /// No-Random-Access algorithm (NRA): sorted access only, with per-document
 /// [lower, upper] score bounds; stops when the n-th best lower bound is at
 /// least every other candidate's upper bound.
 Result<TopNResult> FaginNRA(const PostingSource& source,
-                            const ScoringModel& model, const Query& query,
-                            size_t n, const FaginOptions& options = {});
-Result<TopNResult> FaginNRA(const InvertedFile& file,
                             const ScoringModel& model, const Query& query,
                             size_t n, const FaginOptions& options = {});
 

@@ -95,14 +95,6 @@ TopNResult SmallFragmentTopN(const PostingSource& source,
   return result;
 }
 
-TopNResult SmallFragmentTopN(const InvertedFile& file,
-                             const Fragmentation& frag,
-                             const ScoringModel& model, const Query& query,
-                             size_t n) {
-  return SmallFragmentTopN(InMemoryPostingSource(&file), frag, model, query,
-                           n);
-}
-
 Result<TopNResult> QualitySwitchTopN(const PostingSource& source,
                                      const Fragmentation& frag,
                                      const ScoringModel& model,
@@ -228,15 +220,6 @@ Result<TopNResult> QualitySwitchTopN(const PostingSource& source,
   result.stats.stopped_early = !large_terms.empty() && !process_large;
   result.stats.cost = scope.Snapshot();
   return result;
-}
-
-Result<TopNResult> QualitySwitchTopN(const InvertedFile& file,
-                                     const Fragmentation& frag,
-                                     const ScoringModel& model,
-                                     const Query& query, size_t n,
-                                     const QualitySwitchOptions& options) {
-  return QualitySwitchTopN(InMemoryPostingSource(&file), frag, model, query,
-                           n, options);
 }
 
 }  // namespace moa

@@ -64,19 +64,13 @@ struct QualitySwitchOptions {
   SparseIndexCache* sparse_cache = nullptr;
 };
 
-// Both operators are cursor-based: the PostingSource overload is the
-// single implementation (streaming scans via OpenCursor, champions via
-// OpenImpactCursor, upper bounds via MaxImpact), so the same Step-1 code
-// serves the in-memory file, a mmap segment and a catalog snapshot. The
-// InvertedFile overloads adapt and delegate — bit-identical by
-// construction.
+// Both operators are cursor-based (streaming scans via OpenCursor,
+// champions via OpenImpactCursor, upper bounds via MaxImpact), so the same
+// Step-1 code serves the in-memory file, a mmap segment and a catalog
+// snapshot.
 
 /// Unsafe small-fragment-only evaluation.
 TopNResult SmallFragmentTopN(const PostingSource& source,
-                             const Fragmentation& frag,
-                             const ScoringModel& model, const Query& query,
-                             size_t n);
-TopNResult SmallFragmentTopN(const InvertedFile& file,
                              const Fragmentation& frag,
                              const ScoringModel& model, const Query& query,
                              size_t n);
@@ -86,11 +80,6 @@ TopNResult SmallFragmentTopN(const InvertedFile& file,
 /// impact metadata (for the per-term upper bounds) when the large fragment
 /// contains query terms.
 Result<TopNResult> QualitySwitchTopN(const PostingSource& source,
-                                     const Fragmentation& frag,
-                                     const ScoringModel& model,
-                                     const Query& query, size_t n,
-                                     const QualitySwitchOptions& options);
-Result<TopNResult> QualitySwitchTopN(const InvertedFile& file,
                                      const Fragmentation& frag,
                                      const ScoringModel& model,
                                      const Query& query, size_t n,

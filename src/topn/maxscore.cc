@@ -74,10 +74,4 @@ Result<TopNResult> MaxScoreTopN(const PostingSource& source,
   return result;
 }
 
-Result<TopNResult> MaxScoreTopN(const InvertedFile& file,
-                                const ScoringModel& model, const Query& query,
-                                size_t n, const MaxScoreOptions& options) {
-  return MaxScoreTopN(InMemoryPostingSource(&file), model, query, n, options);
-}
-
 }  // namespace moa

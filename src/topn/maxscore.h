@@ -49,12 +49,8 @@ struct MaxScoreOptions {
 
 /// Term-at-a-time evaluation with max-score pruning. Requires impact
 /// bounds (PostingSource::HasImpacts: in-memory impact orders, or stored
-/// per-term max impacts of a segment). The PostingSource overload is the
-/// implementation; the InvertedFile overload adapts and delegates.
+/// per-term max impacts of a segment).
 Result<TopNResult> MaxScoreTopN(const PostingSource& source,
-                                const ScoringModel& model, const Query& query,
-                                size_t n, const MaxScoreOptions& options = {});
-Result<TopNResult> MaxScoreTopN(const InvertedFile& file,
                                 const ScoringModel& model, const Query& query,
                                 size_t n, const MaxScoreOptions& options = {});
 

@@ -134,12 +134,4 @@ Result<TopNResult> ProbabilisticTopN(const PostingSource& source,
   return result;
 }
 
-Result<TopNResult> ProbabilisticTopN(const InvertedFile& file,
-                                     const ScoringModel& model,
-                                     const Query& query, size_t n,
-                                     const ProbabilisticOptions& options) {
-  return ProbabilisticTopN(InMemoryPostingSource(&file), model, query, n,
-                           options);
-}
-
 }  // namespace moa

@@ -28,15 +28,10 @@ struct ProbabilisticOptions {
 };
 
 /// Probabilistic cutoff execution; safe via restart (halving the cutoff,
-/// falling back to 0 after 3 restarts). The PostingSource overload is the
-/// implementation (dense accumulation through cursors, so it runs over
-/// the in-memory file, a mmap segment or a catalog snapshot); the
-/// InvertedFile overload adapts and delegates — bit-identical.
+/// falling back to 0 after 3 restarts). Dense accumulation through
+/// cursors, so it runs over the in-memory file, a mmap segment or a
+/// catalog snapshot.
 Result<TopNResult> ProbabilisticTopN(const PostingSource& source,
-                                     const ScoringModel& model,
-                                     const Query& query, size_t n,
-                                     const ProbabilisticOptions& options);
-Result<TopNResult> ProbabilisticTopN(const InvertedFile& file,
                                      const ScoringModel& model,
                                      const Query& query, size_t n,
                                      const ProbabilisticOptions& options);

@@ -151,10 +151,4 @@ Result<TopNResult> StopAfterTopN(const PostingSource& source,
   return result;
 }
 
-Result<TopNResult> StopAfterTopN(const InvertedFile& file,
-                                 const ScoringModel& model, const Query& query,
-                                 size_t n, const StopAfterOptions& options) {
-  return StopAfterTopN(InMemoryPostingSource(&file), model, query, n, options);
-}
-
 }  // namespace moa

@@ -40,13 +40,9 @@ struct StopAfterOptions {
 };
 
 /// Executes the ranking with a STOP AFTER n operator. Safe: restarts until
-/// n results (or all candidates) are produced. The PostingSource overload
-/// is the implementation (cursor-based scoring stage); the InvertedFile
-/// overload adapts and delegates.
+/// n results (or all candidates) are produced. The scoring stage is
+/// cursor-based.
 Result<TopNResult> StopAfterTopN(const PostingSource& source,
-                                 const ScoringModel& model, const Query& query,
-                                 size_t n, const StopAfterOptions& options);
-Result<TopNResult> StopAfterTopN(const InvertedFile& file,
                                  const ScoringModel& model, const Query& query,
                                  size_t n, const StopAfterOptions& options);
 

@@ -10,6 +10,7 @@ namespace {
 
 using testutil::SmallCollectionWithImpacts;
 using testutil::SmallModel;
+using testutil::SmallSource;
 using testutil::SmallQueries;
 
 class BaselinesTest : public ::testing::TestWithParam<size_t> {};
@@ -19,7 +20,7 @@ TEST_P(BaselinesTest, FullSortMatchesExactTopN) {
   const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, n);
-    TopNResult got = FullSortTopN(f, SmallModel(), q, n);
+    TopNResult got = FullSortTopN(SmallSource(), SmallModel(), q, n);
     ASSERT_EQ(got.items.size(), exact.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(got.items[i].doc, exact[i].doc) << "rank " << i;
@@ -30,10 +31,9 @@ TEST_P(BaselinesTest, FullSortMatchesExactTopN) {
 
 TEST_P(BaselinesTest, HeapMatchesFullSort) {
   const size_t n = GetParam();
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   for (const Query& q : SmallQueries()) {
-    TopNResult a = FullSortTopN(f, SmallModel(), q, n);
-    TopNResult b = HeapTopN(f, SmallModel(), q, n);
+    TopNResult a = FullSortTopN(SmallSource(), SmallModel(), q, n);
+    TopNResult b = HeapTopN(SmallSource(), SmallModel(), q, n);
     ASSERT_EQ(a.items.size(), b.items.size());
     for (size_t i = 0; i < a.items.size(); ++i) {
       EXPECT_EQ(a.items[i].doc, b.items[i].doc) << "rank " << i;
@@ -44,10 +44,9 @@ TEST_P(BaselinesTest, HeapMatchesFullSort) {
 TEST_P(BaselinesTest, HeapDoesFewerComparesThanFullSortForSmallN) {
   const size_t n = GetParam();
   if (n > 20) GTEST_SKIP() << "advantage shrinks for large n";
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   const Query& q = SmallQueries()[0];
-  TopNResult full = FullSortTopN(f, SmallModel(), q, n);
-  TopNResult heap = HeapTopN(f, SmallModel(), q, n);
+  TopNResult full = FullSortTopN(SmallSource(), SmallModel(), q, n);
+  TopNResult heap = HeapTopN(SmallSource(), SmallModel(), q, n);
   EXPECT_LT(heap.stats.cost.compares, full.stats.cost.compares);
 }
 
@@ -55,23 +54,20 @@ INSTANTIATE_TEST_SUITE_P(Ns, BaselinesTest,
                          ::testing::Values(1, 5, 10, 50, 250));
 
 TEST(BaselinesTest, ResultsSortedDescending) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
-  TopNResult r = HeapTopN(f, SmallModel(), SmallQueries()[0], 20);
+  TopNResult r = HeapTopN(SmallSource(), SmallModel(), SmallQueries()[0], 20);
   for (size_t i = 1; i < r.items.size(); ++i) {
     EXPECT_TRUE(!ScoredDocLess(r.items[i], r.items[i - 1]));
   }
 }
 
 TEST(BaselinesTest, NZeroYieldsEmpty) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
-  EXPECT_TRUE(HeapTopN(f, SmallModel(), SmallQueries()[0], 0).items.empty());
+  EXPECT_TRUE(HeapTopN(SmallSource(), SmallModel(), SmallQueries()[0], 0).items.empty());
   EXPECT_TRUE(
-      FullSortTopN(f, SmallModel(), SmallQueries()[0], 0).items.empty());
+      FullSortTopN(SmallSource(), SmallModel(), SmallQueries()[0], 0).items.empty());
 }
 
 TEST(BaselinesTest, StatsReportCandidatesAndCost) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
-  TopNResult r = FullSortTopN(f, SmallModel(), SmallQueries()[1], 10);
+  TopNResult r = FullSortTopN(SmallSource(), SmallModel(), SmallQueries()[1], 10);
   EXPECT_GT(r.stats.candidates, 0);
   EXPECT_GT(r.stats.cost.sequential_reads, 0);
   EXPECT_GT(r.stats.cost.score_evals, 0);

@@ -17,8 +17,9 @@
 // parity sweep below runs AllStrategies() (fragment strategies against a
 // live-statistics fragmentation that must equal the fresh index's). Also
 // here: tombstone visibility through every lifecycle stage, Explain's
-// storage line, and the concurrency tests (mutations / attach / detach
-// racing SearchBatch — the TSan targets).
+// storage line, and the concurrency tests (mutations, including the
+// first one that turns a static database dynamic, racing SearchBatch —
+// the TSan targets).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,6 +76,17 @@ DocTerms SynthDoc(Rng& rng) {
   return DocTerms(terms.begin(), terms.end());
 }
 
+/// One top-10 request per query, all forcing `strategy`.
+std::vector<QueryRequest> Forced(const std::vector<Query>& queries,
+                                 PhysicalStrategy strategy) {
+  std::vector<QueryRequest> requests;
+  for (const Query& q : queries) {
+    requests.push_back({q, 10, {}});
+    requests.back().options.strategy = strategy;
+  }
+  return requests;
+}
+
 /// Test-side replay of the documented doc-id rules: slots are dense in
 /// insertion order, deletes tombstone in place, flush is id-stable, a
 /// full merge drops dead *flushed* slots and compacts.
@@ -117,6 +129,7 @@ struct IdSpaceReplay {
 /// against it too.
 struct Reference {
   std::unique_ptr<InvertedFile> file;
+  std::unique_ptr<const InMemoryPostingSource> source;
   std::unique_ptr<ScoringModel> model;
   Fragmentation fragmentation;
   std::unique_ptr<SparseIndexCache> sparse_cache =
@@ -124,7 +137,7 @@ struct Reference {
 
   ExecContext context() const {
     ExecContext ctx;
-    ctx.file = file.get();
+    ctx.postings = source.get();
     ctx.model = model.get();
     ctx.fragmentation = &fragmentation;
     ctx.sparse_cache = sparse_cache.get();
@@ -139,6 +152,7 @@ Reference BuildReference(const std::vector<DocTerms>& docs) {
     EXPECT_TRUE(builder.AddDocument(d, docs[d]).ok());
   }
   ref.file = std::make_unique<InvertedFile>(builder.Build());
+  ref.source = std::make_unique<const InMemoryPostingSource>(ref.file.get());
   ref.model = MakeBm25(ref.file.get());
   ref.file->BuildImpactOrders(
       [&](TermId t, const Posting& p) { return ref.model->Weight(t, p); });
@@ -333,11 +347,9 @@ TEST_F(CatalogParityTest, DynamicSearchAcceptsEveryRegisteredStrategy) {
   // (and agree with the direct registry execution over the same
   // snapshot).
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
-    auto r = mixed_->db->Search((*queries_)[0], opts);
+    QueryRequest request{(*queries_)[0], 10, {}};
+    request.options.strategy = s;
+    auto r = mixed_->db->Search(request);
     ASSERT_TRUE(r.ok()) << StrategyName(s) << ": " << r.status().ToString();
     EXPECT_EQ(r.ValueOrDie().strategy, s);
     auto direct = mixed_->db->Execute(s, (*queries_)[0], 10);
@@ -355,11 +367,7 @@ TEST_F(CatalogParityTest, SearchBatchOverCatalogMatchesSequential) {
   const std::vector<DocId> map = Mapping(*mixed_);
   const ExecContext ref_ctx = reference_->context();
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
-    auto batch = mixed_->db->SearchBatch(*queries_, opts, 4);
+    auto batch = mixed_->db->SearchBatch(Forced(*queries_, s), 4);
     ASSERT_TRUE(batch.ok()) << StrategyName(s) << ": "
                             << batch.status().ToString();
     ASSERT_EQ(batch.ValueOrDie().results.size(), queries_->size());
@@ -381,9 +389,7 @@ TEST_F(CatalogParityTest, DefaultSearchAndGroundTruthServeTheCatalog) {
     // Unforced dynamic Search routes through the cost-based planner: a
     // safe strategy (default quality target 1.0), chosen per query from
     // the snapshot's live statistics — no hard-coded default.
-    SearchOptions opts;
-    opts.n = 10;
-    auto r = mixed_->db->Search(q, opts);
+    auto r = mixed_->db->Search(QueryRequest{q, 10, {}});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.ValueOrDie().planned);
     EXPECT_TRUE(IsSafeStrategy(r.ValueOrDie().strategy))
@@ -458,22 +464,22 @@ TEST_F(CatalogParityTest, TombstonesAreInvisibleThroughEveryStage) {
 }
 
 TEST_F(CatalogParityTest, ExplainReportsStorageComposition) {
-  SearchOptions opts;
-  const auto text = mixed_->db->ExplainSearch((*queries_)[0], opts);
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text.ValueOrDie().find("storage: catalog"), std::string::npos)
-      << text.ValueOrDie();
-  EXPECT_NE(text.ValueOrDie().find("memtable("), std::string::npos);
-  EXPECT_NE(text.ValueOrDie().find("seg "), std::string::npos);
-  EXPECT_NE(text.ValueOrDie().find("merged cursor"), std::string::npos);
+  const QueryRequest request{(*queries_)[0], 10, {}};
+  const auto report = mixed_->db->ExplainSearch(request);
+  ASSERT_TRUE(report.ok());
+  const std::string text = report.ValueOrDie().ToString();
+  EXPECT_NE(text.find("storage: catalog"), std::string::npos) << text;
+  EXPECT_NE(text.find("memtable("), std::string::npos);
+  EXPECT_NE(text.find("seg "), std::string::npos);
+  EXPECT_NE(text.find("merged cursor"), std::string::npos);
 
   // Static databases report their storage too.
   auto static_db = MmDatabase::Open(BaseConfig(""));
   ASSERT_TRUE(static_db.ok());
-  const auto static_text =
-      static_db.ValueOrDie()->ExplainSearch((*queries_)[0], opts);
-  ASSERT_TRUE(static_text.ok());
-  EXPECT_NE(static_text.ValueOrDie().find("storage: in-memory inverted file"),
+  const auto static_report = static_db.ValueOrDie()->ExplainSearch(request);
+  ASSERT_TRUE(static_report.ok());
+  EXPECT_NE(static_report.ValueOrDie().ToString().find(
+                "storage: in-memory inverted file"),
             std::string::npos);
 }
 
@@ -525,9 +531,9 @@ TEST_F(CatalogParityTest, MutationsDuringSearchBatchAreSafe) {
     for (int round = 0; round < 6; ++round) {
       std::vector<DocTerms> batch;
       for (int i = 0; i < 10; ++i) batch.push_back(SynthDoc(rng));
-      auto first = db.AddDocuments(batch);
-      ASSERT_TRUE(first.ok());
-      ASSERT_TRUE(db.DeleteDocument(first.ValueOrDie()).ok());
+      auto ids = db.AddDocuments(batch);
+      ASSERT_TRUE(ids.ok());
+      ASSERT_TRUE(db.DeleteDocument(ids.ValueOrDie().front()).ok());
       ASSERT_TRUE(db.Flush().ok());
       if (round % 2 == 1) {
         ASSERT_TRUE(db.Merge().ok());
@@ -535,12 +541,10 @@ TEST_F(CatalogParityTest, MutationsDuringSearchBatchAreSafe) {
     }
   });
 
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = PhysicalStrategy::kHeap;
+  const std::vector<QueryRequest> requests =
+      Forced(*queries_, PhysicalStrategy::kHeap);
   for (int round = 0; round < 8; ++round) {
-    auto batch = db.SearchBatch(*queries_, opts, 4);
+    auto batch = db.SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     for (const SearchResult& r : batch.ValueOrDie().results) {
       for (size_t i = 1; i < r.top.items.size(); ++i) {
@@ -576,9 +580,9 @@ TEST_F(CatalogParityTest, MutationsDuringShardedSearchBatchAreSafe) {
     for (int round = 0; round < 6; ++round) {
       std::vector<DocTerms> batch;
       for (int i = 0; i < 9; ++i) batch.push_back(SynthDoc(rng));
-      auto first = db.AddDocuments(batch);
-      ASSERT_TRUE(first.ok());
-      ASSERT_TRUE(db.DeleteDocument(first.ValueOrDie()).ok());
+      auto ids = db.AddDocuments(batch);
+      ASSERT_TRUE(ids.ok());
+      ASSERT_TRUE(db.DeleteDocument(ids.ValueOrDie().front()).ok());
       auto single = db.AddDocument(SynthDoc(rng));
       ASSERT_TRUE(single.ok());
       auto updated = db.UpdateDocument(single.ValueOrDie(), SynthDoc(rng));
@@ -590,12 +594,10 @@ TEST_F(CatalogParityTest, MutationsDuringShardedSearchBatchAreSafe) {
     }
   });
 
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = PhysicalStrategy::kMaxScore;
+  const std::vector<QueryRequest> requests =
+      Forced(*queries_, PhysicalStrategy::kMaxScore);
   for (int round = 0; round < 8; ++round) {
-    auto batch = db.SearchBatch(*queries_, opts, 4);
+    auto batch = db.SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     for (const SearchResult& r : batch.ValueOrDie().results) {
       for (size_t i = 1; i < r.top.items.size(); ++i) {
@@ -608,42 +610,32 @@ TEST_F(CatalogParityTest, MutationsDuringShardedSearchBatchAreSafe) {
   mutator.join();
 }
 
-TEST_F(CatalogParityTest, AttachDetachDuringSearchBatchIsSafe) {
-  // Static-mode snapshot safety (the former "NOT thread-safe" caveat):
-  // attach/detach flips storage under a running SearchBatch; since the
-  // segment holds the same collection, every result must stay
-  // bit-identical to the in-memory answers regardless of which snapshot
-  // each query caught.
-  DatabaseConfig config = BaseConfig("");
+TEST_F(CatalogParityTest, FirstMutationDuringSearchBatchIsSafe) {
+  // Static queries read the immutable collection without a lock while the
+  // first mutation seeds the catalog and flips the database to dynamic
+  // serving. Flush is that mutation here: it changes no document, so
+  // every result must stay bit-identical to the static answers whether a
+  // query caught the static path, the memtable or the flushed segment.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/catalog_parity_flip";
+  std::filesystem::remove_all(dir);
+  DatabaseConfig config = BaseConfig(dir);
   config.collection.num_docs = 150;
   auto opened = MmDatabase::Open(config);
   ASSERT_TRUE(opened.ok());
   MmDatabase& db = *opened.ValueOrDie();
-  const std::string path =
-      std::string(::testing::TempDir()) + "/attach_race.moaseg";
-  ASSERT_TRUE(db.SaveSegment(path).ok());
 
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = PhysicalStrategy::kMaxScore;
+  const std::vector<QueryRequest> requests =
+      Forced(*queries_, PhysicalStrategy::kMaxScore);
   std::vector<TopNResult> expected;
   for (const Query& q : *queries_) {
     expected.push_back(db.Execute(PhysicalStrategy::kMaxScore, q, 10)
                            .ValueOrDie());
   }
 
-  std::thread flipper([&db, &path] {
-    AttachSegmentOptions trusted;
-    trusted.verify_payload = false;  // written and verified moments ago
-    for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(db.AttachSegment(path, trusted).ok());
-      db.DetachSegment();
-    }
-  });
-
+  std::thread flipper([&db] { ASSERT_TRUE(db.Flush().ok()); });
   for (int round = 0; round < 8; ++round) {
-    auto batch = db.SearchBatch(*queries_, opts, 4);
+    auto batch = db.SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     for (size_t i = 0; i < queries_->size(); ++i) {
       const TopNResult& got = batch.ValueOrDie().results[i].top;
@@ -654,6 +646,7 @@ TEST_F(CatalogParityTest, AttachDetachDuringSearchBatchIsSafe) {
     }
   }
   flipper.join();
+  EXPECT_TRUE(db.is_dynamic());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include "storage/catalog/forward_index.h"
 #include "storage/catalog/manifest.h"
+#include "storage/segment/segment_format.h"
 
 namespace moa {
 namespace {
@@ -456,6 +457,39 @@ TEST(IndexCatalogTest, OpenRejectsTamperedSidecar) {
   wrong.Append({{2, 3}, {3, 1}});  // tf drifted
   ASSERT_TRUE(WriteForwardIndex(wrong, dir + "/" + ForwardFileName(1)).ok());
   EXPECT_FALSE(IndexCatalog::Open(InDir(dir)).ok());
+}
+
+TEST(IndexCatalogTest, OpenRejectsPayloadBitRot) {
+  // One flipped payload byte is invisible to the structural validation in
+  // SegmentReader::Open; without the open-time integrity pass it would
+  // silently truncate a posting list and serve wrong top-N results.
+  const std::string dir = FreshDir("rot");
+  auto catalog = MustCreate(InDir(dir));
+  std::vector<DocTerms> docs;
+  for (uint32_t d = 0; d < 200; ++d) {
+    docs.push_back({{1, 1 + d % 3}, {2 + d % 7, 2}, {20 + d % 11, 1}});
+  }
+  ASSERT_TRUE(catalog->AddDocuments(docs).ok());
+  ASSERT_TRUE(catalog->Flush().ok());
+  catalog.reset();
+  ASSERT_TRUE(IndexCatalog::Open(InDir(dir)).ok());
+
+  const std::string path = dir + "/" + SegmentFileName(1);
+  SegmentHeader header{};
+  std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+  fs.read(reinterpret_cast<char*>(&header), sizeof(header));
+  const SegmentLayout layout(header);
+  fs.seekg(static_cast<std::streamoff>(layout.payload + 3));
+  char byte = 0;
+  fs.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x01);
+  fs.seekp(static_cast<std::streamoff>(layout.payload + 3));
+  fs.write(&byte, 1);
+  fs.close();
+
+  auto reopened = IndexCatalog::Open(InDir(dir));
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(IndexCatalogTest, CreateRefusesExistingCatalogDirectory) {

@@ -1,12 +1,15 @@
-#include "optimizer/cost_model.h"
+// The Step-3 cost formulas as the StrategyPlanner sees them over the
+// static in-memory collection (neutral storage signals): cardinality
+// estimates, finite per-strategy predictions and the orderings the planner
+// relies on. The choice rules (forcing, exclusion, quality gating) are
+// covered by strategy_planner_test.
+#include "optimizer/strategy_planner.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
-#include "optimizer/explain.h"
-#include "optimizer/planner.h"
 #include "test_util.h"
 
 namespace moa {
@@ -16,18 +19,39 @@ using testutil::SmallCollectionWithImpacts;
 using testutil::SmallFragmentation;
 using testutil::SmallQueries;
 
-class CostModelTest : public ::testing::Test {
+/// The candidate for `s` in `planner`'s full table for (q, top-10).
+PlanCandidate CandidateFor(const StrategyPlanner& planner,
+                           PhysicalStrategy s, const Query& q) {
+  PlanRequest request;
+  request.n = 10;
+  auto plan = planner.Plan(q, request);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  for (const PlanCandidate& c : plan.ValueOrDie().candidates) {
+    if (c.strategy == s) return c;
+  }
+  ADD_FAILURE() << "no candidate for " << StrategyName(s);
+  return PlanCandidate{};
+}
+
+class CostFormulaTest : public ::testing::Test {
  protected:
-  CostModelTest()
+  CostFormulaTest()
       : est_(&SmallCollectionWithImpacts().inverted_file(),
              &SmallFragmentation()),
-        model_(&est_) {}
+        planner_(&est_) {}
+
+  /// Predicted scalar cost of `s` for (q, top-10).
+  double Predicted(PhysicalStrategy s, const Query& q) const {
+    const PlanCandidate c = CandidateFor(planner_, s, q);
+    EXPECT_TRUE(c.costed) << StrategyName(s);
+    return c.scalar;
+  }
 
   CardinalityEstimator est_;
-  CostModel model_;
+  StrategyPlanner planner_;
 };
 
-TEST_F(CostModelTest, CardinalityVolumeSplitsAcrossFragments) {
+TEST_F(CostFormulaTest, CardinalityVolumeSplitsAcrossFragments) {
   for (const Query& q : SmallQueries()) {
     EXPECT_EQ(est_.QueryVolume(q),
               est_.QueryVolume(q, FragmentId::kSmall) +
@@ -35,7 +59,7 @@ TEST_F(CostModelTest, CardinalityVolumeSplitsAcrossFragments) {
   }
 }
 
-TEST_F(CostModelTest, ExpectedCandidatesBounded) {
+TEST_F(CostFormulaTest, ExpectedCandidatesBounded) {
   const double d =
       static_cast<double>(SmallCollectionWithImpacts().inverted_file().num_docs());
   for (const Query& q : SmallQueries()) {
@@ -52,7 +76,7 @@ TEST_F(CostModelTest, ExpectedCandidatesBounded) {
   }
 }
 
-TEST_F(CostModelTest, ActiveTermsSplitsAcrossFragments) {
+TEST_F(CostFormulaTest, ActiveTermsSplitsAcrossFragments) {
   for (const Query& q : SmallQueries()) {
     EXPECT_EQ(est_.ActiveTerms(q),
               est_.ActiveTerms(q, FragmentId::kSmall) +
@@ -60,30 +84,27 @@ TEST_F(CostModelTest, ActiveTermsSplitsAcrossFragments) {
   }
 }
 
-TEST_F(CostModelTest, AllStrategiesProduceFiniteEstimates) {
+TEST_F(CostFormulaTest, AllStrategiesProduceFiniteEstimates) {
   for (PhysicalStrategy s : AllStrategies()) {
-    PlanCostEstimate e = model_.Estimate(s, SmallQueries()[0], 10);
-    EXPECT_GE(e.scalar, 0.0) << StrategyName(s);
-    EXPECT_TRUE(std::isfinite(e.scalar)) << StrategyName(s);
+    const double scalar = Predicted(s, SmallQueries()[0]);
+    EXPECT_GE(scalar, 0.0) << StrategyName(s);
+    EXPECT_TRUE(std::isfinite(scalar)) << StrategyName(s);
   }
 }
 
-TEST_F(CostModelTest, SmallFragmentPredictedCheapest) {
-  const PlanCostEstimate small =
-      model_.Estimate(PhysicalStrategy::kSmallFragment, SmallQueries()[0], 10);
-  const PlanCostEstimate full =
-      model_.Estimate(PhysicalStrategy::kFullSort, SmallQueries()[0], 10);
-  EXPECT_LT(small.scalar, full.scalar);
+TEST_F(CostFormulaTest, SmallFragmentPredictedCheapest) {
+  EXPECT_LT(Predicted(PhysicalStrategy::kSmallFragment, SmallQueries()[0]),
+            Predicted(PhysicalStrategy::kFullSort, SmallQueries()[0]));
 }
 
-TEST_F(CostModelTest, HeapPredictedCheaperThanFullSort) {
+TEST_F(CostFormulaTest, HeapPredictedCheaperThanFullSort) {
   for (const Query& q : SmallQueries()) {
-    EXPECT_LE(model_.Estimate(PhysicalStrategy::kHeap, q, 10).scalar,
-              model_.Estimate(PhysicalStrategy::kFullSort, q, 10).scalar);
+    EXPECT_LE(Predicted(PhysicalStrategy::kHeap, q),
+              Predicted(PhysicalStrategy::kFullSort, q));
   }
 }
 
-TEST_F(CostModelTest, SafetyClassification) {
+TEST_F(CostFormulaTest, SafetyClassification) {
   EXPECT_TRUE(IsSafeStrategy(PhysicalStrategy::kFullSort));
   EXPECT_TRUE(IsSafeStrategy(PhysicalStrategy::kFaginTA));
   EXPECT_TRUE(IsSafeStrategy(PhysicalStrategy::kQualitySwitchFull));
@@ -91,84 +112,22 @@ TEST_F(CostModelTest, SafetyClassification) {
   EXPECT_FALSE(IsSafeStrategy(PhysicalStrategy::kQualitySwitchSparse));
 }
 
-TEST_F(CostModelTest, FragmentStrategiesUnavailableWithoutFragmentation) {
+TEST_F(CostFormulaTest, FragmentStrategiesUnavailableWithoutFragmentation) {
   CardinalityEstimator bare(&SmallCollectionWithImpacts().inverted_file());
-  CostModel model(&bare);
-  EXPECT_FALSE(
-      model.Available(PhysicalStrategy::kSmallFragment, SmallQueries()[0]));
-  EXPECT_FALSE(model.Available(PhysicalStrategy::kQualitySwitchFull,
-                               SmallQueries()[0]));
-  EXPECT_TRUE(model.Available(PhysicalStrategy::kFullSort, SmallQueries()[0]));
+  const StrategyPlanner planner(&bare);
+  const Query& q = SmallQueries()[0];
+  EXPECT_EQ(CandidateFor(planner, PhysicalStrategy::kSmallFragment, q).reject,
+            PlanReject::kNeedsFragmentation);
+  EXPECT_EQ(
+      CandidateFor(planner, PhysicalStrategy::kQualitySwitchFull, q).reject,
+      PlanReject::kNeedsFragmentation);
+  EXPECT_TRUE(CandidateFor(planner, PhysicalStrategy::kFullSort, q).costed);
 }
 
-TEST_F(CostModelTest, StrategyNamesUniqueAndStable) {
+TEST_F(CostFormulaTest, StrategyNamesUniqueAndStable) {
   std::set<std::string> names;
   for (PhysicalStrategy s : AllStrategies()) names.insert(StrategyName(s));
   EXPECT_EQ(names.size(), AllStrategies().size());
-}
-
-// ------------------------------- planner ----------------------------------
-
-TEST_F(CostModelTest, PlannerPicksCheapestSafeStrategy) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.safe_only = true;
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
-  ASSERT_TRUE(plan.ok());
-  const auto& alts = plan.ValueOrDie().alternatives;
-  ASSERT_GE(alts.size(), 2u);
-  for (size_t i = 1; i < alts.size(); ++i) {
-    EXPECT_LE(alts[i - 1].scalar, alts[i].scalar);
-  }
-  EXPECT_TRUE(IsSafeStrategy(plan.ValueOrDie().strategy));
-}
-
-TEST_F(CostModelTest, PlannerUnsafeModeCanPickSmallFragment) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.safe_only = false;
-  // Find a query with at least one large-fragment term so small-fragment
-  // actually skips work.
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
-  ASSERT_TRUE(plan.ok());
-  bool unsafe_considered = false;
-  for (const auto& alt : plan.ValueOrDie().alternatives) {
-    if (!IsSafeStrategy(alt.strategy)) unsafe_considered = true;
-  }
-  EXPECT_TRUE(unsafe_considered);
-}
-
-TEST_F(CostModelTest, PlannerHonorsForce) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.force = PhysicalStrategy::kFaginTA;
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan.ValueOrDie().strategy, PhysicalStrategy::kFaginTA);
-}
-
-TEST_F(CostModelTest, PlannerHonorsExclude) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.exclude = {PhysicalStrategy::kFaginTA, PhysicalStrategy::kFaginNRA,
-                  PhysicalStrategy::kFaginFA};
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
-  ASSERT_TRUE(plan.ok());
-  for (const auto& alt : plan.ValueOrDie().alternatives) {
-    EXPECT_NE(alt.strategy, PhysicalStrategy::kFaginTA);
-    EXPECT_NE(alt.strategy, PhysicalStrategy::kFaginNRA);
-    EXPECT_NE(alt.strategy, PhysicalStrategy::kFaginFA);
-  }
-}
-
-TEST_F(CostModelTest, ExplainMentionsChosenStrategy) {
-  Planner planner(&model_);
-  auto plan = planner.Plan(SmallQueries()[0], 10, PlannerOptions{});
-  ASSERT_TRUE(plan.ok());
-  const std::string text = ExplainPlan(plan.ValueOrDie());
-  EXPECT_NE(text.find(StrategyName(plan.ValueOrDie().strategy)),
-            std::string::npos);
-  EXPECT_NE(text.find("alternatives"), std::string::npos);
 }
 
 }  // namespace

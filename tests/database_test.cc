@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <string>
 
 namespace moa {
@@ -53,9 +54,7 @@ TEST_F(MmDatabaseTest, OpenRejectsBadConfig) {
 
 TEST_F(MmDatabaseTest, SearchSafeMatchesGroundTruthSet) {
   for (const Query& q : *queries_) {
-    SearchOptions opts;
-    opts.n = 10;
-    auto r = db_->Search(q, opts);
+    auto r = db_->Search(QueryRequest{q, 10, {}});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     auto truth = db_->GroundTruth(q, 10);
     auto scores = db_->GroundTruthScores(q);
@@ -95,19 +94,17 @@ TEST_F(MmDatabaseTest, SafeStrategiesAgreeOnTopSet) {
 }
 
 TEST_F(MmDatabaseTest, ForcedStrategyIsUsed) {
-  SearchOptions opts;
-  opts.n = 5;
-  opts.force = PhysicalStrategy::kHeap;
-  auto r = db_->Search((*queries_)[2], opts);
+  QueryRequest request{(*queries_)[2], 5, {}};
+  request.options.strategy = PhysicalStrategy::kHeap;
+  auto r = db_->Search(request);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().strategy, PhysicalStrategy::kHeap);
 }
 
 TEST_F(MmDatabaseTest, UnsafeSearchAllowsFragmentStrategy) {
-  SearchOptions opts;
-  opts.n = 5;
-  opts.safe_only = false;
-  auto r = db_->Search((*queries_)[3], opts);
+  QueryRequest request{(*queries_)[3], 5, {}};
+  request.options.quality_target = 0.0;
+  auto r = db_->Search(request);
   ASSERT_TRUE(r.ok());
   // Whatever was chosen must have been the cheapest alternative.
   EXPECT_GT(r.ValueOrDie().estimate.scalar, 0.0);
@@ -178,40 +175,93 @@ TEST_F(MmDatabaseTest, PlannerChoiceIsReportedInExplain) {
   EXPECT_TRUE(saw_forced_other);
 }
 
-TEST_F(MmDatabaseTest, ExplainReportsCodecAndSkippedBlocksOverSegment) {
-  // Acceptance: over a block-structured segment, a pruned query's explain
-  // must name the codec and show a nonzero skipped-block count (block-max
-  // pruning at work). Small blocks make skips plentiful.
-  const std::string path =
-      std::string(::testing::TempDir()) + "/db_explain_blocks.moaseg";
-  ASSERT_TRUE(db_->SaveSegment(path, /*block_size=*/8).ok());
-  ASSERT_TRUE(db_->AttachSegment(path).ok());
+TEST_F(MmDatabaseTest, ExplainReportsFormatAndSkippedBlocksOverSegment) {
+  // Acceptance: over a block-structured catalog segment, a pruned query's
+  // explain must name the segment format and show a nonzero skipped-block
+  // count (block-max pruning at work).
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/db_explain_blocks";
+  std::filesystem::remove_all(dir);
+  DatabaseConfig config = TestConfig();
+  config.catalog_dir = dir;
+  auto opened = MmDatabase::Open(config);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MmDatabase& db = *opened.ValueOrDie();
+  ASSERT_TRUE(db.Flush().ok());  // seeds the catalog, then one segment
+
   QueryRequest request;
   request.n = 5;
   request.options.strategy = PhysicalStrategy::kMaxScore;
   int64_t max_skipped = 0;
   for (const Query& q : *queries_) {
     request.query = q;
-    auto report = db_->ExplainSearch(request);
+    auto report = db.ExplainSearch(request);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     const ExplainReport& r = report.ValueOrDie();
-    EXPECT_NE(r.storage.find("bit-packed codec"), std::string::npos)
-        << r.storage;
+    EXPECT_NE(r.storage.find("MOAIF03"), std::string::npos) << r.storage;
     ASSERT_TRUE(r.has_blocks) << r.ToString();
     EXPECT_GT(r.blocks_decoded, 0);
     max_skipped = std::max(max_skipped, r.blocks_skipped);
     // The text rendering keeps the historical block line.
     EXPECT_NE(r.ToString().find("blocks: decoded "), std::string::npos);
   }
-  db_->DetachSegment();
-  std::remove(path.c_str());
   EXPECT_GT(max_skipped, 0) << "no query skipped any block";
 }
 
+TEST_F(MmDatabaseTest, RejectsMalformedQueryOptions) {
+  // Static serving here; the single catalog is covered below and the
+  // sharded engine in sharded_catalog_test.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<QueryOptions> bad(5);
+  bad[0].quality_target = nan;
+  bad[1].quality_target = -0.25;
+  bad[2].quality_target = 1.5;
+  bad[3].deadline_millis = nan;
+  bad[4].deadline_millis = -1.0;
+
+  auto dynamic = MmDatabase::Open(TestConfig());
+  ASSERT_TRUE(dynamic.ok());
+  ASSERT_TRUE(dynamic.ValueOrDie()->DeleteDocument(0).ok());
+  ASSERT_NE(dynamic.ValueOrDie()->catalog(), nullptr);
+
+  for (const MmDatabase* db : {db_, dynamic.ValueOrDie().get()}) {
+    for (size_t i = 0; i < bad.size(); ++i) {
+      SCOPED_TRACE(std::string(db->is_dynamic() ? "catalog" : "static") +
+                   " case " + std::to_string(i));
+      const QueryRequest request{(*queries_)[0], 10, bad[i]};
+      EXPECT_EQ(db->Search(request).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(db->SearchBatch({request, request}, 2).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(db->ExplainSearch(request).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+
+  // A NaN target would pass every quality test and admit unsafe
+  // strategies; the ends of the range stay valid.
+  QueryRequest edge{(*queries_)[0], 10, {}};
+  edge.options.quality_target = 0.0;
+  EXPECT_TRUE(db_->Search(edge).ok());
+  edge.options.quality_target = 1.0;
+  auto exact = db_->Search(edge);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_TRUE(IsSafeStrategy(exact.ValueOrDie().strategy));
+}
+
+TEST_F(MmDatabaseTest, AddDocumentsReturnsEveryId) {
+  auto opened = MmDatabase::Open(TestConfig());
+  ASSERT_TRUE(opened.ok());
+  MmDatabase& db = *opened.ValueOrDie();
+  const std::vector<DocTerms> docs = {{{1, 1}}, {{2, 3}, {5, 1}}, {{7, 2}}};
+  auto ids = db.AddDocuments(docs);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  // The seed keeps ids 0..1499; one catalog appends consecutively.
+  EXPECT_EQ(ids.ValueOrDie(), (std::vector<DocId>{1500, 1501, 1502}));
+}
+
 TEST_F(MmDatabaseTest, SearchReportsWallTimeAndStats) {
-  SearchOptions opts;
-  opts.n = 10;
-  auto r = db_->Search((*queries_)[4], opts);
+  auto r = db_->Search(QueryRequest{(*queries_)[4], 10, {}});
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.ValueOrDie().wall_millis, 0.0);
   EXPECT_GT(r.ValueOrDie().top.stats.cost.Scalar(), 0.0);

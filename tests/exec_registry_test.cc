@@ -29,8 +29,7 @@ constexpr size_t kN = 10;
 /// kept here as the reference the registry must reproduce.
 Result<TopNResult> LegacyExecute(PhysicalStrategy s, const Query& q,
                                  SparseIndexCache* sparse_cache) {
-  const InvertedFile& f =
-      testutil::SmallCollectionWithImpacts().inverted_file();
+  const PostingSource& f = testutil::SmallSource();
   const ScoringModel& m = testutil::SmallModel();
   const Fragmentation& frag = testutil::SmallFragmentation();
   switch (s) {
@@ -85,7 +84,7 @@ Result<TopNResult> LegacyExecute(PhysicalStrategy s, const Query& q,
 
 ExecContext TestContext(SparseIndexCache* cache) {
   ExecContext ctx;
-  ctx.file = &testutil::SmallCollectionWithImpacts().inverted_file();
+  ctx.postings = &testutil::SmallSource();
   ctx.model = &testutil::SmallModel();
   ctx.fragmentation = &testutil::SmallFragmentation();
   ctx.sparse_cache = cache;
@@ -276,7 +275,7 @@ TEST(StrategyRegistryTest, MissingContextPiecesAreRejected) {
 
   // Fragment strategies demand a fragmentation.
   ExecContext no_frag;
-  no_frag.file = &testutil::SmallCollectionWithImpacts().inverted_file();
+  no_frag.postings = &testutil::SmallSource();
   no_frag.model = &testutil::SmallModel();
   EXPECT_FALSE(
       registry.Execute(PhysicalStrategy::kSmallFragment, no_frag, q, kN)

@@ -12,6 +12,7 @@ namespace {
 
 using testutil::SmallCollectionWithImpacts;
 using testutil::SmallModel;
+using testutil::SmallSource;
 using testutil::SmallQueries;
 
 /// Safety for TA/FA: exact ranking; tolerate permutation of score ties.
@@ -43,7 +44,7 @@ TEST_P(FaginTest, TaIsExact) {
   const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, n);
-    auto r = FaginTA(f, SmallModel(), q, n);
+    auto r = FaginTA(SmallSource(), SmallModel(), q, n);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ExpectExactRanking(r.ValueOrDie().items, exact);
   }
@@ -54,7 +55,7 @@ TEST_P(FaginTest, FaIsExact) {
   const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, n);
-    auto r = FaginFA(f, SmallModel(), q, n);
+    auto r = FaginFA(SmallSource(), SmallModel(), q, n);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ExpectExactRanking(r.ValueOrDie().items, exact);
   }
@@ -66,7 +67,7 @@ TEST_P(FaginTest, NraReturnsExactTopSet) {
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, n);
     auto scores = AccumulateScores(f, SmallModel(), q);
-    auto r = FaginNRA(f, SmallModel(), q, n);
+    auto r = FaginNRA(SmallSource(), SmallModel(), q, n);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ExpectTopSet(r.ValueOrDie().items, exact, scores);
   }
@@ -75,10 +76,9 @@ TEST_P(FaginTest, NraReturnsExactTopSet) {
 INSTANTIATE_TEST_SUITE_P(Ns, FaginTest, ::testing::Values(1, 5, 10, 50));
 
 TEST(FaginTest, TaStopsEarlyOnSelectiveQueries) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   int early = 0, total = 0;
   for (const Query& q : SmallQueries()) {
-    auto r = FaginTA(f, SmallModel(), q, 5);
+    auto r = FaginTA(SmallSource(), SmallModel(), q, 5);
     ASSERT_TRUE(r.ok());
     early += r.ValueOrDie().stats.stopped_early ? 1 : 0;
     ++total;
@@ -91,17 +91,16 @@ TEST(FaginTest, TaReadsFewerPostingsThanExhaustive) {
   const Query& q = SmallQueries()[0];
   int64_t volume = 0;
   for (TermId t : q.terms) volume += f.DocFrequency(t);
-  auto r = FaginTA(f, SmallModel(), q, 5);
+  auto r = FaginTA(SmallSource(), SmallModel(), q, 5);
   ASSERT_TRUE(r.ok());
   EXPECT_LT(r.ValueOrDie().stats.sorted_accesses, volume);
 }
 
 TEST(FaginTest, SortedAccessesGrowWithN) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   const Query& q = SmallQueries()[1];
   int64_t prev = 0;
   for (size_t n : {1, 10, 100}) {
-    auto r = FaginTA(f, SmallModel(), q, n);
+    auto r = FaginTA(SmallSource(), SmallModel(), q, n);
     ASSERT_TRUE(r.ok());
     EXPECT_GE(r.ValueOrDie().stats.sorted_accesses, prev);
     prev = r.ValueOrDie().stats.sorted_accesses;
@@ -109,16 +108,14 @@ TEST(FaginTest, SortedAccessesGrowWithN) {
 }
 
 TEST(FaginTest, NraDoesNoRandomAccess) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
-  auto r = FaginNRA(f, SmallModel(), SmallQueries()[2], 10);
+  auto r = FaginNRA(SmallSource(), SmallModel(), SmallQueries()[2], 10);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().stats.random_accesses, 0);
   EXPECT_EQ(r.ValueOrDie().stats.cost.random_reads, 0);
 }
 
 TEST(FaginTest, TaDoesRandomAccess) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
-  auto r = FaginTA(f, SmallModel(), SmallQueries()[2], 10);
+  auto r = FaginTA(SmallSource(), SmallModel(), SmallQueries()[2], 10);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r.ValueOrDie().stats.random_accesses, 0);
 }
@@ -139,20 +136,18 @@ TEST(FaginTest, RequiresImpactOrders) {
       if (q.terms.size() == 2) break;
     }
   }
-  auto r = FaginTA(coll.ValueOrDie().inverted_file(), *model, q, 5);
+  auto r = FaginTA(InMemoryPostingSource(&coll.ValueOrDie().inverted_file()),
+                   *model, q, 5);
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(FaginTest, EmptyQueryGivesEmptyResult) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   Query empty;
-  using FileFn = Result<TopNResult> (*)(const InvertedFile&,
-                                        const ScoringModel&, const Query&,
-                                        size_t, const FaginOptions&);
-  for (FileFn fn : {static_cast<FileFn>(&FaginFA),
-                    static_cast<FileFn>(&FaginTA),
-                    static_cast<FileFn>(&FaginNRA)}) {
-    auto r = (*fn)(f, SmallModel(), empty, 10, FaginOptions{});
+  using FaginFn = Result<TopNResult> (*)(const PostingSource&,
+                                         const ScoringModel&, const Query&,
+                                         size_t, const FaginOptions&);
+  for (FaginFn fn : {&FaginFA, &FaginTA, &FaginNRA}) {
+    auto r = (*fn)(SmallSource(), SmallModel(), empty, 10, FaginOptions{});
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.ValueOrDie().items.empty());
   }
@@ -163,7 +158,7 @@ TEST(FaginTest, SingleTermQueryIsExactAndCheap) {
   Query q;
   q.terms = {SmallQueries()[0].terms[0]};
   auto exact = ExactTopN(f, SmallModel(), q, 5);
-  auto r = FaginTA(f, SmallModel(), q, 5);
+  auto r = FaginTA(SmallSource(), SmallModel(), q, 5);
   ASSERT_TRUE(r.ok());
   ExpectExactRanking(r.ValueOrDie().items, exact);
   // One list: TA needs at most n + 1 sorted accesses.

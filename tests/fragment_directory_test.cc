@@ -4,7 +4,7 @@
 // corruption class — truncation at any length, fragment ranges that
 // overlap / leave gaps / exceed the term's blocks, impact-order
 // violations, corrupted bounds, and a model stamp that disagrees with the
-// segment (which must also fail MmDatabase::AttachSegment).
+// segment (which must also fail the engine's catalog recovery).
 #include "storage/segment/fragment_directory.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 
 #include "engine/database.h"
 #include "ir/scoring.h"
+#include "storage/catalog/manifest.h"
 #include "storage/inverted_file.h"
 #include "storage/segment/segment_reader.h"
 #include "storage/segment/segment_writer.h"
@@ -330,10 +331,10 @@ TEST(FragmentDirectoryTest, CorruptedBoundIsRejected) {
   ExpectOpenRejects(path, "corrupted bound");
 }
 
-TEST(FragmentDirectoryTest, ModelMismatchIsRejectedAtAttach) {
+TEST(FragmentDirectoryTest, ModelMismatchIsRejectedAtOpen) {
   // A sidecar stamped with a different scoring model than the segment:
   // its bounds mean nothing under the serving model. Open must refuse,
-  // and so must the engine's attach path.
+  // and so must the engine when it recovers a catalog segment.
   const std::string path =
       CorruptedSidecar("model", [](std::vector<char>& bytes) {
         FragmentFileHeader header;
@@ -345,35 +346,38 @@ TEST(FragmentDirectoryTest, ModelMismatchIsRejectedAtAttach) {
       });
   ExpectOpenRejects(path, "model mismatch (reader)");
 
-  // End-to-end through the engine: a database whose SaveSegment produced
-  // a matching pair attaches fine; the same segment with a doctored
-  // sidecar must be refused by AttachSegment (which goes through Open).
+  // End-to-end through the engine: a database flushes its collection into
+  // a catalog segment with a matching sidecar; once that sidecar is
+  // doctored, recovering the catalog on the next process's first mutation
+  // must fail (the catalog opens every segment through Open).
   DatabaseConfig config;
   config.collection.num_docs = 200;
   config.collection.vocabulary = 300;
   config.collection.seed = 515253;
-  auto db = MmDatabase::Open(config);
-  ASSERT_TRUE(db.ok());
-  const std::string attach_path =
-      std::string(::testing::TempDir()) + "/frag_attach.moaseg";
-  ASSERT_TRUE(db.ValueOrDie()->SaveSegment(attach_path, /*block_size=*/8)
-                  .ok());
-  ASSERT_TRUE(db.ValueOrDie()->AttachSegment(attach_path).ok());
-  db.ValueOrDie()->DetachSegment();
+  config.catalog_dir = std::string(::testing::TempDir()) + "/frag_catalog";
+  std::filesystem::remove_all(config.catalog_dir);
+  {
+    auto db = MmDatabase::Open(config);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.ValueOrDie()->Flush().ok());
+  }
+  const std::string sidecar =
+      FragmentSidecarPath(config.catalog_dir + "/" + SegmentFileName(1));
 
-  std::vector<char> bytes = ReadAll(FragmentSidecarPath(attach_path));
+  std::vector<char> bytes = ReadAll(sidecar);
   FragmentFileHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   std::memset(header.impact_model, 0, sizeof(header.impact_model));
   std::snprintf(header.impact_model, sizeof(header.impact_model),
                 "tfidf-log");
   std::memcpy(bytes.data(), &header, sizeof(header));
-  WriteAll(FragmentSidecarPath(attach_path), bytes);
-  Status attached = db.ValueOrDie()->AttachSegment(attach_path);
-  EXPECT_EQ(attached.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(db.ValueOrDie()->has_segment());
-  std::remove(attach_path.c_str());
-  std::remove(FragmentSidecarPath(attach_path).c_str());
+  WriteAll(sidecar, bytes);
+  auto db = MmDatabase::Open(config);
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(db.ValueOrDie()->AddDocument({{1, 1}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(db.ValueOrDie()->is_dynamic());
+  std::filesystem::remove_all(config.catalog_dir);
 }
 
 TEST(FragmentDirectoryTest, SidecarFromAnotherSegmentIsRejected) {

@@ -12,6 +12,7 @@ namespace {
 using testutil::SmallCollectionWithImpacts;
 using testutil::SmallFragmentation;
 using testutil::SmallModel;
+using testutil::SmallSource;
 using testutil::SmallQueries;
 
 TEST(SmallFragmentTest, TouchesOnlySmallFragmentPostings) {
@@ -22,7 +23,7 @@ TEST(SmallFragmentTest, TouchesOnlySmallFragmentPostings) {
     for (TermId t : q.terms) {
       if (frag.in_small(t)) small_volume += f.DocFrequency(t);
     }
-    TopNResult r = SmallFragmentTopN(f, frag, SmallModel(), q, 10);
+    TopNResult r = SmallFragmentTopN(SmallSource(), frag, SmallModel(), q, 10);
     EXPECT_EQ(r.stats.cost.sequential_reads, small_volume);
   }
 }
@@ -36,7 +37,7 @@ TEST(SmallFragmentTest, UnsafeQualityCanDrop) {
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, 10);
     auto scores = AccumulateScores(f, SmallModel(), q);
-    TopNResult r = SmallFragmentTopN(f, frag, SmallModel(), q, 10);
+    TopNResult r = SmallFragmentTopN(SmallSource(), frag, SmallModel(), q, 10);
     QualityReport rep = EvaluateQuality(r.items, exact, scores);
     worst = std::min(worst, rep.overlap_at_n);
   }
@@ -49,7 +50,7 @@ TEST(QualitySwitchTest, FullScanZeroThresholdIsExact) {
   QualitySwitchOptions opts;  // threshold 0, full scan: safe
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, 10);
-    auto r = QualitySwitchTopN(f, frag, SmallModel(), q, 10, opts);
+    auto r = QualitySwitchTopN(SmallSource(), frag, SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const auto& got = r.ValueOrDie().items;
     ASSERT_EQ(got.size(), exact.size());
@@ -61,14 +62,13 @@ TEST(QualitySwitchTest, FullScanZeroThresholdIsExact) {
 }
 
 TEST(QualitySwitchTest, SkipModeEqualsSmallFragment) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   const Fragmentation& frag = SmallFragmentation();
   QualitySwitchOptions opts;
   opts.mode = LargeFragmentMode::kSkip;
   for (const Query& q : SmallQueries()) {
-    auto r = QualitySwitchTopN(f, frag, SmallModel(), q, 10, opts);
+    auto r = QualitySwitchTopN(SmallSource(), frag, SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok());
-    TopNResult small = SmallFragmentTopN(f, frag, SmallModel(), q, 10);
+    TopNResult small = SmallFragmentTopN(SmallSource(), frag, SmallModel(), q, 10);
     ASSERT_EQ(r.ValueOrDie().items.size(), small.items.size());
     for (size_t i = 0; i < small.items.size(); ++i) {
       EXPECT_EQ(r.ValueOrDie().items[i].doc, small.items[i].doc);
@@ -81,14 +81,13 @@ TEST(QualitySwitchTest, HugeThresholdSuppressesLargeFragmentWhenSmallSuffices) {
   // With an (absurdly) high threshold the check only fires when the small
   // fragment could not even fill the top n (n-th score 0): a correct
   // quality check must still switch then.
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   const Fragmentation& frag = SmallFragmentation();
   QualitySwitchOptions opts;
   opts.switch_threshold = 1e12;
   for (const Query& q : SmallQueries()) {
-    auto r = QualitySwitchTopN(f, frag, SmallModel(), q, 10, opts);
+    auto r = QualitySwitchTopN(SmallSource(), frag, SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok());
-    TopNResult small_only = SmallFragmentTopN(f, frag, SmallModel(), q, 10);
+    TopNResult small_only = SmallFragmentTopN(SmallSource(), frag, SmallModel(), q, 10);
     if (small_only.items.size() >= 10) {
       EXPECT_FALSE(r.ValueOrDie().stats.used_large_fragment);
     } else {
@@ -107,9 +106,9 @@ TEST(QualitySwitchTest, SparseProbeImprovesOverUnsafeSmallFragment) {
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, 10);
     auto scores = AccumulateScores(f, SmallModel(), q);
-    auto sparse = QualitySwitchTopN(f, frag, SmallModel(), q, 10, opts);
+    auto sparse = QualitySwitchTopN(SmallSource(), frag, SmallModel(), q, 10, opts);
     ASSERT_TRUE(sparse.ok());
-    TopNResult small = SmallFragmentTopN(f, frag, SmallModel(), q, 10);
+    TopNResult small = SmallFragmentTopN(SmallSource(), frag, SmallModel(), q, 10);
     sum_sparse +=
         EvaluateQuality(sparse.ValueOrDie().items, exact, scores).score_ratio;
     sum_small += EvaluateQuality(small.items, exact, scores).score_ratio;
@@ -118,7 +117,6 @@ TEST(QualitySwitchTest, SparseProbeImprovesOverUnsafeSmallFragment) {
 }
 
 TEST(QualitySwitchTest, SparseProbeCheaperThanFullScan) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   const Fragmentation& frag = SmallFragmentation();
   QualitySwitchOptions full, sparse;
   full.mode = LargeFragmentMode::kFullScan;
@@ -132,8 +130,8 @@ TEST(QualitySwitchTest, SparseProbeCheaperThanFullScan) {
   sparse.sparse_cache = &cache;
   double full_cost = 0.0, sparse_cost = 0.0;
   for (const Query& q : SmallQueries()) {
-    auto rf = QualitySwitchTopN(f, frag, SmallModel(), q, 10, full);
-    auto rs = QualitySwitchTopN(f, frag, SmallModel(), q, 10, sparse);
+    auto rf = QualitySwitchTopN(SmallSource(), frag, SmallModel(), q, 10, full);
+    auto rs = QualitySwitchTopN(SmallSource(), frag, SmallModel(), q, 10, sparse);
     ASSERT_TRUE(rf.ok() && rs.ok());
     full_cost += rf.ValueOrDie().stats.cost.Scalar();
     sparse_cost += rs.ValueOrDie().stats.cost.Scalar();
@@ -142,25 +140,23 @@ TEST(QualitySwitchTest, SparseProbeCheaperThanFullScan) {
 }
 
 TEST(QualitySwitchTest, SparseCacheIsReused) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   const Fragmentation& frag = SmallFragmentation();
   QualitySwitchOptions opts;
   opts.mode = LargeFragmentMode::kSparseProbe;
   SparseIndexCache cache;
   opts.sparse_cache = &cache;
-  auto r1 = QualitySwitchTopN(f, frag, SmallModel(), SmallQueries()[0], 10, opts);
+  auto r1 = QualitySwitchTopN(SmallSource(), frag, SmallModel(), SmallQueries()[0], 10, opts);
   ASSERT_TRUE(r1.ok());
   const size_t after_first = cache.size();
-  auto r2 = QualitySwitchTopN(f, frag, SmallModel(), SmallQueries()[0], 10, opts);
+  auto r2 = QualitySwitchTopN(SmallSource(), frag, SmallModel(), SmallQueries()[0], 10, opts);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(cache.size(), after_first);
 }
 
 TEST(QualitySwitchTest, RejectsNegativeThreshold) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   QualitySwitchOptions opts;
   opts.switch_threshold = -1.0;
-  auto r = QualitySwitchTopN(f, SmallFragmentation(), SmallModel(),
+  auto r = QualitySwitchTopN(SmallSource(), SmallFragmentation(), SmallModel(),
                              SmallQueries()[0], 10, opts);
   EXPECT_FALSE(r.ok());
 }
@@ -179,7 +175,7 @@ TEST(QualitySwitchTest, AllSmallQueryStopsEarlyWithoutLargePass) {
   }
   ASSERT_EQ(q.terms.size(), 3u);
   QualitySwitchOptions opts;
-  auto r = QualitySwitchTopN(f, frag, SmallModel(), q, 10, opts);
+  auto r = QualitySwitchTopN(SmallSource(), frag, SmallModel(), q, 10, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.ValueOrDie().stats.used_large_fragment);
   // And it is exact, because the query never touches the large fragment.

@@ -116,12 +116,19 @@ TEST_P(WorldTest, CostModelRanksFragmentBelowFull) {
   // The planner's raison d'être: on Zipf data the fragment pass must be
   // predicted (and measured) cheaper than the full scan.
   CardinalityEstimator est(&db_->file(), &db_->fragmentation());
-  CostModel model(&est);
+  const StrategyPlanner planner(&est);
+  PlanRequest request;
+  request.n = 10;
   for (const Query& q : queries_) {
-    const auto small =
-        model.Estimate(PhysicalStrategy::kSmallFragment, q, 10);
-    const auto full = model.Estimate(PhysicalStrategy::kFullSort, q, 10);
-    EXPECT_LE(small.scalar, full.scalar);
+    const auto plan = planner.Plan(q, request);
+    ASSERT_TRUE(plan.ok());
+    double small = -1.0, full = -1.0;
+    for (const PlanCandidate& c : plan.ValueOrDie().candidates) {
+      if (c.strategy == PhysicalStrategy::kSmallFragment) small = c.scalar;
+      if (c.strategy == PhysicalStrategy::kFullSort) full = c.scalar;
+    }
+    ASSERT_GE(small, 0.0);
+    EXPECT_LE(small, full);
     auto r_small = db_->Execute(PhysicalStrategy::kSmallFragment, q, 10);
     auto r_full = db_->Execute(PhysicalStrategy::kFullSort, q, 10);
     ASSERT_TRUE(r_small.ok() && r_full.ok());

@@ -1,10 +1,10 @@
 // Differential lifecycle fuzz harness (in the spirit of LSM-store
 // crash/differential testing): seeded random op sequences — AddDocument /
-// AddDocuments / DeleteDocument / UpdateDocument / Flush / Merge /
-// Attach / Detach / Search / SearchBatch — run against an MmDatabase,
-// periodically checked against a *fresh in-memory oracle* built from an
-// independently replayed shadow of the documented doc-id rules, across
-// every registered strategy:
+// AddDocuments / DeleteDocument / UpdateDocument / Flush / Merge / Search /
+// SearchBatch — run against an MmDatabase, after a static phase over
+// in-memory serving, periodically checked against a *fresh in-memory
+// oracle* built from an independently replayed shadow of the documented
+// doc-id rules, across every registered strategy:
 //
 //   - safe strategies must be bit-identical to the oracle under the
 //     replayed id mapping (scores EXPECT_EQ, not NEAR);
@@ -107,6 +107,7 @@ struct Shadow {
 /// Fresh single-index oracle over the shadow's survivors.
 struct Oracle {
   std::unique_ptr<InvertedFile> file;
+  std::unique_ptr<const InMemoryPostingSource> source;
   std::unique_ptr<ScoringModel> model;
   Fragmentation fragmentation;
   std::unique_ptr<SparseIndexCache> sparse_cache =
@@ -116,7 +117,7 @@ struct Oracle {
 
   ExecContext context() const {
     ExecContext ctx;
-    ctx.file = file.get();
+    ctx.postings = source.get();
     ctx.model = model.get();
     ctx.fragmentation = &fragmentation;
     ctx.sparse_cache = sparse_cache.get();
@@ -138,6 +139,8 @@ Oracle BuildOracle(const Shadow& shadow,
             .ok());
   }
   oracle.file = std::make_unique<InvertedFile>(builder.Build());
+  oracle.source =
+      std::make_unique<const InMemoryPostingSource>(oracle.file.get());
   oracle.model = MakeBm25(oracle.file.get());
   oracle.file->BuildImpactOrders([&](TermId t, const Posting& p) {
     return oracle.model->Weight(t, p);
@@ -316,36 +319,8 @@ void RunIteration(uint64_t seed, int iteration) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   MmDatabase& db = *opened.ValueOrDie();
 
-  // ---- Static phase: save + attach a segment, spot-check, detach. ----
-  const std::string segment_path = dir + ".moaseg";
-  std::filesystem::create_directories(::testing::TempDir());
-  ASSERT_TRUE(db.SaveSegment(segment_path).ok());
-  ASSERT_TRUE(db.AttachSegment(segment_path).ok());
-  {
-    // Oracle for the static phase: the generated collection itself.
-    Shadow initial;
-    const InvertedFile& f = db.file();
-    std::vector<DocTerms> docs(f.num_docs());
-    for (TermId t = 0; t < f.num_terms(); ++t) {
-      const PostingList& list = f.list(t);
-      for (size_t i = 0; i < list.size(); ++i) {
-        docs[list[i].doc].emplace_back(t, list[i].tf);
-      }
-    }
-    for (DocTerms& d : docs) initial.Add(std::move(d));
-    const Oracle oracle = BuildOracle(initial, config.fragmentation);
-    for (const Query& q : RandomQueries(rng, 3)) {
-      for (PhysicalStrategy s : AllStrategies()) {
-        CheckStrategy(db, oracle, s, q);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
-  }
-  db.DetachSegment();
-  std::remove(segment_path.c_str());
-  std::remove((segment_path + ".frg").c_str());
-
-  // ---- Dynamic phase: replayed random lifecycle. ----
+  // The shadow starts as the generated collection: the static phase's
+  // oracle, then the base the dynamic phase replays on.
   Shadow shadow;
   {
     const InvertedFile& f = db.file();
@@ -358,6 +333,20 @@ void RunIteration(uint64_t seed, int iteration) {
     }
     for (DocTerms& d : docs) shadow.Add(std::move(d));
   }
+
+  // ---- Static phase: in-memory serving, spot-checked. ----
+  {
+    const Oracle oracle = BuildOracle(shadow, config.fragmentation);
+    for (const Query& q : RandomQueries(rng, 3)) {
+      for (PhysicalStrategy s : AllStrategies()) {
+        CheckStrategy(db, oracle, s, q);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  ASSERT_FALSE(db.is_dynamic());
+
+  // ---- Dynamic phase: replayed random lifecycle. ----
 
   const int ops = 36;
   for (int op = 0; op < ops; ++op) {
@@ -373,10 +362,13 @@ void RunIteration(uint64_t seed, int iteration) {
       for (size_t i = 0; i < 1 + rng.Uniform(6); ++i) {
         batch.push_back(RandomDoc(rng));
       }
-      auto first = db.AddDocuments(batch);
-      ASSERT_TRUE(first.ok());
-      ASSERT_EQ(first.ValueOrDie(), shadow.slots.size());
-      for (DocTerms& d : batch) shadow.Add(std::move(d));
+      auto ids = db.AddDocuments(batch);
+      ASSERT_TRUE(ids.ok());
+      ASSERT_EQ(ids.ValueOrDie().size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_EQ(ids.ValueOrDie()[i], shadow.slots.size());
+        shadow.Add(std::move(batch[i]));
+      }
     } else if (pick < 46) {  // DeleteDocument
       const std::vector<DocId> live = shadow.LiveIds();
       if (!live.empty()) {
@@ -404,11 +396,6 @@ void RunIteration(uint64_t seed, int iteration) {
       auto merged = db.Merge();
       ASSERT_TRUE(merged.ok()) << merged.status().ToString();
       shadow.MergeAll();
-    } else if (pick < 80) {  // Attach/Detach are static-mode only now
-      if (db.is_dynamic()) {
-        EXPECT_EQ(db.AttachSegment(segment_path).code(),
-                  StatusCode::kFailedPrecondition);
-      }
     } else if (pick < 92) {  // Search check round
       if (!db.is_dynamic()) continue;
       const Oracle oracle = BuildOracle(shadow, config.fragmentation);
@@ -428,11 +415,12 @@ void RunIteration(uint64_t seed, int iteration) {
       const std::vector<Query> queries = RandomQueries(rng, 4);
       const PhysicalStrategy s =
           AllStrategies()[rng.Uniform(AllStrategies().size())];
-      SearchOptions opts;
-      opts.n = kTopN;
-      opts.safe_only = false;
-      opts.force = s;
-      auto batch = db.SearchBatch(queries, opts, 4);
+      std::vector<QueryRequest> requests;
+      for (const Query& q : queries) {
+        requests.push_back({q, kTopN, {}});
+        requests.back().options.strategy = s;
+      }
+      auto batch = db.SearchBatch(requests, 4);
       ASSERT_TRUE(batch.ok()) << StrategyName(s) << ": "
                               << batch.status().ToString();
       for (size_t i = 0; i < queries.size(); ++i) {
@@ -473,13 +461,13 @@ void RunIteration(uint64_t seed, int iteration) {
   }
 
   // Explain still names the storage composition.
-  SearchOptions opts;
-  opts.force = PhysicalStrategy::kQualitySwitchSparse;
-  opts.safe_only = false;
-  auto text = db.ExplainSearch(RandomQueries(rng, 1)[0], opts);
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text.ValueOrDie().find("storage: catalog"), std::string::npos);
-  EXPECT_NE(text.ValueOrDie().find("fragmentation:"), std::string::npos);
+  QueryRequest explain{RandomQueries(rng, 1)[0], kTopN, {}};
+  explain.options.strategy = PhysicalStrategy::kQualitySwitchSparse;
+  auto report = db.ExplainSearch(explain);
+  ASSERT_TRUE(report.ok());
+  const std::string text = report.ValueOrDie().ToString();
+  EXPECT_NE(text.find("storage: catalog"), std::string::npos);
+  EXPECT_NE(text.find("fragmentation:"), std::string::npos);
 
   std::filesystem::remove_all(dir);
 }
@@ -555,6 +543,8 @@ Oracle BuildShardedOracle(const ShardedShadow& shadow,
                     .ok());
   }
   oracle.file = std::make_unique<InvertedFile>(builder.Build());
+  oracle.source =
+      std::make_unique<const InMemoryPostingSource>(oracle.file.get());
   oracle.model = MakeBm25(oracle.file.get());
   oracle.file->BuildImpactOrders([&](TermId t, const Posting& p) {
     return oracle.model->Weight(t, p);

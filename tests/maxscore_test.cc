@@ -12,6 +12,7 @@ namespace {
 
 using testutil::SmallCollectionWithImpacts;
 using testutil::SmallModel;
+using testutil::SmallSource;
 using testutil::SmallQueries;
 
 class MaxScoreTest : public ::testing::TestWithParam<size_t> {};
@@ -22,7 +23,7 @@ TEST_P(MaxScoreTest, ContinueModeReturnsExactTopSet) {
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, n);
     auto scores = AccumulateScores(f, SmallModel(), q);
-    auto r = MaxScoreTopN(f, SmallModel(), q, n);
+    auto r = MaxScoreTopN(SmallSource(), SmallModel(), q, n);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const auto& got = r.ValueOrDie().items;
     ASSERT_EQ(got.size(), exact.size());
@@ -38,13 +39,12 @@ TEST_P(MaxScoreTest, ContinueModeReturnsExactTopSet) {
 INSTANTIATE_TEST_SUITE_P(Ns, MaxScoreTest, ::testing::Values(1, 5, 10, 50));
 
 TEST(MaxScoreTest, ContinueCreatesFewerAccumulatorsThanHeap) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   int64_t pruned_cand = 0, full_cand = 0;
   for (const Query& q : SmallQueries()) {
-    auto r = MaxScoreTopN(f, SmallModel(), q, 5);
+    auto r = MaxScoreTopN(SmallSource(), SmallModel(), q, 5);
     ASSERT_TRUE(r.ok());
     pruned_cand += r.ValueOrDie().stats.candidates;
-    full_cand += HeapTopN(f, SmallModel(), q, 5).stats.candidates;
+    full_cand += HeapTopN(SmallSource(), SmallModel(), q, 5).stats.candidates;
   }
   EXPECT_LT(pruned_cand, full_cand);
 }
@@ -54,7 +54,7 @@ TEST(MaxScoreTest, ContinueScoresFewerPostingsThanExhaustive) {
   for (const Query& q : SmallQueries()) {
     int64_t volume = 0;
     for (TermId t : q.terms) volume += f.DocFrequency(t);
-    auto r = MaxScoreTopN(f, SmallModel(), q, 5);
+    auto r = MaxScoreTopN(SmallSource(), SmallModel(), q, 5);
     ASSERT_TRUE(r.ok());
     // Once pruning engages, remaining terms are probed per accumulator
     // (random reads) instead of scanned, so sequential reads can only
@@ -72,8 +72,8 @@ TEST(MaxScoreTest, QuitModeCheaperButLossy) {
   double quit_work = 0.0, cont_work = 0.0, overlap_sum = 0.0;
   int quit_count = 0;
   for (const Query& q : SmallQueries()) {
-    auto rq = MaxScoreTopN(f, SmallModel(), q, 10, quit);
-    auto rc = MaxScoreTopN(f, SmallModel(), q, 10);
+    auto rq = MaxScoreTopN(SmallSource(), SmallModel(), q, 10, quit);
+    auto rc = MaxScoreTopN(SmallSource(), SmallModel(), q, 10);
     ASSERT_TRUE(rq.ok() && rc.ok());
     quit_work += rq.ValueOrDie().stats.cost.Scalar();
     cont_work += rc.ValueOrDie().stats.cost.Scalar();
@@ -89,11 +89,10 @@ TEST(MaxScoreTest, QuitModeCheaperButLossy) {
 }
 
 TEST(MaxScoreTest, AccumulatorBudgetBounds) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   MaxScoreOptions opts;
   opts.accumulator_budget = 64;
   for (const Query& q : SmallQueries()) {
-    auto r = MaxScoreTopN(f, SmallModel(), q, 10, opts);
+    auto r = MaxScoreTopN(SmallSource(), SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok());
     EXPECT_LE(r.ValueOrDie().stats.candidates, 64 + 0);
   }
@@ -109,7 +108,7 @@ TEST(MaxScoreTest, BudgetSweepTradesQualityForMemory) {
     for (const Query& q : SmallQueries()) {
       auto exact = ExactTopN(f, SmallModel(), q, 10);
       auto scores = AccumulateScores(f, SmallModel(), q);
-      auto r = MaxScoreTopN(f, SmallModel(), q, 10, opts);
+      auto r = MaxScoreTopN(SmallSource(), SmallModel(), q, 10, opts);
       ASSERT_TRUE(r.ok());
       quality +=
           EvaluateQuality(r.ValueOrDie().items, exact, scores).score_ratio;
@@ -134,13 +133,13 @@ TEST(MaxScoreTest, RequiresImpactOrders) {
       break;
     }
   }
-  auto r = MaxScoreTopN(coll.inverted_file(), *model, q, 5);
+  auto r = MaxScoreTopN(InMemoryPostingSource(&coll.inverted_file()), *model,
+                        q, 5);
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(MaxScoreTest, EmptyQueryYieldsEmpty) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
-  auto r = MaxScoreTopN(f, SmallModel(), Query{}, 10);
+  auto r = MaxScoreTopN(SmallSource(), SmallModel(), Query{}, 10);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.ValueOrDie().items.empty());
 }

@@ -10,6 +10,7 @@ namespace {
 
 using testutil::SmallCollectionWithImpacts;
 using testutil::SmallModel;
+using testutil::SmallSource;
 using testutil::SmallQueries;
 
 TEST(InverseNormalCdfTest, KnownQuantiles) {
@@ -37,7 +38,7 @@ TEST_P(ProbabilisticTest, ExactAtAnyConfidence) {
   opts.confidence = GetParam();
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, 10);
-    auto r = ProbabilisticTopN(f, SmallModel(), q, 10, opts);
+    auto r = ProbabilisticTopN(SmallSource(), SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const auto& got = r.ValueOrDie().items;
     ASSERT_EQ(got.size(), exact.size());
@@ -51,13 +52,12 @@ INSTANTIATE_TEST_SUITE_P(Confidences, ProbabilisticTest,
                          ::testing::Values(0.5, 0.8, 0.95, 0.99));
 
 TEST(ProbabilisticTest, HighConfidenceRestartsLessThanLow) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   auto restarts_at = [&](double confidence) {
     ProbabilisticOptions opts;
     opts.confidence = confidence;
     int restarts = 0;
     for (const Query& q : SmallQueries()) {
-      auto r = ProbabilisticTopN(f, SmallModel(), q, 20, opts);
+      auto r = ProbabilisticTopN(SmallSource(), SmallModel(), q, 20, opts);
       EXPECT_TRUE(r.ok());
       restarts += r.ValueOrDie().stats.restarts;
     }
@@ -67,22 +67,20 @@ TEST(ProbabilisticTest, HighConfidenceRestartsLessThanLow) {
 }
 
 TEST(ProbabilisticTest, RejectsInvalidConfidence) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   ProbabilisticOptions opts;
   opts.confidence = 1.5;
   EXPECT_FALSE(
-      ProbabilisticTopN(f, SmallModel(), SmallQueries()[0], 5, opts).ok());
+      ProbabilisticTopN(SmallSource(), SmallModel(), SmallQueries()[0], 5, opts).ok());
   opts.confidence = 0.0;
   EXPECT_FALSE(
-      ProbabilisticTopN(f, SmallModel(), SmallQueries()[0], 5, opts).ok());
+      ProbabilisticTopN(SmallSource(), SmallModel(), SmallQueries()[0], 5, opts).ok());
 }
 
 TEST(ProbabilisticTest, StopsEarlyOnMostQueries) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   ProbabilisticOptions opts;
   int early = 0;
   for (const Query& q : SmallQueries()) {
-    auto r = ProbabilisticTopN(f, SmallModel(), q, 10, opts);
+    auto r = ProbabilisticTopN(SmallSource(), SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok());
     early += r.ValueOrDie().stats.stopped_early ? 1 : 0;
   }

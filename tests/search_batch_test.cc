@@ -5,6 +5,7 @@
 // the shared SparseIndexCache and the ThreadPool.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,19 @@ class SearchBatchTest : public ::testing::Test {
 MmDatabase* SearchBatchTest::db_ = nullptr;
 std::vector<Query>* SearchBatchTest::queries_ = nullptr;
 
+/// One top-`n` request per query, forcing `strategy` when set (planner
+/// choice otherwise).
+std::vector<QueryRequest> Requests(
+    const std::vector<Query>& queries, size_t n,
+    std::optional<PhysicalStrategy> strategy = std::nullopt) {
+  std::vector<QueryRequest> requests;
+  for (const Query& q : queries) {
+    requests.push_back({q, n, {}});
+    requests.back().options.strategy = strategy;
+  }
+  return requests;
+}
+
 void ExpectIdenticalTopN(const TopNResult& a, const TopNResult& b,
                          const char* label) {
   ASSERT_EQ(a.items.size(), b.items.size()) << label;
@@ -59,19 +73,16 @@ void ExpectIdenticalTopN(const TopNResult& a, const TopNResult& b,
 
 TEST_F(SearchBatchTest, ParallelMatchesSequentialForEveryStrategy) {
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
+    const std::vector<QueryRequest> requests = Requests(*queries_, 10, s);
 
     std::vector<SearchResult> sequential;
-    for (const Query& q : *queries_) {
-      auto r = db_->Search(q, opts);
+    for (const QueryRequest& request : requests) {
+      auto r = db_->Search(request);
       ASSERT_TRUE(r.ok()) << StrategyName(s) << ": " << r.status().ToString();
       sequential.push_back(std::move(r).ValueOrDie());
     }
 
-    auto batch = db_->SearchBatch(*queries_, opts, 4);
+    auto batch = db_->SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << StrategyName(s) << ": "
                             << batch.status().ToString();
     const BatchSearchResult& b = batch.ValueOrDie();
@@ -85,12 +96,11 @@ TEST_F(SearchBatchTest, ParallelMatchesSequentialForEveryStrategy) {
 }
 
 TEST_F(SearchBatchTest, PlannerChosenBatchMatchesSequential) {
-  SearchOptions opts;
-  opts.n = 10;
-  auto batch = db_->SearchBatch(*queries_, opts, 4);
+  const std::vector<QueryRequest> requests = Requests(*queries_, 10);
+  auto batch = db_->SearchBatch(requests, 4);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   for (size_t i = 0; i < queries_->size(); ++i) {
-    auto seq = db_->Search((*queries_)[i], opts);
+    auto seq = db_->Search(requests[i]);
     ASSERT_TRUE(seq.ok());
     EXPECT_EQ(batch.ValueOrDie().results[i].strategy,
               seq.ValueOrDie().strategy);
@@ -100,9 +110,7 @@ TEST_F(SearchBatchTest, PlannerChosenBatchMatchesSequential) {
 }
 
 TEST_F(SearchBatchTest, StatsAreCoherent) {
-  SearchOptions opts;
-  opts.n = 10;
-  auto batch = db_->SearchBatch(*queries_, opts, 2);
+  auto batch = db_->SearchBatch(Requests(*queries_, 10), 2);
   ASSERT_TRUE(batch.ok());
   const BatchStats& stats = batch.ValueOrDie().stats;
   EXPECT_EQ(stats.num_queries, queries_->size());
@@ -117,16 +125,13 @@ TEST_F(SearchBatchTest, StatsAreCoherent) {
 
 TEST_F(SearchBatchTest, ParallelismIsClampedToBatchSize) {
   std::vector<Query> two(queries_->begin(), queries_->begin() + 2);
-  SearchOptions opts;
-  opts.n = 5;
-  auto batch = db_->SearchBatch(two, opts, 16);
+  auto batch = db_->SearchBatch(Requests(two, 5), 16);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch.ValueOrDie().stats.parallelism, 2u);
 }
 
 TEST_F(SearchBatchTest, EmptyBatchIsOkAndEmpty) {
-  SearchOptions opts;
-  auto batch = db_->SearchBatch({}, opts, 4);
+  auto batch = db_->SearchBatch({}, 4);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch.ValueOrDie().results.empty());
   EXPECT_EQ(batch.ValueOrDie().stats.num_queries, 0u);
@@ -138,16 +143,14 @@ TEST_F(SearchBatchTest, ConcurrentSparseProbeSharesOneCache) {
   // database isolates the cache-fill from earlier tests.
   auto db = MmDatabase::Open(TestConfig());
   ASSERT_TRUE(db.ok());
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = PhysicalStrategy::kQualitySwitchSparse;
+  const std::vector<QueryRequest> requests =
+      Requests(*queries_, 10, PhysicalStrategy::kQualitySwitchSparse);
 
-  auto batch = db.ValueOrDie()->SearchBatch(*queries_, opts, 8);
+  auto batch = db.ValueOrDie()->SearchBatch(requests, 8);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
   // Re-running over the now-warm cache must not change anything.
-  auto warm = db.ValueOrDie()->SearchBatch(*queries_, opts, 8);
+  auto warm = db.ValueOrDie()->SearchBatch(requests, 8);
   ASSERT_TRUE(warm.ok());
   for (size_t i = 0; i < queries_->size(); ++i) {
     ExpectIdenticalTopN(batch.ValueOrDie().results[i].top,
@@ -159,20 +162,18 @@ TEST_F(SearchBatchTest, ConcurrentMixedStrategiesOverOneDatabase) {
   // Two batches with different forced strategies genuinely overlapping
   // over the same database instance (each from its own thread, each with
   // its own pool) — exercises the full read-only sharing contract.
-  SearchOptions sparse, maxscore;
-  sparse.n = 10;
-  sparse.safe_only = false;
-  sparse.force = PhysicalStrategy::kQualitySwitchSparse;
-  maxscore.n = 10;
-  maxscore.force = PhysicalStrategy::kMaxScore;
+  const std::vector<QueryRequest> sparse =
+      Requests(*queries_, 10, PhysicalStrategy::kQualitySwitchSparse);
+  const std::vector<QueryRequest> maxscore =
+      Requests(*queries_, 10, PhysicalStrategy::kMaxScore);
 
   Status status_a = Status::OK(), status_b = Status::OK();
   std::thread ta([&] {
-    auto r = db_->SearchBatch(*queries_, sparse, 4);
+    auto r = db_->SearchBatch(sparse, 4);
     status_a = r.status();
   });
   std::thread tb([&] {
-    auto r = db_->SearchBatch(*queries_, maxscore, 4);
+    auto r = db_->SearchBatch(maxscore, 4);
     status_b = r.status();
   });
   ta.join();

@@ -1,18 +1,19 @@
-// Acceptance test for the compressed segment storage: retrieval over the
-// mmap-backed MOAIF02 index must be *bit-identical* to retrieval over the
-// in-memory index, for every registered strategy, sequentially and under
-// SearchBatch concurrency (the cursor path shares the SparseIndexCache
-// with the in-memory path, so this doubles as a TSan target).
+// Acceptance test for the compressed segment storage: retrieval over a
+// catalog served from one memory-mapped, bit-packed segment must be
+// *bit-identical* to retrieval over the in-memory index, for every
+// registered strategy, sequentially and under SearchBatch concurrency
+// (4 workers decoding blocks out of one shared mapping, so this doubles
+// as a TSan target).
 //
-// Two databases opened from the same config hold identical collections;
-// one of them executes over a segment written by the other. A third check
-// round-trips the file *through* the segment (ToInvertedFile) and runs
-// every strategy over the decoded copy via the registry directly.
+// Two databases opened from the same config hold identical collections.
+// One serves it statically from memory; the other flushes it into its
+// catalog and merges it into a single segment, with a fragment directory,
+// under the same doc ids. A third check round-trips the file *through*
+// that segment (ToInvertedFile) and runs every strategy over the decoded
+// copy via the registry directly.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -41,15 +42,18 @@ class SegmentParityTest : public ::testing::Test {
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
     in_memory_ = std::move(in_memory).ValueOrDie().release();
 
-    segment_path_ =
-        new std::string(std::string(::testing::TempDir()) + "/parity.moaseg");
-    ASSERT_TRUE(in_memory_->SaveSegment(*segment_path_).ok());
-
-    auto mapped = MmDatabase::Open(TestConfig());
+    DatabaseConfig config = TestConfig();
+    config.catalog_dir =
+        std::string(::testing::TempDir()) + "/segment_parity_catalog";
+    std::filesystem::remove_all(config.catalog_dir);
+    auto mapped = MmDatabase::Open(config);
     ASSERT_TRUE(mapped.ok());
     mapped_ = std::move(mapped).ValueOrDie().release();
-    Status attached = mapped_->AttachSegment(*segment_path_);
-    ASSERT_TRUE(attached.ok()) << attached.ToString();
+    // The first mutation seeds the catalog with the collection under the
+    // same ids; flush and merge leave one segment and no memtable.
+    ASSERT_TRUE(mapped_->Flush().ok());
+    auto merged = mapped_->Merge();
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
 
     QueryWorkloadConfig qconfig;
     qconfig.num_queries = 24;
@@ -60,16 +64,19 @@ class SegmentParityTest : public ::testing::Test {
         GenerateQueries(in_memory_->collection(), qconfig).ValueOrDie());
   }
 
+  /// The single segment the catalog serves.
+  static std::shared_ptr<const CatalogSegment> Segment() {
+    return mapped_->catalog()->Snapshot()->segments().front();
+  }
+
   static MmDatabase* in_memory_;
   static MmDatabase* mapped_;
   static std::vector<Query>* queries_;
-  static std::string* segment_path_;
 };
 
 MmDatabase* SegmentParityTest::in_memory_ = nullptr;
 MmDatabase* SegmentParityTest::mapped_ = nullptr;
 std::vector<Query>* SegmentParityTest::queries_ = nullptr;
-std::string* SegmentParityTest::segment_path_ = nullptr;
 
 void ExpectIdenticalTopN(const TopNResult& a, const TopNResult& b,
                          const char* label) {
@@ -82,27 +89,40 @@ void ExpectIdenticalTopN(const TopNResult& a, const TopNResult& b,
   }
 }
 
-TEST_F(SegmentParityTest, SegmentIsAttached) {
-  ASSERT_TRUE(mapped_->has_segment());
-  EXPECT_TRUE(mapped_->segment()->has_impacts());
-  EXPECT_TRUE(mapped_->segment()->CheckIntegrity().ok());
+/// One top-10 request per query, all forcing `strategy`.
+std::vector<QueryRequest> Forced(const std::vector<Query>& queries,
+                                 PhysicalStrategy strategy) {
+  std::vector<QueryRequest> requests;
+  for (const Query& q : queries) {
+    requests.push_back({q, 10, {}});
+    requests.back().options.strategy = strategy;
+  }
+  return requests;
+}
+
+TEST_F(SegmentParityTest, CatalogServesOneMergedSegment) {
+  ASSERT_NE(mapped_->catalog(), nullptr);
+  const auto state = mapped_->catalog()->Snapshot();
+  ASSERT_EQ(state->segments().size(), 1u);
+  EXPECT_EQ(state->memtable().num_docs(), 0u);
+  EXPECT_EQ(state->doc_space(), in_memory_->file().num_docs());
+  const SegmentReader& reader = *state->segments().front()->reader;
+  EXPECT_EQ(reader.codec(), SegmentCodec::kBitPacked);
+  EXPECT_TRUE(reader.has_impacts());
+  EXPECT_TRUE(reader.CheckIntegrity().ok());
   // The strategy sweep below must exercise the *lazy* impact-order path:
-  // SaveSegment writes the MOAFRG01 sidecar, so the Fagin/champion
+  // catalog segments carry the MOAFRG01 sidecar, so the Fagin/champion
   // accesses run over the fragment directory, not the single-fragment
   // fallback.
-  EXPECT_TRUE(mapped_->segment()->has_fragment_directory());
-  EXPECT_FALSE(in_memory_->has_segment());
+  EXPECT_TRUE(reader.has_fragment_directory());
+  EXPECT_FALSE(in_memory_->is_dynamic());
 }
 
 TEST_F(SegmentParityTest, EveryStrategyMatchesBitForBitOverMmap) {
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
-    for (const Query& q : *queries_) {
-      auto expected = in_memory_->Search(q, opts);
-      auto actual = mapped_->Search(q, opts);
+    for (const QueryRequest& request : Forced(*queries_, s)) {
+      auto expected = in_memory_->Search(request);
+      auto actual = mapped_->Search(request);
       ASSERT_TRUE(expected.ok()) << StrategyName(s);
       ASSERT_TRUE(actual.ok()) << StrategyName(s) << ": "
                                << actual.status().ToString();
@@ -117,18 +137,14 @@ TEST_F(SegmentParityTest, SearchBatchOverMmapMatchesSequentialInMemory) {
   // search_batch_test's contract, now with the batch side reading
   // compressed blocks out of the mapping from 4 worker threads.
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
-
+    const std::vector<QueryRequest> requests = Forced(*queries_, s);
     std::vector<SearchResult> sequential;
-    for (const Query& q : *queries_) {
-      auto r = in_memory_->Search(q, opts);
+    for (const QueryRequest& request : requests) {
+      auto r = in_memory_->Search(request);
       ASSERT_TRUE(r.ok()) << StrategyName(s);
       sequential.push_back(std::move(r).ValueOrDie());
     }
-    auto batch = mapped_->SearchBatch(*queries_, opts, 4);
+    auto batch = mapped_->SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << StrategyName(s) << ": "
                             << batch.status().ToString();
     ASSERT_EQ(batch.ValueOrDie().results.size(), queries_->size());
@@ -146,16 +162,13 @@ TEST_F(SegmentParityTest, PlannerChosenSearchMatchesOverMmap) {
   // point of the planner). The parity contract: whatever safe strategy
   // the planner picks over the mapping must be bit-identical to the same
   // strategy over the in-memory file.
-  SearchOptions opts;
-  opts.n = 10;
   for (const Query& q : *queries_) {
-    auto actual = mapped_->Search(q, opts);
+    auto actual = mapped_->Search(QueryRequest{q, 10, {}});
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     EXPECT_TRUE(actual.ValueOrDie().planned);
     EXPECT_TRUE(IsSafeStrategy(actual.ValueOrDie().strategy))
         << StrategyName(actual.ValueOrDie().strategy);
-    auto expected =
-        in_memory_->Execute(actual.ValueOrDie().strategy, q, opts.n);
+    auto expected = in_memory_->Execute(actual.ValueOrDie().strategy, q, 10);
     ASSERT_TRUE(expected.ok());
     ExpectIdenticalTopN(expected.ValueOrDie(), actual.ValueOrDie().top,
                         "planner");
@@ -167,20 +180,19 @@ TEST_F(SegmentParityTest, DecodedSegmentDrivesEveryStrategyViaRegistry) {
   // back into an InvertedFile, rebuild model + impacts + fragmentation on
   // the decoded copy, and run every strategy through the registry. The
   // decoded index must be indistinguishable from the original.
-  auto reader = SegmentReader::Open(*segment_path_);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  auto decoded = reader.ValueOrDie()->ToInvertedFile();
+  auto decoded = Segment()->reader->ToInvertedFile();
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   InvertedFile file = std::move(decoded).ValueOrDie();
   auto model = MakeBm25(&file);
   file.BuildImpactOrders(
       [&](TermId t, const Posting& p) { return model->Weight(t, p); });
+  const InMemoryPostingSource source(&file);
   Fragmentation fragmentation =
       Fragmentation::Build(file, TestConfig().fragmentation);
   SparseIndexCache cache;
 
   ExecContext context;
-  context.file = &file;
+  context.postings = &source;
   context.model = model.get();
   context.fragmentation = &fragmentation;
   context.sparse_cache = &cache;
@@ -197,63 +209,6 @@ TEST_F(SegmentParityTest, DecodedSegmentDrivesEveryStrategyViaRegistry) {
                           StrategyName(s));
     }
   }
-}
-
-TEST_F(SegmentParityTest, AttachRejectsMismatchedSegment) {
-  DatabaseConfig other = TestConfig();
-  other.collection.num_docs = 500;
-  auto db = MmDatabase::Open(other);
-  ASSERT_TRUE(db.ok());
-  EXPECT_FALSE(db.ValueOrDie()->AttachSegment(*segment_path_).ok());
-  EXPECT_FALSE(db.ValueOrDie()->has_segment());
-}
-
-TEST_F(SegmentParityTest, AttachRejectsPayloadBitRot) {
-  // One flipped payload byte is invisible to the structural validation in
-  // SegmentReader::Open; without the attach-time integrity pass it would
-  // silently truncate a posting list and serve wrong top-N results.
-  const std::string path =
-      std::string(::testing::TempDir()) + "/rot.moaseg";
-  std::filesystem::copy_file(
-      *segment_path_, path,
-      std::filesystem::copy_options::overwrite_existing);
-  SegmentHeader header{};
-  std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
-  fs.read(reinterpret_cast<char*>(&header), sizeof(header));
-  const SegmentLayout layout(header);
-  fs.seekg(static_cast<std::streamoff>(layout.payload + 3));
-  char byte = 0;
-  fs.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x01);
-  fs.seekp(static_cast<std::streamoff>(layout.payload + 3));
-  fs.write(&byte, 1);
-  fs.close();
-
-  auto db = MmDatabase::Open(TestConfig());
-  ASSERT_TRUE(db.ok());
-  Status attached = db.ValueOrDie()->AttachSegment(path);
-  EXPECT_EQ(attached.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(db.ValueOrDie()->has_segment());
-
-  // Skipping the payload scan is an explicit, documented opt-out for
-  // trusted segments — the corrupt file then attaches structurally.
-  AttachSegmentOptions skip;
-  skip.verify_payload = false;
-  EXPECT_TRUE(db.ValueOrDie()->AttachSegment(path, skip).ok());
-  std::remove(path.c_str());
-}
-
-TEST_F(SegmentParityTest, AttachRejectsDifferentScoringModel) {
-  // Same collection, different scoring model: the segment's stored
-  // max_impact bounds were computed under BM25 and would be unsafe for
-  // max-score pruning under the language model — attach must refuse.
-  DatabaseConfig other = TestConfig();
-  other.scoring = ScoringModelKind::kLanguageModel;
-  auto db = MmDatabase::Open(other);
-  ASSERT_TRUE(db.ok());
-  Status attached = db.ValueOrDie()->AttachSegment(*segment_path_);
-  EXPECT_EQ(attached.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(db.ValueOrDie()->has_segment());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -428,11 +429,12 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
 
     // SearchBatch fans out over the same coordinator (nested parallelism
     // degrades gracefully); forced runs must equal sequential Execute.
-    SearchOptions opts;
-    opts.n = kTopN;
-    opts.safe_only = false;
-    opts.force = PhysicalStrategy::kMaxScore;
-    auto batch = db.SearchBatch(queries, opts, 4);
+    std::vector<QueryRequest> requests;
+    for (const Query& q : queries) {
+      requests.push_back({q, kTopN, {}});
+      requests.back().options.strategy = PhysicalStrategy::kMaxScore;
+    }
+    auto batch = db.SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_EQ(batch.ValueOrDie().results.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -445,14 +447,11 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
     }
 
     // Explain names the sharded storage and the shard visit/skip split.
-    SearchOptions explain_opts;
-    explain_opts.n = kTopN;
-    auto text = db.ExplainSearch(queries[0], explain_opts);
-    ASSERT_TRUE(text.ok()) << text.status().ToString();
-    EXPECT_NE(text.ValueOrDie().find("storage: sharded("), std::string::npos)
-        << text.ValueOrDie();
-    EXPECT_NE(text.ValueOrDie().find("shards: visited"), std::string::npos)
-        << text.ValueOrDie();
+    auto report = db.ExplainSearch(QueryRequest{queries[0], kTopN, {}});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::string text = report.ValueOrDie().ToString();
+    EXPECT_NE(text.find("storage: sharded("), std::string::npos) << text;
+    EXPECT_NE(text.find("shards: visited"), std::string::npos) << text;
   }
 }
 
@@ -480,6 +479,71 @@ TEST(ShardedCatalogTest, EngineReopensShardedCatalogFromDisk) {
   const auto snap = reopened.ValueOrDie()->sharded_catalog()->Snapshot();
   EXPECT_EQ(snap->stats().num_live_docs, live_before + 1);
   EXPECT_TRUE(snap->IsDeleted(9));
+}
+
+TEST(ShardedCatalogTest, EngineRejectsMalformedQueryOptions) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/sharded_engine_malformed";
+  std::filesystem::remove_all(dir);
+  auto opened = MmDatabase::Open(ShardedConfig(dir, 2));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MmDatabase& db = *opened.ValueOrDie();
+  ASSERT_TRUE(db.DeleteDocument(0).ok());  // turn sharded-dynamic
+  ASSERT_NE(db.sharded_catalog(), nullptr);
+
+  const Query q{{1, 2, 3}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<QueryOptions> bad(5);
+  bad[0].quality_target = nan;
+  bad[1].quality_target = -0.25;
+  bad[2].quality_target = 1.5;
+  bad[3].deadline_millis = nan;
+  bad[4].deadline_millis = -1.0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const QueryRequest request{q, kTopN, bad[i]};
+    EXPECT_EQ(db.Search(request).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.SearchBatch({request, request}, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.ExplainSearch(request).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The bounds themselves are well-formed.
+  QueryRequest edge{q, kTopN, {}};
+  edge.options.quality_target = 0.0;
+  EXPECT_TRUE(db.Search(edge).ok());
+}
+
+// Least-loaded routing makes a batch's ids non-consecutive, so the engine
+// must return every one: after a flush and merge compact shard 1 below
+// shard 0, a 3-document batch lands on shard 1 twice and then on shard 0,
+// so its ids are 117, 119 and 120 — and 118, the id a caller could infer
+// from the first one for the second document, names a live seed document.
+TEST(ShardedCatalogTest, EngineAddDocumentsReturnsEveryIdInInputOrder) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/sharded_engine_add_ids";
+  std::filesystem::remove_all(dir);
+  auto opened = MmDatabase::Open(ShardedConfig(dir, 2));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MmDatabase& db = *opened.ValueOrDie();
+  ASSERT_TRUE(db.DeleteDocument(1).ok());  // both on shard 1
+  ASSERT_TRUE(db.DeleteDocument(3).ok());
+  ASSERT_TRUE(db.Flush().ok());
+  ASSERT_TRUE(db.Merge().ok());
+
+  Rng rng(45);
+  const std::vector<DocTerms> docs = {SynthDoc(rng), SynthDoc(rng),
+                                      SynthDoc(rng)};
+  auto ids = db.AddDocuments(docs);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_EQ(ids.ValueOrDie(), (std::vector<DocId>{117, 119, 120}));
+  const auto snap = db.sharded_catalog()->Snapshot();
+  for (size_t i = 0; i < docs.size(); ++i) {
+    EXPECT_EQ(snap->TermsOf(ids.ValueOrDie()[i]), docs[i]) << "doc " << i;
+  }
+  EXPECT_FALSE(snap->IsDeleted(118));
+  EXPECT_NE(snap->TermsOf(118), docs[1]);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@ namespace {
 
 using testutil::SmallCollectionWithImpacts;
 using testutil::SmallModel;
+using testutil::SmallSource;
 using testutil::SmallQueries;
 
 void ExpectExact(const std::vector<ScoredDoc>& got,
@@ -36,7 +37,7 @@ TEST_P(StopAfterTest, AlwaysExactRegardlessOfEstimates) {
   opts.estimate_bias = GetParam().bias;
   for (const Query& q : SmallQueries()) {
     auto exact = ExactTopN(f, SmallModel(), q, 10);
-    auto r = StopAfterTopN(f, SmallModel(), q, 10, opts);
+    auto r = StopAfterTopN(SmallSource(), SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ExpectExact(r.ValueOrDie().items, exact);
   }
@@ -51,35 +52,32 @@ INSTANTIATE_TEST_SUITE_P(
                       StopAfterCase{StopAfterPolicy::kAggressive, 10.0}));
 
 TEST(StopAfterTest, ConservativeNeverRestarts) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   StopAfterOptions opts;
   opts.policy = StopAfterPolicy::kConservative;
-  auto r = StopAfterTopN(f, SmallModel(), SmallQueries()[0], 10, opts);
+  auto r = StopAfterTopN(SmallSource(), SmallModel(), SmallQueries()[0], 10, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().stats.restarts, 0);
 }
 
 TEST(StopAfterTest, AggressiveMaterializesFewerBytes) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   StopAfterOptions cons, aggr;
   cons.policy = StopAfterPolicy::kConservative;
   aggr.policy = StopAfterPolicy::kAggressive;
   const Query& q = SmallQueries()[0];
-  auto rc = StopAfterTopN(f, SmallModel(), q, 10, cons);
-  auto ra = StopAfterTopN(f, SmallModel(), q, 10, aggr);
+  auto rc = StopAfterTopN(SmallSource(), SmallModel(), q, 10, cons);
+  auto ra = StopAfterTopN(SmallSource(), SmallModel(), q, 10, aggr);
   ASSERT_TRUE(rc.ok() && ra.ok());
   EXPECT_LT(ra.ValueOrDie().stats.cost.bytes_touched,
             rc.ValueOrDie().stats.cost.bytes_touched);
 }
 
 TEST(StopAfterTest, OverconfidentCutoffProvokesRestarts) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   StopAfterOptions opts;
   opts.policy = StopAfterPolicy::kAggressive;
   opts.estimate_bias = 50.0;  // absurdly high cutoff: first pass underflows
   int total_restarts = 0;
   for (const Query& q : SmallQueries()) {
-    auto r = StopAfterTopN(f, SmallModel(), q, 10, opts);
+    auto r = StopAfterTopN(SmallSource(), SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok());
     total_restarts += r.ValueOrDie().stats.restarts;
   }
@@ -87,12 +85,11 @@ TEST(StopAfterTest, OverconfidentCutoffProvokesRestarts) {
 }
 
 TEST(StopAfterTest, HonestCutoffRarelyRestarts) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   StopAfterOptions opts;
   opts.policy = StopAfterPolicy::kAggressive;
   int total_restarts = 0;
   for (const Query& q : SmallQueries()) {
-    auto r = StopAfterTopN(f, SmallModel(), q, 10, opts);
+    auto r = StopAfterTopN(SmallSource(), SmallModel(), q, 10, opts);
     ASSERT_TRUE(r.ok());
     total_restarts += r.ValueOrDie().stats.restarts;
   }
@@ -100,10 +97,9 @@ TEST(StopAfterTest, HonestCutoffRarelyRestarts) {
 }
 
 TEST(StopAfterTest, RejectsNonPositiveSafety) {
-  const InvertedFile& f = SmallCollectionWithImpacts().inverted_file();
   StopAfterOptions opts;
   opts.safety = 0.0;
-  auto r = StopAfterTopN(f, SmallModel(), SmallQueries()[0], 10, opts);
+  auto r = StopAfterTopN(SmallSource(), SmallModel(), SmallQueries()[0], 10, opts);
   EXPECT_FALSE(r.ok());
 }
 
@@ -113,7 +109,7 @@ TEST(StopAfterTest, NLargerThanCandidates) {
   opts.policy = StopAfterPolicy::kAggressive;
   const Query& q = SmallQueries()[0];
   auto exact = ExactRanking(f, SmallModel(), q);
-  auto r = StopAfterTopN(f, SmallModel(), q, exact.size() + 100, opts);
+  auto r = StopAfterTopN(SmallSource(), SmallModel(), q, exact.size() + 100, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().items.size(), exact.size());
 }

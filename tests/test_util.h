@@ -10,6 +10,7 @@
 #include "ir/query_gen.h"
 #include "ir/scoring.h"
 #include "storage/fragmentation.h"
+#include "storage/segment/posting_cursor.h"
 
 namespace moa {
 namespace testutil {
@@ -42,6 +43,14 @@ inline const Collection& SmallCollectionWithImpacts() {
     return owned;
   }();
   return *coll;
+}
+
+/// SmallCollectionWithImpacts() as the cursor source the top-N operators
+/// read.
+inline const InMemoryPostingSource& SmallSource() {
+  static const InMemoryPostingSource source(
+      &SmallCollectionWithImpacts().inverted_file());
+  return source;
 }
 
 /// BM25 model bound to SmallCollectionWithImpacts().
