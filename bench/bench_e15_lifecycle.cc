@@ -16,9 +16,8 @@
 //     blocking the ingest thread (arg 0, foreground) or running as
 //     background jobs on the shared pool (arg 1, BackgroundMaintenance).
 //     The background/foreground items-per-second ratio is the headline
-//     number BENCH_lifecycle.json tracks; on a single-core runner the
-//     flush cannot overlap ingest and the ratio honestly collapses
-//     toward 1.0 (see the hardware note in the snapshot).
+//     number; on a single-core runner the flush cannot overlap ingest
+//     and the ratio honestly collapses toward 1.0.
 //
 // MOA_BENCH_TINY=1 shrinks the corpus so the CI smoke job finishes in
 // seconds.

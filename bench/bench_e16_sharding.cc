@@ -27,9 +27,8 @@
 // Hardware caveat: on a single-CPU container the shard waves serialize,
 // so wall qps *declines* slightly with shard count (per-shard heap-fill
 // overhead) while the span ratio measures the intra-query parallel
-// speedup the sharding buys once cores exist. The distilled
-// BENCH_shard.json records wall, total-work and span ratios side by
-// side for that reason.
+// speedup the sharding buys once cores exist. Read wall, total-work and
+// span ratios side by side for that reason.
 //
 // MOA_BENCH_TINY=1 shrinks the corpus so the CI smoke job finishes in
 // seconds.

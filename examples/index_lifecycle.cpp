@@ -8,7 +8,8 @@
 // Prints the catalog composition (Explain's storage line) after every
 // lifecycle step, and shows that a deleted document disappears from
 // results the moment its tombstone publishes — with collection
-// statistics tracking the survivors exactly.
+// statistics tracking the survivors exactly. Exits 1 when any step fails
+// or the deleted document still leads, so it doubles as a smoke test.
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -32,17 +33,25 @@ DocTerms SynthDoc(Rng& rng, uint32_t vocab) {
   return DocTerms(terms.begin(), terms.end());
 }
 
-void ShowStorage(MmDatabase& db, const Query& q, const char* stage) {
+int Fail(const char* step, const Status& status) {
+  std::fprintf(stderr, "%s: %s\n", step, status.ToString().c_str());
+  return 1;
+}
+
+bool ShowStorage(MmDatabase& db, const Query& q, const char* stage) {
   // The structured report carries the storage description (and the
   // planner's choice over it) as fields — no text scraping needed.
   QueryRequest request;
   request.query = q;
   auto report = db.ExplainSearch(request);
-  if (report.ok()) {
-    std::printf("[%s]\n  storage: %s\n  planned: %s\n", stage,
-                report.ValueOrDie().storage.c_str(),
-                StrategyName(report.ValueOrDie().decision.strategy));
+  if (!report.ok()) {
+    Fail("explain", report.status());
+    return false;
   }
+  std::printf("[%s]\n  storage: %s\n  planned: %s\n", stage,
+              report.ValueOrDie().storage.c_str(),
+              StrategyName(report.ValueOrDie().decision.strategy));
+  return true;
 }
 
 }  // namespace
@@ -61,10 +70,7 @@ int main(int argc, char** argv) {
   config.collection.seed = 4711;
   config.catalog_dir = dir;
   auto opened = MmDatabase::Open(config);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "open: %s\n", opened.status().ToString().c_str());
-    return 1;
-  }
+  if (!opened.ok()) return Fail("open", opened.status());
   MmDatabase& db = *opened.ValueOrDie();
 
   QueryWorkloadConfig qconfig;
@@ -79,61 +85,59 @@ int main(int argc, char** argv) {
   Rng rng(2026);
   std::vector<DocTerms> fresh;
   for (int i = 0; i < 1000; ++i) fresh.push_back(SynthDoc(rng, 8000));
-  const DocId first = db.AddDocuments(fresh).ValueOrDie().front();
+  auto ingested = db.AddDocuments(fresh);
+  if (!ingested.ok()) return Fail("ingest", ingested.status());
   std::printf("ingested %zu docs (first new id %u); live docs: %llu\n",
-              fresh.size(), first,
+              fresh.size(), ingested.ValueOrDie().front(),
               static_cast<unsigned long long>(
-                  db.catalog()->Snapshot()->stats().num_live_docs));
-  ShowStorage(db, query, "after ingest");
+                  db.sharded_catalog()->Snapshot()->stats().num_live_docs));
+  if (!ShowStorage(db, query, "after ingest")) return 1;
 
   // 2. Flush: memtable becomes an immutable segment, atomically published
   //    through the manifest.
-  if (Status s = db.Flush(); !s.ok()) {
-    std::fprintf(stderr, "flush: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  ShowStorage(db, query, "after flush");
+  if (Status s = db.Flush(); !s.ok()) return Fail("flush", s);
+  if (!ShowStorage(db, query, "after flush")) return 1;
 
   // 3. Delete: the top document of our query vanishes immediately.
   auto before = db.Search(QueryRequest{query});
-  if (before.ok() && !before.ValueOrDie().top.items.empty()) {
+  if (!before.ok()) return Fail("search", before.status());
+  if (!before.ValueOrDie().top.items.empty()) {
     const DocId victim = before.ValueOrDie().top.items[0].doc;
     if (Status s = db.DeleteDocument(victim); !s.ok()) {
-      std::fprintf(stderr, "delete: %s\n", s.ToString().c_str());
-      return 1;
+      return Fail("delete", s);
     }
     auto after = db.Search(QueryRequest{query});
-    std::printf("deleted doc %u; it %s the top-10 now\n", victim,
-                after.ok() && !after.ValueOrDie().top.items.empty() &&
-                        after.ValueOrDie().top.items[0].doc == victim
-                    ? "STILL LEADS (bug!)"
-                    : "is gone from");
+    if (!after.ok()) return Fail("search", after.status());
+    const auto& items = after.ValueOrDie().top.items;
+    if (!items.empty() && items[0].doc == victim) {
+      std::printf("deleted doc %u; it STILL LEADS (bug!)\n", victim);
+      return 1;
+    }
+    std::printf("deleted doc %u; it is gone from the top-10 now\n", victim);
   }
-  ShowStorage(db, query, "after delete");
+  if (!ShowStorage(db, query, "after delete")) return 1;
 
   // 4. More ingest + flush -> multiple segments; then merge compacts
   //    everything, dropping tombstones and reclaiming ids.
   std::vector<DocTerms> more;
   for (int i = 0; i < 500; ++i) more.push_back(SynthDoc(rng, 8000));
-  db.AddDocuments(more).ValueOrDie();
-  if (Status s = db.Flush(); !s.ok()) return 1;
-  ShowStorage(db, query, "two segments");
-  auto merged = db.Merge();
-  if (!merged.ok()) {
-    std::fprintf(stderr, "merge: %s\n", merged.status().ToString().c_str());
-    return 1;
+  if (auto r = db.AddDocuments(more); !r.ok()) {
+    return Fail("ingest", r.status());
   }
+  if (Status s = db.Flush(); !s.ok()) return Fail("flush", s);
+  if (!ShowStorage(db, query, "two segments")) return 1;
+  auto merged = db.Merge();
+  if (!merged.ok()) return Fail("merge", merged.status());
   std::printf("merged %zu segments into one\n", merged.ValueOrDie());
-  ShowStorage(db, query, "after merge");
+  if (!ShowStorage(db, query, "after merge")) return 1;
 
   auto final_result = db.Search(QueryRequest{query});
-  if (final_result.ok()) {
-    std::printf("final top-3 (strategy %s):\n",
-                StrategyName(final_result.ValueOrDie().strategy));
-    const auto& items = final_result.ValueOrDie().top.items;
-    for (size_t i = 0; i < items.size() && i < 3; ++i) {
-      std::printf("  doc %-8u score %.5f\n", items[i].doc, items[i].score);
-    }
+  if (!final_result.ok()) return Fail("search", final_result.status());
+  std::printf("final top-3 (strategy %s):\n",
+              StrategyName(final_result.ValueOrDie().strategy));
+  const auto& items = final_result.ValueOrDie().top.items;
+  for (size_t i = 0; i < items.size() && i < 3; ++i) {
+    std::printf("  doc %-8u score %.5f\n", items[i].doc, items[i].score);
   }
   return 0;
 }

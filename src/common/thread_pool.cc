@@ -100,7 +100,9 @@ void ThreadPool::ParallelFor(size_t count,
 }
 
 size_t ThreadPool::DefaultParallelism() {
-  return std::max(1u, std::thread::hardware_concurrency());
+  static const size_t parallelism =
+      std::max(1u, std::thread::hardware_concurrency());
+  return parallelism;
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -61,7 +61,9 @@ class ThreadPool {
   void ParallelFor(size_t count, const std::function<void(size_t)>& body,
                    size_t max_helpers = std::numeric_limits<size_t>::max());
 
-  /// max(1, hardware_concurrency): the default batch parallelism.
+  /// max(1, hardware_concurrency): the default batch parallelism. Read
+  /// once per process — hardware_concurrency() can cost microseconds (a
+  /// sysfs read on glibc), and per-query callers ask for it.
   static size_t DefaultParallelism();
 
   /// The process-wide pool (DefaultParallelism() workers, never

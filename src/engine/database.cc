@@ -1,7 +1,6 @@
 #include "engine/database.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <optional>
 
 #include "common/timer.h"
@@ -14,6 +13,9 @@ namespace moa {
 
 Result<std::unique_ptr<MmDatabase>> MmDatabase::Open(
     const DatabaseConfig& config) {
+  if (config.num_shards == 0) {
+    return Status::InvalidArgument("database: num_shards must be >= 1");
+  }
   auto db = std::unique_ptr<MmDatabase>(new MmDatabase());
   db->config_ = config;
 
@@ -43,38 +45,28 @@ Result<std::unique_ptr<MmDatabase>> MmDatabase::Open(
   return db;
 }
 
-std::shared_ptr<const CatalogReadView> MmDatabase::catalog_view() const {
-  return catalog_->OpenReadView();
-}
-
 std::shared_ptr<const Fragmentation> MmDatabase::DynamicFragmentation(
-    const CatalogState& state) const {
-  return DynamicFragmentation(state.stats().df, state.version());
-}
-
-std::shared_ptr<const Fragmentation> MmDatabase::DynamicFragmentation(
-    const std::vector<uint32_t>& df, uint64_t version) const {
+    const ShardedSnapshot& snapshot) const {
   std::lock_guard<std::mutex> lock(dyn_frag_mutex_);
-  if (dyn_frag_ == nullptr || dyn_frag_version_ != version) {
+  if (dyn_frag_ == nullptr || dyn_frag_version_ != snapshot.version()) {
     // Live df is all the assignment depends on, so this fragments exactly
-    // like a fresh index of the surviving documents. Under sharding the
-    // df is the global aggregate, so the term classification every shard
-    // executes with is identical to a single catalog's.
+    // like a fresh index of the surviving documents. The df is the global
+    // aggregate, so every shard executes with the term classification of
+    // one catalog of the whole collection.
     dyn_frag_ = std::make_shared<const Fragmentation>(
-        Fragmentation::Build(df, config_.fragmentation));
-    dyn_frag_version_ = version;
+        Fragmentation::Build(snapshot.stats().df, config_.fragmentation));
+    dyn_frag_version_ = snapshot.version();
   }
   return dyn_frag_;
 }
 
 namespace {
 
-/// Everything a catalog-backed query borrows, bundled so one shared_ptr
-/// (ExecContext::postings_owner) keeps the whole chain alive across
-/// concurrent mutations: the read view (state + stats + model) and the
-/// snapshot's fragmentation.
-struct DynamicQueryState {
-  std::shared_ptr<const CatalogReadView> view;
+/// What exec_context() lends out, bundled so one shared_ptr
+/// (ExecContext::postings_owner) keeps both alive across concurrent
+/// mutations.
+struct BorrowedSnapshot {
+  std::shared_ptr<const ShardedSnapshot> snapshot;
   std::shared_ptr<const Fragmentation> fragmentation;
 };
 
@@ -88,26 +80,6 @@ bool NeedsFragmentation(PhysicalStrategy s) {
 
 }  // namespace
 
-ExecContext MmDatabase::catalog_context(
-    const std::shared_ptr<const CatalogReadView>& view,
-    std::shared_ptr<const Fragmentation> fragmentation) const {
-  // No materialized InvertedFile describes the evolving collection; every
-  // strategy streams the snapshot through the cursor API instead. The
-  // fragment strategies additionally get a fragmentation derived from the
-  // snapshot's live statistics and the snapshot-scoped sparse cache.
-  auto bundle = std::make_shared<DynamicQueryState>();
-  bundle->view = view;
-  bundle->fragmentation = std::move(fragmentation);
-
-  ExecContext context;
-  context.model = view->model();
-  context.postings = view.get();
-  context.fragmentation = bundle->fragmentation.get();
-  context.sparse_cache = &view->state().sparse_cache();
-  context.postings_owner = std::move(bundle);
-  return context;
-}
-
 ExecContext MmDatabase::static_context() const {
   // The generated collection never changes, so the borrowed context needs
   // no snapshot owner and no lock.
@@ -120,26 +92,22 @@ ExecContext MmDatabase::static_context() const {
 }
 
 ExecContext MmDatabase::exec_context() const {
-  if (is_dynamic()) {
-    if (sharded_ != nullptr) {
-      // No single PostingSource spans a sharded collection; the borrowed
-      // context covers shard 0 under the global statistics (see the
-      // header). Whole-collection queries go through Search/Execute.
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      ExecContext context;
-      context.model = &snapshot->shard_model(0);
-      context.postings = &snapshot->shard_source(0);
-      context.sparse_cache = &snapshot->shard_sparse_cache(0);
-      context.postings_owner = snapshot;
-      return context;
-    }
-    // Callers of the borrowed view don't name a strategy up front, so
-    // the context carries every capability, fragmentation included.
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    return catalog_context(view, DynamicFragmentation(view->state()));
-  }
-  return static_context();
+  if (!is_dynamic()) return static_context();
+  // No single PostingSource spans more than one shard: the borrowed
+  // context covers shard 0 under the global statistics (the whole
+  // collection at one shard). Callers of the borrowed view don't name a
+  // strategy up front, so it carries every capability, fragmentation
+  // included.
+  auto bundle = std::make_shared<BorrowedSnapshot>();
+  bundle->snapshot = catalog_->Snapshot();
+  bundle->fragmentation = DynamicFragmentation(*bundle->snapshot);
+  ExecContext context;
+  context.model = &bundle->snapshot->shard_model(0);
+  context.postings = &bundle->snapshot->shard_source(0);
+  context.fragmentation = bundle->fragmentation.get();
+  context.sparse_cache = &bundle->snapshot->shard_sparse_cache(0);
+  context.postings_owner = std::move(bundle);
+  return context;
 }
 
 // ------------------------------------------------------ index lifecycle
@@ -162,101 +130,55 @@ std::vector<DocTerms> SeedDocuments(const InvertedFile& f) {
 }  // namespace
 
 Status MmDatabase::EnsureDynamicLocked() {
-  if (catalog_ != nullptr || sharded_ != nullptr) return Status::OK();
+  if (catalog_ != nullptr) return Status::OK();
 
-  IndexCatalog::Options options;
-  options.num_terms = file().num_terms();
-  options.dir = config_.catalog_dir;
-  options.scoring = config_.scoring;
-  options.wal_enabled = config_.wal_enabled;
-  options.wal_fsync_every = config_.wal_fsync_every;
+  ShardedCatalog::Options options;
+  options.num_shards = config_.num_shards;
+  options.shard.num_terms = file().num_terms();
+  options.shard.dir = config_.catalog_dir;
+  options.shard.scoring = config_.scoring;
+  options.shard.wal_enabled = config_.wal_enabled;
+  options.shard.wal_fsync_every = config_.wal_fsync_every;
   if (config_.background_maintenance) {
-    options.backpressure_memtable_docs = config_.backpressure_memtable_docs;
-    options.backpressure_max_segments = config_.backpressure_max_segments;
-    options.backpressure_soft_fail = config_.backpressure_soft_fail;
+    options.shard.backpressure_memtable_docs =
+        config_.backpressure_memtable_docs;
+    options.shard.backpressure_max_segments = config_.backpressure_max_segments;
+    options.shard.backpressure_soft_fail = config_.backpressure_soft_fail;
   }
 
-  MaintenancePolicy maintenance_policy;
-  maintenance_policy.flush_trigger_docs = config_.flush_trigger_docs;
-  maintenance_policy.merge_trigger_segments = config_.merge_trigger_segments;
-  maintenance_policy.merge_fanin = config_.merge_fanin;
-  maintenance_policy.min_interval_millis =
-      config_.maintenance_min_interval_millis;
+  // A directory that already holds a catalog (an earlier process's
+  // writes) is recovered: its surviving documents — not the freshly
+  // generated collection — become the served corpus; re-seeding would
+  // duplicate every durable document.
+  const bool recover = ShardedCatalog::Exists(options);
+  Result<std::unique_ptr<ShardedCatalog>> opened =
+      recover ? ShardedCatalog::Open(options) : ShardedCatalog::Create(options);
+  if (!opened.ok()) return opened.status();
+  std::unique_ptr<ShardedCatalog> catalog = std::move(opened).ValueOrDie();
+  if (!recover && file().num_docs() > 0) {
+    // One batch. Round-robin routing from an empty catalog assigns
+    // document k the global id k, so the seed keeps the generated
+    // collection's ids at every shard count.
+    MOA_RETURN_NOT_OK(catalog->AddDocuments(SeedDocuments(file())).status());
+  }
+  catalog_ = std::move(catalog);
+
   // Maintenance needs a directory to flush into; memory-only catalogs
   // would fail every background job.
-  const bool attach_maintenance =
-      config_.background_maintenance && !config_.catalog_dir.empty();
-
-  if (config_.num_shards > 1) {
-    ShardedCatalog::Options soptions;
-    soptions.num_shards = config_.num_shards;
-    soptions.shard = options;  // shard.dir is the root; shards nest under it
-
-    std::unique_ptr<ShardedCatalog> sharded;
-    if (!options.dir.empty() &&
-        std::filesystem::exists(options.dir + "/shard_0/" +
-                                kManifestFileName)) {
-      // A durable sharded catalog from an earlier process: recover every
-      // shard instead of re-seeding (same rule as the single catalog).
-      Result<std::unique_ptr<ShardedCatalog>> opened =
-          ShardedCatalog::Open(soptions);
-      if (!opened.ok()) return opened.status();
-      sharded = std::move(opened).ValueOrDie();
-    } else {
-      Result<std::unique_ptr<ShardedCatalog>> created =
-          ShardedCatalog::Create(soptions);
-      if (!created.ok()) return created.status();
-      sharded = std::move(created).ValueOrDie();
-      if (file().num_docs() > 0) {
-        // Round-robin routing from an empty catalog assigns document k
-        // the global id k — the seed keeps the generated collection's ids
-        // under sharding too.
-        MOA_RETURN_NOT_OK(
-            sharded->AddDocuments(SeedDocuments(file())).status());
-      }
+  if (config_.background_maintenance && !config_.catalog_dir.empty()) {
+    MaintenancePolicy policy;
+    policy.flush_trigger_docs = config_.flush_trigger_docs;
+    policy.merge_trigger_segments = config_.merge_trigger_segments;
+    policy.merge_fanin = config_.merge_fanin;
+    policy.min_interval_millis = config_.maintenance_min_interval_millis;
+    // One loop per shard; every background publish marks the cached
+    // snapshot stale (a merge compacts the shard's local ids).
+    const ShardedCatalog* catalog_ptr = catalog_.get();
+    for (size_t s = 0; s < catalog_->num_shards(); ++s) {
+      maintenance_.push_back(std::make_unique<BackgroundMaintenance>(
+          &catalog_->shard(s), policy,
+          [catalog_ptr] { catalog_ptr->InvalidateSnapshotCache(); }));
     }
-
-    sharded_ = std::move(sharded);
-    if (attach_maintenance) {
-      // One loop per shard; every background publish drops the cached
-      // multi-shard snapshot (a merge compacts the shard's local ids).
-      ShardedCatalog* sharded_ptr = sharded_.get();
-      for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-        maintenance_.push_back(std::make_unique<BackgroundMaintenance>(
-            &sharded_->shard(s), maintenance_policy,
-            [sharded_ptr] { sharded_ptr->InvalidateSnapshotCache(); }));
-      }
-    }
-    dynamic_.store(true, std::memory_order_release);
-    return Status::OK();
-  }
-
-  std::unique_ptr<IndexCatalog> catalog;
-  if (!options.dir.empty() &&
-      std::filesystem::exists(options.dir + "/" + kManifestFileName)) {
-    // The directory already holds a durable catalog (an earlier process's
-    // flushes): recover it. Its surviving documents — not the freshly
-    // generated collection — become the served corpus; re-seeding would
-    // duplicate every previously flushed document.
-    Result<std::unique_ptr<IndexCatalog>> opened = IndexCatalog::Open(options);
-    if (!opened.ok()) return opened.status();
-    catalog = std::move(opened).ValueOrDie();
-  } else {
-    Result<std::unique_ptr<IndexCatalog>> created =
-        IndexCatalog::Create(options);
-    if (!created.ok()) return created.status();
-    catalog = std::move(created).ValueOrDie();
-    // Seed the fresh catalog with the generated collection under the
-    // same doc ids, as one batch.
-    if (file().num_docs() > 0) {
-      MOA_RETURN_NOT_OK(catalog->AddDocuments(SeedDocuments(file())).status());
-    }
-  }
-
-  catalog_ = std::move(catalog);
-  if (attach_maintenance) {
-    maintenance_.push_back(std::make_unique<BackgroundMaintenance>(
-        catalog_.get(), maintenance_policy));
   }
   // Release-publish: readers that observe dynamic_ == true see the fully
   // seeded catalog.
@@ -285,7 +207,6 @@ Status MmDatabase::WaitForMaintenance() {
 Result<DocId> MmDatabase::AddDocument(const DocTerms& terms) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->AddDocument(terms);
   return catalog_->AddDocument(terms);
 }
 
@@ -293,43 +214,31 @@ Result<std::vector<DocId>> MmDatabase::AddDocuments(
     const std::vector<DocTerms>& docs) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->AddDocuments(docs);
-  // A single catalog appends the batch under consecutive ids.
-  Result<DocId> first = catalog_->AddDocuments(docs);
-  if (!first.ok()) return first.status();
-  std::vector<DocId> ids(docs.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = first.ValueOrDie() + static_cast<DocId>(i);
-  }
-  return ids;
+  return catalog_->AddDocuments(docs);
 }
 
 Status MmDatabase::DeleteDocument(DocId doc) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->DeleteDocument(doc);
   return catalog_->DeleteDocument(doc);
 }
 
 Result<DocId> MmDatabase::UpdateDocument(DocId doc, const DocTerms& terms) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->UpdateDocument(doc, terms);
   return catalog_->UpdateDocument(doc, terms);
 }
 
 Status MmDatabase::Flush() {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->FlushAll();
-  return catalog_->Flush();
+  return catalog_->FlushAll();
 }
 
 Result<size_t> MmDatabase::Merge(const MergePolicy& policy) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->MergeAll(policy);
-  return catalog_->Merge(policy);
+  return catalog_->MergeAll(policy);
 }
 
 // --------------------------------------------------------------- queries
@@ -348,53 +257,24 @@ Result<TopNResult> MmDatabase::Execute(PhysicalStrategy strategy,
   // Direct registry execution, no planner in the loop: benches and
   // harnesses use this to drive any strategy over any backend with no
   // validation beyond the registry's own. The strategy is known here, so
-  // dynamic contexts only pay for the live-statistics fragmentation when
-  // a fragment strategy runs. The dynamic flag is read once, as in
+  // dynamic queries only pay for the live-statistics fragmentation when a
+  // fragment strategy runs. The dynamic flag is read once, as in
   // RunQuery.
   if (!is_dynamic()) {
     return StrategyRegistry::Global().Execute(strategy, static_context(),
                                               query, n, options);
   }
-  if (sharded_ != nullptr) {
-    const std::shared_ptr<const ShardedSnapshot> snapshot =
-        sharded_->Snapshot();
-    const std::shared_ptr<const Fragmentation> frag =
-        NeedsFragmentation(strategy)
-            ? DynamicFragmentation(snapshot->stats().df, snapshot->version())
-            : nullptr;
-    ShardCoordinator::Options copts;
-    copts.fragmentation = frag.get();
-    return ShardCoordinator::Execute(snapshot, strategy, query, n, options,
-                                     copts);
-  }
-  const std::shared_ptr<const CatalogReadView> view = catalog_view();
-  return StrategyRegistry::Global().Execute(
-      strategy,
-      catalog_context(view, NeedsFragmentation(strategy)
-                                ? DynamicFragmentation(view->state())
-                                : nullptr),
-      query, n, options);
-}
-
-StrategyCostInputs MmDatabase::DynamicStorageInputs(
-    const CatalogState& state) const {
-  // Composition() walks every component, so the digest is cached per
-  // snapshot version (single entry — mutations invalidate by bumping the
-  // version, exactly like the fragmentation cache).
-  std::lock_guard<std::mutex> lock(dyn_storage_mutex_);
-  if (!dyn_storage_valid_ || dyn_storage_version_ != state.version()) {
-    dyn_storage_ = StorageInputsFor(state.Composition());
-    dyn_storage_version_ = state.version();
-    dyn_storage_valid_ = true;
-  }
-  return dyn_storage_;
+  const std::shared_ptr<const ShardedSnapshot> snapshot = catalog_->Snapshot();
+  const std::shared_ptr<const Fragmentation> frag =
+      NeedsFragmentation(strategy) ? DynamicFragmentation(*snapshot) : nullptr;
+  ShardCoordinator::Options copts;
+  copts.fragmentation = frag.get();
+  return ShardCoordinator::Execute(snapshot, strategy, query, n, options,
+                                   copts);
 }
 
 namespace {
 
-/// The shared tail of RunQuery once storage has been snapshotted into a
-/// planner + context: plan (PlanForced fast path unless `explain` wants
-/// the full candidate table), fill the result's plan fields, execute.
 /// Per-thread sampling decision for stage tracing. A plain thread_local
 /// round-robin — no atomics, and SearchBatch workers each sample their
 /// own every-Nth query independently.
@@ -405,15 +285,17 @@ bool SampleTrace(size_t every) {
   return (counter++ % every) == 0;
 }
 
+/// Static serving: plan on the in-memory statistics, then execute on the
+/// in-memory file. Dynamic queries take ShardCoordinator::Run instead.
 Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
                                 const ExecContext& context,
                                 const QueryRequest& request, bool explain,
                                 bool trace, PlanDecision* decision_out) {
   // When sampled, activates per-query tracing for this thread: the plan
-  // span below and the stage spans the executors open all attach here
-  // (spans against no current trace are no-ops). Stage CostCounters are
-  // ticker deltas at span boundaries — the per-posting loop never sees
-  // the trace. Compiles to nothing under MOA_OBS=OFF.
+  // span and the stage spans the executors open all attach here (spans
+  // against no current trace are no-ops). Stage CostCounters are ticker
+  // deltas at span boundaries — the per-posting loop never sees the
+  // trace. Compiles to nothing under MOA_OBS=OFF.
   std::optional<obs::QueryTrace> qtrace;
   if (trace) qtrace.emplace();
 
@@ -421,29 +303,13 @@ Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
   preq.n = request.n;
   preq.quality_target = request.options.quality_target;
   preq.force = request.options.strategy;
+  Result<PlanCandidate> choice =
+      planner.Decide(request.query, preq, decision_out);
+  if (!choice.ok()) return choice.status();
+  const PlanCandidate& chosen = choice.ValueOrDie();
 
   SearchResult out;
-  PlanCandidate chosen;
-  {
-    obs::TraceSpan span(obs::kStagePlan);
-    if (!explain && !preq.force.has_value()) {
-      // Unforced hot path: same choice as Plan(), no candidate table.
-      Result<PlanCandidate> choice = planner.PlanChoice(request.query, preq);
-      if (!choice.ok()) return choice.status();
-      chosen = std::move(choice).ValueOrDie();
-      out.planned = true;
-    } else {
-      Result<PlanDecision> plan = (preq.force.has_value() && !explain)
-                                      ? planner.PlanForced(request.query, preq)
-                                      : planner.Plan(request.query, preq);
-      if (!plan.ok()) return plan.status();
-      PlanDecision decision = std::move(plan).ValueOrDie();
-      chosen = decision.chosen;
-      out.planned = !decision.forced;
-      if (decision_out != nullptr) *decision_out = std::move(decision);
-    }
-  }
-
+  out.planned = !preq.force.has_value();
   out.strategy = chosen.strategy;
   out.estimate.strategy = chosen.strategy;
   out.estimate.predicted = chosen.predicted;
@@ -517,35 +383,16 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
       explain || (options.strategy.has_value()
                       ? NeedsFragmentation(*options.strategy)
                       : options.quality_target < 1.0);
-  if (sharded_ != nullptr) {
-    // Sharded serving: one consistent multi-shard snapshot, then the
-    // bound-aware scatter-gather coordinator (per-shard planning, bound-
-    // ordered visits with suffix skipping, threshold-seeded max-score).
-    const std::shared_ptr<const ShardedSnapshot> snapshot =
-        sharded_->Snapshot();
-    const std::shared_ptr<const Fragmentation> frag =
-        want_frag
-            ? DynamicFragmentation(snapshot->stats().df, snapshot->version())
-            : nullptr;
-    ShardCoordinator::Options copts;
-    copts.fragmentation = frag.get();
-    return FinishQuery(ShardCoordinator::Run(snapshot, request, explain, trace,
-                                             decision_out, copts),
-                       explain);
-  }
-
-  const std::shared_ptr<const CatalogReadView> view = catalog_view();
-  const CatalogState& state = view->state();
+  // One consistent multi-shard snapshot, then the bound-aware
+  // scatter-gather coordinator (per-shard planning, bound-ordered visits
+  // with suffix skipping, threshold-seeded max-score).
+  const std::shared_ptr<const ShardedSnapshot> snapshot = catalog_->Snapshot();
   const std::shared_ptr<const Fragmentation> frag =
-      want_frag ? DynamicFragmentation(state) : nullptr;
-  // Statistics are borrowed straight from the snapshot (pinned by the read
-  // view for the query's lifetime) — planning copies nothing.
-  const CardinalityEstimator estimator(
-      &state.stats().df, static_cast<int64_t>(state.stats().num_live_docs),
-      frag.get());
-  const StrategyPlanner planner(&estimator, DynamicStorageInputs(state));
-  return FinishQuery(PlanAndRun(planner, catalog_context(view, frag), request,
-                                explain, trace, decision_out),
+      want_frag ? DynamicFragmentation(*snapshot) : nullptr;
+  ShardCoordinator::Options copts;
+  copts.fragmentation = frag.get();
+  return FinishQuery(ShardCoordinator::Run(snapshot, request, explain, trace,
+                                           decision_out, copts),
                      explain);
 }
 
@@ -622,7 +469,7 @@ Result<SearchResult> MmDatabase::FinishQuery(Result<SearchResult> result,
   // counters, so it stays exact for untraced (unsampled) queries.
   metrics.predicted_scalar->Add(r.estimate.scalar);
   metrics.observed_scalar->Add(r.top.stats.cost.Scalar());
-  // Shard scatter-gather accounting (zero on unsharded queries, so the
+  // Shard scatter-gather accounting (zero on static queries, so the
   // counters move only when the coordinator ran): visited vs bound-pruned
   // shards and the exact posting volume the pruned shards held.
   const CostCounters& cost = r.top.stats.cost;
@@ -642,66 +489,40 @@ Result<SearchResult> MmDatabase::Search(const QueryRequest& request) const {
 
 std::vector<ScoredDoc> MmDatabase::GroundTruth(const Query& query,
                                                size_t n) const {
-  if (is_dynamic()) {
-    if (sharded_ != nullptr) {
-      // Exact per-shard top-N under the global statistics, merged under
-      // the global (score desc, doc asc) order — the exact global top-N,
-      // since every document lives in exactly one shard.
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      std::vector<ScoredDoc> all;
-      for (size_t s = 0; s < snapshot->num_shards(); ++s) {
-        std::vector<ScoredDoc> top =
-            ExactTopN(snapshot->shard_source(s), snapshot->shard_model(s),
-                      query, n);
-        for (ScoredDoc& sd : top) {
-          sd.doc = ShardedCatalog::GlobalOf(sd.doc, s,
-                                            snapshot->num_shards());
-          all.push_back(sd);
-        }
-      }
-      std::sort(all.begin(), all.end(), ScoredDocLess);
-      if (all.size() > n) all.resize(n);
-      return all;
+  if (!is_dynamic()) return ExactTopN(file(), *model_, query, n);
+  // Exact per-shard top-N under the global statistics, merged under the
+  // global (score desc, doc asc) order — the exact global top-N, since
+  // every document lives in exactly one shard.
+  const std::shared_ptr<const ShardedSnapshot> snapshot = catalog_->Snapshot();
+  std::vector<ScoredDoc> all;
+  for (size_t s = 0; s < snapshot->num_shards(); ++s) {
+    for (ScoredDoc sd : ExactTopN(snapshot->shard_source(s),
+                                  snapshot->shard_model(s), query, n)) {
+      sd.doc = ShardedCatalog::GlobalOf(sd.doc, s, snapshot->num_shards());
+      all.push_back(sd);
     }
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    return ExactTopN(*view, *view->model(), query, n);
   }
-  return ExactTopN(file(), *model_, query, n);
+  std::sort(all.begin(), all.end(), ScoredDocLess);
+  if (all.size() > n) all.resize(n);
+  return all;
 }
 
 std::vector<double> MmDatabase::GroundTruthScores(const Query& query) const {
-  if (is_dynamic()) {
-    if (sharded_ != nullptr) {
-      // Dense by *global* id: each shard's local score vector scattered
-      // through the interleaved id mapping; unmapped slots stay 0.
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      std::vector<double> scores(snapshot->doc_space(), 0.0);
-      for (size_t s = 0; s < snapshot->num_shards(); ++s) {
-        const std::vector<double> local = AccumulateScores(
-            snapshot->shard_source(s), snapshot->shard_model(s), query);
-        for (size_t l = 0; l < local.size(); ++l) {
-          const DocId g = ShardedCatalog::GlobalOf(
-              static_cast<DocId>(l), s, snapshot->num_shards());
-          if (static_cast<size_t>(g) < scores.size()) scores[g] = local[l];
-        }
-      }
-      return scores;
+  if (!is_dynamic()) return AccumulateScores(file(), *model_, query);
+  // Dense by *global* id: each shard's local score vector scattered
+  // through the interleaved id mapping; unmapped slots stay 0.
+  const std::shared_ptr<const ShardedSnapshot> snapshot = catalog_->Snapshot();
+  std::vector<double> scores(snapshot->doc_space(), 0.0);
+  for (size_t s = 0; s < snapshot->num_shards(); ++s) {
+    const std::vector<double> local = AccumulateScores(
+        snapshot->shard_source(s), snapshot->shard_model(s), query);
+    for (size_t l = 0; l < local.size(); ++l) {
+      const DocId g = ShardedCatalog::GlobalOf(static_cast<DocId>(l), s,
+                                               snapshot->num_shards());
+      if (static_cast<size_t>(g) < scores.size()) scores[g] = local[l];
     }
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    return AccumulateScores(*view, *view->model(), query);
   }
-  return AccumulateScores(file(), *model_, query);
-}
-
-std::string MmDatabase::DescribeStorage() const {
-  // Payload only — ExplainReport::ToString prepends the "storage: " key.
-  if (is_dynamic()) {
-    if (sharded_ != nullptr) return sharded_->Snapshot()->Describe();
-    return catalog_->Snapshot()->Describe();
-  }
-  return "in-memory inverted file";
+  return scores;
 }
 
 bool MmDatabase::TracedExecution(PhysicalStrategy strategy, const Query& query,
@@ -732,22 +553,19 @@ Result<ExplainReport> MmDatabase::ExplainSearch(
   Result<SearchResult> planned =
       RunQuery(request, /*explain=*/true, &report.decision);
   if (!planned.ok()) return planned.status();
-  report.storage = DescribeStorage();
-  // Fragment strategies run over a fragmentation; show the split the
-  // chosen strategy would use.
-  if (NeedsFragmentation(report.decision.strategy)) {
-    if (!is_dynamic()) {
-      report.fragmentation = fragmentation_.ToString();
-    } else if (sharded_ != nullptr) {
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      report.fragmentation =
-          DynamicFragmentation(snapshot->stats().df, snapshot->version())
-              ->ToString();
-    } else {
-      report.fragmentation =
-          DynamicFragmentation(*catalog_->Snapshot())->ToString();
+  // The storage the plan reads and, for fragment strategies, the split
+  // the chosen strategy would use.
+  const bool fragmented = NeedsFragmentation(report.decision.strategy);
+  if (is_dynamic()) {
+    const std::shared_ptr<const ShardedSnapshot> snapshot =
+        catalog_->Snapshot();
+    report.storage = snapshot->Describe();
+    if (fragmented) {
+      report.fragmentation = DynamicFragmentation(*snapshot)->ToString();
     }
+  } else {
+    report.storage = "in-memory inverted file";
+    if (fragmented) report.fragmentation = fragmentation_.ToString();
   }
   report.has_blocks = TracedExecution(report.decision.strategy, request.query,
                                       request.n,

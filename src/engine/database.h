@@ -12,23 +12,26 @@
 // Storage spine. The database starts *static*: queries stream the
 // immutable in-memory InvertedFile through one InMemoryPostingSource the
 // database owns. The first mutation (AddDocument / DeleteDocument) seeds
-// an IndexCatalog (storage/catalog/) — or a ShardedCatalog when
-// DatabaseConfig::num_shards > 1 — with the collection and flips the
-// database to *dynamic* serving: queries snapshot the catalog per query,
-// statistics track the live documents exactly, and the index evolves
-// through the memtable → flush → merge lifecycle; segment files are
-// served only by the catalog. Every executor is cursor-based and reads
-// ExecContext::postings on every path; in dynamic mode the Step-1
-// fragmentation is derived from the snapshot's live statistics (cached
-// per snapshot version), and sparse-probe indexes live in a
+// a ShardedCatalog (storage/catalog/sharded_catalog.h) of
+// DatabaseConfig::num_shards shards — one by default — with the
+// collection and flips the database to *dynamic* serving: every query,
+// write and lifecycle call then takes one path, facade → ShardCoordinator
+// → ShardedCatalog, at every shard count. Queries snapshot the catalog
+// per query, statistics track the live documents exactly, and the index
+// evolves through the memtable → flush → merge lifecycle; segment files
+// are served only by the catalog. Every executor is cursor-based and
+// reads ExecContext::postings on every path; in dynamic mode the Step-1
+// fragmentation is derived from the snapshot's live global statistics
+// (cached per snapshot version), and sparse-probe indexes live in a
 // snapshot-scoped cache.
 //
 // Concurrency: Search / Execute / SearchBatch are safe from many threads,
 // and remain safe while another thread mutates the catalog. Static
 // queries read immutable state and take no lock; dynamic queries pin the
 // storage they started with via a shared_ptr snapshot
-// (ExecContext::postings_owner); mutations serialize internally and
-// publish by pointer swap.
+// (ExecContext::postings_owner) and wait for no writer except one whose
+// commits span shards; mutations serialize internally and publish by
+// pointer swap.
 #ifndef MOA_ENGINE_DATABASE_H_
 #define MOA_ENGINE_DATABASE_H_
 
@@ -70,19 +73,19 @@ struct DatabaseConfig {
   /// collection — the durable surviving documents become the served
   /// corpus.
   std::string catalog_dir;
-  /// Number of catalog shards once the database turns dynamic. 1 (the
-  /// default) serves the single IndexCatalog exactly as before. Greater
-  /// values partition the document space across that many independent
-  /// shards (storage/catalog/sharded_catalog.h) and route every query
-  /// through the bound-aware scatter-gather ShardCoordinator: shards are
-  /// visited in descending impact-upper-bound order on the shared thread
-  /// pool, shards that cannot beat the running global n-th score are
-  /// skipped entirely (CostCounters::shards_skipped), and later shards'
-  /// max-score executions are seeded with the running threshold. Results
-  /// for safe strategies are bit-identical to num_shards = 1 (global
-  /// statistics view; fagin_nra excepted — set-level only). On disk each
-  /// shard keeps its own catalog under catalog_dir/shard_<s>; reopening
-  /// requires the same shard count.
+  /// Number of catalog shards once the database turns dynamic (>= 1;
+  /// Open rejects 0). The document space is partitioned across that many
+  /// independent shards (storage/catalog/sharded_catalog.h) and every
+  /// query goes through the bound-aware scatter-gather ShardCoordinator:
+  /// shards are visited in descending impact-upper-bound order on the
+  /// shared thread pool, shards that cannot beat the running global n-th
+  /// score are skipped entirely (CostCounters::shards_skipped), and later
+  /// shards' max-score executions are seeded with the running threshold.
+  /// Results for safe strategies are bit-identical at every shard count
+  /// (global statistics view; fagin_nra excepted — set-level only). With
+  /// 1 (the default) the one shard is a plain catalog in catalog_dir
+  /// itself; with more, each shard keeps its own catalog in a
+  /// subdirectory. Reopening requires the same shard count.
   size_t num_shards = 1;
   /// Write-ahead log for the dynamic catalog (directory-backed only; see
   /// IndexCatalog::Options::wal_enabled): acknowledged mutations are
@@ -95,8 +98,8 @@ struct DatabaseConfig {
   /// Run Flush/Merge as background jobs on the shared thread pool
   /// (storage/catalog/background_jobs.h), triggered by the knobs below.
   /// Off by default: the explicit Flush()/Merge() lifecycle stays fully
-  /// caller-driven unless opted in. Under sharding each shard gets its
-  /// own maintenance loop.
+  /// caller-driven unless opted in. Each shard gets its own maintenance
+  /// loop.
   bool background_maintenance = false;
   /// Background flush trigger: memtable documents (per shard).
   size_t flush_trigger_docs = 1024;
@@ -213,6 +216,7 @@ struct BatchSearchResult {
 class MmDatabase {
  public:
   /// Generates the collection, builds impact orders and fragmentation.
+  /// Rejects num_shards == 0 with InvalidArgument.
   static Result<std::unique_ptr<MmDatabase>> Open(const DatabaseConfig& config);
 
   /// The single query entry point: plans (or obeys request.options.
@@ -256,12 +260,12 @@ class MmDatabase {
   /// StrategyRegistry::Global().Execute (benches swap in their own
   /// fragmentation or sparse cache before doing so). In static mode this
   /// is the in-memory file behind the database's InMemoryPostingSource;
-  /// in dynamic mode it is the current catalog snapshot. Under sharding
-  /// no single PostingSource spans the collection, so the borrowed
-  /// context covers shard 0 only (local postings under the global
-  /// statistics) — whole-collection queries go through Search/Execute,
-  /// which scatter-gather across every shard. Copies of the context may
-  /// execute concurrently.
+  /// in dynamic mode it is shard 0 of the current catalog snapshot — the
+  /// whole collection with one shard, shard 0's local postings under the
+  /// global statistics with more — plus the fragmentation built from the
+  /// global df. Whole-collection queries go through Search/Execute, which
+  /// scatter-gather across every shard. Copies of the context may execute
+  /// concurrently.
   ExecContext exec_context() const;
 
   // ---------------------------------------------------- index lifecycle
@@ -272,19 +276,22 @@ class MmDatabase {
   /// Adds a document (any order of (term, tf) pairs; terms must be below
   /// the collection's vocabulary). Returns its doc id.
   Result<DocId> AddDocument(const DocTerms& terms);
-  /// Bulk ingest; returns every document's id, in input order. One
-  /// snapshot publication per catalog (per touched shard under sharding,
-  /// where documents go to the least-loaded shard, so ids need not be
-  /// consecutive).
+  /// Bulk ingest; returns every document's id, in input order. Documents
+  /// go to the least-loaded shard, so with more than one shard ids need
+  /// not be consecutive; one snapshot publication per touched shard.
   Result<std::vector<DocId>> AddDocuments(const std::vector<DocTerms>& docs);
   /// Tombstones a document: it disappears from results immediately and
   /// statistics drop its exact composition; storage is reclaimed by
   /// Merge.
   Status DeleteDocument(DocId doc);
-  /// Upserts a document as delete + add: tombstones `doc` and re-ingests
-  /// `terms` under a fresh id (returned), following the insertion-order
-  /// id contract of AddDocument. Not atomic: a concurrent query may
-  /// observe the document deleted but not yet re-added.
+  /// Upserts a document: tombstones `doc` and re-ingests `terms` under a
+  /// fresh id (returned), following the insertion-order id contract of
+  /// AddDocument. When the fresh id lands on `doc`'s own shard — always
+  /// with one shard — this is one atomic commit: no query observes the
+  /// document missing, and a refused add (backpressure) deletes nothing.
+  /// A cross-shard upsert is two commits (delete, then add): queries still
+  /// never see it half applied, but a refused add or a crash between the
+  /// two loses the document.
   Result<DocId> UpdateDocument(DocId doc, const DocTerms& terms);
   /// Persists the memtable as an immutable segment (requires
   /// DatabaseConfig::catalog_dir).
@@ -305,15 +312,17 @@ class MmDatabase {
   bool is_dynamic() const {
     return dynamic_.load(std::memory_order_acquire);
   }
-  /// The catalog (nullptr while static, or when sharding is configured —
-  /// see sharded_catalog()).
-  const IndexCatalog* catalog() const {
+  /// The sharded catalog every dynamic call goes through, at every shard
+  /// count (nullptr while static).
+  const ShardedCatalog* sharded_catalog() const {
     return is_dynamic() ? catalog_.get() : nullptr;
   }
-  /// The sharded catalog (nullptr while static or when
-  /// DatabaseConfig::num_shards == 1).
-  const ShardedCatalog* sharded_catalog() const {
-    return is_dynamic() ? sharded_.get() : nullptr;
+  /// The only shard's IndexCatalog when DatabaseConfig::num_shards == 1
+  /// (nullptr while static, or with more shards).
+  const IndexCatalog* catalog() const {
+    const ShardedCatalog* sharded = sharded_catalog();
+    return sharded != nullptr && sharded->num_shards() == 1 ? &sharded->shard(0)
+                                                            : nullptr;
   }
 
   /// The last completed query traces (oldest first; capacity 64). Empty
@@ -348,35 +357,18 @@ class MmDatabase {
  private:
   MmDatabase() = default;
 
-  /// Creates and seeds the catalog on first mutation (caller holds
-  /// mutation_mutex_).
+  /// Creates (and seeds) or recovers the catalog on first mutation
+  /// (caller holds mutation_mutex_).
   Status EnsureDynamicLocked();
-  /// Catalog-backed per-query context; the returned view owns model,
-  /// stats view and state snapshot (also referenced by the context).
-  std::shared_ptr<const CatalogReadView> catalog_view() const;
-  /// `fragmentation` may be null: only the fragment strategies read
-  /// ExecContext::fragmentation, so the default cursor path passes
-  /// nullptr and skips the build + single-entry cache lock entirely.
-  ExecContext catalog_context(
-      const std::shared_ptr<const CatalogReadView>& view,
-      std::shared_ptr<const Fragmentation> fragmentation) const;
   /// The static-mode context (the in-memory file through memory_);
   /// exec_context() dispatches here when not dynamic.
   ExecContext static_context() const;
-  /// Fragmentation of one catalog snapshot, derived from its live df
-  /// under this database's policy. Cached per snapshot version (a single
-  /// entry — mutations invalidate by bumping the version).
+  /// Fragmentation of one catalog snapshot, derived from its live global
+  /// df under this database's policy — the term classification every
+  /// shard executes with. Cached per snapshot version (a single entry —
+  /// mutations invalidate by bumping the version).
   std::shared_ptr<const Fragmentation> DynamicFragmentation(
-      const CatalogState& state) const;
-  /// The generalized form both serving modes share: `df` is the
-  /// snapshot's live document frequencies (single-catalog state or
-  /// sharded global aggregate), `version` its cache key.
-  std::shared_ptr<const Fragmentation> DynamicFragmentation(
-      const std::vector<uint32_t>& df, uint64_t version) const;
-  /// Storage signals of one catalog snapshot for the planner, digested
-  /// from its composition. Cached per snapshot version (single entry,
-  /// like DynamicFragmentation — Composition() walks all components).
-  StrategyCostInputs DynamicStorageInputs(const CatalogState& state) const;
+      const ShardedSnapshot& snapshot) const;
   /// The one implementation behind Search / SearchBatch / Execute /
   /// ExplainSearch: snapshots storage once, plans, and executes. A forced
   /// strategy takes the PlanForced fast path (no enumeration). With
@@ -385,8 +377,6 @@ class MmDatabase {
   /// skipped — ExplainSearch reports block usage separately, best effort.
   Result<SearchResult> RunQuery(const QueryRequest& request, bool explain,
                                 PlanDecision* decision_out) const;
-  /// Payload of the ExplainReport `storage:` field (what the plan reads).
-  std::string DescribeStorage() const;
   /// Records per-query metrics and pushes the trace into the ring.
   /// Pass-through for errors and explain-only runs.
   Result<SearchResult> FinishQuery(Result<SearchResult> result,
@@ -410,15 +400,11 @@ class MmDatabase {
   /// it is fully seeded, so readers seeing true (acquire) see a complete
   /// catalog.
   std::mutex mutation_mutex_;
-  std::unique_ptr<IndexCatalog> catalog_;
-  /// The sharded spine when DatabaseConfig::num_shards > 1 (catalog_
-  /// stays null then); created/recovered and published exactly like
-  /// catalog_.
-  std::unique_ptr<ShardedCatalog> sharded_;
-  /// One maintenance loop per catalog (one entry single-catalog, one per
-  /// shard under sharding) when DatabaseConfig::background_maintenance is
-  /// on. Declared after catalog_/sharded_ so destruction detaches and
-  /// drains every loop before its catalog dies.
+  std::unique_ptr<ShardedCatalog> catalog_;
+  /// One maintenance loop per shard when
+  /// DatabaseConfig::background_maintenance is on. Declared after
+  /// catalog_ so destruction detaches and drains every loop before its
+  /// catalog dies.
   std::vector<std::unique_ptr<BackgroundMaintenance>> maintenance_;
   std::atomic<bool> dynamic_{false};
 
@@ -436,14 +422,6 @@ class MmDatabase {
   mutable std::mutex dyn_frag_mutex_;
   mutable uint64_t dyn_frag_version_ = 0;
   mutable std::shared_ptr<const Fragmentation> dyn_frag_;
-
-  /// Single-entry cache of DynamicStorageInputs, keyed by snapshot
-  /// version (value type: storage signals are a handful of doubles,
-  /// copied out under the lock).
-  mutable std::mutex dyn_storage_mutex_;
-  mutable uint64_t dyn_storage_version_ = 0;
-  mutable bool dyn_storage_valid_ = false;
-  mutable StrategyCostInputs dyn_storage_;
 
   /// Last K completed query traces (mutable: Search is const; the ring is
   /// engine bookkeeping, not database state). Never written when the

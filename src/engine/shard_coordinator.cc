@@ -154,11 +154,16 @@ Result<TopNResult> ScatterGatherExec(
     }
 
     obs::TraceSpan span(obs::kStageShardGather);
+    // Each shard's top-N is already in (score desc, doc asc) order and
+    // GlobalOf is increasing within a shard, so a list merged into an
+    // empty running top-N needs no sort.
+    bool sorted = true;
     for (size_t i = 0; i < wave; ++i) {
       const size_t s = order[next + i].shard;
       Result<TopNResult>& r = *results[i];
       if (!r.ok()) return r.status();
       TopNResult shard_top = std::move(r).ValueOrDie();
+      if (!merged.items.empty() && !shard_top.items.empty()) sorted = false;
       CostTicker::TickShardVisited();
       if (ran_on[i] != caller_tid) helper_cost += shard_top.stats.cost;
       merged.stats.sorted_accesses += shard_top.stats.sorted_accesses;
@@ -172,11 +177,13 @@ Result<TopNResult> ScatterGatherExec(
         merged.items.push_back(sd);
       }
     }
-    std::sort(merged.items.begin(), merged.items.end(),
-              [](const ScoredDoc& a, const ScoredDoc& b) {
-                CostTicker::TickCompare();
-                return ScoredDocLess(a, b);
-              });
+    if (!sorted) {
+      std::sort(merged.items.begin(), merged.items.end(),
+                [](const ScoredDoc& a, const ScoredDoc& b) {
+                  CostTicker::TickCompare();
+                  return ScoredDocLess(a, b);
+                });
+    }
     if (merged.items.size() > n) merged.items.resize(n);
     next += wave;
   }
@@ -192,11 +199,10 @@ Result<SearchResult> ShardCoordinator::Run(
     const std::shared_ptr<const ShardedSnapshot>& snapshot,
     const QueryRequest& request, bool explain, bool trace,
     PlanDecision* decision_out, const Options& options) {
-  // Mirrors the single-catalog PlanAndRun (database.cc): when sampled, a
-  // QueryTrace is installed for this thread — the scatter/gather spans
-  // and any inline shard execution's stage spans attach here; executions
-  // on pool helpers have no installed trace and report through their
-  // result's CostCounters instead.
+  // When sampled, a QueryTrace is installed for this thread — the plan,
+  // scatter and gather spans and any inline shard execution's stage spans
+  // attach here; executions on pool helpers have no installed trace and
+  // report through their result's CostCounters instead.
   std::optional<obs::QueryTrace> qtrace;
   if (trace) qtrace.emplace();
 
@@ -214,60 +220,42 @@ Result<SearchResult> ShardCoordinator::Run(
     preq.exclude.push_back(PhysicalStrategy::kFaginNRA);
   }
 
-  SearchResult out;
   std::vector<ShardOrder> order;
-  std::vector<PhysicalStrategy> strategies(num_shards, PhysicalStrategy::kHeap);
   {
     obs::TraceSpan span(obs::kStageShardScatter);
     order = BoundOrder(*snapshot, request.query);
+  }
 
-    // Per-shard planning: each shard is costed from its own local df and
-    // storage signals, so a memtable-heavy shard can legitimately pick a
-    // different strategy than a merged one. The highest-bound shard is
-    // planned first and supplies the result's headline strategy (and the
-    // full decision table when asked); the estimate sums every shard's
-    // prediction and the predicted quality is the worst across shards.
-    bool first = true;
-    for (const ShardOrder& so : order) {
-      const CatalogState& state = snapshot->shard_state(so.shard);
-      const CardinalityEstimator estimator(
-          &state.stats().df,
-          static_cast<int64_t>(state.stats().num_live_docs),
-          options.fragmentation);
-      const StrategyPlanner planner(
-          &estimator, StorageInputsFor(snapshot->shard_composition(so.shard)));
-      PlanCandidate chosen;
-      if (first && (explain || preq.force.has_value())) {
-        Result<PlanDecision> plan = (preq.force.has_value() && !explain)
-                                        ? planner.PlanForced(request.query, preq)
-                                        : planner.Plan(request.query, preq);
-        if (!plan.ok()) return plan.status();
-        PlanDecision decision = std::move(plan).ValueOrDie();
-        chosen = decision.chosen;
-        out.planned = !decision.forced;
-        if (decision_out != nullptr) *decision_out = std::move(decision);
-      } else if (preq.force.has_value()) {
-        Result<PlanDecision> plan = planner.PlanForced(request.query, preq);
-        if (!plan.ok()) return plan.status();
-        chosen = std::move(plan).ValueOrDie().chosen;
-        out.planned = false;
-      } else {
-        Result<PlanCandidate> choice = planner.PlanChoice(request.query, preq);
-        if (!choice.ok()) return choice.status();
-        chosen = std::move(choice).ValueOrDie();
-        out.planned = true;
-      }
-      strategies[so.shard] = chosen.strategy;
-      if (first) {
-        out.strategy = chosen.strategy;
-        out.estimate.strategy = chosen.strategy;
-      }
-      out.estimate.predicted += chosen.predicted;
-      out.estimate.scalar += chosen.scalar;
-      out.predicted_quality =
-          std::min(out.predicted_quality, chosen.predicted_quality);
-      first = false;
+  // Per-shard planning: each shard is costed from its own local df and
+  // storage signals, so a memtable-heavy shard can legitimately pick a
+  // different strategy than a merged one. The highest-bound shard is
+  // planned first and supplies the result's headline strategy (and the
+  // full decision table when explaining); the estimate sums every shard's
+  // prediction and the predicted quality is the worst across shards.
+  SearchResult out;
+  out.planned = !preq.force.has_value();
+  std::vector<PhysicalStrategy> strategies(num_shards, PhysicalStrategy::kHeap);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const size_t s = order[i].shard;
+    const CatalogState& state = snapshot->shard_state(s);
+    const CardinalityEstimator estimator(
+        &state.stats().df, static_cast<int64_t>(state.stats().num_live_docs),
+        options.fragmentation);
+    const StrategyPlanner planner(
+        &estimator, StorageInputsFor(snapshot->shard_composition(s)));
+    Result<PlanCandidate> choice = planner.Decide(
+        request.query, preq, i == 0 && explain ? decision_out : nullptr);
+    if (!choice.ok()) return choice.status();
+    const PlanCandidate& chosen = choice.ValueOrDie();
+    strategies[s] = chosen.strategy;
+    if (i == 0) {
+      out.strategy = chosen.strategy;
+      out.estimate.strategy = chosen.strategy;
     }
+    out.estimate.predicted += chosen.predicted;
+    out.estimate.scalar += chosen.scalar;
+    out.predicted_quality =
+        std::min(out.predicted_quality, chosen.predicted_quality);
   }
   if (explain) return out;
 

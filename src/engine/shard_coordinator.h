@@ -1,14 +1,17 @@
 // ShardCoordinator: bound-aware scatter-gather top-N over a ShardedSnapshot.
 //
-// The sharded analogue of the engine's plan-and-run path. For one query it
+// The engine's dynamic read path at every shard count (one shard is the
+// degenerate case: one visit, no merge sort, the work of a plain catalog
+// query). For one query it
 //
 //   1. computes each shard's aggregate upper bound — the sum of the query
 //      terms' per-shard max impacts from the snapshot's bound cache — and
 //      orders shards by descending bound (ties to the lower index);
-//   2. plans per shard (each shard gets its own CardinalityEstimator over
-//      the shard's *local* df and its own storage-signal inputs, so a
+//   2. plans per shard through StrategyPlanner::Decide, the choice the
+//      static path makes too (each shard gets its own CardinalityEstimator
+//      over the shard's *local* df and its own storage-signal inputs, so a
 //      memtable-heavy shard can pick a different strategy than a merged
-//      one) or applies the forced strategy;
+//      one), or applies the forced strategy;
 //   3. visits shards in bound order in waves of `parallelism` on the
 //      process-wide ThreadPool, merging each wave's per-shard top-N heaps
 //      into the running global top-N (local ids mapped to global);
@@ -29,8 +32,10 @@
 // query terms — exactly the work a single catalog would have streamed);
 // visited shards tick shards_visited. Per-shard execution costs are
 // summed into the merged result's counters whether a shard ran inline or
-// on a pool thread. The scatter/gather phases trace as
-// kStageShardScatter / kStageShardGather on the engine thread.
+// on a pool thread. A shard's top-N merged into an empty running top-N
+// needs no sort, so one shard adds no merge work. The bound ordering and
+// the gather trace as kStageShardScatter / kStageShardGather on the engine
+// thread, and each shard's planning as a kStagePlan span.
 //
 // Exactness: for safe strategies whose reported scores are full
 // deterministic sums (everything except fagin_nra's partial lower
@@ -65,19 +70,20 @@ class ShardCoordinator {
     bool bound_pruning = true;
   };
 
-  /// Planner-driven scatter-gather (the sharded PlanAndRun): plans per
-  /// shard, then executes bound-ordered with skipping and threshold
-  /// seeding. With `explain` set, stops after planning; `decision_out`
-  /// (optional) receives the full decision of the highest-bound shard.
-  /// The result's estimate sums the per-shard predictions; its
-  /// predicted_quality is the minimum across shards.
+  /// Planner-driven scatter-gather (MmDatabase::Search on a dynamic
+  /// database): plans per shard, then executes bound-ordered with
+  /// skipping and threshold seeding. With `explain` set, stops after
+  /// planning; `decision_out` (optional, read only with `explain`)
+  /// receives the full decision of the highest-bound shard. The result's
+  /// estimate sums the per-shard predictions; its predicted_quality is
+  /// the minimum across shards.
   static Result<SearchResult> Run(
       const std::shared_ptr<const ShardedSnapshot>& snapshot,
       const QueryRequest& request, bool explain, bool trace,
       PlanDecision* decision_out, const Options& options);
 
   /// Forced-strategy scatter-gather with no planner in the loop (the
-  /// sharded MmDatabase::Execute): runs `strategy` on every visited
+  /// dynamic MmDatabase::Execute): runs `strategy` on every visited
   /// shard with `exec_options` (seeded per shard where applicable).
   static Result<TopNResult> Execute(
       const std::shared_ptr<const ShardedSnapshot>& snapshot,

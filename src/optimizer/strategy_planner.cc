@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "exec/registry.h"
+#include "obs/query_trace.h"
 
 namespace moa {
 namespace {
@@ -289,6 +290,23 @@ Result<PlanDecision> StrategyPlanner::PlanForced(
   }
   decision.candidates.push_back(decision.chosen);
   return decision;
+}
+
+Result<PlanCandidate> StrategyPlanner::Decide(
+    const Query& query, const PlanRequest& request,
+    PlanDecision* decision_out) const {
+  obs::TraceSpan span(obs::kStagePlan);
+  if (decision_out == nullptr && !request.force.has_value()) {
+    return PlanChoice(query, request);
+  }
+  Result<PlanDecision> plan = decision_out != nullptr
+                                  ? Plan(query, request)
+                                  : PlanForced(query, request);
+  if (!plan.ok()) return plan.status();
+  PlanDecision decision = std::move(plan).ValueOrDie();
+  PlanCandidate chosen = decision.chosen;
+  if (decision_out != nullptr) *decision_out = std::move(decision);
+  return chosen;
 }
 
 Result<PlanDecision> StrategyPlanner::Choose(PlanDecision decision) {

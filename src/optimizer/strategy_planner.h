@@ -119,6 +119,13 @@ class StrategyPlanner {
   Result<PlanDecision> PlanForced(const Query& query,
                                   const PlanRequest& request) const;
 
+  /// The one choice every execution path plans through, under the query's
+  /// `plan` trace span: Plan() when `decision_out` is set (Explain wants
+  /// the full table; it lands there), PlanForced() when the request forces
+  /// a strategy, PlanChoice() otherwise.
+  Result<PlanCandidate> Decide(const Query& query, const PlanRequest& request,
+                               PlanDecision* decision_out = nullptr) const;
+
  private:
   /// Picks the cheapest eligible candidate from a sorted decision and
   /// stamps reject reasons onto the eligible losers.

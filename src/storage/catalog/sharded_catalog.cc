@@ -1,11 +1,25 @@
 #include "storage/catalog/sharded_catalog.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 
 namespace moa {
 
 // ------------------------------------------------------------ ShardedCatalog
+
+std::string ShardedCatalog::ShardDir(const Options& options, size_t s) {
+  if (options.shard.dir.empty() || options.num_shards == 1) {
+    return options.shard.dir;
+  }
+  return options.shard.dir + "/shard_" + std::to_string(s);
+}
+
+bool ShardedCatalog::Exists(const Options& options) {
+  return !options.shard.dir.empty() &&
+         std::filesystem::exists(ShardDir(options, 0) + "/" +
+                                 kManifestFileName);
+}
 
 Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Build(
     const Options& options,
@@ -18,9 +32,7 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Build(
   catalog->shards_.reserve(options.num_shards);
   for (size_t s = 0; s < options.num_shards; ++s) {
     IndexCatalog::Options shard_options = options.shard;
-    if (!options.shard.dir.empty()) {
-      shard_options.dir = options.shard.dir + "/shard_" + std::to_string(s);
-    }
+    shard_options.dir = ShardDir(options, s);
     Result<std::unique_ptr<IndexCatalog>> shard = open_one(shard_options);
     if (!shard.ok()) return shard.status();
     catalog->shards_.push_back(std::move(shard).ValueOrDie());
@@ -55,113 +67,148 @@ std::vector<uint64_t> ShardedCatalog::DocSpaces() const {
 }
 
 Result<DocId> ShardedCatalog::AddDocument(const DocTerms& terms) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
   const size_t s = LeastLoaded(DocSpaces());
   Result<DocId> local = shards_[s]->AddDocument(terms);
   if (!local.ok()) return local.status();
-  cached_.reset();
+  InvalidateSnapshotCache();
   return GlobalOf(local.ValueOrDie(), s, shards_.size());
 }
 
 Result<std::vector<DocId>> ShardedCatalog::AddDocuments(
     const std::vector<DocTerms>& docs) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
   if (docs.empty()) return std::vector<DocId>{};
+  const size_t n = shards_.size();
 
-  // Route greedily in input order against a simulated load vector, then
-  // ingest each shard's run as one batch (one state publication per
-  // touched shard). From an empty catalog this is exactly round-robin,
-  // so a pristine seed gets identity global ids.
+  // Route greedily in input order against a simulated load vector. From
+  // an empty catalog this is exactly round-robin, so a pristine seed gets
+  // identity global ids.
   std::vector<uint64_t> spaces = DocSpaces();
   std::vector<size_t> shard_of(docs.size());
-  std::vector<std::vector<DocTerms>> batches(shards_.size());
   for (size_t i = 0; i < docs.size(); ++i) {
-    const size_t s = LeastLoaded(spaces);
-    shard_of[i] = s;
-    batches[s].push_back(docs[i]);
-    ++spaces[s];
+    shard_of[i] = LeastLoaded(spaces);
+    ++spaces[shard_of[i]];
   }
 
-  std::vector<DocId> first_local(shards_.size(), 0);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (batches[s].empty()) continue;
-    Result<DocId> first = shards_[s]->AddDocuments(batches[s]);
+  std::vector<DocId> first_local(n, 0);
+  const bool one_shard =
+      std::all_of(shard_of.begin(), shard_of.end(),
+                  [&](size_t s) { return s == shard_of[0]; });
+  if (one_shard) {
+    // One commit, straight from the caller's batch (no per-shard copy).
+    Result<DocId> first = shards_[shard_of[0]]->AddDocuments(docs);
     if (!first.ok()) return first.status();
-    first_local[s] = first.ValueOrDie();
+    first_local[shard_of[0]] = first.ValueOrDie();
+  } else {
+    // One commit per touched shard, under the snapshot lock so no
+    // snapshot shows the batch half applied.
+    std::vector<std::vector<DocTerms>> batches(n);
+    for (size_t i = 0; i < docs.size(); ++i) {
+      batches[shard_of[i]].push_back(docs[i]);
+    }
+    std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
+    for (size_t s = 0; s < n; ++s) {
+      if (batches[s].empty()) continue;
+      Result<DocId> first = shards_[s]->AddDocuments(batches[s]);
+      if (!first.ok()) {
+        InvalidateSnapshotCache();  // earlier shards may have committed
+        return first.status();
+      }
+      first_local[s] = first.ValueOrDie();
+    }
   }
-  cached_.reset();
+  InvalidateSnapshotCache();
 
   std::vector<DocId> ids(docs.size());
   std::vector<DocId> next_local = first_local;  // consecutive per shard
   for (size_t i = 0; i < docs.size(); ++i) {
     const size_t s = shard_of[i];
-    ids[i] = GlobalOf(next_local[s]++, s, shards_.size());
+    ids[i] = GlobalOf(next_local[s]++, s, n);
   }
   return ids;
 }
 
 Status ShardedCatalog::DeleteDocument(DocId global) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
   const size_t s = ShardOf(global, shards_.size());
   Status status = shards_[s]->DeleteDocument(LocalOf(global, shards_.size()));
-  if (status.ok()) cached_.reset();
+  if (status.ok()) InvalidateSnapshotCache();
   return status;
 }
 
 Result<DocId> ShardedCatalog::UpdateDocument(DocId global,
                                              const DocTerms& terms) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const size_t victim = ShardOf(global, shards_.size());
-  MOA_RETURN_NOT_OK(
-      shards_[victim]->DeleteDocument(LocalOf(global, shards_.size())));
-  cached_.reset();
-  const size_t s = LeastLoaded(DocSpaces());
-  Result<DocId> local = shards_[s]->AddDocument(terms);
-  if (!local.ok()) return local.status();
-  return GlobalOf(local.ValueOrDie(), s, shards_.size());
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
+  const size_t n = shards_.size();
+  const size_t victim = ShardOf(global, n);
+  const DocId local = LocalOf(global, n);
+  // Doc spaces count tombstoned slots, so picking the target before the
+  // delete picks what the delete would leave.
+  const size_t target = LeastLoaded(DocSpaces());
+  if (target == victim) {
+    Result<DocId> fresh = shards_[victim]->UpdateDocument(local, terms);
+    if (!fresh.ok()) return fresh.status();
+    InvalidateSnapshotCache();
+    return GlobalOf(fresh.ValueOrDie(), target, n);
+  }
+  // Cross-shard: delete then add, two commits under the snapshot lock.
+  std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
+  MOA_RETURN_NOT_OK(shards_[victim]->DeleteDocument(local));
+  Result<DocId> fresh = shards_[target]->AddDocument(terms);
+  InvalidateSnapshotCache();
+  if (!fresh.ok()) return fresh.status();
+  return GlobalOf(fresh.ValueOrDie(), target, n);
 }
 
 Status ShardedCatalog::Flush(size_t shard) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
   Status status = shards_[shard]->Flush();
-  if (status.ok()) cached_.reset();
+  InvalidateSnapshotCache();
   return status;
 }
 
 Status ShardedCatalog::FlushAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& shard : shards_) MOA_RETURN_NOT_OK(shard->Flush());
-  cached_.reset();
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
+  for (auto& shard : shards_) {
+    const Status status = shard->Flush();
+    InvalidateSnapshotCache();
+    MOA_RETURN_NOT_OK(status);
+  }
   return Status::OK();
 }
 
 Result<size_t> ShardedCatalog::Merge(size_t shard, const MergePolicy& policy) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
   Result<size_t> merged = shards_[shard]->Merge(policy);
-  if (merged.ok()) cached_.reset();
+  InvalidateSnapshotCache();
   return merged;
 }
 
 Result<size_t> ShardedCatalog::MergeAll(const MergePolicy& policy) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
   size_t total = 0;
   for (auto& shard : shards_) {
     Result<size_t> merged = shard->Merge(policy);
+    InvalidateSnapshotCache();
     if (!merged.ok()) return merged.status();
     total += merged.ValueOrDie();
   }
-  cached_.reset();
   return total;
 }
 
 std::shared_ptr<const ShardedSnapshot> ShardedCatalog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (cached_ == nullptr) {
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  // Read the generation before the shard states: a commit that bumps it
+  // later leaves this snapshot marked stale, never a stale one current.
+  const uint64_t generation = generation_.load(std::memory_order_acquire);
+  if (cached_ == nullptr || cached_generation_ != generation) {
     std::vector<std::shared_ptr<const CatalogState>> states;
     states.reserve(shards_.size());
     for (const auto& shard : shards_) states.push_back(shard->Snapshot());
     cached_ = std::make_shared<const ShardedSnapshot>(std::move(states),
                                                       options_.shard.scoring);
+    cached_generation_ = generation;
   }
   return cached_;
 }
@@ -319,6 +366,7 @@ std::vector<DocId> ShardedSnapshot::LiveDocIds() const {
 }
 
 std::string ShardedSnapshot::Describe() const {
+  if (entries_.size() == 1) return entries_[0]->state->Describe();
   std::ostringstream os;
   os << "sharded(" << entries_.size() << "): [";
   for (size_t s = 0; s < entries_.size(); ++s) {

@@ -1,6 +1,7 @@
 // ShardedCatalog: the document space partitioned across N independent
 // IndexCatalog shards, plus the consistent multi-shard snapshot queries
-// run against.
+// run against. It is the engine's only dynamic catalog: MmDatabase serves
+// every shard count, one included, through it and the ShardCoordinator.
 //
 // Partitioning. Each shard is a complete IndexCatalog (memtable, segments,
 // manifest) over its own dense *local* id space; the global id of local
@@ -11,13 +12,14 @@
 // routed to the least-loaded shard (smallest doc space, ties to the lowest
 // shard index), which from an empty catalog degenerates to round-robin —
 // a batch seeded into a pristine sharded catalog gets the *identity* ids
-// 0..k-1, exactly like a single catalog.
+// 0..k-1, exactly like a single catalog. With N = 1 every id maps to
+// itself and the one shard is a plain IndexCatalog in the root directory
+// (ShardDir), so IndexCatalog::Open reads a one-shard catalog directly.
 //
 // Snapshots. Snapshot() returns one ShardedSnapshot holding a consistent
-// vector of per-shard CatalogStates (taken under the catalog's mutation
-// lock, so no mutation interleaves the vector) plus the *global* live
-// statistics aggregated across shards. Per-shard read views report the
-// global statistics (df, N, avgdl, cf) while routing per-document lookups
+// vector of per-shard CatalogStates plus the *global* live statistics
+// aggregated across shards. Per-shard read views report the global
+// statistics (df, N, avgdl, cf) while routing per-document lookups
 // (DocLength) to the shard's own state — a scoring model bound to a shard
 // view therefore computes bit-identical weights to a single catalog of
 // the whole collection, and df-ordered strategies (max-score) process
@@ -36,12 +38,24 @@
 // a query's term bounds, the shard-skipping currency of the coordinator —
 // comes from the same cache.
 //
-// Thread-safety: mutations are serialized internally; Snapshot() may race
-// mutations freely (readers keep serving the snapshot they hold, exactly
-// like IndexCatalog).
+// Thread-safety. Two locks. The mutation lock serializes mutations, so a
+// routing decision and its commits are atomic. The snapshot lock guards
+// the cached snapshot, which is rebuilt on first use after any commit. A
+// mutation that commits to one shard — an add, a delete, a same-shard
+// update, and every flush and merge, which change no content — holds only
+// the mutation lock, so Snapshot() never waits for it, exactly like
+// IndexCatalog. A mutation that commits to two or more shards — a
+// cross-shard update, a batch spread over shards — also holds the
+// snapshot lock across its commits, so no snapshot shows it half applied;
+// readers wait for that write only. With one shard, readers never wait
+// for a writer. A generation counter marks the cache stale without taking
+// a lock, so a background job's invalidation hook never waits for a
+// multi-shard writer that may itself be waiting, through backpressure,
+// for that job's pool thread.
 #ifndef MOA_STORAGE_CATALOG_SHARDED_CATALOG_H_
 #define MOA_STORAGE_CATALOG_SHARDED_CATALOG_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,31 +76,42 @@ class ShardedCatalog {
     /// Number of shards (>= 1). Fixed at creation; Open must be called
     /// with the same count the catalog was created with.
     size_t num_shards = 1;
-    /// Per-shard catalog options. `shard.dir` is the *root* directory:
-    /// shard s lives in <root>/shard_<s>. Empty = memory-only shards.
+    /// Per-shard catalog options. `shard.dir` is the *root* directory;
+    /// ShardDir() names where each shard lives. Empty = memory-only shards.
     IndexCatalog::Options shard;
   };
 
-  /// Fresh empty sharded catalog (creates <root>/shard_<s> directories).
+  /// Fresh empty sharded catalog (creates every ShardDir).
   static Result<std::unique_ptr<ShardedCatalog>> Create(const Options& options);
-  /// Recovers every shard from its <root>/shard_<s>/MANIFEST.
+  /// Recovers every shard from the MANIFEST in its ShardDir.
   static Result<std::unique_ptr<ShardedCatalog>> Open(const Options& options);
+  /// True when `options.shard.dir` already holds a catalog of this layout
+  /// (shard 0's MANIFEST) — Open it rather than Create.
+  static bool Exists(const Options& options);
+  /// Directory of shard `s`: the root itself for a one-shard catalog (the
+  /// layout of a plain IndexCatalog), else a subdirectory per shard. Empty
+  /// for memory-only catalogs.
+  static std::string ShardDir(const Options& options, size_t s);
 
   /// Adds one document to the least-loaded shard; returns its global id.
   Result<DocId> AddDocument(const DocTerms& terms);
   /// Adds a batch, routing greedily document-by-document (one per-shard
   /// AddDocuments call per touched shard); returns the global ids in
-  /// input order.
+  /// input order. A batch spread over shards commits shard by shard: a
+  /// failing shard leaves the earlier shards' documents committed.
   Result<std::vector<DocId>> AddDocuments(const std::vector<DocTerms>& docs);
 
   /// Tombstones the document at global id `global` in its owning shard.
   Status DeleteDocument(DocId global);
 
-  /// Upsert as delete + add: tombstones `global`, re-ingests `terms` under
-  /// a fresh id (insertion-order id contract, same as a single catalog's
-  /// delete+add), returns the new global id. Two state publications — a
-  /// concurrent snapshot may observe the document deleted but not yet
-  /// re-added.
+  /// Upsert: tombstones `global` and re-ingests `terms` under a fresh id
+  /// (insertion-order id contract, same as a single catalog's upsert) on
+  /// the least-loaded shard; returns the new global id. When that shard
+  /// owns `global` — always, with one shard — the upsert is the shard's
+  /// own IndexCatalog::UpdateDocument: one commit, and a refused add
+  /// (backpressure) deletes nothing. A cross-shard upsert is still two
+  /// commits, delete then add: snapshots never show it half applied, but
+  /// a refused add or a crash between the two loses the document.
   Result<DocId> UpdateDocument(DocId global, const DocTerms& terms);
 
   /// Per-shard lifecycle, plus the all-shards conveniences the engine
@@ -98,18 +123,17 @@ class ShardedCatalog {
   Result<size_t> MergeAll(const MergePolicy& policy = {});
 
   /// The current consistent multi-shard snapshot (cached; rebuilt after a
-  /// mutation on first use).
+  /// commit on first use).
   std::shared_ptr<const ShardedSnapshot> Snapshot() const;
 
-  /// Drops the cached snapshot so the next Snapshot() rebuilds from the
-  /// shards' current states. Mutations through this class invalidate
-  /// automatically; background maintenance publishing *directly* into a
-  /// shard (via shard(s)) must call this from its on_state_change hook —
-  /// a merge compacts the shard's local ids, so a stale cached snapshot
-  /// would map global ids wrongly.
+  /// Marks the cached snapshot stale so the next Snapshot() rebuilds from
+  /// the shards' current states. Lock-free. Mutations through this class
+  /// invalidate automatically; background maintenance publishing
+  /// *directly* into a shard (via shard(s)) must call this from its
+  /// on_state_change hook — a merge compacts the shard's local ids, so a
+  /// stale cached snapshot would map global ids wrongly.
   void InvalidateSnapshotCache() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cached_.reset();
+    generation_.fetch_add(1, std::memory_order_acq_rel);
   }
 
   size_t num_shards() const { return shards_.size(); }
@@ -140,17 +164,22 @@ class ShardedCatalog {
   /// on the given per-shard doc-space vector. Callers mutate the vector
   /// as they route so a batch distributes evenly.
   static size_t LeastLoaded(const std::vector<uint64_t>& doc_space);
-  std::vector<uint64_t> DocSpaces() const;  // requires mutex_ held
+  std::vector<uint64_t> DocSpaces() const;  // requires mutation_mutex_
 
   Options options_;
   std::vector<std::unique_ptr<IndexCatalog>> shards_;
 
-  /// Serializes mutations and guards the snapshot cache. Per-shard
-  /// catalogs serialize internally too; this lock is what makes the
-  /// multi-shard routing decision + mutation atomic and the snapshot
-  /// vector consistent.
-  mutable std::mutex mutex_;
-  mutable std::shared_ptr<const ShardedSnapshot> cached_;  // null = stale
+  /// Serializes mutations: makes each routing decision and its commits
+  /// atomic. Per-shard catalogs serialize internally too.
+  std::mutex mutation_mutex_;
+  /// Guards the snapshot cache; held across the commits of a mutation
+  /// that spans shards (see the file comment).
+  mutable std::mutex snapshot_mutex_;
+  mutable std::shared_ptr<const ShardedSnapshot> cached_;
+  mutable uint64_t cached_generation_ = 0;
+  /// Bumped after every commit; a cached snapshot built at an older
+  /// generation is stale.
+  mutable std::atomic<uint64_t> generation_{0};
 };
 
 /// \brief Per-shard CollectionStatsView: global aggregates, local lengths.
@@ -269,7 +298,8 @@ class ShardedSnapshot {
   std::vector<DocId> LiveDocIds() const;
 
   /// Human-readable per-shard composition, e.g.
-  /// "sharded(2): [shard 0: catalog v3: ...; shard 1: catalog v2: ...]".
+  /// "sharded(2): [shard 0: catalog v3: ...; shard 1: catalog v2: ...]";
+  /// a one-shard snapshot describes its shard alone ("catalog v3: ...").
   std::string Describe() const;
 
  private:

@@ -502,6 +502,17 @@ TEST_F(CatalogParityTest, ReopenedDatabaseRecoversDurableCatalog) {
     flushed_space = db.ValueOrDie()->catalog()->Snapshot()->doc_space();
     ASSERT_EQ(flushed_space, 51u);
   }
+  // One shard keeps the single-catalog layout: the MANIFEST sits in
+  // catalog_dir itself, and a plain IndexCatalog opens it.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/MANIFEST"));
+  {
+    IndexCatalog::Options options;
+    options.num_terms = kVocab;
+    options.dir = dir;
+    auto plain = IndexCatalog::Open(options);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_EQ(plain.ValueOrDie()->Snapshot()->doc_space(), flushed_space);
+  }
   auto reopened = MmDatabase::Open(config);
   ASSERT_TRUE(reopened.ok());
   auto id = reopened.ValueOrDie()->AddDocument({{2, 3}});

@@ -50,6 +50,10 @@ TEST_F(MmDatabaseTest, OpenRejectsBadConfig) {
   DatabaseConfig bad = TestConfig();
   bad.collection.num_docs = 0;
   EXPECT_FALSE(MmDatabase::Open(bad).ok());
+  DatabaseConfig no_shards = TestConfig();
+  no_shards.num_shards = 0;
+  EXPECT_EQ(MmDatabase::Open(no_shards).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(MmDatabaseTest, SearchSafeMatchesGroundTruthSet) {
@@ -209,8 +213,8 @@ TEST_F(MmDatabaseTest, ExplainReportsFormatAndSkippedBlocksOverSegment) {
 }
 
 TEST_F(MmDatabaseTest, RejectsMalformedQueryOptions) {
-  // Static serving here; the single catalog is covered below and the
-  // sharded engine in sharded_catalog_test.
+  // Static serving and a one-shard catalog here; more shards in
+  // sharded_catalog_test.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<QueryOptions> bad(5);
   bad[0].quality_target = nan;

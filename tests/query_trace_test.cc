@@ -85,39 +85,50 @@ TEST(QueryTraceTest, DatabaseTraceRoundTrip) {
   qconfig.seed = 5;
   const auto queries = GenerateQueries(db.collection(), qconfig).ValueOrDie();
 
-  for (const Query& query : queries) {
-    QueryRequest request;
-    request.query = query;
-    request.options.strategy = PhysicalStrategy::kHeap;
-    auto result = db.Search(request);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const SearchResult& r = result.ValueOrDie();
-    ASSERT_TRUE(r.traced);
+  // Static serving first, then the one-shard catalog the first mutation
+  // seeds (memory-only: no block decodes outside the executor's spans).
+  for (const bool dynamic : {false, true}) {
+    SCOPED_TRACE(dynamic ? "one-shard catalog" : "static");
+    if (dynamic) ASSERT_TRUE(db.DeleteDocument(0).ok());
+    for (const Query& query : queries) {
+      QueryRequest request;
+      request.query = query;
+      request.options.strategy = PhysicalStrategy::kHeap;
+      auto result = db.Search(request);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const SearchResult& r = result.ValueOrDie();
+      ASSERT_TRUE(r.traced);
 
-    const QueryTraceData& trace = r.trace;
-    EXPECT_EQ(trace.strategy, StrategyName(PhysicalStrategy::kHeap));
-    EXPECT_FALSE(trace.planned);
-    ASSERT_GE(trace.spans.size(), 2u);
+      const QueryTraceData& trace = r.trace;
+      EXPECT_EQ(trace.strategy, StrategyName(PhysicalStrategy::kHeap));
+      EXPECT_FALSE(trace.planned);
+      ASSERT_GE(trace.spans.size(), 2u);
 
-    bool saw_accumulate = false, saw_heap_merge = false;
-    CostCounters span_sum;
-    double span_wall = 0.0;
-    for (const TraceSpanData& span : trace.spans) {
-      span_sum += span.cost;
-      span_wall += span.wall_millis;
-      saw_accumulate |= std::string(span.stage) == kStageAccumulate;
-      saw_heap_merge |= std::string(span.stage) == kStageHeapMerge;
-      EXPECT_GE(span.wall_millis, 0.0);
+      bool saw_plan = false, saw_accumulate = false, saw_heap_merge = false;
+      bool saw_gather = false;
+      CostCounters span_sum;
+      double span_wall = 0.0;
+      for (const TraceSpanData& span : trace.spans) {
+        span_sum += span.cost;
+        span_wall += span.wall_millis;
+        saw_plan |= std::string(span.stage) == kStagePlan;
+        saw_accumulate |= std::string(span.stage) == kStageAccumulate;
+        saw_heap_merge |= std::string(span.stage) == kStageHeapMerge;
+        saw_gather |= std::string(span.stage) == kStageShardGather;
+        EXPECT_GE(span.wall_millis, 0.0);
+      }
+      EXPECT_TRUE(saw_plan);
+      EXPECT_TRUE(saw_accumulate);
+      EXPECT_TRUE(saw_heap_merge);
+      EXPECT_EQ(saw_gather, dynamic);
+      // Stage spans tile every ticking region: their sum is the query delta.
+      ExpectCountersEqual(span_sum, trace.cost, "spans vs whole query");
+      // And the trace only *read* the ticker: its whole-query delta is
+      // bit-identical to the CostScope counters the executor itself took.
+      ExpectCountersEqual(trace.cost, r.top.stats.cost, "trace vs CostScope");
+      EXPECT_LE(span_wall, trace.wall_millis + 1.0);
+      EXPECT_GT(trace.cost.score_evals, 0);
     }
-    EXPECT_TRUE(saw_accumulate);
-    EXPECT_TRUE(saw_heap_merge);
-    // Stage spans tile every ticking region: their sum is the query delta.
-    ExpectCountersEqual(span_sum, trace.cost, "spans vs whole query");
-    // And the trace only *read* the ticker: its whole-query delta is
-    // bit-identical to the CostScope counters the executor itself took.
-    ExpectCountersEqual(trace.cost, r.top.stats.cost, "trace vs CostScope");
-    EXPECT_LE(span_wall, trace.wall_millis + 1.0);
-    EXPECT_GT(trace.cost.score_evals, 0);
   }
 
   // Completed traces land in the engine ring, oldest first.

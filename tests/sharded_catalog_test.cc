@@ -6,18 +6,24 @@
 // statistics, the snapshot-owned per-(shard, term) bound cache, the
 // coordinator's bound-ordered visiting with strict-below-n-th shard
 // skipping (exact skipped-work accounting in CostCounters), durability
-// through per-shard MANIFESTs, and — at the engine level — that an
-// MmDatabase serving N shards answers bit-identically to an unsharded
-// database given the same lifecycle (safe strategies; fagin_nra is
-// set-level because its partial lower bounds are partition-dependent).
+// through per-shard MANIFESTs (one shard in the root directory), the lock
+// split (a writer blocked by backpressure stalls no snapshot; a refused
+// same-shard upsert deletes nothing), and — at the engine level — that an
+// MmDatabase serving N shards answers bit-identically to a single catalog
+// given the same lifecycle (safe strategies; fagin_nra is set-level above
+// one shard because its partial lower bounds are partition-dependent).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,6 +31,7 @@
 #include "engine/shard_coordinator.h"
 #include "exec/registry.h"
 #include "ir/exact_eval.h"
+#include "storage/catalog/background_jobs.h"
 #include "storage/catalog/sharded_catalog.h"
 
 namespace moa {
@@ -255,8 +262,9 @@ TEST(ShardedCatalogTest, DurableShardsRecoverAcrossReopen) {
     ASSERT_TRUE(catalog.DeleteDocument(4).ok());
     ASSERT_TRUE(catalog.FlushAll().ok());
     for (size_t s = 0; s < 3; ++s) {
-      EXPECT_TRUE(std::filesystem::exists(dir + "/shard_" +
-                                          std::to_string(s) + "/MANIFEST"));
+      const std::string shard_dir = ShardedCatalog::ShardDir(options, s);
+      EXPECT_NE(shard_dir, dir);
+      EXPECT_TRUE(std::filesystem::exists(shard_dir + "/MANIFEST"));
     }
     auto merged = catalog.Merge(/*shard=*/1);
     ASSERT_TRUE(merged.ok());
@@ -266,6 +274,7 @@ TEST(ShardedCatalogTest, DurableShardsRecoverAcrossReopen) {
   }
 
   // Create refuses a directory that already holds shard manifests.
+  EXPECT_TRUE(ShardedCatalog::Exists(options));
   EXPECT_FALSE(ShardedCatalog::Create(options).ok());
 
   auto reopened = ShardedCatalog::Open(options);
@@ -278,14 +287,190 @@ TEST(ShardedCatalogTest, DurableShardsRecoverAcrossReopen) {
   EXPECT_EQ(snap->stats().total_live_tokens, stats_before.total_live_tokens);
 }
 
+// One shard is a plain IndexCatalog in the root directory, so a catalog
+// written by either class opens with the other.
+TEST(ShardedCatalogTest, OneShardLivesInTheRootDirectory) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/sharded_catalog_one_shard";
+  std::filesystem::remove_all(dir);
+  ShardedCatalog::Options options;
+  options.shard.num_terms = kVocab;
+  options.shard.dir = dir;
+  ASSERT_EQ(options.num_shards, 1u);
+  EXPECT_EQ(ShardedCatalog::ShardDir(options, 0), dir);
+  EXPECT_FALSE(ShardedCatalog::Exists(options));
+  {
+    auto created = ShardedCatalog::Create(options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE(created.ValueOrDie()->AddDocument({{3, 1}}).ok());
+    ASSERT_TRUE(created.ValueOrDie()->FlushAll().ok());
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir + "/MANIFEST"));
+  EXPECT_TRUE(ShardedCatalog::Exists(options));
+  {
+    auto plain = IndexCatalog::Open(options.shard);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_EQ(plain.ValueOrDie()->Snapshot()->stats().num_live_docs, 1u);
+    ASSERT_TRUE(plain.ValueOrDie()->AddDocument({{4, 2}}).ok());
+  }
+  auto reopened = ShardedCatalog::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.ValueOrDie()->Snapshot()->LiveDocIds(),
+            (std::vector<DocId>{0, 1}));
+}
+
+// Backpressure set-up shared by the two tests below: every shard's
+// memtable budget is 4 documents, and the attached maintenance loops
+// never run a job (flush trigger far above the budget), so the debt stays.
+struct OverBudgetCatalog {
+  std::unique_ptr<ShardedCatalog> catalog;
+  std::vector<std::unique_ptr<BackgroundMaintenance>> loops;
+};
+
+OverBudgetCatalog FillToBudget(const std::string& name, size_t num_shards,
+                               bool soft_fail) {
+  const std::string dir = std::string(::testing::TempDir()) + "/" + name +
+                          "_" + std::to_string(num_shards);
+  std::filesystem::remove_all(dir);
+  ShardedCatalog::Options options;
+  options.num_shards = num_shards;
+  options.shard.num_terms = kVocab;
+  options.shard.dir = dir;
+  options.shard.backpressure_memtable_docs = 4;
+  options.shard.backpressure_soft_fail = soft_fail;
+  OverBudgetCatalog out;
+  auto created = ShardedCatalog::Create(options);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  if (!created.ok()) return out;
+  out.catalog = std::move(created).ValueOrDie();
+  MaintenancePolicy policy;
+  policy.flush_trigger_docs = 1000;
+  policy.merge_trigger_segments = 0;
+  const ShardedCatalog* catalog = out.catalog.get();
+  for (size_t s = 0; s < num_shards; ++s) {
+    out.loops.push_back(std::make_unique<BackgroundMaintenance>(
+        &out.catalog->shard(s), policy,
+        [catalog] { catalog->InvalidateSnapshotCache(); }));
+  }
+  Rng rng(46);
+  for (size_t i = 0; i < 4 * num_shards; ++i) {
+    EXPECT_TRUE(out.catalog->AddDocument(SynthDoc(rng)).ok());
+  }
+  return out;
+}
+
+// A same-shard upsert is one commit: when backpressure refuses its add,
+// the old document stays live.
+TEST(ShardedCatalogTest, RefusedUpsertKeepsTheDocument) {
+  for (const size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("num_shards " + std::to_string(shards));
+    OverBudgetCatalog full = FillToBudget("sharded_refused_upsert", shards,
+                                          /*soft_fail=*/true);
+    ASSERT_NE(full.catalog, nullptr);
+    ShardedCatalog& catalog = *full.catalog;
+    ASSERT_EQ(catalog.AddDocument({{7, 5}}).status().code(),
+              StatusCode::kResourceExhausted);
+
+    // Balanced doc spaces route the fresh id to shard 0 (ties to the
+    // lowest index), which owns doc 0: a same-shard upsert.
+    const DocTerms before = catalog.Snapshot()->TermsOf(0);
+    auto updated = catalog.UpdateDocument(0, {{7, 5}});
+    EXPECT_EQ(updated.status().code(), StatusCode::kResourceExhausted);
+    const auto snap = catalog.Snapshot();
+    EXPECT_FALSE(snap->IsDeleted(0));
+    EXPECT_EQ(snap->TermsOf(0), before);
+    EXPECT_EQ(snap->stats().num_live_docs, 4 * shards);
+  }
+}
+
+// A writer blocked by backpressure holds only the mutation lock: readers
+// keep taking snapshots. Destroying the maintenance loops releases it.
+TEST(ShardedCatalogTest, SnapshotDoesNotWaitForABlockedWriter) {
+  for (const size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("num_shards " + std::to_string(shards));
+    OverBudgetCatalog full = FillToBudget("sharded_blocked_writer", shards,
+                                          /*soft_fail=*/false);
+    ASSERT_NE(full.catalog, nullptr);
+    ShardedCatalog& catalog = *full.catalog;
+
+    std::thread writer([&catalog] {
+      EXPECT_TRUE(catalog.AddDocument({{7, 5}}).ok());
+    });
+    // Let the writer reach the backpressure wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    std::future<std::shared_ptr<const ShardedSnapshot>> snapshot =
+        std::async(std::launch::async,
+                   [&catalog] { return catalog.Snapshot(); });
+    EXPECT_EQ(snapshot.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+
+    full.loops.clear();  // detaching the observers wakes the writer
+    writer.join();
+    EXPECT_EQ(snapshot.get()->stats().num_live_docs, 4 * shards);
+    EXPECT_EQ(catalog.Snapshot()->stats().num_live_docs, 4 * shards + 1);
+  }
+}
+
+// A batch spread over shards and a cross-shard upsert each commit shard by
+// shard, holding the snapshot lock across their commits: a reader racing
+// them sees each whole or not at all, so the live count stays even.
+TEST(ShardedCatalogTest, MultiShardWritesAreNeverSeenHalfApplied) {
+  ShardedCatalog::Options options;
+  options.num_shards = 2;
+  options.shard.num_terms = kVocab;
+  auto created = ShardedCatalog::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ShardedCatalog& catalog = *created.ValueOrDie();
+
+  const auto write = [&catalog] {
+    Rng rng(47);
+    for (int round = 0; round < 200; ++round) {
+      // From balanced or one-apart doc spaces, two documents land on
+      // both shards.
+      auto ids = catalog.AddDocuments({SynthDoc(rng), SynthDoc(rng)});
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+      ASSERT_NE(ShardedCatalog::ShardOf(ids.ValueOrDie()[0], 2),
+                ShardedCatalog::ShardOf(ids.ValueOrDie()[1], 2));
+      // The upsert's fresh id goes to the shard with the smaller doc
+      // space; move the batch's document from the other one.
+      const auto snap = catalog.Snapshot();
+      const size_t target =
+          snap->shard_state(1).doc_space() < snap->shard_state(0).doc_space()
+              ? 1
+              : 0;
+      const DocId victim =
+          ShardedCatalog::ShardOf(ids.ValueOrDie()[0], 2) == target
+              ? ids.ValueOrDie()[1]
+              : ids.ValueOrDie()[0];
+      auto moved = catalog.UpdateDocument(victim, SynthDoc(rng));
+      ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+      ASSERT_EQ(ShardedCatalog::ShardOf(moved.ValueOrDie(), 2), target);
+    }
+  };
+  std::atomic<bool> done{false};
+  std::thread writer([&write, &done] {
+    write();
+    done.store(true);
+  });
+  while (!done.load()) {
+    EXPECT_EQ(catalog.Snapshot()->stats().num_live_docs % 2, 0u);
+  }
+  writer.join();
+  EXPECT_EQ(catalog.Snapshot()->stats().num_live_docs, 400u);
+}
+
 // ---------------------------------------------------------------------------
-// Engine-level parity: the same lifecycle against an unsharded database
-// and against num_shards in {2, 4}. The lifecycle keeps the id spaces
-// aligned (a balanced seed gets identity ids; adds stay interleaved and
-// deletes do not move doc spaces; flush is id-stable; no merges), so safe
-// strategies must agree doc-for-doc and bit-for-bit on scores — except
-// that ranks tying the returned n-th score may legally swap equal-scored
-// docs (the distributed max-score threshold prunes ties).
+// Engine-level parity: the same lifecycle against a reference catalog and
+// against databases of num_shards in {1, 2, 4}. The reference is the one
+// shard of a num_shards = 1 database, queried through the registry and
+// ExactTopN over its IndexCatalog read view — the plain single-catalog
+// path, independent of the coordinator every database answers through.
+// The lifecycle keeps the id spaces aligned (a balanced seed gets
+// identity ids; adds stay interleaved and deletes do not move doc spaces;
+// flush is id-stable; no merges), so safe strategies must agree
+// doc-for-doc and bit-for-bit on scores — except that ranks tying the
+// returned n-th score may legally swap equal-scored docs (the distributed
+// max-score threshold prunes ties).
 
 DatabaseConfig ShardedConfig(const std::string& dir, size_t num_shards) {
   DatabaseConfig config;
@@ -336,14 +521,22 @@ void ExpectShardedParity(const TopNResult& ref, const TopNResult& got,
 TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
   const std::string base =
       std::string(::testing::TempDir()) + "/sharded_engine_parity";
-  std::filesystem::remove_all(base + "_1");
-  auto opened = MmDatabase::Open(ShardedConfig(base + "_1", 1));
+  std::filesystem::remove_all(base + "_reference");
+  auto opened = MmDatabase::Open(ShardedConfig(base + "_reference", 1));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  MmDatabase& reference = *opened.ValueOrDie();
-  RunAlignedLifecycle(reference);
+  const MmDatabase& reference_db = *opened.ValueOrDie();
+  RunAlignedLifecycle(*opened.ValueOrDie());
   if (::testing::Test::HasFatalFailure()) return;
-  ASSERT_NE(reference.catalog(), nullptr);
-  ASSERT_EQ(reference.sharded_catalog(), nullptr);
+  ASSERT_NE(reference_db.catalog(), nullptr);
+  const std::shared_ptr<const CatalogReadView> view =
+      reference_db.catalog()->OpenReadView();
+  const Fragmentation fragmentation = Fragmentation::Build(
+      view->state().stats().df, reference_db.config().fragmentation);
+  ExecContext reference;
+  reference.postings = view.get();
+  reference.model = view->model();
+  reference.fragmentation = &fragmentation;
+  reference.sparse_cache = &view->state().sparse_cache();
 
   QueryWorkloadConfig qconfig;
   qconfig.num_queries = 10;
@@ -351,9 +544,9 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
   qconfig.distribution = QueryTermDistribution::kMixed;
   qconfig.seed = 6161;
   const std::vector<Query> queries =
-      GenerateQueries(reference.collection(), qconfig).ValueOrDie();
+      GenerateQueries(reference_db.collection(), qconfig).ValueOrDie();
 
-  for (const size_t shards : {2u, 4u}) {
+  for (const size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("num_shards " + std::to_string(shards));
     const std::string dir = base + "_" + std::to_string(shards);
     std::filesystem::remove_all(dir);
@@ -362,34 +555,43 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
     MmDatabase& db = *sharded_open.ValueOrDie();
     RunAlignedLifecycle(db);
     if (::testing::Test::HasFatalFailure()) return;
-    ASSERT_EQ(db.catalog(), nullptr);
     ASSERT_NE(db.sharded_catalog(), nullptr);
     EXPECT_EQ(db.sharded_catalog()->num_shards(), shards);
+    EXPECT_EQ(db.catalog() != nullptr, shards == 1);
 
     // The aligned lifecycle keeps the live id sets equal.
     ASSERT_EQ(db.sharded_catalog()->Snapshot()->LiveDocIds(),
-              reference.catalog()->Snapshot()->LiveDocIds());
+              view->state().LiveDocIds());
 
     for (const Query& q : queries) {
       // Exact ground truth is id-aligned, so it must match exactly.
-      const auto truth = reference.GroundTruth(q, kTopN);
+      const auto truth = ExactTopN(*view, *view->model(), q, kTopN);
+      const std::vector<double> scores =
+          AccumulateScores(*view, *view->model(), q);
       const auto sharded_truth = db.GroundTruth(q, kTopN);
       ASSERT_EQ(truth.size(), sharded_truth.size());
       for (size_t i = 0; i < truth.size(); ++i) {
         EXPECT_EQ(truth[i], sharded_truth[i]) << "ground truth rank " << i;
       }
+      EXPECT_EQ(db.GroundTruthScores(q), scores);
 
       for (PhysicalStrategy s : AllStrategies()) {
         if (!IsSafeStrategy(s)) continue;  // per-shard pruning diverges
-        auto expected = reference.Execute(s, q, kTopN);
+        auto expected =
+            StrategyRegistry::Global().Execute(s, reference, q, kTopN);
         auto actual = db.Execute(s, q, kTopN);
         ASSERT_TRUE(expected.ok()) << StrategyName(s);
         ASSERT_TRUE(actual.ok())
             << StrategyName(s) << ": " << actual.status().ToString();
-        if (s == PhysicalStrategy::kFaginNRA) {
+        if (shards == 1) {
+          // One shard costs exactly what the single catalog costs.
+          EXPECT_EQ(actual.ValueOrDie().stats.cost.Scalar(),
+                    expected.ValueOrDie().stats.cost.Scalar())
+              << StrategyName(s);
+        }
+        if (s == PhysicalStrategy::kFaginNRA && shards > 1) {
           // Set-level: merged partial lower bounds are partition-
           // dependent, but membership in the exact top-N is not.
-          const std::vector<double> scores = reference.GroundTruthScores(q);
           ASSERT_EQ(actual.ValueOrDie().items.size(), truth.size())
               << StrategyName(s);
           for (const ScoredDoc& sd : actual.ValueOrDie().items) {
@@ -416,13 +618,12 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
       EXPECT_TRUE(IsSafeStrategy(planned.ValueOrDie().strategy));
       const std::vector<ScoredDoc>& planned_items =
           planned.ValueOrDie().top.items;
-      const std::vector<double> exact = reference.GroundTruthScores(q);
       ASSERT_EQ(planned_items.size(), truth.size());
       for (const ScoredDoc& sd : planned_items) {
-        ASSERT_LT(sd.doc, exact.size());
-        EXPECT_GE(exact[sd.doc] + 1e-9, truth.back().score)
+        ASSERT_LT(sd.doc, scores.size());
+        EXPECT_GE(scores[sd.doc] + 1e-9, truth.back().score)
             << "planned doc " << sd.doc << " outside the exact top-N";
-        EXPECT_NEAR(sd.score, exact[sd.doc], 1e-9)
+        EXPECT_NEAR(sd.score, scores[sd.doc], 1e-9)
             << "planned doc " << sd.doc;
       }
     }
@@ -446,11 +647,14 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
                           "search batch");
     }
 
-    // Explain names the sharded storage and the shard visit/skip split.
+    // Explain names the storage — one shard describes its own catalog —
+    // and the shard visit/skip split at every shard count.
     auto report = db.ExplainSearch(QueryRequest{queries[0], kTopN, {}});
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     const std::string text = report.ValueOrDie().ToString();
-    EXPECT_NE(text.find("storage: sharded("), std::string::npos) << text;
+    const char* storage =
+        shards == 1 ? "storage: catalog v" : "storage: sharded(";
+    EXPECT_NE(text.find(storage), std::string::npos) << text;
     EXPECT_NE(text.find("shards: visited"), std::string::npos) << text;
   }
 }
