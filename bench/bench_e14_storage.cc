@@ -1,16 +1,17 @@
-// E14 — posting storage formats: the raw MOAIF01 dump vs the compressed
-// block-based segment in both payload codecs (bit-packed MOAIF03, the
-// writer default, and varbyte MOAIF02). Three questions, per the storage
-// redesign:
+// E14 — posting storage: the compressed block-based MOAIF03 segment
+// against the in-memory InvertedFile it encodes. Four questions:
 //
-//  1. Space: on-disk bytes for the same collection (counter `v1_bytes`,
-//     `v2_bytes`, `v1_over_v2`). The acceptance bar is >= 2x.
-//  2. Cold start: ReadInvertedFile rebuilds the whole in-memory structure
-//     per open; SegmentReader::Open maps the file and validates
+//  1. Space: on-disk segment bytes against the raw posting bytes of the
+//     same collection, 8 B per (doc, tf) posting plus 4 B per document
+//     length (counters `raw_bytes`, `segment_bytes`, `raw_over_segment`).
+//     The acceptance bar is >= 2x.
+//  2. Cold start: SegmentReader::Open maps the file and validates the
 //     directories only — postings decode lazily per block.
 //  3. Hot path: full-list scan and skip-heavy advance_to throughput via
 //     the cursor API over both representations (plus the raw
 //     vector-direct scan as the no-abstraction reference).
+//  4. Sorted access: the impact-ordered prefix the Fagin family reads,
+//     with and without the fragment directory.
 //
 // MOA_BENCH_TINY=1 shrinks the collection so the CI smoke job finishes
 // in seconds.
@@ -24,7 +25,6 @@
 
 #include "engine/database.h"
 #include "ir/query_gen.h"
-#include "storage/io.h"
 #include "storage/segment/fragment_directory.h"
 #include "storage/segment/segment_reader.h"
 #include "storage/segment/segment_writer.h"
@@ -57,45 +57,42 @@ std::string PathFor(const char* name) {
       .string();
 }
 
-/// Writes all stored formats once and returns their paths + sizes: the
-/// raw MOAIF01 dump, the bit-packed MOAIF03 segment (the writer default)
-/// and a varbyte MOAIF02 segment of the same collection for the codec
-/// head-to-head.
-struct StoredFormats {
-  std::string v1_path = PathFor("index.moaif");
-  std::string v2_path = PathFor("index.moaseg");
-  std::string vb_path = PathFor("index_vb.moaseg");
-  uint64_t v1_bytes = 0;
-  uint64_t v2_bytes = 0;
-  uint64_t vb_bytes = 0;
+/// Writes the segment (with its fragment-directory sidecar) once and
+/// records its size next to the raw posting bytes it encodes.
+struct StoredSegment {
+  std::string path = PathFor("index.moaseg");
+  uint64_t raw_bytes = 0;
+  uint64_t segment_bytes = 0;
 
-  StoredFormats() {
+  StoredSegment() {
     MmDatabase& db = StorageDb();
-    Status v1 = WriteInvertedFile(db.file(), v1_path);
-    SegmentWriterOptions v2_options;
-    v2_options.impact_model = db.model().name();
-    v2_options.impact_fn = [&db](TermId t, const Posting& p) {
+    SegmentWriterOptions options;
+    options.impact_model = db.model().name();
+    options.impact_fn = [&db](TermId t, const Posting& p) {
       return db.model().Weight(t, p);
     };
-    Status v2 = WriteSegment(db.file(), v2_path, v2_options);
-    SegmentWriterOptions vb_options = v2_options;
-    vb_options.codec = SegmentCodec::kVarbyte;
-    Status vb = WriteSegment(db.file(), vb_path, vb_options);
-    if (!v1.ok() || !v2.ok() || !vb.ok()) {
-      std::fprintf(stderr, "bench_e14: write failed: %s / %s / %s\n",
-                   v1.ToString().c_str(), v2.ToString().c_str(),
-                   vb.ToString().c_str());
+    const Status written = WriteSegment(db.file(), path, options);
+    if (!written.ok()) {
+      std::fprintf(stderr, "bench_e14: write failed: %s\n",
+                   written.ToString().c_str());
       std::abort();
     }
-    v1_bytes = std::filesystem::file_size(v1_path);
-    v2_bytes = std::filesystem::file_size(v2_path);
-    vb_bytes = std::filesystem::file_size(vb_path);
+    raw_bytes = 8 * static_cast<uint64_t>(db.file().num_postings()) +
+                4 * static_cast<uint64_t>(db.file().num_docs());
+    segment_bytes = std::filesystem::file_size(path);
   }
 };
 
-StoredFormats& Formats() {
-  static StoredFormats* formats = new StoredFormats();
-  return *formats;
+StoredSegment& Stored() {
+  static StoredSegment* stored = new StoredSegment();
+  return *stored;
+}
+
+/// The segment, opened once and shared by every segment benchmark.
+const SegmentReader& Segment() {
+  static const SegmentReader* reader =
+      SegmentReader::Open(Stored().path).ValueOrDie().release();
+  return *reader;
 }
 
 /// The query-term working set: every term of a mixed workload (frequent
@@ -123,31 +120,21 @@ const std::vector<TermId>& WorkloadTerms() {
 void BM_OnDiskSize(benchmark::State& state) {
   // Not a timing benchmark: runs once to surface the size counters.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Formats().v2_bytes);
+    benchmark::DoNotOptimize(Stored().segment_bytes);
   }
-  state.counters["v1_bytes"] = static_cast<double>(Formats().v1_bytes);
-  state.counters["v2_bytes"] = static_cast<double>(Formats().v2_bytes);
-  state.counters["vb_bytes"] = static_cast<double>(Formats().vb_bytes);
-  state.counters["v1_over_v2"] = static_cast<double>(Formats().v1_bytes) /
-                                 static_cast<double>(Formats().v2_bytes);
-  state.counters["varbyte_over_bitpacked"] =
-      static_cast<double>(Formats().vb_bytes) /
-      static_cast<double>(Formats().v2_bytes);
+  state.counters["raw_bytes"] = static_cast<double>(Stored().raw_bytes);
+  state.counters["segment_bytes"] =
+      static_cast<double>(Stored().segment_bytes);
+  state.counters["raw_over_segment"] =
+      static_cast<double>(Stored().raw_bytes) /
+      static_cast<double>(Stored().segment_bytes);
 }
 
 // ----------------------------------------------------------- cold start
 
-void BM_ColdStartRebuildMoaif01(benchmark::State& state) {
+void BM_ColdStartMmapOpen(benchmark::State& state) {
   for (auto _ : state) {
-    auto file = ReadInvertedFile(Formats().v1_path);
-    if (!file.ok()) state.SkipWithError("read failed");
-    benchmark::DoNotOptimize(file.ValueOrDie().num_postings());
-  }
-}
-
-void BM_ColdStartMmapOpenMoaif02(benchmark::State& state) {
-  for (auto _ : state) {
-    auto reader = SegmentReader::Open(Formats().v2_path);
+    auto reader = SegmentReader::Open(Stored().path);
     if (!reader.ok()) state.SkipWithError("open failed");
     benchmark::DoNotOptimize(reader.ValueOrDie()->num_terms());
   }
@@ -201,27 +188,14 @@ void BM_ScanInMemoryCursor(benchmark::State& state) {
   });
 }
 
-void BM_ScanSegmentCursorBitPacked(benchmark::State& state) {
-  ScanBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader =
-        SegmentReader::Open(Formats().v2_path).ValueOrDie().release();
-    return *reader;
-  });
-}
-
-void BM_ScanSegmentCursorVarbyte(benchmark::State& state) {
-  ScanBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader =
-        SegmentReader::Open(Formats().vb_path).ValueOrDie().release();
-    return *reader;
-  });
+void BM_ScanSegmentCursor(benchmark::State& state) {
+  ScanBench(state, Segment);
 }
 
 /// The block-batch scan idiom (PostingCursor::block_postings): one
 /// virtual call per block instead of four per posting, so throughput is
-/// decode-bound and the codec head-to-head measures the codecs, not the
-/// shared dispatch overhead. This is the hot path BlockMaxAccumulate's
-/// dense phase runs.
+/// decode-bound rather than dispatch-bound. This is the hot path
+/// BlockMaxAccumulate's dense phase runs.
 template <typename SourceFn>
 void ScanBlocksBench(benchmark::State& state, SourceFn&& source_fn) {
   const PostingSource& source = source_fn();
@@ -251,20 +225,8 @@ void ScanBlocksBench(benchmark::State& state, SourceFn&& source_fn) {
   state.SetItemsProcessed(state.iterations() * postings);
 }
 
-void BM_ScanSegmentBlocksBitPacked(benchmark::State& state) {
-  ScanBlocksBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader =
-        SegmentReader::Open(Formats().v2_path).ValueOrDie().release();
-    return *reader;
-  });
-}
-
-void BM_ScanSegmentBlocksVarbyte(benchmark::State& state) {
-  ScanBlocksBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader =
-        SegmentReader::Open(Formats().vb_path).ValueOrDie().release();
-    return *reader;
-  });
+void BM_ScanSegmentBlocks(benchmark::State& state) {
+  ScanBlocksBench(state, Segment);
 }
 
 // --------------------------------------------------- advance throughput
@@ -300,20 +262,8 @@ void BM_AdvanceInMemoryCursor(benchmark::State& state) {
   });
 }
 
-void BM_AdvanceSegmentCursorBitPacked(benchmark::State& state) {
-  AdvanceBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader =
-        SegmentReader::Open(Formats().v2_path).ValueOrDie().release();
-    return *reader;
-  });
-}
-
-void BM_AdvanceSegmentCursorVarbyte(benchmark::State& state) {
-  AdvanceBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader =
-        SegmentReader::Open(Formats().vb_path).ValueOrDie().release();
-    return *reader;
-  });
+void BM_AdvanceSegmentCursor(benchmark::State& state) {
+  AdvanceBench(state, Segment);
 }
 
 // ------------------------------------------- impact-order prefix access
@@ -352,11 +302,7 @@ void BM_ImpactPrefixInMemory(benchmark::State& state) {
 }
 
 void BM_ImpactPrefixSegmentFragmentDir(benchmark::State& state) {
-  ImpactPrefixBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader =
-        SegmentReader::Open(Formats().v2_path).ValueOrDie().release();
-    return *reader;
-  });
+  ImpactPrefixBench(state, Segment);
 }
 
 void BM_ImpactPrefixSegmentSingleFragment(benchmark::State& state) {
@@ -366,7 +312,7 @@ void BM_ImpactPrefixSegmentSingleFragment(benchmark::State& state) {
     static const SegmentReader* reader = [] {
       const std::string path = PathFor("index_nofrag.moaseg");
       std::filesystem::copy_file(
-          Formats().v2_path, path,
+          Stored().path, path,
           std::filesystem::copy_options::overwrite_existing);
       std::filesystem::remove(FragmentSidecarPath(path));
       return SegmentReader::Open(path).ValueOrDie().release();
@@ -376,17 +322,13 @@ void BM_ImpactPrefixSegmentSingleFragment(benchmark::State& state) {
 }
 
 BENCHMARK(BM_OnDiskSize)->Iterations(1);
-BENCHMARK(BM_ColdStartRebuildMoaif01)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ColdStartMmapOpenMoaif02)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdStartMmapOpen)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScanRawVectors)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScanInMemoryCursor)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ScanSegmentCursorBitPacked)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ScanSegmentCursorVarbyte)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ScanSegmentBlocksBitPacked)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ScanSegmentBlocksVarbyte)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanSegmentCursor)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanSegmentBlocks)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceInMemoryCursor)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_AdvanceSegmentCursorBitPacked)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_AdvanceSegmentCursorVarbyte)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AdvanceSegmentCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixInMemory)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixSegmentFragmentDir)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixSegmentSingleFragment)

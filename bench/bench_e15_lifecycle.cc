@@ -3,7 +3,7 @@
 //
 //  1. Ingest throughput: documents/second into the catalog, by batch size
 //     (mutations are copy-on-write per call, so batching is the lever).
-//  2. Flush latency: memtable → immutable MOAIF02 segment + sidecar +
+//  2. Flush latency: memtable → immutable MOAIF03 segment + sidecar +
 //     manifest publish, as a function of buffered documents.
 //  3. Query latency vs segment count: the same corpus served from 1, 2, 4
 //     and 8 segments through the merged cursor (per-segment cursor setup

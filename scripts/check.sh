@@ -12,15 +12,8 @@
 #                          MOA_FUZZ_ITERS=100 scripts/check.sh; when
 #                          MOA_CTEST_ARGS filtered that pass, an explicit
 #                          `ctest -L fuzz` re-drive runs afterwards.
-#   MOA_CODEC              restrict the codec-parameterized suites
-#                          (segment_test, posting_cursor_test) to one
-#                          payload codec: "varbyte" or "bit-packed".
-#                          The env var is inherited by the test
-#                          processes; non-matching parameterizations
-#                          GTEST_SKIP. Unset = both codecs run (the CI
-#                          default — keep it that way in CI).
 #   MOA_SEGMENT_ROUNDTRIP  "1" guarantees the on-disk round-trips ran:
-#                          MOAIF02 write -> mmap reopen -> search-batch
+#                          MOAIF03 write -> mmap reopen -> search-batch
 #                          parity, plus the catalog lifecycle (flush /
 #                          merge / manifest recovery and the
 #                          incremental-vs-fresh parity suite).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "common/timer.h"
 #include "engine/shard_coordinator.h"
@@ -78,6 +79,20 @@ bool NeedsFragmentation(PhysicalStrategy s) {
   return entry != nullptr && entry->planner.needs_fragmentation;
 }
 
+/// Executors and storage index per-term arrays by term id unchecked, so
+/// the facade rejects ids outside the vocabulary before any of them runs.
+Status CheckTermIds(const Query& query, size_t num_terms) {
+  for (const TermId t : query.terms) {
+    if (t >= num_terms) {
+      return Status::InvalidArgument(
+          "query: term id " + std::to_string(t) +
+          " is outside the vocabulary of " + std::to_string(num_terms) +
+          " terms");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 ExecContext MmDatabase::static_context() const {
@@ -142,7 +157,6 @@ Status MmDatabase::EnsureDynamicLocked() {
   if (config_.background_maintenance) {
     options.shard.backpressure_memtable_docs =
         config_.backpressure_memtable_docs;
-    options.shard.backpressure_max_segments = config_.backpressure_max_segments;
     options.shard.backpressure_soft_fail = config_.backpressure_soft_fail;
   }
 
@@ -170,7 +184,6 @@ Status MmDatabase::EnsureDynamicLocked() {
     policy.flush_trigger_docs = config_.flush_trigger_docs;
     policy.merge_trigger_segments = config_.merge_trigger_segments;
     policy.merge_fanin = config_.merge_fanin;
-    policy.min_interval_millis = config_.maintenance_min_interval_millis;
     // One loop per shard; every background publish marks the cached
     // snapshot stale (a merge compacts the shard's local ids).
     const ShardedCatalog* catalog_ptr = catalog_.get();
@@ -256,10 +269,11 @@ Result<TopNResult> MmDatabase::Execute(PhysicalStrategy strategy,
                                        const ExecOptions& options) const {
   // Direct registry execution, no planner in the loop: benches and
   // harnesses use this to drive any strategy over any backend with no
-  // validation beyond the registry's own. The strategy is known here, so
-  // dynamic queries only pay for the live-statistics fragmentation when a
-  // fragment strategy runs. The dynamic flag is read once, as in
-  // RunQuery.
+  // validation beyond the term ids and the registry's own. The strategy
+  // is known here, so dynamic queries only pay for the live-statistics
+  // fragmentation when a fragment strategy runs. The dynamic flag is read
+  // once, as in RunQuery.
+  MOA_RETURN_NOT_OK(CheckTermIds(query, file().num_terms()));
   if (!is_dynamic()) {
     return StrategyRegistry::Global().Execute(strategy, static_context(),
                                               query, n, options);
@@ -357,6 +371,7 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
   if (!(options.quality_target >= 0.0 && options.quality_target <= 1.0)) {
     return Status::InvalidArgument("query: quality_target must be in [0, 1]");
   }
+  MOA_RETURN_NOT_OK(CheckTermIds(request.query, file().num_terms()));
   // One storage snapshot per query: plan and execution must see the same
   // state. The dynamic/static decision is read once; a query that raced
   // the first mutation onto the static side stays static end-to-end (the

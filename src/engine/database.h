@@ -6,8 +6,8 @@
 // Every query enters as a QueryRequest: when it names a strategy, that
 // strategy is forced; otherwise the Step-3 cost-based StrategyPlanner
 // chooses per query, in static *and* dynamic mode, from live statistics
-// and storage signals (codec, tombstone density, component count,
-// fragment-directory presence).
+// and storage signals (segment decode cost, tombstone density, component
+// count, fragment-directory presence).
 //
 // Storage spine. The database starts *static*: queries stream the
 // immutable in-memory InvertedFile through one InMemoryPostingSource the
@@ -107,15 +107,10 @@ struct DatabaseConfig {
   size_t merge_trigger_segments = 8;
   /// Segments compacted per background merge (size-tiered pick).
   size_t merge_fanin = 4;
-  /// Minimum milliseconds between background job starts per catalog
-  /// (0 = unthrottled).
-  uint64_t maintenance_min_interval_millis = 0;
   /// Write backpressure, enforced only while background maintenance is
   /// attached: adds/updates block (or soft-fail with ResourceExhausted)
   /// once the memtable exceeds this many documents (0 = unbounded).
   size_t backpressure_memtable_docs = 0;
-  /// Same, for un-merged segment debt (0 = unbounded).
-  size_t backpressure_max_segments = 0;
   /// Over budget: false = block writers until maintenance catches up,
   /// true = fail fast with ResourceExhausted.
   bool backpressure_soft_fail = false;
@@ -224,10 +219,12 @@ class MmDatabase {
   /// StrategyPlanner chooses — in static *and* dynamic mode — the
   /// cheapest registered strategy whose predicted quality meets
   /// request.options.quality_target, from live statistics and storage
-  /// signals (codec, tombstones, component count, fragment directory).
-  /// Rejects a NaN or out-of-range quality_target and a NaN or negative
-  /// deadline_millis with InvalidArgument (SearchBatch and ExplainSearch
-  /// share the check). Thread-safe.
+  /// signals (segment decode cost, tombstones, component count, fragment
+  /// directory).
+  /// Rejects a NaN or out-of-range quality_target, a NaN or negative
+  /// deadline_millis and a term id >= file().num_terms() with
+  /// InvalidArgument (SearchBatch and ExplainSearch share the check).
+  /// Thread-safe.
   Result<SearchResult> Search(const QueryRequest& request) const;
 
   /// Fans `requests` out across a ThreadPool of `parallelism` workers
@@ -241,8 +238,9 @@ class MmDatabase {
       const std::vector<QueryRequest>& requests, size_t parallelism = 0) const;
 
   /// Executes a specific strategy directly, bypassing the planner (bench
-  /// / harness path: no validation beyond the registry's own, so it can
-  /// drive any strategy over any backend). `switch_threshold` is a common
+  /// / harness path: no validation beyond the term ids, which must be
+  /// below file().num_terms(), and the registry's own, so it can drive
+  /// any strategy over any backend). `switch_threshold` is a common
   /// hint consulted by the fragment strategies only; every other strategy
   /// ignores it by design (typed per-strategy options go through the
   /// ExecOptions overload, where the registry rejects family mismatches).
@@ -332,9 +330,11 @@ class MmDatabase {
   }
 
   /// Exact ground truth for quality evaluation (catalog-aware).
+  /// Precondition: every term id of `query` is below file().num_terms();
+  /// unlike Search and Execute, the oracle does not check.
   std::vector<ScoredDoc> GroundTruth(const Query& query, size_t n) const;
   /// Dense exact scores for quality evaluation, indexed by doc id
-  /// (tombstoned slots score 0).
+  /// (tombstoned slots score 0). Same precondition as GroundTruth.
   std::vector<double> GroundTruthScores(const Query& query) const;
 
   /// Planner Explain, structured. The report carries the full planning

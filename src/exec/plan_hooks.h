@@ -4,7 +4,7 @@
 // The Step-3 cost model lives with each executor (exec/executors/*.cc) as
 // a PlannerHooks bundle on its StrategyRegistry entry. StrategyPlanner
 // (optimizer/strategy_planner.h) reads the hooks through the registry with
-// signals derived from the live snapshot (codec decode cost, tombstone
+// signals derived from the live snapshot (segment decode cost, tombstone
 // density, segment count, fragment-directory presence), which is what
 // makes the per-query adaptive choice storage-aware; with neutral signals
 // the formulas are the ones calibrated against the e5/e9/e11 benches.
@@ -44,7 +44,7 @@ struct StrategyCostInputs {
 
   // ---- storage signals (neutral = static in-memory inverted file) ----
   /// Per-posting sequential read multiplier: >1 when postings are decoded
-  /// from compressed blocks (varbyte costs more than bit-packed).
+  /// from compressed segment blocks.
   double decode_factor = 1.0;
   /// Dead postings streamed-and-skipped per live posting (tombstoned docs
   /// keep their slots until a merge reclaims them).

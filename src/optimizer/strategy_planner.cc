@@ -19,9 +19,6 @@ namespace {
 
 /// Bit-packed (MOAIF03) blocks bulk-decode close to memory speed.
 constexpr double kBitPackedDecodeFactor = 1.15;
-/// Varbyte (MOAIF02) decodes byte-at-a-time, noticeably slower per
-/// posting (bench_e14: ~1.3-1.6x the bit-packed scan time).
-constexpr double kVarbyteDecodeFactor = 1.4;
 /// Each extra snapshot component adds a binary-search step to every
 /// random probe (CatalogState::Locate) plus a per-component seek.
 constexpr double kComponentProbeFactor = 0.5;
@@ -133,12 +130,10 @@ StrategyCostInputs StorageInputsFor(const CatalogComposition& c) {
   const uint64_t total = c.total_slots();
   if (total == 0) return in;
 
-  // Decode cost: weighted by where the postings actually live. The
-  // memtable streams raw arrays (factor 1).
+  // Decode cost: weighted by where the postings actually live. Every
+  // segment is bit-packed; the memtable streams raw arrays (factor 1).
   in.decode_factor =
-      1.0 +
-      (kBitPackedDecodeFactor - 1.0) * Share(c.bitpacked_slots, total) +
-      (kVarbyteDecodeFactor - 1.0) * Share(c.varbyte_slots, total);
+      1.0 + (kBitPackedDecodeFactor - 1.0) * Share(c.segment_slots, total);
 
   // Tombstoned slots keep their postings until a merge: cursors stream
   // and skip them, so per live posting the scan pays ~dead/live extra.

@@ -4,7 +4,7 @@
 // For every registered strategy the planner evaluates its cost hook over
 // the same StrategyCostInputs — cardinalities from live statistics (a
 // catalog snapshot's df or the static file's) plus storage signals
-// derived from what the query will actually read (codec decode cost,
+// derived from what the query will actually read (segment decode cost,
 // tombstone density, component count, fragment-directory presence) — and
 // picks the cheapest candidate whose predicted quality meets the
 // request's target. Safe strategies predict quality 1.0 by definition;

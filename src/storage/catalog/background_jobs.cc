@@ -14,13 +14,11 @@ namespace {
 struct BgMetrics {
   obs::Counter* flushes;
   obs::Counter* merges;
-  obs::Counter* rate_limited;
   static const BgMetrics& Get() {
     static const BgMetrics m = [] {
       auto& r = obs::MetricsRegistry::Global();
       return BgMetrics{r.GetCounter("moa_bg_flush_total"),
-                       r.GetCounter("moa_bg_merge_total"),
-                       r.GetCounter("moa_bg_rate_limited_total")};
+                       r.GetCounter("moa_bg_merge_total")};
     }();
     return m;
   }
@@ -57,10 +55,10 @@ BackgroundMaintenance::BackgroundMaintenance(
       policy_(policy),
       on_state_change_(std::move(on_state_change)) {
   if (obs::kEnabled) BgMetrics::Get();  // register the family eagerly
-  catalog_->SetWriteObserver([this] { MaybeSchedule(/*force=*/false); });
+  catalog_->SetWriteObserver([this] { MaybeSchedule(); });
   // Ingest may have preceded attachment (e.g. a reopened catalog whose
   // replayed memtable is already over the trigger).
-  MaybeSchedule(/*force=*/false);
+  MaybeSchedule();
 }
 
 BackgroundMaintenance::~BackgroundMaintenance() {
@@ -85,24 +83,11 @@ bool BackgroundMaintenance::TriggersFire() const {
   return false;
 }
 
-void BackgroundMaintenance::MaybeSchedule(bool force) {
+void BackgroundMaintenance::MaybeSchedule() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopping_ || job_in_flight_) return;
   if (!TriggersFire()) return;
-  if (!force && policy_.min_interval_millis > 0 && ever_ran_) {
-    const auto next_allowed =
-        last_job_start_ +
-        std::chrono::milliseconds(policy_.min_interval_millis);
-    if (std::chrono::steady_clock::now() < next_allowed) {
-      // Skip-and-retrigger: the next committed write re-checks, so the
-      // trigger is deferred, not lost.
-      if (obs::kEnabled) BgMetrics::Get().rate_limited->Add();
-      return;
-    }
-  }
   job_in_flight_ = true;
-  ever_ran_ = true;
-  last_job_start_ = std::chrono::steady_clock::now();
   ThreadPool::Shared().Submit([this] { RunJob(); });
 }
 
@@ -149,20 +134,8 @@ void BackgroundMaintenance::RunJob() {
   // error — retrying a failing disk in a tight loop starves the pool,
   // and the next successful write re-triggers anyway.
   if (!stopping_ && error.ok() && TriggersFire()) {
-    bool rate_limited = false;
-    if (policy_.min_interval_millis > 0) {
-      const auto next_allowed =
-          last_job_start_ +
-          std::chrono::milliseconds(policy_.min_interval_millis);
-      rate_limited = std::chrono::steady_clock::now() < next_allowed;
-    }
-    if (!rate_limited) {
-      last_job_start_ = std::chrono::steady_clock::now();
-      ThreadPool::Shared().Submit([this] { RunJob(); });
-      return;  // slot stays claimed; the destructor keeps waiting
-    }
-    // Deferred, not lost: the next committed write re-checks.
-    if (obs::kEnabled) BgMetrics::Get().rate_limited->Add();
+    ThreadPool::Shared().Submit([this] { RunJob(); });
+    return;  // slot stays claimed; the destructor keeps waiting
   }
   job_in_flight_ = false;
   idle_cv_.notify_all();
@@ -177,7 +150,7 @@ void BackgroundMaintenance::WaitIdle() {
       if (!TriggersFire()) return;
       if (!last_error_.ok()) return;  // a broken disk would never settle
     }
-    MaybeSchedule(/*force=*/true);
+    MaybeSchedule();
     // If the trigger fired but scheduling lost a race with a concurrent
     // writer's observer, loop: the wait above re-blocks until idle.
   }

@@ -4,7 +4,7 @@
 //      AddDocument ──┐ (observer fires after every committed group)
 //                    ▼
 //          MaybeSchedule ── over trigger? ──▶ ThreadPool::Shared()
-//                │ rate-limited / job already in flight: skip      │
+//                │ job already in flight: skip                     │
 //                ▼                                                 ▼
 //          (writer returns)                    RunJob: Flush / size-tiered
 //                                              Merge, then re-check triggers
@@ -18,24 +18,23 @@
 // documents; a merge triggers once `merge_trigger_segments` segments
 // accumulate, compacting the adjacent run of `merge_fanin` segments with
 // the smallest total document count (size-tiered: small young segments
-// merge often, big old ones rarely). `min_interval_millis` rate-limits
-// job starts per catalog; a skipped trigger re-fires on the next write.
+// merge often, big old ones rarely). A trigger that fires while a job is
+// in flight is not lost: the job re-checks the triggers when it ends.
 //
 // At most one job runs per BackgroundMaintenance instance; the write
 // observer only *schedules* (O(1), no I/O), so commit latency stays flat.
 //
 // Backpressure pairs with this: IndexCatalog::Options'
-// backpressure_memtable_docs / backpressure_max_segments bound how far
-// ingest may outrun maintenance — writers block (or soft-fail) over
-// budget and are woken by the flush/merge publish.
+// backpressure_memtable_docs bounds how far ingest may outrun maintenance
+// — writers block (or soft-fail) over budget and are woken by the
+// flush/merge publish.
 //
 // Shutdown: the destructor detaches the observer, waits for the in-flight
 // job, and drops any pending trigger. WaitIdle() drains outstanding work
-// (ignoring the rate limit) for tests and orderly close.
+// for tests and orderly close.
 #ifndef MOA_STORAGE_CATALOG_BACKGROUND_JOBS_H_
 #define MOA_STORAGE_CATALOG_BACKGROUND_JOBS_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -55,9 +54,6 @@ struct MaintenancePolicy {
   /// Segments per merge: the adjacent run of this many segments with the
   /// smallest total document count is compacted (size-tiered).
   size_t merge_fanin = 4;
-  /// Minimum milliseconds between job starts (0 = no rate limit). A
-  /// trigger suppressed by the limit re-fires on the next write.
-  uint64_t min_interval_millis = 0;
 };
 
 /// \brief Runs Flush/Merge for one catalog on the shared thread pool.
@@ -75,8 +71,8 @@ class BackgroundMaintenance {
   BackgroundMaintenance(const BackgroundMaintenance&) = delete;
   BackgroundMaintenance& operator=(const BackgroundMaintenance&) = delete;
 
-  /// Blocks until no trigger is pending and no job is in flight,
-  /// ignoring the rate limit — the "settle" for tests and shutdown.
+  /// Blocks until no trigger is pending and no job is in flight — the
+  /// "settle" for tests and shutdown.
   /// Foreground writers may of course re-trigger afterwards.
   void WaitIdle();
 
@@ -88,8 +84,8 @@ class BackgroundMaintenance {
 
  private:
   /// Write-observer hook: re-checks triggers and schedules at most one
-  /// job. `force` ignores the rate limit (WaitIdle / post-job re-check).
-  void MaybeSchedule(bool force);
+  /// job.
+  void MaybeSchedule();
   /// True when the catalog's current state crosses a trigger.
   bool TriggersFire() const;
   /// The scheduled job: flush and/or size-tiered merge, then re-check.
@@ -104,8 +100,6 @@ class BackgroundMaintenance {
   bool job_in_flight_ = false;
   bool stopping_ = false;
   Status last_error_;
-  std::chrono::steady_clock::time_point last_job_start_{};
-  bool ever_ran_ = false;
 };
 
 }  // namespace moa

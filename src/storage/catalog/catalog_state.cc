@@ -353,7 +353,7 @@ std::string CatalogState::Describe() const {
     for (size_t i = 0; i < segments_.size(); ++i) {
       if (i > 0) os << ", ";
       os << "seg " << segments_[i]->id << ": " << segments_[i]->num_docs()
-         << " docs " << segments_[i]->reader->format_name();
+         << " docs " << kSegmentMagic;
       if (segments_[i]->num_deleted > 0) {
         os << " (" << segments_[i]->num_deleted << " tombstoned)";
       }
@@ -374,11 +374,6 @@ CatalogComposition CatalogState::Composition() const {
     const uint64_t slots = seg->num_docs();
     c.segment_slots += slots;
     c.dead_slots += seg->num_deleted;
-    if (seg->reader->codec() == SegmentCodec::kBitPacked) {
-      c.bitpacked_slots += slots;
-    } else {
-      c.varbyte_slots += slots;
-    }
     if (seg->reader->has_fragment_directory()) c.directory_slots += slots;
   }
   for (uint8_t d : memtable_deleted_) c.dead_slots += (d != 0) ? 1 : 0;

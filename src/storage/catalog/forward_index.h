@@ -1,6 +1,6 @@
 // ForwardIndex: per-document (term, tf) compositions — the catalog's
 // document store, and the MOAFWD01 sidecar that rides next to every
-// MOAIF02 segment file.
+// MOAIF03 segment file.
 //
 // The inverted file answers "which documents contain term t"; the catalog
 // additionally needs the transpose — "which terms does document d

@@ -388,16 +388,8 @@ void IndexCatalog::SetWriteObserver(std::function<void()> observer) {
 }
 
 bool IndexCatalog::OverBudget() const {
-  const std::shared_ptr<const CatalogState> snap = Snapshot();
-  if (options_.backpressure_memtable_docs > 0 &&
-      snap->memtable().num_docs() >= options_.backpressure_memtable_docs) {
-    return true;
-  }
-  if (options_.backpressure_max_segments > 0 &&
-      snap->segments().size() >= options_.backpressure_max_segments) {
-    return true;
-  }
-  return false;
+  return Snapshot()->memtable().num_docs() >=
+         options_.backpressure_memtable_docs;
 }
 
 Result<DocId> IndexCatalog::AddDocument(const DocTerms& terms) {
@@ -437,9 +429,8 @@ void IndexCatalog::SubmitAndWait(PendingWrite* write) {
 
   // Backpressure gates ingest (adds/updates) while maintenance is
   // attached; deletes always pass (they only shrink the live set).
-  const bool budgeted = options_.backpressure_memtable_docs > 0 ||
-                        options_.backpressure_max_segments > 0;
-  if (budgeted && write->kind != PendingWrite::kDelete) {
+  if (options_.backpressure_memtable_docs > 0 &&
+      write->kind != PendingWrite::kDelete) {
     auto observer_attached = [this] {
       std::lock_guard<std::mutex> observer_lock(observer_mutex_);
       return static_cast<bool>(write_observer_);
@@ -448,7 +439,7 @@ void IndexCatalog::SubmitAndWait(PendingWrite* write) {
       if (obs::kEnabled) GroupMetrics::Get().backpressure->Add();
       if (options_.backpressure_soft_fail) {
         write->status = Status::ResourceExhausted(
-            "catalog: write budget exceeded (memtable + un-merged debt)");
+            "catalog: write budget exceeded (memtable debt)");
         write->done = true;
         return;
       }

@@ -116,11 +116,11 @@ class IndexCatalog {
     /// `wal_fsync_every - 1` acknowledged records on power loss for
     /// fewer fsyncs.
     size_t wal_fsync_every = 1;
-    /// Backpressure budget, active only while a maintenance observer is
-    /// attached (otherwise nothing would ever drain the debt and a
-    /// blocked writer would hang). 0 disables the respective limit.
-    size_t backpressure_memtable_docs = 0;  ///< max buffered docs
-    size_t backpressure_max_segments = 0;   ///< max un-merged segments
+    /// Backpressure budget: the most documents the memtable may buffer
+    /// before adds and updates wait (0 = unbounded). Active only while a
+    /// maintenance observer is attached (otherwise nothing would ever
+    /// drain the debt and a blocked writer would hang).
+    size_t backpressure_memtable_docs = 0;
     /// Over budget: false = block the writer until maintenance catches
     /// up; true = fail fast with ResourceExhausted.
     bool backpressure_soft_fail = false;
@@ -222,7 +222,8 @@ class IndexCatalog {
   /// fsync, single publication.
   void CommitGroup(std::vector<PendingWrite*>& group);
 
-  /// True when the backpressure budget is exceeded by the current state.
+  /// True when the current memtable holds backpressure_memtable_docs or
+  /// more documents.
   bool OverBudget() const;
   /// Writes a fresh WAL seeded from `state`'s memtable, publishes the
   /// manifest naming it, swaps it in and retires the old file. Called

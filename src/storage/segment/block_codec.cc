@@ -5,65 +5,8 @@
 #include <cstring>
 #include <utility>
 
-#include "storage/segment/posting_cursor.h"
-#include "storage/segment/varbyte.h"
-
 namespace moa {
 namespace {
-
-// ------------------------------------------------------------- varbyte
-
-void EncodeVarbyte(const Posting* postings, size_t count,
-                   std::vector<uint8_t>& out) {
-  DocId prev = 0;
-  for (size_t i = 0; i < count; ++i) {
-    VarbyteAppend(out, i == 0 ? postings[0].doc : postings[i].doc - prev);
-    prev = postings[i].doc;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    VarbyteAppend(out, postings[i].tf);
-  }
-}
-
-Status DecodeVarbyte(const uint8_t* data, size_t bytes, size_t count,
-                     DocId expected_last_doc, DocId* docs, uint32_t* tfs) {
-  const uint8_t* p = data;
-  const uint8_t* end = data + bytes;
-  DocId prev = 0;
-  for (size_t i = 0; i < count; ++i) {
-    uint32_t v = 0;
-    const size_t used = VarbyteDecode(p, end, &v);
-    if (used == 0) return Status::InvalidArgument("segment block: bad doc");
-    p += used;
-    if (i == 0) {
-      prev = v;
-    } else {
-      // Gaps are >= 1 by construction; 0 would break strict ordering and
-      // an overflow past kEndDoc would wrap.
-      if (v == 0 || v > kEndDoc - prev) {
-        return Status::InvalidArgument("segment block: doc order violated");
-      }
-      prev += v;
-    }
-    docs[i] = prev;
-  }
-  if (count > 0 && prev != expected_last_doc) {
-    return Status::InvalidArgument("segment block: last doc mismatch");
-  }
-  for (size_t i = 0; i < count; ++i) {
-    uint32_t v = 0;
-    const size_t used = VarbyteDecode(p, end, &v);
-    if (used == 0) return Status::InvalidArgument("segment block: bad tf");
-    p += used;
-    tfs[i] = v;
-  }
-  if (p != end) {
-    return Status::InvalidArgument("segment block: trailing bytes");
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------- bit-packed
 
 inline uint32_t BitWidth(uint32_t v) {
   uint32_t w = 0;
@@ -278,33 +221,15 @@ Status DecodePacked(const uint8_t* data, size_t bytes, size_t count,
 
 }  // namespace
 
-void EncodePostingBlock(SegmentCodec codec, const Posting* postings,
+void EncodePostingBlock(SegmentCodec /*codec*/, const Posting* postings,
                         size_t count, std::vector<uint8_t>& out) {
-  if (codec == SegmentCodec::kBitPacked) {
-    EncodePacked(postings, count, out);
-  } else {
-    EncodeVarbyte(postings, count, out);
-  }
+  EncodePacked(postings, count, out);
 }
 
-Status DecodePostingBlock(SegmentCodec codec, const uint8_t* data,
+Status DecodePostingBlock(SegmentCodec /*codec*/, const uint8_t* data,
                           size_t bytes, size_t count, DocId expected_last_doc,
                           DocId* docs, uint32_t* tfs) {
-  if (codec == SegmentCodec::kBitPacked) {
-    return DecodePacked(data, bytes, count, expected_last_doc, docs, tfs);
-  }
-  return DecodeVarbyte(data, bytes, count, expected_last_doc, docs, tfs);
-}
-
-void EncodePostingBlock(const Posting* postings, size_t count,
-                        std::vector<uint8_t>& out) {
-  EncodeVarbyte(postings, count, out);
-}
-
-Status DecodePostingBlock(const uint8_t* data, size_t bytes, size_t count,
-                          DocId expected_last_doc, DocId* docs,
-                          uint32_t* tfs) {
-  return DecodeVarbyte(data, bytes, count, expected_last_doc, docs, tfs);
+  return DecodePacked(data, bytes, count, expected_last_doc, docs, tfs);
 }
 
 }  // namespace moa

@@ -1,13 +1,5 @@
-// Encode/decode of one posting block, in either segment codec
-// (segment_format.h).
-//
-// MOAIF02 (varbyte) block payload: varbyte(first_doc) then, per remaining
-// posting, varbyte(doc gap >= 1); after all docs, varbyte(tf) per posting
-// in the same order. Grouping the doc stream before the tf stream keeps
-// the doc-id bytes dense for skip-heavy access patterns while staying a
-// strictly sequential decode.
-//
-// MOAIF03 (bit-packed) block payload:
+// Encode/decode of one posting block of a MOAIF03 segment
+// (segment_format.h). The bit-packed block payload:
 //
 //   u32 first_doc     absolute doc id of the first posting
 //   u8  gap_bits      bit width of each packed (gap - 1) value, <= 32
@@ -22,7 +14,7 @@
 // canonical — any flipped width byte changes the expected byte count or
 // the minimality check and fails the decode. Fixed widths are what buy
 // the speed: the whole block decodes in two constant-shift loops instead
-// of one byte-at-a-time varbyte state machine per integer.
+// of one byte-at-a-time state machine per integer.
 #ifndef MOA_STORAGE_SEGMENT_BLOCK_CODEC_H_
 #define MOA_STORAGE_SEGMENT_BLOCK_CODEC_H_
 
@@ -49,14 +41,6 @@ void EncodePostingBlock(SegmentCodec codec, const Posting* postings,
 Status DecodePostingBlock(SegmentCodec codec, const uint8_t* data,
                           size_t bytes, size_t count, DocId expected_last_doc,
                           DocId* docs, uint32_t* tfs);
-
-/// Legacy varbyte entry points (equivalent to passing
-/// SegmentCodec::kVarbyte above); kept for callers that predate the codec
-/// dispatch.
-void EncodePostingBlock(const Posting* postings, size_t count,
-                        std::vector<uint8_t>& out);
-Status DecodePostingBlock(const uint8_t* data, size_t bytes, size_t count,
-                          DocId expected_last_doc, DocId* docs, uint32_t* tfs);
 
 }  // namespace moa
 

@@ -90,7 +90,7 @@ ReadFragmentDirectory(const std::string& path) {
   }
   std::fseek(f, 0, SEEK_END);
   // ftello, not std::ftell: ftell returns long (32-bit on LLP64), which
-  // would mis-size a >= 2 GiB sidecar — same fix as storage/io.cc.
+  // would mis-size a >= 2 GiB sidecar.
   const off_t end = ::ftello(f);
   std::rewind(f);
   if (end < 0 || static_cast<uint64_t>(end) < sizeof(FragmentFileHeader)) {

@@ -1,5 +1,5 @@
 // MOAFRG01 on-disk fragment directory — the impact-ordered fragment
-// sidecar of a MOAIF02 segment.
+// sidecar of a MOAIF03 segment.
 //
 // The sidecar lives next to its segment (`<segment path>.frg`) and groups
 // every term's blocks into *fragments*: disjoint runs of consecutive

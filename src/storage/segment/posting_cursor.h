@@ -5,7 +5,7 @@
 // term-at-a-time max-score and STOP AFTER — talk to this interface instead
 // of touching std::vector<Posting> directly, so the same algorithm runs
 // unchanged over the in-memory InvertedFile and over a compressed
-// mmap-backed MOAIF02 segment (storage/segment/segment_reader.h).
+// mmap-backed MOAIF03 segment (storage/segment/segment_reader.h).
 //
 // Contract (shared by every implementation, enforced by the conformance
 // suite in tests/posting_cursor_test.cc):

@@ -1,26 +1,22 @@
-// MOAIF02/MOAIF03 on-disk segment layout, shared by the writer and the
-// reader.
+// MOAIF03 on-disk segment layout, shared by the writer and the reader.
 //
 // A segment is one little-endian file of four 8-byte-aligned sections
 // behind a fixed header:
 //
-//   header         SegmentHeader (magic "MOAIF0x\0", counts, block size)
+//   header         SegmentHeader (magic "MOAIF03\0", counts, block size)
 //   doc_lengths    u32[num_docs], zero-padded to 8 bytes
 //   term dir       TermDirEntry[num_terms]
 //   block dir      BlockDirEntry[num_blocks]
 //   payload        compressed block payload, u8[payload_bytes]
 //
-// The two format versions share every structure above and differ only in
-// the per-block payload codec (the magic *is* the version negotiation):
-//
-//   MOAIF02  varbyte — first doc absolute, then doc gaps, then tfs, each
-//            LEB128-style one integer at a time.
-//   MOAIF03  bit-packed — a fixed 8-byte block header (absolute first
-//            doc, per-block bit widths) followed by word-aligned arrays
-//            of fixed-width values (doc gaps - 1, then raw tfs). The
-//            constant per-block width turns decode into branch-free
-//            shift/mask loops the compiler auto-vectorizes, and whole
-//            blocks (up to block_size postings) materialize per call.
+// Each block's payload is bit-packed (block_codec.h): a fixed 8-byte
+// block header (absolute first doc, per-block bit widths) followed by
+// word-aligned arrays of fixed-width values (doc gaps - 1, then raw
+// tfs). The constant per-block width turns decode into branch-free
+// shift/mask loops the compiler auto-vectorizes, and whole blocks (up to
+// block_size postings) materialize per call. MOAIF03 is the only format
+// the reader accepts: a file in a retired format (the raw dump, the
+// varbyte payload) carries another magic and fails to open.
 //
 // Every term owns a contiguous run of block-directory entries and a
 // contiguous payload range; block/byte extents are derived from the next
@@ -44,36 +40,19 @@
 
 namespace moa {
 
-inline constexpr char kSegmentMagic[8] = {'M', 'O', 'A', 'I', 'F', '0', '2',
+/// File magic of every segment. NUL-terminated, so it also prints as
+/// the format name.
+inline constexpr char kSegmentMagic[8] = {'M', 'O', 'A', 'I', 'F', '0', '3',
                                           '\0'};
-inline constexpr char kSegmentMagicV3[8] = {'M', 'O', 'A', 'I', 'F', '0', '3',
-                                            '\0'};
 inline constexpr uint32_t kFlagHasImpacts = 1u << 0;
 inline constexpr uint32_t kDefaultSegmentBlockSize = 128;
 
-/// Which per-block payload codec a segment uses; selected by the writer
-/// (SegmentWriterOptions::codec) and negotiated by the reader from the
-/// file magic. The directories and every impact bound are identical
-/// across codecs, so the choice is purely a speed/size trade on the
-/// payload bytes.
+/// The per-block payload codec. MOAIF03's bit packing is the only one;
+/// the block codec entry points still name it so that a caller states
+/// which encoding it reads and writes.
 enum class SegmentCodec : uint32_t {
-  kVarbyte = 2,    ///< MOAIF02: LEB128-style, one integer at a time
   kBitPacked = 3,  ///< MOAIF03: per-block fixed-width, bulk word decode
 };
-
-inline const char* SegmentCodecName(SegmentCodec codec) {
-  return codec == SegmentCodec::kBitPacked ? "bit-packed" : "varbyte";
-}
-
-/// File magic a segment with this codec carries ("MOAIF02\0"/"MOAIF03\0").
-inline const char* SegmentMagicFor(SegmentCodec codec) {
-  return codec == SegmentCodec::kBitPacked ? kSegmentMagicV3 : kSegmentMagic;
-}
-
-/// Format name for human-facing output ("MOAIF02"/"MOAIF03").
-inline const char* SegmentFormatName(SegmentCodec codec) {
-  return codec == SegmentCodec::kBitPacked ? "MOAIF03" : "MOAIF02";
-}
 
 /// Max bytes (including NUL padding) of the impact-model identifier.
 inline constexpr size_t kImpactModelBytes = 32;

@@ -42,11 +42,10 @@ T LoadPod(const uint8_t* base, uint64_t index) {
 /// long skips stay O(log distance).
 class BlockPostingCursor final : public PostingCursor {
  public:
-  BlockPostingCursor(SegmentCodec codec, const uint8_t* blocks,
-                     uint32_t num_blocks, const uint8_t* payload,
-                     uint64_t payload_bytes, uint32_t df, double max_impact)
-      : codec_(codec),
-        blocks_(blocks),
+  BlockPostingCursor(const uint8_t* blocks, uint32_t num_blocks,
+                     const uint8_t* payload, uint64_t payload_bytes,
+                     uint32_t df, double max_impact)
+      : blocks_(blocks),
         num_blocks_(num_blocks),
         payload_(payload),
         payload_bytes_(payload_bytes),
@@ -141,8 +140,9 @@ class BlockPostingCursor final : public PostingCursor {
     docs_.resize(current_.count);
     tfs_.resize(current_.count);
     Status status = DecodePostingBlock(
-        codec_, payload_ + current_.offset, end - current_.offset,
-        current_.count, current_.last_doc, docs_.data(), tfs_.data());
+        SegmentCodec::kBitPacked, payload_ + current_.offset,
+        end - current_.offset, current_.count, current_.last_doc,
+        docs_.data(), tfs_.data());
     if (!status.ok()) {
       // Unreachable on verified segments: Open validates the directories
       // and IndexCatalog::Open runs CheckIntegrity over the payload, so
@@ -193,7 +193,6 @@ class BlockPostingCursor final : public PostingCursor {
     return true;
   }
 
-  SegmentCodec codec_;
   const uint8_t* blocks_;
   uint32_t num_blocks_;
   const uint8_t* payload_;
@@ -392,16 +391,10 @@ Status SegmentReader::AttachFragmentDirectory(
 
 Status SegmentReader::Validate() {
   const SegmentHeader& h = header_;
-  // The magic doubles as the format version: MOAIF02 carries varbyte
-  // payload, MOAIF03 the bit-packed codec. Directories and header layout
-  // are identical, so the codec is the only thing negotiated here.
-  if (std::memcmp(h.magic, kSegmentMagic, sizeof(h.magic)) == 0) {
-    codec_ = SegmentCodec::kVarbyte;
-  } else if (std::memcmp(h.magic, kSegmentMagicV3, sizeof(h.magic)) == 0) {
-    codec_ = SegmentCodec::kBitPacked;
-  } else {
-    return Status::InvalidArgument(
-        "segment: bad magic (not MOAIF02/MOAIF03)");
+  // MOAIF03 is the only format: a file in a retired format shares the
+  // "MOAIF0" prefix but is never misread.
+  if (std::memcmp(h.magic, kSegmentMagic, sizeof(h.magic)) != 0) {
+    return Status::InvalidArgument("segment: bad magic (not MOAIF03)");
   }
   if (h.block_size == 0 || h.block_size > (1u << 20)) {
     return Status::InvalidArgument("segment: implausible block size");
@@ -558,7 +551,7 @@ uint32_t SegmentReader::DocLength(DocId d) const {
 std::unique_ptr<PostingCursor> SegmentReader::OpenCursor(TermId t) const {
   const TermDirEntry entry = term_entry(t);
   return std::make_unique<BlockPostingCursor>(
-      codec_, block_dir_ + entry.block_begin * sizeof(BlockDirEntry),
+      block_dir_ + entry.block_begin * sizeof(BlockDirEntry),
       entry.block_count, payload_ + entry.payload_offset,
       term_payload_bytes(entry, t), entry.df, entry.max_impact);
 }
@@ -594,7 +587,6 @@ class SegmentFragmentCursor final : public FragmentCursor {
                                    ? BlockEntry(end_block).offset
                                    : term_payload_bytes_;
     return std::make_unique<BlockPostingCursor>(
-        reader_->codec(),
         reader_->block_dir_ + (term_.block_begin + fr.block_begin) *
                                   sizeof(BlockDirEntry),
         fr.block_count, reader_->payload_ + term_.payload_offset, end_bytes,
@@ -642,10 +634,9 @@ Status SegmentReader::CheckIntegrity() const {
               : payload_bytes;
       docs.resize(be.count);
       tfs.resize(be.count);
-      MOA_RETURN_NOT_OK(DecodePostingBlock(codec_, payload + be.offset,
-                                           end - be.offset, be.count,
-                                           be.last_doc, docs.data(),
-                                           tfs.data()));
+      MOA_RETURN_NOT_OK(DecodePostingBlock(
+          SegmentCodec::kBitPacked, payload + be.offset, end - be.offset,
+          be.count, be.last_doc, docs.data(), tfs.data()));
       if (b > 0 && docs.front() <= prev_last) {
         return Status::InvalidArgument("segment: blocks overlap in doc ids");
       }

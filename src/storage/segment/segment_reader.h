@@ -1,7 +1,7 @@
-// Mmap-backed MOAIF02/MOAIF03 segment reader: a PostingSource whose
-// posting lists stay compressed on disk until a cursor touches them. The
-// payload codec (varbyte vs bit-packed) is negotiated from the file magic
-// at Open; everything above the block payload is format-identical.
+// Mmap-backed MOAIF03 segment reader: a PostingSource whose posting lists
+// stay compressed on disk until a cursor touches them. Open rejects any
+// other magic, retired formats included, with InvalidArgument, so an old
+// file fails cleanly instead of being misread.
 //
 // Open() memory-maps the file read-only and fully validates the header
 // and both directories (bounds, monotonicity, block-count arithmetic,
@@ -64,11 +64,6 @@ class SegmentReader final : public PostingSource {
 
   uint64_t total_tokens() const { return header_.total_tokens; }
   uint32_t block_size() const { return header_.block_size; }
-  /// Payload codec, negotiated from the file magic at Open (MOAIF02 =
-  /// varbyte, MOAIF03 = bit-packed).
-  SegmentCodec codec() const { return codec_; }
-  /// Format name for human-facing output ("MOAIF02"/"MOAIF03").
-  const char* format_name() const { return SegmentFormatName(codec_); }
   bool has_impacts() const { return (header_.flags & kFlagHasImpacts) != 0; }
   /// Name of the scoring model the stored impact bounds were computed
   /// with (empty when the segment carries no impacts). Consumers must
@@ -107,7 +102,6 @@ class SegmentReader final : public PostingSource {
   static Result<std::unique_ptr<SegmentReader>> OpenInternal(
       const std::string& path);
 
-  /// Also negotiates `codec_` from the file magic.
   Status Validate();
   /// Cross-validates a structurally valid sidecar against the mapped
   /// directories; on success installs it as the fragment directory.
@@ -120,7 +114,6 @@ class SegmentReader final : public PostingSource {
   const uint8_t* data_ = nullptr;  // whole mapping
   uint64_t size_ = 0;
   SegmentHeader header_{};
-  SegmentCodec codec_ = SegmentCodec::kVarbyte;
   // Section base pointers into the mapping (set after header validation).
   const uint8_t* doc_lengths_ = nullptr;
   const uint8_t* term_dir_ = nullptr;

@@ -77,8 +77,8 @@ Status BuildImage(const InvertedFile& file,
         }
       }
       entry.max_impact = std::max(entry.max_impact, block.max_impact);
-      EncodePostingBlock(options.codec, postings.data() + begin, count,
-                         payload);
+      EncodePostingBlock(SegmentCodec::kBitPacked, postings.data() + begin,
+                         count, payload);
       block_dir.push_back(block);
     }
     entry.block_count =
@@ -94,8 +94,7 @@ Status WriteBody(const InvertedFile& file, const SegmentWriterOptions& options,
   const std::vector<uint8_t>& payload = image.payload;
 
   SegmentHeader header{};
-  std::memcpy(header.magic, SegmentMagicFor(options.codec),
-              sizeof(header.magic));
+  std::memcpy(header.magic, kSegmentMagic, sizeof(header.magic));
   header.block_size = options.block_size;
   header.flags = options.impact_fn ? kFlagHasImpacts : 0;
   if (options.impact_fn) {

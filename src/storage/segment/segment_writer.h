@@ -1,6 +1,5 @@
-// Segment writer: compresses an InvertedFile into the block-structured
-// on-disk format of segment_format.h (MOAIF03 bit-packed by default,
-// MOAIF02 varbyte via SegmentWriterOptions::codec).
+// Segment writer: compresses an InvertedFile into the block-structured,
+// bit-packed MOAIF03 on-disk format of segment_format.h.
 //
 // Writes go to `path + ".tmp"` and are atomically renamed into place, so
 // a crash mid-write never leaves a half-written segment at `path`.
@@ -22,12 +21,6 @@ struct SegmentWriterOptions {
   /// Max postings per block. Smaller blocks skip better, larger blocks
   /// compress better; 128 is the production-IR sweet spot.
   uint32_t block_size = kDefaultSegmentBlockSize;
-  /// Payload codec (and thereby the file magic: MOAIF02 for varbyte,
-  /// MOAIF03 for bit-packed). Bit-packed is the default — it decodes a
-  /// whole block in two constant-width loops instead of one varbyte state
-  /// machine per integer; varbyte stays available for compatibility and
-  /// for the codec benchmarks.
-  SegmentCodec codec = SegmentCodec::kBitPacked;
   /// Optional scoring weight w(t, posting). When set, per-term and
   /// per-block max impacts are stored (kFlagHasImpacts) and max-score
   /// pruning works directly over the segment. Must be the same arithmetic
@@ -45,7 +38,7 @@ struct SegmentWriterOptions {
   uint32_t fragment_blocks = 8;
 };
 
-/// Writes `file` as a MOAIF02 segment at `path` (atomic overwrite), plus
+/// Writes `file` as a MOAIF03 segment at `path` (atomic overwrite), plus
 /// the MOAFRG01 fragment-directory sidecar at `path + ".frg"` when
 /// impacts are stored. A stale sidecar from an earlier write is removed
 /// before the new segment publishes, so no crash point leaves a segment

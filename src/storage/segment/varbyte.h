@@ -1,11 +1,14 @@
 // Variable-byte (LEB128-style) codec for u32 values: 7 payload bits per
-// byte, high bit = continuation. Doc-id gaps and term frequencies are
-// small on real collections, so most values take one byte — this is the
-// workhorse behind the MOAIF02 block payload.
+// byte, high bit = continuation. Term-id gaps and term frequencies are
+// small in practice, so most values take one byte. It encodes the
+// WAL records (storage/catalog/wal.h) and the MOAFWD01 forward-index
+// sidecar (storage/catalog/forward_index.h); segment payloads are
+// bit-packed instead (block_codec.h).
 //
 // The decoder is hard-bounds-checked: it never reads past `end` and
 // rejects overlong / overflowing encodings, so a corrupt or truncated
-// segment can at worst produce a clean decode error, never an over-read.
+// log or sidecar can at worst produce a clean decode error, never an
+// over-read.
 #ifndef MOA_STORAGE_SEGMENT_VARBYTE_H_
 #define MOA_STORAGE_SEGMENT_VARBYTE_H_
 
@@ -22,16 +25,6 @@ inline void VarbyteAppend(std::vector<uint8_t>& out, uint32_t value) {
     value >>= 7;
   }
   out.push_back(static_cast<uint8_t>(value));
-}
-
-/// Encoded size of `value` in bytes without materializing it.
-inline size_t VarbyteSize(uint32_t value) {
-  size_t n = 1;
-  while (value >= 0x80u) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
 }
 
 /// Decodes one varbyte value from [p, end). Returns the number of bytes

@@ -14,7 +14,7 @@
 // the bound cannot rule the document out. Documents ruled out are dropped
 // permanently: their ceiling is strictly below the running n-th best
 // score, which never decreases, so they can never re-enter the top n.
-// Over block-structured storage (MOAIF02/MOAIF03 segments) the shallow
+// Over block-structured storage (MOAIF03 segments) the shallow
 // step is a block-directory walk and the payload of skipped blocks is
 // never decoded.
 //

@@ -214,27 +214,6 @@ TEST(BackgroundJobsTest, BackpressureInactiveWithoutMaintenance) {
   }
 }
 
-TEST(BackgroundJobsTest, RateLimitDefersButNeverLosesTriggers) {
-  const std::string dir = FreshDir("rate_limit");
-  auto catalog = IndexCatalog::Create(InDir(dir));
-  ASSERT_TRUE(catalog.ok());
-  auto& c = *catalog.ValueOrDie();
-
-  MaintenancePolicy policy;
-  policy.flush_trigger_docs = 2;
-  policy.merge_trigger_segments = 0;
-  policy.min_interval_millis = 3600 * 1000;  // effectively "once"
-  BackgroundMaintenance maintenance(&c, policy);
-
-  for (uint32_t i = 0; i < 20; ++i) {
-    ASSERT_TRUE(c.AddDocument(Doc(i)).ok());
-  }
-  // WaitIdle ignores the rate limit, so the deferred trigger drains.
-  maintenance.WaitIdle();
-  EXPECT_TRUE(maintenance.TakeLastError().ok());
-  EXPECT_LT(c.Snapshot()->memtable().num_docs(), 2u);
-}
-
 TEST(BackgroundJobsTest, DestructorDetachesCleanly) {
   const std::string dir = FreshDir("detach");
   auto catalog = IndexCatalog::Create(InDir(dir));

@@ -492,6 +492,25 @@ TEST(IndexCatalogTest, OpenRejectsPayloadBitRot) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(IndexCatalogTest, OpenRejectsRetiredSegmentFormat) {
+  // Catalogs whose segments carry the retired varbyte magic do not stay
+  // readable: recovery must fail with a clear status, never misread them.
+  const std::string dir = FreshDir("retired");
+  auto catalog = MustCreate(InDir(dir));
+  ASSERT_TRUE(catalog->AddDocuments({{{1, 1}}, {{2, 2}, {3, 1}}}).ok());
+  ASSERT_TRUE(catalog->Flush().ok());
+  catalog.reset();
+  ASSERT_TRUE(IndexCatalog::Open(InDir(dir)).ok());
+
+  std::fstream fs(dir + "/" + SegmentFileName(1),
+                  std::ios::binary | std::ios::in | std::ios::out);
+  fs.write("MOAIF02", 8);  // the literal's NUL fills the eighth byte
+  fs.close();
+  auto reopened = IndexCatalog::Open(InDir(dir));
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(IndexCatalogTest, CreateRefusesExistingCatalogDirectory) {
   const std::string dir = FreshDir("refuse");
   auto catalog = MustCreate(InDir(dir));

@@ -240,6 +240,27 @@ TEST_F(MmDatabaseTest, RejectsMalformedQueryOptions) {
       EXPECT_EQ(db->ExplainSearch(request).status().code(),
                 StatusCode::kInvalidArgument);
     }
+    // Term ids at and far past the vocabulary: executors index per-term
+    // arrays unchecked, so the facade refuses them before any runs.
+    for (const TermId t : {static_cast<TermId>(db->file().num_terms()),
+                           TermId{100000000}}) {
+      SCOPED_TRACE(std::string(db->is_dynamic() ? "catalog" : "static") +
+                   " term " + std::to_string(t));
+      Query query = (*queries_)[0];
+      query.terms.push_back(t);
+      const QueryRequest request{query, 10, {}};
+      EXPECT_EQ(db->Search(request).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(db->SearchBatch({request, request}, 2).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(db->ExplainSearch(request).status().code(),
+                StatusCode::kInvalidArgument);
+      for (PhysicalStrategy s : AllStrategies()) {
+        EXPECT_EQ(db->Execute(s, query, 10).status().code(),
+                  StatusCode::kInvalidArgument)
+            << StrategyName(s);
+      }
+    }
   }
 
   // A NaN target would pass every quality test and admit unsafe

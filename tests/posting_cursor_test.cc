@@ -1,16 +1,11 @@
 // Cursor-API conformance suite: the PostingCursor contract
 // (storage/segment/posting_cursor.h) must hold identically for every
 // implementation — the in-memory adapter over an InvertedFile, the lazy
-// block-decoding cursor over compressed segments in *both* payload codecs
-// (bit-packed MOAIF03, the writer default, and varbyte MOAIF02; each at a
-// block size small enough that every list spans several blocks, so
-// advance_to crosses block boundaries, and at the production default),
-// and the catalog's chained/merged tombstone-filtering cursor over a
+// block-decoding cursor over compressed MOAIF03 segments (at a block size
+// small enough that every list spans several blocks, so advance_to
+// crosses block boundaries, and at the production default), and the
+// catalog's chained/merged tombstone-filtering cursor over a
 // segments+memtable snapshot whose live documents equal the reference.
-//
-// Set MOA_CODEC=varbyte or MOA_CODEC=bit-packed to restrict the
-// segment-backed parameterizations to one codec (the in-memory and
-// catalog sources always run).
 //
 // Also here: the FragmentCursor contract (fragments partition each list,
 // descend in max impact, and each fragment's sub-cursor obeys the full
@@ -20,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -41,7 +35,7 @@ namespace moa {
 namespace {
 
 // Edge-case lists: empty, singleton, exactly one small block (4), one
-// posting more than a block, multi-byte varbyte gaps/tfs, and a dense run.
+// posting more than a block, wide gaps/tfs, and a dense run.
 const std::vector<std::vector<Posting>>& TermLists() {
   static const std::vector<std::vector<Posting>> lists = [] {
     std::vector<std::vector<Posting>> l(6);
@@ -63,12 +57,8 @@ struct Fixture {
   std::unique_ptr<ScoringModel> model;
   std::string segment4_path;
   std::string segment128_path;
-  std::string segment4_vb_path;
-  std::string segment128_vb_path;
   std::unique_ptr<SegmentReader> segment4;
   std::unique_ptr<SegmentReader> segment128;
-  std::unique_ptr<SegmentReader> segment4_vb;
-  std::unique_ptr<SegmentReader> segment128_vb;
   std::unique_ptr<IndexCatalog> catalog;
   std::shared_ptr<const CatalogReadView> catalog_view;
   uint64_t catalog_doc_space = 0;
@@ -98,28 +88,12 @@ struct Fixture {
     };
     segment4_path = std::string(::testing::TempDir()) + "/cursor4.moaseg";
     segment128_path = std::string(::testing::TempDir()) + "/cursor128.moaseg";
-    segment4_vb_path =
-        std::string(::testing::TempDir()) + "/cursor4vb.moaseg";
-    segment128_vb_path =
-        std::string(::testing::TempDir()) + "/cursor128vb.moaseg";
-    options.codec = SegmentCodec::kBitPacked;
     options.block_size = 4;
     EXPECT_TRUE(WriteSegment(file, segment4_path, options).ok());
     options.block_size = 128;
     EXPECT_TRUE(WriteSegment(file, segment128_path, options).ok());
-    options.codec = SegmentCodec::kVarbyte;
-    options.block_size = 4;
-    EXPECT_TRUE(WriteSegment(file, segment4_vb_path, options).ok());
-    options.block_size = 128;
-    EXPECT_TRUE(WriteSegment(file, segment128_vb_path, options).ok());
     segment4 = std::move(SegmentReader::Open(segment4_path)).ValueOrDie();
     segment128 = std::move(SegmentReader::Open(segment128_path)).ValueOrDie();
-    segment4_vb =
-        std::move(SegmentReader::Open(segment4_vb_path)).ValueOrDie();
-    segment128_vb =
-        std::move(SegmentReader::Open(segment128_vb_path)).ValueOrDie();
-    EXPECT_EQ(segment4->codec(), SegmentCodec::kBitPacked);
-    EXPECT_EQ(segment4_vb->codec(), SegmentCodec::kVarbyte);
 
     BuildCatalog(per_doc);
   }
@@ -175,10 +149,7 @@ struct Fixture {
   ~Fixture() {
     segment4.reset();
     segment128.reset();
-    segment4_vb.reset();
-    segment128_vb.reset();
-    for (const std::string* path : {&segment4_path, &segment128_path,
-                                    &segment4_vb_path, &segment128_vb_path}) {
+    for (const std::string* path : {&segment4_path, &segment128_path}) {
       std::remove(path->c_str());
       std::remove(FragmentSidecarPath(*path).c_str());
     }
@@ -194,8 +165,6 @@ enum class SourceKind {
   kInMemory,
   kSegmentBlock4,
   kSegmentBlock128,
-  kSegmentVarbyte4,
-  kSegmentVarbyte128,
   kCatalog,
 };
 
@@ -204,49 +173,18 @@ std::string KindName(const ::testing::TestParamInfo<SourceKind>& info) {
     case SourceKind::kInMemory: return "InMemory";
     case SourceKind::kSegmentBlock4: return "SegmentBitPacked4";
     case SourceKind::kSegmentBlock128: return "SegmentBitPacked128";
-    case SourceKind::kSegmentVarbyte4: return "SegmentVarbyte4";
-    case SourceKind::kSegmentVarbyte128: return "SegmentVarbyte128";
     case SourceKind::kCatalog: return "CatalogMerged";
   }
   return "?";
 }
 
-/// The segment codec behind a parameterization (nullopt for sources that
-/// are not a single mmap segment).
-std::optional<SegmentCodec> KindCodec(SourceKind kind) {
-  switch (kind) {
-    case SourceKind::kSegmentBlock4:
-    case SourceKind::kSegmentBlock128:
-      return SegmentCodec::kBitPacked;
-    case SourceKind::kSegmentVarbyte4:
-    case SourceKind::kSegmentVarbyte128:
-      return SegmentCodec::kVarbyte;
-    default:
-      return std::nullopt;
-  }
-}
-
 class CursorConformanceTest : public ::testing::TestWithParam<SourceKind> {
  protected:
-  void SetUp() override {
-    // MOA_CODEC filters the segment-backed parameterizations (see
-    // scripts/check.sh); other sources always run.
-    const char* filter = std::getenv("MOA_CODEC");
-    const std::optional<SegmentCodec> codec = KindCodec(GetParam());
-    if (filter != nullptr && *filter != '\0' && codec.has_value() &&
-        std::string(filter) != SegmentCodecName(*codec)) {
-      GTEST_SKIP() << "MOA_CODEC=" << filter << " excludes "
-                   << SegmentCodecName(*codec);
-    }
-  }
-
   const PostingSource& source() const {
     Fixture& f = SharedFixture();
     switch (GetParam()) {
       case SourceKind::kSegmentBlock4: return *f.segment4;
       case SourceKind::kSegmentBlock128: return *f.segment128;
-      case SourceKind::kSegmentVarbyte4: return *f.segment4_vb;
-      case SourceKind::kSegmentVarbyte128: return *f.segment128_vb;
       case SourceKind::kCatalog: return *f.catalog_view;
       case SourceKind::kInMemory: break;
     }
@@ -605,8 +543,7 @@ TEST_P(CursorConformanceTest, ShallowBlockWalkDecodesNoPayload) {
   }
   const CostCounters used = scope.Snapshot();
   EXPECT_EQ(used.blocks_decoded, 0);
-  if (KindCodec(GetParam()).has_value() ||
-      GetParam() == SourceKind::kCatalog) {
+  if (GetParam() != SourceKind::kInMemory) {
     EXPECT_GT(used.blocks_skipped, 0);
   }
 }
@@ -615,8 +552,6 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, CursorConformanceTest,
                          ::testing::Values(SourceKind::kInMemory,
                                            SourceKind::kSegmentBlock4,
                                            SourceKind::kSegmentBlock128,
-                                           SourceKind::kSegmentVarbyte4,
-                                           SourceKind::kSegmentVarbyte128,
                                            SourceKind::kCatalog),
                          KindName);
 

@@ -107,7 +107,6 @@ TEST_F(SegmentParityTest, CatalogServesOneMergedSegment) {
   EXPECT_EQ(state->memtable().num_docs(), 0u);
   EXPECT_EQ(state->doc_space(), in_memory_->file().num_docs());
   const SegmentReader& reader = *state->segments().front()->reader;
-  EXPECT_EQ(reader.codec(), SegmentCodec::kBitPacked);
   EXPECT_TRUE(reader.has_impacts());
   EXPECT_TRUE(reader.CheckIntegrity().ok());
   // The strategy sweep below must exercise the *lazy* impact-order path:

@@ -1,15 +1,11 @@
-// MOAIF02/MOAIF03 segment formats: write → mmap-open → decode round trip
-// in both payload codecs (varbyte and bit-packed), compression vs the raw
-// MOAIF01 dump, atomic-write behavior, a property round-trip of random
-// posting blocks at the codec level, and negative tests for truncated /
-// bit-flipped / width-corrupted segment files.
-//
-// Set MOA_CODEC=varbyte or MOA_CODEC=bit-packed to restrict the
-// codec-parameterized suite to one codec.
+// MOAIF03 segment format: write → mmap-open → decode round trip,
+// compression vs raw posting bytes, atomic-write behavior, a property
+// round-trip of random posting blocks at the codec level, and negative
+// tests for truncated / bit-flipped / width-corrupted segment files and
+// for the magic of every other format.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "storage/io.h"
 #include "storage/segment/block_codec.h"
 #include "storage/segment/segment_format.h"
 #include "storage/segment/segment_reader.h"
@@ -57,35 +52,23 @@ void ExpectSameFile(const InvertedFile& a, const InvertedFile& b) {
   }
 }
 
-/// Runs the write → open → decode round trips and the corruption
-/// negatives once per payload codec; MOA_CODEC restricts to one.
-class SegmentCodecTest : public ::testing::TestWithParam<SegmentCodec> {
- protected:
-  void SetUp() override {
-    if (const char* only = std::getenv("MOA_CODEC")) {
-      if (*only != '\0' &&
-          std::string(only) != SegmentCodecName(GetParam())) {
-        GTEST_SKIP() << "MOA_CODEC=" << only;
-      }
-    }
-  }
+SegmentHeader ReadHeader(const std::string& path) {
+  SegmentHeader header{};
+  std::ifstream in(path, std::ios::binary);
+  in.read(reinterpret_cast<char*>(&header), sizeof(header));
+  return header;
+}
 
-  SegmentWriterOptions Options(uint32_t block_size = 128) {
-    SegmentWriterOptions options = ImpactOptions(block_size);
-    options.codec = GetParam();
-    return options;
-  }
-};
-
-TEST_P(SegmentCodecTest, RoundTripThroughMmapAndFullDecode) {
+TEST(SegmentTest, RoundTripThroughMmapAndFullDecode) {
   const std::string path = TempPath("roundtrip.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, Options()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  const SegmentHeader header = ReadHeader(path);
+  EXPECT_EQ(std::string(header.magic, sizeof(header.magic)),
+            std::string("MOAIF03", 8));  // the NUL included
 
   auto reader = SegmentReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   const SegmentReader& segment = *reader.ValueOrDie();
-  EXPECT_EQ(segment.codec(), GetParam());
-  EXPECT_EQ(segment.format_name(), SegmentFormatName(GetParam()));
   EXPECT_EQ(segment.num_terms(), TestFile().num_terms());
   EXPECT_EQ(segment.num_docs(), TestFile().num_docs());
   EXPECT_EQ(segment.total_tokens(),
@@ -103,11 +86,10 @@ TEST_P(SegmentCodecTest, RoundTripThroughMmapAndFullDecode) {
   std::remove(path.c_str());
 }
 
-TEST_P(SegmentCodecTest, RoundTripWithoutImpactsAndOddBlockSize) {
+TEST(SegmentTest, RoundTripWithoutImpactsAndOddBlockSize) {
   const std::string path = TempPath("noimpacts.moaseg");
   SegmentWriterOptions options;
   options.block_size = 7;  // exercises non-power-of-two remainders
-  options.codec = GetParam();
   ASSERT_TRUE(WriteSegment(TestFile(), path, options).ok());
   auto reader = SegmentReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -132,17 +114,17 @@ TEST(SegmentTest, EmptyCollectionRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(SegmentTest, CompressesAtLeastTwoToOneVersusMoaif01) {
-  const std::string v1 = TempPath("size.moaif");
-  const std::string v2 = TempPath("size.moaseg");
-  ASSERT_TRUE(WriteInvertedFile(TestFile(), v1).ok());
-  ASSERT_TRUE(WriteSegment(TestFile(), v2, ImpactOptions()).ok());
-  const auto v1_size = std::filesystem::file_size(v1);
-  const auto v2_size = std::filesystem::file_size(v2);
-  EXPECT_GE(v1_size, 2 * v2_size)
-      << "MOAIF01=" << v1_size << "B MOAIF02=" << v2_size << "B";
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
+TEST(SegmentTest, CompressesAtLeastTwoToOneVersusRawPostings) {
+  // Raw posting bytes: a (u32 doc, u32 tf) pair per posting plus a u32
+  // length per document, the uncompressed content the segment encodes.
+  const std::string path = TempPath("size.moaseg");
+  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  const uint64_t raw = 8 * static_cast<uint64_t>(TestFile().num_postings()) +
+                       4 * static_cast<uint64_t>(TestFile().num_docs());
+  const uint64_t segment = std::filesystem::file_size(path);
+  EXPECT_GE(raw, 2 * segment) << "raw=" << raw << "B MOAIF03=" << segment
+                              << "B";
+  std::remove(path.c_str());
 }
 
 TEST(SegmentTest, RejectsZeroBlockSize) {
@@ -158,19 +140,25 @@ TEST(SegmentTest, MissingFileIsNotFound) {
 }
 
 TEST(SegmentTest, RejectsBadMagic) {
+  // The retired raw-dump and varbyte formats, written over a valid file
+  // here, and garbage must each fail the open instead of being misread.
   const std::string path = TempPath("magic.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
-  std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
-  fs.write("MOAIF01", 7);  // v1 magic in a v2 file
-  fs.close();
-  EXPECT_EQ(SegmentReader::Open(path).status().code(),
-            StatusCode::kInvalidArgument);
+  for (const char* magic : {"MOAIF01", "MOAIF02", "garbage"}) {
+    SCOPED_TRACE(magic);
+    ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+    ASSERT_TRUE(SegmentReader::Open(path).ok());
+    std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+    fs.write(magic, 8);  // the literal's NUL fills the eighth byte
+    fs.close();
+    EXPECT_EQ(SegmentReader::Open(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
   std::remove(path.c_str());
 }
 
-TEST_P(SegmentCodecTest, RejectsTruncation) {
+TEST(SegmentTest, RejectsTruncation) {
   const std::string path = TempPath("trunc.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, Options()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
   const auto full = std::filesystem::file_size(path);
   // Every truncation point must fail cleanly: mid-header, mid-directory,
   // mid-payload, and one byte short.
@@ -221,12 +209,7 @@ TEST(SegmentTest, RejectsCorruptDirectory) {
   ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
   // Flip the df of the first term-directory entry (offset: header +
   // aligned doc-length section + block_begin/payload_offset/block_count).
-  SegmentHeader header{};
-  {
-    std::ifstream in(path, std::ios::binary);
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-  }
-  const SegmentLayout layout(header);
+  const SegmentLayout layout(ReadHeader(path));
   std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
   fs.seekp(static_cast<std::streamoff>(layout.term_dir + 8 + 8 + 4));
   const uint32_t bogus_df = 0x7FFFFFFF;
@@ -282,12 +265,7 @@ TEST(SegmentTest, RejectsCorruptImpactBound) {
   // flipped bound via the term == max-over-blocks invariant.
   const std::string path = TempPath("impact.moaseg");
   ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
-  SegmentHeader header{};
-  {
-    std::ifstream in(path, std::ios::binary);
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-  }
-  const SegmentLayout layout(header);
+  const SegmentLayout layout(ReadHeader(path));
   // Halve the first term's max_impact (the f64 behind
   // block_begin/payload_offset u64s and block_count/df u32s): the term
   // bound then understates the max over its blocks, which Validate
@@ -307,20 +285,16 @@ TEST(SegmentTest, RejectsCorruptImpactBound) {
   std::remove(path.c_str());
 }
 
-TEST_P(SegmentCodecTest, PayloadBitFlipSweepFailsIntegrityCheck) {
+TEST(SegmentTest, PayloadBitFlipSweepFailsIntegrityCheck) {
   // Single-bit payload corruption anywhere must be caught. Structural
   // validation at Open cannot see the payload, but CheckIntegrity must:
-  // a flip changes a doc gap, a tf, a varbyte continuation bit, a packed
-  // width/first-doc/reserved header field or a zero padding bit, which
-  // trips the last-doc / token-sum / max-tf / span / minimality /
-  // padding checks. Sweeps a strided sample of every payload bit.
+  // a flip changes a doc gap, a tf, a packed width/first-doc/reserved
+  // header field or a zero padding bit, which trips the last-doc /
+  // token-sum / max-tf / span / minimality / padding checks. Sweeps a
+  // strided sample of every payload bit.
   const std::string path = TempPath("flip.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, Options(32)).ok());
-  SegmentHeader header{};
-  {
-    std::ifstream in(path, std::ios::binary);
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-  }
+  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions(32)).ok());
+  const SegmentHeader header = ReadHeader(path);
   const SegmentLayout layout(header);
   ASSERT_GT(header.payload_bytes, 0u);
   const uint64_t payload_bits = header.payload_bytes * 8;
@@ -352,35 +326,10 @@ TEST_P(SegmentCodecTest, PayloadBitFlipSweepFailsIntegrityCheck) {
   std::remove(path.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Codecs, SegmentCodecTest,
-                         ::testing::Values(SegmentCodec::kVarbyte,
-                                           SegmentCodec::kBitPacked),
-                         [](const auto& info) {
-                           return info.param == SegmentCodec::kBitPacked
-                                      ? "BitPacked"
-                                      : "Varbyte";
-                         });
-
-TEST(SegmentTest, BitPackedIsNoLargerThanVarbyteOnTestFile) {
-  const std::string vb = TempPath("size_vb.moaseg");
-  const std::string bp = TempPath("size_bp.moaseg");
-  SegmentWriterOptions options = ImpactOptions();
-  options.codec = SegmentCodec::kVarbyte;
-  ASSERT_TRUE(WriteSegment(TestFile(), vb, options).ok());
-  options.codec = SegmentCodec::kBitPacked;
-  ASSERT_TRUE(WriteSegment(TestFile(), bp, options).ok());
-  EXPECT_LE(std::filesystem::file_size(bp), std::filesystem::file_size(vb))
-      << "varbyte=" << std::filesystem::file_size(vb)
-      << "B bit-packed=" << std::filesystem::file_size(bp) << "B";
-  std::remove(vb.c_str());
-  std::remove(bp.c_str());
-}
-
-TEST(BlockCodecTest, RandomBlocksRoundTripBitExactInBothCodecs) {
+TEST(BlockCodecTest, RandomBlocksRoundTripBitExact) {
   // Property test: any doc-sorted block — dense runs, huge gaps, huge
   // tfs, constant values (zero-width packed sections), block sizes from
-  // singleton past the production default — must round-trip bit-exactly
-  // through either codec.
+  // singleton past the production default — must round-trip bit-exactly.
   Rng rng(20260808);
   for (int iter = 0; iter < 400; ++iter) {
     const size_t count = 1 + rng.Uniform(260);
@@ -392,23 +341,18 @@ TEST(BlockCodecTest, RandomBlocksRoundTripBitExactInBothCodecs) {
       if (i > 0) doc += 1 + static_cast<DocId>(rng.Uniform(gap_mag));
       postings[i] = {doc, 1 + static_cast<uint32_t>(rng.Uniform(tf_mag))};
     }
-    for (SegmentCodec codec :
-         {SegmentCodec::kVarbyte, SegmentCodec::kBitPacked}) {
-      std::vector<uint8_t> bytes;
-      EncodePostingBlock(codec, postings.data(), count, bytes);
-      std::vector<DocId> docs(count);
-      std::vector<uint32_t> tfs(count);
-      auto s = DecodePostingBlock(codec, bytes.data(), bytes.size(), count,
-                                  postings.back().doc, docs.data(),
-                                  tfs.data());
-      ASSERT_TRUE(s.ok()) << SegmentCodecName(codec) << " iter " << iter
-                          << ": " << s.ToString();
-      for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(docs[i], postings[i].doc)
-            << SegmentCodecName(codec) << " iter " << iter << " pos " << i;
-        ASSERT_EQ(tfs[i], postings[i].tf)
-            << SegmentCodecName(codec) << " iter " << iter << " pos " << i;
-      }
+    std::vector<uint8_t> bytes;
+    EncodePostingBlock(SegmentCodec::kBitPacked, postings.data(), count,
+                       bytes);
+    std::vector<DocId> docs(count);
+    std::vector<uint32_t> tfs(count);
+    auto s = DecodePostingBlock(SegmentCodec::kBitPacked, bytes.data(),
+                                bytes.size(), count, postings.back().doc,
+                                docs.data(), tfs.data());
+    ASSERT_TRUE(s.ok()) << "iter " << iter << ": " << s.ToString();
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(docs[i], postings[i].doc) << "iter " << iter << " pos " << i;
+      ASSERT_EQ(tfs[i], postings[i].tf) << "iter " << iter << " pos " << i;
     }
   }
 }

@@ -713,6 +713,24 @@ TEST(ShardedCatalogTest, EngineRejectsMalformedQueryOptions) {
     EXPECT_EQ(db.ExplainSearch(request).status().code(),
               StatusCode::kInvalidArgument);
   }
+  // Term ids at and far past the vocabulary, through every entry point.
+  for (const TermId t : {static_cast<TermId>(db.file().num_terms()),
+                         TermId{100000000}}) {
+    SCOPED_TRACE("term " + std::to_string(t));
+    const Query oov{{1, 2, t}};
+    const QueryRequest request{oov, kTopN, {}};
+    EXPECT_EQ(db.Search(request).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.SearchBatch({request, request}, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.ExplainSearch(request).status().code(),
+              StatusCode::kInvalidArgument);
+    for (PhysicalStrategy s : AllStrategies()) {
+      EXPECT_EQ(db.Execute(s, oov, kTopN).status().code(),
+                StatusCode::kInvalidArgument)
+          << StrategyName(s);
+    }
+  }
   // The bounds themselves are well-formed.
   QueryRequest edge{q, kTopN, {}};
   edge.options.quality_target = 0.0;

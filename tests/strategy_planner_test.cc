@@ -133,7 +133,6 @@ TEST(StrategyPlannerTest, TombstoneHeavySnapshotPrefersRandomAccess) {
   CatalogComposition dirty;
   dirty.num_segments = 1;
   dirty.segment_slots = 10000;
-  dirty.bitpacked_slots = 10000;
   dirty.directory_slots = 10000;
   dirty.dead_slots = 8000;
   const StrategyCostInputs storage = StorageInputsFor(dirty);
@@ -171,20 +170,19 @@ TEST(StrategyPlannerTest, MemtableOnlySnapshotIsNeutral) {
 }
 
 TEST(StrategyPlannerTest, MixedCompositionDigest) {
-  // 6000 bit-packed slots with a directory, 2000 varbyte without one,
-  // 2000 memtable slots, 500 tombstones: every field is a closed-form
-  // mix of the calibration constants.
+  // 6000 segment slots with a directory, 2000 without one, 2000 memtable
+  // slots, 500 tombstones: every field is a closed-form mix of the
+  // calibration constants.
   CatalogComposition mix;
   mix.num_segments = 2;
   mix.segment_slots = 8000;
   mix.memtable_slots = 2000;
   mix.dead_slots = 500;
-  mix.bitpacked_slots = 6000;
-  mix.varbyte_slots = 2000;
   mix.directory_slots = 6000;
   const StrategyCostInputs in = StorageInputsFor(mix);
 
-  EXPECT_NEAR(in.decode_factor, 1.0 + 0.15 * 0.6 + 0.4 * 0.2, 1e-12);
+  // Every segment slot is bit-packed: 8000 of 10000 slots decode.
+  EXPECT_NEAR(in.decode_factor, 1.0 + 0.15 * 0.8, 1e-12);
   EXPECT_NEAR(in.tombstone_overhead, 500.0 / 9500.0, 1e-12);
   // 2 segments + the memtable = 3 components to probe.
   EXPECT_NEAR(in.random_access_factor, 1.0 + 0.5 * std::log2(3.0), 1e-12);
