@@ -10,8 +10,10 @@
 //  3. Hot path: full-list scan and skip-heavy advance_to throughput via
 //     the cursor API over both representations (plus the raw
 //     vector-direct scan as the no-abstraction reference).
-//  4. Sorted access: the impact-ordered prefix the Fagin family reads,
-//     with and without the fragment directory.
+//  4. Sorted access: the impact-ordered prefix the Fagin family reads —
+//     materialized in memory, scored into a fresh impact order per call
+//     over a bare segment, and served warm from a catalog snapshot's
+//     cached impact orders.
 //
 // MOA_BENCH_TINY=1 shrinks the collection so the CI smoke job finishes
 // in seconds.
@@ -25,7 +27,7 @@
 
 #include "engine/database.h"
 #include "ir/query_gen.h"
-#include "storage/segment/fragment_directory.h"
+#include "storage/catalog/sharded_catalog.h"
 #include "storage/segment/segment_reader.h"
 #include "storage/segment/segment_writer.h"
 
@@ -57,8 +59,8 @@ std::string PathFor(const char* name) {
       .string();
 }
 
-/// Writes the segment (with its fragment-directory sidecar) once and
-/// records its size next to the raw posting bytes it encodes.
+/// Writes the segment once and records its size next to the raw posting
+/// bytes it encodes.
 struct StoredSegment {
   std::string path = PathFor("index.moaseg");
   uint64_t raw_bytes = 0;
@@ -269,56 +271,67 @@ void BM_AdvanceSegmentCursor(benchmark::State& state) {
 // ------------------------------------------- impact-order prefix access
 
 /// Sorted access the way the Fagin family consumes it: only the top-k
-/// impact-ordered postings of each workload term. The fragment directory
-/// is what makes this lazy over a segment — without the sidecar the whole
-/// list is decoded and sorted before the first posting comes out.
-template <typename SourceFn>
-void ImpactPrefixBench(benchmark::State& state, SourceFn&& source_fn) {
-  const PostingSource& source = source_fn();
-  const ScoringModel& model = StorageDb().model();
+/// impact-ordered postings of each workload term.
+void ImpactPrefixPass(const PostingSource& source, const ScoringModel& model,
+                      uint64_t* checksum, int64_t* emitted) {
   const size_t prefix = 64;
+  for (TermId t : WorkloadTerms()) {
+    auto cursor = source.OpenImpactCursor(t, model);
+    for (size_t i = 0; i < prefix && !cursor->at_end(); ++i, cursor->next()) {
+      *checksum += cursor->doc();
+      ++*emitted;
+    }
+  }
+}
+
+void ImpactPrefixBench(benchmark::State& state, const PostingSource& source,
+                       const ScoringModel& model) {
   int64_t emitted = 0;
   for (auto _ : state) {
     uint64_t checksum = 0;
     emitted = 0;
-    for (TermId t : WorkloadTerms()) {
-      auto cursor = source.OpenImpactCursor(t, model);
-      for (size_t i = 0; i < prefix && !cursor->at_end();
-           ++i, cursor->next()) {
-        checksum += cursor->doc();
-        ++emitted;
-      }
-    }
+    ImpactPrefixPass(source, model, &checksum, &emitted);
     benchmark::DoNotOptimize(checksum);
   }
   state.SetItemsProcessed(state.iterations() * emitted);
 }
 
 void BM_ImpactPrefixInMemory(benchmark::State& state) {
-  ImpactPrefixBench(state, []() -> const PostingSource& {
-    static const InMemoryPostingSource s(&StorageDb().file());
-    return s;
-  });
+  static const InMemoryPostingSource source(&StorageDb().file());
+  ImpactPrefixBench(state, source, StorageDb().model());
 }
 
-void BM_ImpactPrefixSegmentFragmentDir(benchmark::State& state) {
-  ImpactPrefixBench(state, Segment);
+void BM_ImpactPrefixSegment(benchmark::State& state) {
+  // PostingSource's uncached default: every open decodes and scores the
+  // whole list, then sorts only the prefix read.
+  ImpactPrefixBench(state, Segment(), StorageDb().model());
 }
 
-void BM_ImpactPrefixSegmentSingleFragment(benchmark::State& state) {
-  // Same segment, sidecar stripped: the single-fragment fallback decodes
-  // every block of the list up front.
-  ImpactPrefixBench(state, []() -> const PostingSource& {
-    static const SegmentReader* reader = [] {
-      const std::string path = PathFor("index_nofrag.moaseg");
-      std::filesystem::copy_file(
-          Stored().path, path,
-          std::filesystem::copy_options::overwrite_existing);
-      std::filesystem::remove(FragmentSidecarPath(path));
-      return SegmentReader::Open(path).ValueOrDie().release();
-    }();
-    return *reader;
-  });
+void BM_ImpactPrefixCatalogWarm(benchmark::State& state) {
+  // The same collection flushed into a one-shard catalog: after one
+  // warming pass every term's impact order is cached on the snapshot, and
+  // the timed passes only read sorted prefixes.
+  static const std::shared_ptr<const ShardedSnapshot>* snapshot = [] {
+    DatabaseConfig config = StorageDb().config();
+    config.catalog_dir = PathFor("catalog");
+    std::filesystem::remove_all(config.catalog_dir);
+    MmDatabase* db = MmDatabase::Open(config).ValueOrDie().release();
+    const Status flushed = db->Flush();
+    if (!flushed.ok()) {
+      std::fprintf(stderr, "bench_e14: flush failed: %s\n",
+                   flushed.ToString().c_str());
+      std::abort();
+    }
+    auto* snap = new std::shared_ptr<const ShardedSnapshot>(
+        db->sharded_catalog()->Snapshot());
+    uint64_t checksum = 0;
+    int64_t emitted = 0;
+    ImpactPrefixPass((*snap)->shard_source(0), (*snap)->shard_model(0),
+                     &checksum, &emitted);
+    return snap;
+  }();
+  ImpactPrefixBench(state, (*snapshot)->shard_source(0),
+                    (*snapshot)->shard_model(0));
 }
 
 BENCHMARK(BM_OnDiskSize)->Iterations(1);
@@ -330,9 +343,8 @@ BENCHMARK(BM_ScanSegmentBlocks)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceInMemoryCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AdvanceSegmentCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixInMemory)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ImpactPrefixSegmentFragmentDir)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ImpactPrefixSegmentSingleFragment)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ImpactPrefixSegment)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ImpactPrefixCatalogWarm)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace moa

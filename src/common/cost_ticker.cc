@@ -19,6 +19,7 @@ std::string CostCounters::ToString() const {
     os << " shard_vis=" << shards_visited << " shard_skip=" << shards_skipped
        << " shard_post_skip=" << shard_postings_skipped;
   }
+  if (impact_postings != 0) os << " impact=" << impact_postings;
   os << " scalar=" << Scalar() << "}";
   return os.str();
 }

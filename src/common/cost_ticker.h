@@ -33,6 +33,14 @@ namespace moa {
 ///    ledger, lifted to the partition level). Like the block counters,
 ///    outside Scalar(): shard pruning must not perturb per-shard planner
 ///    comparisons.
+///  - `impact_postings`: postings scored into an impact order on the
+///    query's behalf (storage/segment/posting_cursor.h, ImpactOrder) — the
+///    cost of sorted access over storage without a materialized order; on
+///    a catalog snapshot the first bound or sorted access of a term builds
+///    it (the coordinator books bounds taken before execution). 0 when the
+///    order was materialized in memory or came from a snapshot's cache.
+///    Outside Scalar(): whether an order is cached must not move the work
+///    ticks.
 struct CostCounters {
   int64_t sequential_reads = 0;
   int64_t random_reads = 0;
@@ -44,6 +52,7 @@ struct CostCounters {
   int64_t shards_visited = 0;
   int64_t shards_skipped = 0;
   int64_t shard_postings_skipped = 0;
+  int64_t impact_postings = 0;
 
   CostCounters& operator+=(const CostCounters& o) {
     sequential_reads += o.sequential_reads;
@@ -56,6 +65,7 @@ struct CostCounters {
     shards_visited += o.shards_visited;
     shards_skipped += o.shards_skipped;
     shard_postings_skipped += o.shard_postings_skipped;
+    impact_postings += o.impact_postings;
     return *this;
   }
   friend CostCounters operator+(CostCounters a, const CostCounters& b) {
@@ -73,6 +83,7 @@ struct CostCounters {
     a.shards_visited -= b.shards_visited;
     a.shards_skipped -= b.shards_skipped;
     a.shard_postings_skipped -= b.shard_postings_skipped;
+    a.impact_postings -= b.impact_postings;
     return a;
   }
 
@@ -111,6 +122,7 @@ class CostTicker {
   static void TickShardPostingsSkipped(int64_t n) {
     Current().shard_postings_skipped += n;
   }
+  static void TickImpactPostings(int64_t n) { Current().impact_postings += n; }
 };
 
 /// \brief RAII frame: captures the counters delta produced inside the scope.

@@ -586,6 +586,10 @@ Result<ExplainReport> MmDatabase::ExplainSearch(
                                       request.n,
                                       request.options.switch_threshold,
                                       &report);
+  // The explained query's own share: planning asked for every term's bound,
+  // which scores the impact orders a fresh snapshot lacks; the re-run
+  // above finds them cached.
+  report.impact_postings = planned.ValueOrDie().top.stats.cost.impact_postings;
   if (report.has_blocks && obs::kEnabled) {
     report.has_trace = true;
     report.trace.strategy = StrategyName(report.decision.strategy);

@@ -7,7 +7,7 @@
 // strategy is forced; otherwise the Step-3 cost-based StrategyPlanner
 // chooses per query, in static *and* dynamic mode, from live statistics
 // and storage signals (segment decode cost, tombstone density, component
-// count, fragment-directory presence).
+// count, the segment share of sorted access).
 //
 // Storage spine. The database starts *static*: queries stream the
 // immutable in-memory InvertedFile through one InMemoryPostingSource the
@@ -219,8 +219,8 @@ class MmDatabase {
   /// StrategyPlanner chooses — in static *and* dynamic mode — the
   /// cheapest registered strategy whose predicted quality meets
   /// request.options.quality_target, from live statistics and storage
-  /// signals (segment decode cost, tombstones, component count, fragment
-  /// directory).
+  /// signals (segment decode cost, tombstones, component count, segment
+  /// share of sorted access).
   /// Rejects a NaN or out-of-range quality_target, a NaN or negative
   /// deadline_millis and a term id >= file().num_terms() with
   /// InvalidArgument (SearchBatch and ExplainSearch share the check).

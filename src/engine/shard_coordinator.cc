@@ -27,12 +27,17 @@ struct ShardOrder {
 
 /// Shards by descending query bound; stable sort keeps equal-bound shards
 /// in ascending index order, making the visit order fully deterministic.
+/// A bound the snapshot has not cached yet scores the term's impact order
+/// (ShardedSnapshot::ShardTermBound); `*scored` receives those postings,
+/// which the caller books to the query as CostCounters::impact_postings.
 std::vector<ShardOrder> BoundOrder(const ShardedSnapshot& snapshot,
-                                   const Query& query) {
+                                   const Query& query, int64_t* scored) {
+  const CostScope scope;
   std::vector<ShardOrder> order(snapshot.num_shards());
   for (size_t s = 0; s < order.size(); ++s) {
     order[s] = ShardOrder{s, snapshot.ShardQueryBound(s, query)};
   }
+  *scored = scope.Snapshot().impact_postings;
   std::stable_sort(order.begin(), order.end(),
                    [](const ShardOrder& a, const ShardOrder& b) {
                      return a.bound > b.bound;
@@ -221,9 +226,10 @@ Result<SearchResult> ShardCoordinator::Run(
   }
 
   std::vector<ShardOrder> order;
+  int64_t bound_scored = 0;
   {
     obs::TraceSpan span(obs::kStageShardScatter);
-    order = BoundOrder(*snapshot, request.query);
+    order = BoundOrder(*snapshot, request.query, &bound_scored);
   }
 
   // Per-shard planning: each shard is costed from its own local df and
@@ -257,7 +263,10 @@ Result<SearchResult> ShardCoordinator::Run(
     out.predicted_quality =
         std::min(out.predicted_quality, chosen.predicted_quality);
   }
-  if (explain) return out;
+  if (explain) {
+    out.top.stats.cost.impact_postings = bound_scored;
+    return out;
+  }
 
   ExecOptions eopts;
   eopts.switch_threshold = request.options.switch_threshold;
@@ -270,6 +279,7 @@ Result<SearchResult> ShardCoordinator::Run(
   if (!top.ok()) return top.status();
   out.wall_millis = timer.ElapsedMillis();
   out.top = std::move(top).ValueOrDie();
+  out.top.stats.cost.impact_postings += bound_scored;
 
   if (qtrace.has_value()) {
     out.trace = qtrace->Finish();
@@ -288,16 +298,19 @@ Result<TopNResult> ShardCoordinator::Execute(
     const ExecOptions& exec_options, const Options& options) {
   const size_t num_shards = snapshot->num_shards();
   std::vector<ShardOrder> order;
+  int64_t bound_scored = 0;
   {
     obs::TraceSpan span(obs::kStageShardScatter);
-    order = BoundOrder(*snapshot, query);
+    order = BoundOrder(*snapshot, query, &bound_scored);
   }
   const std::vector<PhysicalStrategy> strategies(num_shards, strategy);
-  return ScatterGatherExec(snapshot, order, strategies, query, n, exec_options,
-                           options.fragmentation,
-                           EffectiveParallelism(options.parallelism,
-                                                num_shards),
-                           options.bound_pruning);
+  Result<TopNResult> top = ScatterGatherExec(
+      snapshot, order, strategies, query, n, exec_options,
+      options.fragmentation,
+      EffectiveParallelism(options.parallelism, num_shards),
+      options.bound_pruning);
+  if (top.ok()) top.ValueOrDie().stats.cost.impact_postings += bound_scored;
+  return top;
 }
 
 }  // namespace moa

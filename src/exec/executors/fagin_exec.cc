@@ -1,9 +1,9 @@
 // Executors for the Fagin family (topn/fagin.h): FA, TA and NRA.
 //
 // All three are cursor-based: sorted access comes from
-// PostingSource::OpenImpactCursor (materialized order in memory, lazy
-// fragment-directory decode over a segment, live postings over a catalog
-// snapshot) and random access from PostingSource::FindTf.
+// PostingSource::OpenImpactCursor (materialized order in memory, the
+// snapshot's cached impact order over a catalog shard, a per-call
+// ImpactOrder elsewhere) and random access from PostingSource::FindTf.
 #include <algorithm>
 #include <cmath>
 

@@ -5,9 +5,10 @@
 // a PlannerHooks bundle on its StrategyRegistry entry. StrategyPlanner
 // (optimizer/strategy_planner.h) reads the hooks through the registry with
 // signals derived from the live snapshot (segment decode cost, tombstone
-// density, segment count, fragment-directory presence), which is what
-// makes the per-query adaptive choice storage-aware; with neutral signals
-// the formulas are the ones calibrated against the e5/e9/e11 benches.
+// density, segment count, the segment share of sorted access), which is
+// what makes the per-query adaptive choice storage-aware; with neutral
+// signals the formulas are the ones calibrated against the e5/e9/e11
+// benches.
 //
 // Formulas are pure functions of StrategyCostInputs: no executor state, no
 // storage access — planning a query must never touch a posting.
@@ -53,8 +54,9 @@ struct StrategyCostInputs {
   /// across a multi-segment snapshot makes random access costlier.
   double random_access_factor = 1.0;
   /// Impact-ordered (sorted) access multiplier: 1 when the storage serves
-  /// it natively (in-memory impact orders, MOAFRG01 fragment directory);
-  /// larger when sorted access must decode and sort whole lists.
+  /// it natively (in-memory impact orders, memtable postings); larger for
+  /// segment postings, which a snapshot decodes and scores into an impact
+  /// order on first use and caches for later queries.
   double sorted_access_factor = 1.0;
 
   double log2_candidates() const { return std::log2(candidates + 2.0); }

@@ -98,6 +98,9 @@ std::string ExplainReport::ToString() const {
        << blocks_skipped
        << " (block-directory skips + block-max pruning; 0/0 over "
           "blockless in-memory lists)\n";
+    os << "impact orders: scored " << impact_postings
+       << " postings (0 = sorted access read materialized or cached "
+          "orders)\n";
   }
   if (has_shards) {
     os << "shards: visited " << shards_visited << ", skipped "

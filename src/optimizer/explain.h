@@ -29,7 +29,7 @@ std::string ExplainTrace(const RewriteTrace& trace);
 /// fragment strategies would use, and the block-level behavior of a
 /// best-effort execution. ToString() renders the classic multi-line text
 /// ("chosen: ...", "alternatives (cheapest first): ...", "storage: ...",
-/// "blocks: ...").
+/// "impact orders: ...", "blocks: ...").
 struct ExplainReport {
   PlanDecision decision;
   /// Payload of the `storage:` line (what the plan will read).
@@ -47,6 +47,14 @@ struct ExplainReport {
   bool has_shards = false;
   int64_t shards_visited = 0;
   int64_t shards_skipped = 0;
+  /// Postings the explained query scored into impact orders
+  /// (CostCounters::impact_postings): on a catalog, planning asks for
+  /// every query term's bound, which scores the term's order once per
+  /// snapshot, so the count comes from planning, not from the best-effort
+  /// execution. 0 over materialized in-memory orders or when the snapshot
+  /// had already cached every order, so a second explain on the same
+  /// snapshot reads 0.
+  int64_t impact_postings = 0;
   /// Stage trace of the same best-effort execution: per-stage wall time and
   /// CostCounters deltas plus the planner's predicted scalar for comparison
   /// against trace.observed_scalar(). has_trace = false when the execution

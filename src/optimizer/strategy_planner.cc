@@ -22,11 +22,10 @@ constexpr double kBitPackedDecodeFactor = 1.15;
 /// Each extra snapshot component adds a binary-search step to every
 /// random probe (CatalogState::Locate) plus a per-component seek.
 constexpr double kComponentProbeFactor = 0.5;
-/// Sorted (impact-order) access over a segment *with* a fragment
-/// directory decodes lazily but still touches directory blocks.
-constexpr double kDirectorySortedFactor = 1.1;
-/// Without a directory, impact order means decode-and-sort whole lists.
-constexpr double kNoDirectorySortedFactor = 3.0;
+/// Sorted (impact-order) access over segment postings: a snapshot scores
+/// a term's live postings into an impact order once and serves every
+/// later query from it (ShardedSnapshot's cache).
+constexpr double kSegmentSortedFactor = 1.1;
 
 /// Quality comparisons tolerate FP noise from the hook arithmetic.
 constexpr double kQualityEps = 1e-9;
@@ -148,14 +147,11 @@ StrategyCostInputs StorageInputsFor(const CatalogComposition& c) {
       1.0 + kComponentProbeFactor *
                 std::log2(static_cast<double>(std::max<size_t>(1, components)));
 
-  // Sorted access: memtable impact orders are native; segments depend on
-  // the fragment directory.
+  // Sorted access: memtable postings at the native rate, segment
+  // postings at the decode-and-cache rate.
   in.sorted_access_factor =
       Share(c.memtable_slots, total) +
-      kDirectorySortedFactor * Share(c.directory_slots, total) +
-      kNoDirectorySortedFactor *
-          Share(c.segment_slots - std::min(c.segment_slots, c.directory_slots),
-                total);
+      kSegmentSortedFactor * Share(c.segment_slots, total);
   return in;
 }
 

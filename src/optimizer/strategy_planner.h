@@ -5,10 +5,10 @@
 // the same StrategyCostInputs — cardinalities from live statistics (a
 // catalog snapshot's df or the static file's) plus storage signals
 // derived from what the query will actually read (segment decode cost,
-// tombstone density, component count, fragment-directory presence) — and
-// picks the cheapest candidate whose predicted quality meets the
-// request's target. Safe strategies predict quality 1.0 by definition;
-// unsafe ones register a quality hook.
+// tombstone density, component count, the segment share of sorted
+// access) — and picks the cheapest candidate whose predicted quality
+// meets the request's target. Safe strategies predict quality 1.0 by
+// definition; unsafe ones register a quality hook.
 //
 // The decision is a pure function of (snapshot statistics, query, n,
 // request): same inputs, same plan. Planning never touches a posting,

@@ -371,10 +371,8 @@ CatalogComposition CatalogState::Composition() const {
   c.num_segments = segments_.size();
   c.memtable_slots = memtable_->num_docs();
   for (const auto& seg : segments_) {
-    const uint64_t slots = seg->num_docs();
-    c.segment_slots += slots;
+    c.segment_slots += seg->num_docs();
     c.dead_slots += seg->num_deleted;
-    if (seg->reader->has_fragment_directory()) c.directory_slots += slots;
   }
   for (uint8_t d : memtable_deleted_) c.dead_slots += (d != 0) ? 1 : 0;
   return c;

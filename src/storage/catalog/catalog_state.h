@@ -93,7 +93,6 @@ struct CatalogComposition {
   uint64_t segment_slots = 0;    ///< slots across all segments
   uint64_t memtable_slots = 0;
   uint64_t dead_slots = 0;       ///< tombstoned slots, all components
-  uint64_t directory_slots = 0;  ///< in segments with a fragment directory
 
   uint64_t total_slots() const { return segment_slots + memtable_slots; }
 };

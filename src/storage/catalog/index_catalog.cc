@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
-#include "storage/segment/fragment_directory.h"
 #include "storage/segment/segment_writer.h"
 
 namespace moa {
@@ -23,12 +22,12 @@ double FileSizeOrZero(const std::string& path) {
   return ec ? 0.0 : static_cast<double>(size);
 }
 
-/// Writer options for a catalog segment: impacts (and the fragment
-/// directory sidecar) are stamped under a model bound to the flushed
-/// file's *own* statistics. Snapshots never prune on these stored bounds
-/// (live statistics move; CatalogState recomputes exact bounds per
-/// snapshot), but a segment served standalone — or a future
-/// bounds-rebasing optimization — gets the full impact metadata for free.
+/// Writer options for a catalog segment: impacts are stamped under a
+/// model bound to the flushed file's *own* statistics. Snapshots never
+/// prune on these stored bounds (live statistics move; CatalogState
+/// recomputes exact bounds per snapshot), but a segment served standalone
+/// — or a future bounds-rebasing optimization — gets the full impact
+/// metadata for free.
 SegmentWriterOptions CatalogSegmentWriterOptions(
     const InvertedFile& file, ScoringModelKind scoring, uint32_t block_size,
     std::unique_ptr<ScoringModel>* model_out) {
@@ -128,10 +127,13 @@ Status ValidateDocTerms(const DocTerms& terms, size_t num_terms) {
   return Status::OK();
 }
 
-/// seg_X.moa -> its retired sidecar set, best-effort removal.
+/// seg_X.moa -> its retired sidecar set, best-effort removal. The `.frg`
+/// fragment directory is no longer written, but a catalog created by an
+/// older version still holds one per segment; unlinking it here keeps
+/// merges from leaking it.
 void RemoveSegmentFiles(const std::string& path) {
   std::remove(path.c_str());
-  std::remove(FragmentSidecarPath(path).c_str());
+  std::remove((path + ".frg").c_str());
   std::string fwd_path = path;
   fwd_path.replace(fwd_path.size() - 3, 3, "fwd");
   std::remove(fwd_path.c_str());

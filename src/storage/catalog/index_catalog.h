@@ -101,9 +101,8 @@ class IndexCatalog {
     std::string dir;
     /// Scoring kind served by read views; the snapshot bound cache is
     /// computed under this model, so one catalog serves one kind. Flush
-    /// and merge also stamp segment impact bounds (and the MOAFRG01
-    /// fragment sidecar) under a model of this kind bound to the flushed
-    /// file's own statistics.
+    /// and merge also stamp segment impact bounds under a model of this
+    /// kind bound to the flushed file's own statistics.
     ScoringModelKind scoring = ScoringModelKind::kBm25;
     uint32_t segment_block_size = kDefaultSegmentBlockSize;
     /// Write-ahead log (directory-backed catalogs only). Acknowledged

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <unordered_map>
 
 namespace moa {
 
@@ -231,12 +232,13 @@ struct ShardedSnapshot::ShardEntry {
   ShardReadView source;
   CatalogComposition composition;
 
-  // Build-once per-(shard, term) bound cache under the snapshot's global
-  // statistics (same pattern as CatalogState's own cache, which cannot be
-  // reused here — see the header's file comment).
-  mutable std::mutex bounds_mutex;
-  mutable std::vector<double> bound;
-  mutable std::vector<uint8_t> bound_ready;
+  // Build-once impact orders by term under the snapshot's global
+  // statistics, which also carry the term's bound (CatalogState's own
+  // bound cache cannot be reused here — see the header's file comment).
+  // A map, so an untouched snapshot allocates nothing.
+  mutable std::mutex orders_mutex;
+  mutable std::unordered_map<TermId, std::shared_ptr<const ImpactOrder>>
+      orders;
 };
 
 ShardedSnapshot::ShardedSnapshot(
@@ -296,31 +298,32 @@ const CatalogComposition& ShardedSnapshot::shard_composition(size_t s) const {
 }
 
 double ShardedSnapshot::ShardTermBound(size_t s, TermId t) const {
+  // Exact bound under the snapshot's global statistics: max current weight
+  // over the shard's live postings, taken while the term's impact order is
+  // scored, so a later sorted access reuses that pass. A term absent from
+  // this shard gets the empty order, which bounds at zero.
+  return ShardImpactOrder(s, t)->max_weight();
+}
+
+const std::shared_ptr<const ImpactOrder>& ShardedSnapshot::ShardImpactOrder(
+    size_t s, TermId t) const {
   const ShardEntry& entry = *entries_[s];
   // A term absent from this shard (the *local* df, not the global one the
-  // read view reports) bounds at zero without touching the cache.
-  if (entry.state->stats().df[t] == 0) return 0.0;
+  // read view reports) orders nothing and is not cached.
+  if (entry.state->stats().df[t] == 0) {
+    static const std::shared_ptr<const ImpactOrder> empty =
+        std::make_shared<const ImpactOrder>();
+    return empty;
+  }
   {
-    std::lock_guard<std::mutex> lock(entry.bounds_mutex);
-    if (entry.bound_ready.empty()) {
-      entry.bound.assign(global_.df.size(), 0.0);
-      entry.bound_ready.assign(global_.df.size(), 0);
-    }
-    if (entry.bound_ready[t] != 0) return entry.bound[t];
+    std::lock_guard<std::mutex> lock(entry.orders_mutex);
+    const auto it = entry.orders.find(t);
+    if (it != entry.orders.end()) return it->second;
   }
-  // Exact bound under the snapshot's global statistics: max current weight
-  // over the shard's live postings. Computed outside the lock (idempotent;
-  // concurrent first users store the same value).
-  double bound = 0.0;
-  for (auto cursor = entry.state->OpenMergedCursor(t, 0.0); !cursor->at_end();
-       cursor->next()) {
-    bound = std::max(
-        bound, entry.model->Weight(t, Posting{cursor->doc(), cursor->tf()}));
-  }
-  std::lock_guard<std::mutex> lock(entry.bounds_mutex);
-  entry.bound[t] = bound;
-  entry.bound_ready[t] = 1;
-  return bound;
+  auto built = std::make_shared<const ImpactOrder>(
+      *entry.state->OpenMergedCursor(t, 0.0), t, *entry.model);
+  std::lock_guard<std::mutex> lock(entry.orders_mutex);
+  return entry.orders.emplace(t, std::move(built)).first->second;
 }
 
 double ShardedSnapshot::ShardQueryBound(size_t s, const Query& query) const {
@@ -393,6 +396,11 @@ double ShardReadView::MaxImpact(TermId t) const {
 
 std::unique_ptr<PostingCursor> ShardReadView::OpenCursor(TermId t) const {
   return state_->OpenMergedCursor(t, snapshot_->ShardTermBound(shard_, t));
+}
+
+std::unique_ptr<ImpactCursor> ShardReadView::OpenImpactCursor(
+    TermId t, const ScoringModel& /*model*/) const {
+  return ImpactOrder::OpenCursor(snapshot_->ShardImpactOrder(shard_, t));
 }
 
 }  // namespace moa

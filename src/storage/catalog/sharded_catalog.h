@@ -32,11 +32,24 @@
 // under sharding the weights depend on the global statistics, which move
 // whenever any other shard mutates — while the unchanged shard's state
 // object (and its cache) persists. The ShardedSnapshot therefore owns the
-// per-(shard, term) bound caches itself: exact max current weight under
-// the snapshot's global statistics, computed on first use and shared by
-// every query on this snapshot. The per-shard *query* bound — the sum of
-// a query's term bounds, the shard-skipping currency of the coordinator —
-// comes from the same cache.
+// per-(shard, term) bounds itself: exact max current weight under the
+// snapshot's global statistics, computed on first use (with the term's
+// impact order, below) and shared by every query on this snapshot. The
+// per-shard *query* bound — the sum of a query's term bounds, the
+// shard-skipping currency of the coordinator — comes from the same cache.
+//
+// Impact orders. Sorted access (the Fagin family, sparse-probe champions)
+// reads a term's postings by descending weight, which segments and the
+// memtable do not store. The first use of a (shard, term) on a snapshot —
+// its bound, which the coordinator asks for every query term before
+// planning, or a sorted access — scores the shard's live postings once
+// into an ImpactOrder (storage/segment/posting_cursor.h), sorted lazily;
+// the bound is the order's greatest weight, so bound and sorted access
+// share that one scoring pass. The snapshot caches the order, and with it
+// the bound, for every later query. The cache is keyed by term, so a
+// fresh snapshot costs nothing until a term is used, holds 16 B per live
+// posting of each term used (at most one in-memory impact order of the
+// collection), and dies with the snapshot.
 //
 // Thread-safety. Two locks. The mutation lock serializes mutations, so a
 // routing decision and its commits are atomic. The snapshot lock guards
@@ -222,9 +235,10 @@ class ShardStatsView final : public CollectionStatsView {
 /// DocFrequency reports the *global* df — strategies that order or gate
 /// work by df (max-score's term order, Fagin's accessor construction)
 /// must behave identically on every shard; the shard's actual list can be
-/// shorter or empty, which cursors handle naturally. MaxImpact serves the
-/// snapshot-owned per-shard bound (see file comment). Cursors and random
-/// access speak shard-local doc ids.
+/// shorter or empty, which cursors handle naturally (their size() is the
+/// shard's). MaxImpact serves the snapshot-owned per-shard bound and
+/// OpenImpactCursor the snapshot-owned impact order (see file comment).
+/// Cursors and random access speak shard-local doc ids.
 class ShardReadView final : public PostingSource {
  public:
   ShardReadView(const ShardedSnapshot* snapshot, size_t shard,
@@ -242,6 +256,11 @@ class ShardReadView final : public PostingSource {
   std::optional<uint32_t> FindTf(TermId t, DocId doc) const override {
     return state_->FindTf(t, doc);
   }
+  /// Serves the snapshot's cached order (ShardedSnapshot::ShardImpactOrder),
+  /// scored under the shard's model; `model` must have the same arithmetic
+  /// and is not consulted, as with InMemoryPostingSource.
+  std::unique_ptr<ImpactCursor> OpenImpactCursor(
+      TermId t, const ScoringModel& model) const override;
 
  private:
   const ShardedSnapshot* snapshot_;
@@ -252,9 +271,9 @@ class ShardReadView final : public PostingSource {
 /// \brief One consistent snapshot across all shards.
 ///
 /// Owns the per-shard serving bundles (stats view + scoring model + read
-/// view + bound cache) and the aggregated global statistics. Immutable
-/// except for the internally synchronized bound caches; shared by
-/// shared_ptr like CatalogState.
+/// view + impact-order cache, which carries the bounds) and the aggregated
+/// global statistics. Immutable except for the internally synchronized
+/// caches; shared by shared_ptr like CatalogState.
 class ShardedSnapshot {
  public:
   ShardedSnapshot(std::vector<std::shared_ptr<const CatalogState>> states,
@@ -282,12 +301,22 @@ class ShardedSnapshot {
   const CatalogComposition& shard_composition(size_t s) const;
 
   /// Exact max current weight of term t's live postings in shard s under
-  /// the snapshot's global statistics. Build-once per (shard, term).
+  /// the snapshot's global statistics. Build-once per (shard, term): the
+  /// greatest weight of ShardImpactOrder(s, t), which its first use builds.
   double ShardTermBound(size_t s, TermId t) const;
   /// Upper bound on any single document's score for `query` in shard s:
   /// the sum of the query terms' shard bounds. This is the coordinator's
   /// shard-skipping currency.
   double ShardQueryBound(size_t s, const Query& query) const;
+  /// Term t's live postings in shard s (local ids) in impact order under
+  /// the shard's model. Built on first use, by the bound or by sorted
+  /// access — scoring every live posting once, outside the cache lock;
+  /// concurrent first users may both build, and the first insert wins —
+  /// then shared by every query on this snapshot. The reference is the
+  /// cache's own entry, valid while the snapshot lives; a reader that
+  /// only looks (the bound) takes no reference count.
+  const std::shared_ptr<const ImpactOrder>& ShardImpactOrder(
+      size_t s, TermId t) const;
 
   // Global-id document access (routes to the owning shard).
   uint32_t DocLength(DocId global) const;

@@ -1,7 +1,6 @@
 #include "storage/segment/posting_cursor.h"
 
 #include <algorithm>
-#include <queue>
 #include <vector>
 
 #include "common/cost_ticker.h"
@@ -75,98 +74,13 @@ class MaterializedImpactCursor final : public ImpactCursor {
   size_t pos_ = 0;
 };
 
-/// The maximally coarse fragment directory: the whole list as one
-/// doc-sorted fragment bounded by the term's max impact.
-class SingleFragmentCursor final : public FragmentCursor {
- public:
-  SingleFragmentCursor(const PostingSource* source, TermId term,
-                       size_t postings, double max_impact)
-      : source_(source),
-        term_(term),
-        postings_(postings),
-        max_impact_(max_impact) {}
-
-  size_t num_fragments() const override { return postings_ > 0 ? 1 : 0; }
-  double max_impact(size_t) const override { return max_impact_; }
-  size_t size(size_t) const override { return postings_; }
-  std::unique_ptr<PostingCursor> OpenFragment(size_t) const override {
-    return source_->OpenCursor(term_);
-  }
-
- private:
-  const PostingSource* source_;
-  TermId term_;
-  size_t postings_;
-  double max_impact_;
-};
-
-/// Exact impact-ordered access over a fragment directory, decoding
-/// fragments lazily: a posting is only emitted once its weight strictly
-/// exceeds every undecoded fragment's bound (an equal bound forces the
-/// next decode, so equal-weight ties still come out in ascending doc
-/// order — the exact order InvertedFile::BuildImpactOrders produces).
-class LazyFragmentImpactCursor final : public ImpactCursor {
- public:
-  LazyFragmentImpactCursor(std::unique_ptr<FragmentCursor> fragments,
-                           TermId term, const ScoringModel* model)
-      : fragments_(std::move(fragments)), term_(term), model_(model) {
-    for (size_t f = 0; f < fragments_->num_fragments(); ++f) {
-      size_ += fragments_->size(f);
-    }
-    Refill();
-  }
-
-  DocId doc() const override { return pool_.empty() ? kEndDoc : Top().doc; }
-  uint32_t tf() const override { return pool_.empty() ? 0 : Top().tf; }
-  double weight() const override {
-    return pool_.empty() ? 0.0 : Top().weight;
-  }
-  void next() override {
-    if (pool_.empty()) return;
-    pool_.pop();
-    Refill();
-  }
-  size_t size() const override { return size_; }
-
- private:
-  struct Pending {
-    double weight;
-    DocId doc;
-    uint32_t tf;
-  };
-  /// Heap ordering: a sorts below b when it is weaker under
-  /// (weight desc, doc asc), leaving the strongest posting on top.
-  struct Weaker {
-    bool operator()(const Pending& a, const Pending& b) const {
-      if (a.weight != b.weight) return a.weight < b.weight;
-      return a.doc > b.doc;
-    }
-  };
-
-  const Pending& Top() const { return pool_.top(); }
-
-  /// Decodes fragments until the best pending posting provably dominates
-  /// everything still encoded (or nothing is left to decode).
-  void Refill() {
-    while (next_fragment_ < fragments_->num_fragments() &&
-           (pool_.empty() ||
-            pool_.top().weight <= fragments_->max_impact(next_fragment_))) {
-      for (auto cursor = fragments_->OpenFragment(next_fragment_);
-           !cursor->at_end(); cursor->next()) {
-        const Posting p{cursor->doc(), cursor->tf()};
-        pool_.push(Pending{model_->Weight(term_, p), p.doc, p.tf});
-      }
-      ++next_fragment_;
-    }
-  }
-
-  std::unique_ptr<FragmentCursor> fragments_;
-  TermId term_;
-  const ScoringModel* model_;
-  size_t size_ = 0;
-  size_t next_fragment_ = 0;
-  std::priority_queue<Pending, std::vector<Pending>, Weaker> pool_;
-};
+/// Impact order: weight descending, ties by ascending doc. Doc ids are
+/// unique within a list, so this is a strict total order and every lazy
+/// sort of a list yields the one order a full sort would.
+bool ImpactBefore(const ImpactOrder::Entry& a, const ImpactOrder::Entry& b) {
+  if (a.weight != b.weight) return a.weight > b.weight;
+  return a.doc < b.doc;
+}
 
 }  // namespace
 
@@ -178,16 +92,82 @@ std::optional<uint32_t> PostingSource::FindTf(TermId t, DocId doc) const {
   return cursor->tf();
 }
 
-std::unique_ptr<FragmentCursor> PostingSource::OpenFragmentCursor(
-    TermId t) const {
-  return std::make_unique<SingleFragmentCursor>(
-      this, t, DocFrequency(t), HasImpacts(t) ? MaxImpact(t) : 0.0);
+/// Cursor over a shared ImpactOrder. `sorted_` caches the prefix length
+/// this cursor last loaded: below it, entries are final and read without
+/// synchronization.
+class ImpactOrderCursor final : public ImpactCursor {
+ public:
+  explicit ImpactOrderCursor(std::shared_ptr<const ImpactOrder> order)
+      : order_(std::move(order)),
+        end_(order_->size()),
+        sorted_(order_->SortedAtLeast(1)) {}
+
+  DocId doc() const override { return pos_ < end_ ? at().doc : kEndDoc; }
+  uint32_t tf() const override { return pos_ < end_ ? at().tf : 0; }
+  double weight() const override { return pos_ < end_ ? at().weight : 0.0; }
+  void next() override {
+    if (pos_ >= end_) return;
+    ++pos_;
+    if (pos_ < end_ && pos_ >= sorted_) {
+      sorted_ = order_->SortedAtLeast(pos_ + 1);
+    }
+  }
+  size_t size() const override { return end_; }
+
+ private:
+  const ImpactOrder::Entry& at() const { return order_->entries_[pos_]; }
+
+  std::shared_ptr<const ImpactOrder> order_;
+  size_t end_;
+  size_t sorted_;
+  size_t pos_ = 0;
+};
+
+ImpactOrder::ImpactOrder(PostingCursor& postings, TermId term,
+                         const ScoringModel& model) {
+  entries_.reserve(postings.size());
+  for (; !postings.at_end(); postings.next()) {
+    const Posting p{postings.doc(), postings.tf()};
+    const double weight = model.Weight(term, p);
+    entries_.push_back(Entry{weight, p.doc, p.tf});
+    max_weight_ = std::max(max_weight_, weight);
+  }
+  CostTicker::TickImpactPostings(static_cast<int64_t>(entries_.size()));
+}
+
+size_t ImpactOrder::SortedAtLeast(size_t want) const {
+  const size_t n = entries_.size();
+  size_t sorted = sorted_.load(std::memory_order_acquire);
+  if (sorted >= want || sorted == n) return sorted;
+  std::lock_guard<std::mutex> lock(extend_mutex_);
+  sorted = sorted_.load(std::memory_order_relaxed);
+  while (sorted < want && sorted < n) {
+    const size_t target =
+        std::min(n, sorted == 0 ? kFirstChunk : sorted * kGrowth);
+    const auto begin = entries_.begin();
+    if (target < n) {
+      std::nth_element(begin + static_cast<ptrdiff_t>(sorted),
+                       begin + static_cast<ptrdiff_t>(target), entries_.end(),
+                       ImpactBefore);
+    }
+    std::sort(begin + static_cast<ptrdiff_t>(sorted),
+              begin + static_cast<ptrdiff_t>(target), ImpactBefore);
+    sorted = target;
+  }
+  sorted_.store(sorted, std::memory_order_release);
+  return sorted;
+}
+
+std::unique_ptr<ImpactCursor> ImpactOrder::OpenCursor(
+    std::shared_ptr<const ImpactOrder> order) {
+  return std::make_unique<ImpactOrderCursor>(std::move(order));
 }
 
 std::unique_ptr<ImpactCursor> PostingSource::OpenImpactCursor(
     TermId t, const ScoringModel& model) const {
-  return std::make_unique<LazyFragmentImpactCursor>(OpenFragmentCursor(t), t,
-                                                    &model);
+  const std::unique_ptr<PostingCursor> postings = OpenCursor(t);
+  return ImpactOrder::OpenCursor(
+      std::make_shared<const ImpactOrder>(*postings, t, model));
 }
 
 std::unique_ptr<PostingCursor> InMemoryPostingSource::OpenCursor(

@@ -6,6 +6,9 @@
 // of touching std::vector<Posting> directly, so the same algorithm runs
 // unchanged over the in-memory InvertedFile and over a compressed
 // mmap-backed MOAIF03 segment (storage/segment/segment_reader.h).
+// Executors that read postings by descending weight (the Fagin family,
+// sparse-probe champions) use ImpactCursor: the materialized order in
+// memory, an ImpactOrder scored from the doc-ordered list everywhere else.
 //
 // Contract (shared by every implementation, enforced by the conformance
 // suite in tests/posting_cursor_test.cc):
@@ -42,10 +45,13 @@
 #ifndef MOA_STORAGE_SEGMENT_POSTING_CURSOR_H_
 #define MOA_STORAGE_SEGMENT_POSTING_CURSOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <vector>
 
 #include "storage/inverted_file.h"
 #include "storage/posting.h"
@@ -130,48 +136,92 @@ class ImpactCursor {
   virtual double weight() const = 0;
   /// Moves to the next posting in impact order (stays at end).
   virtual void next() = 0;
-  /// Total number of postings (the term's document frequency).
+  /// Number of postings the cursor emits in all (a shard's view emits the
+  /// shard's live postings, not the global document frequency).
   virtual size_t size() const = 0;
 
   bool at_end() const { return doc() == kEndDoc; }
 };
 
-/// \brief One term's postings grouped into impact-ordered *fragments*.
+/// \brief One term's postings in impact order, sorted lazily: the sorted
+/// access of storage without a materialized order (segments, catalog
+/// snapshots).
 ///
-/// A fragment is a doc-sorted sub-range of the term's postings together
-/// with an upper bound on the weight of any posting inside it. Fragments
-/// are disjoint, cover the whole list, and are enumerated by descending
-/// max impact: max_impact(f) >= max_impact(f + 1). This is the paper's
-/// quality/speed fragmentation applied *within* a posting list — a
-/// consumer that processes fragments in directory order can stop (or
-/// lazily defer decoding) as soon as the remaining fragments' bounds
-/// cannot matter, while each fragment still streams in doc order.
+/// Construction scores every posting a doc-ordered cursor yields, once,
+/// with the caller's model — the cursor decides which postings count
+/// (tombstones filtered) and in which id space. Sorting is lazy:
+/// entries [0, sorted) are final, in the exact order
+/// InvertedFile::BuildImpactOrders materializes (weight descending, doc
+/// ascending). A cursor that reaches the end of the sorted prefix extends
+/// it: nth_element picks the next chunk and sort orders it. The first
+/// chunk holds kFirstChunk entries and every extension grows the prefix
+/// kGrowth-fold, so a consumer that reads k postings pays one scoring
+/// pass, one selection pass over the unsorted rest per extension and
+/// O(k log k) sorting — not a full sort of the list.
 ///
-/// Sources without a materialized fragment directory serve the whole list
-/// as one fragment (still a valid, if maximally coarse, directory).
-class FragmentCursor {
+/// Thread-safety: any number of cursors may read one order at once (the
+/// per-snapshot cache shares it across queries). Extensions serialize on
+/// a mutex and publish the new length with a release store; a reader only
+/// reads below the length it loaded with acquire, and an extension only
+/// writes above it.
+///
+/// Memory: 16 B per posting (Entry), held by whoever owns the order — the
+/// cursor alone for PostingSource's uncached default, the snapshot for
+/// ShardedSnapshot's cache.
+class ImpactOrder {
  public:
-  virtual ~FragmentCursor() = default;
+  struct Entry {
+    double weight;
+    DocId doc;
+    uint32_t tf;
+  };
+  static_assert(sizeof(Entry) == 16);
 
-  /// Number of fragments (0 for an empty list).
-  virtual size_t num_fragments() const = 0;
-  /// Upper bound on the weight of any posting in fragment f; descending
-  /// in f. Only meaningful when the source HasImpacts for the term.
-  virtual double max_impact(size_t f) const = 0;
-  /// Number of postings in fragment f (>= 1).
-  virtual size_t size(size_t f) const = 0;
-  /// Fresh doc-ordered cursor over fragment f's postings only.
-  virtual std::unique_ptr<PostingCursor> OpenFragment(size_t f) const = 0;
+  /// An empty order (a term with no live posting).
+  ImpactOrder() = default;
+  /// Scores every posting `postings` yields under `model` and ticks
+  /// CostCounters::impact_postings by their number.
+  ImpactOrder(PostingCursor& postings, TermId term, const ScoringModel& model);
+  ImpactOrder(const ImpactOrder&) = delete;
+  ImpactOrder& operator=(const ImpactOrder&) = delete;
+
+  size_t size() const { return entries_.size(); }
+  /// The greatest weight, taken while scoring (0 for an empty order): the
+  /// exact impact bound of the postings, with no sorting.
+  double max_weight() const { return max_weight_; }
+
+  /// A fresh cursor over `order` (non-null), which it keeps alive.
+  static std::unique_ptr<ImpactCursor> OpenCursor(
+      std::shared_ptr<const ImpactOrder> order);
+
+ private:
+  friend class ImpactOrderCursor;
+
+  /// First sorted chunk; enough for the top-n prefixes Fagin reads.
+  static constexpr size_t kFirstChunk = 64;
+  /// Prefix growth factor per extension.
+  static constexpr size_t kGrowth = 4;
+
+  /// Extends the sorted prefix to at least min(want, size()) entries and
+  /// returns its length.
+  size_t SortedAtLeast(size_t want) const;
+
+  // Elements are permuted in place by extensions; the vector itself is
+  // never resized after construction.
+  mutable std::vector<Entry> entries_;
+  mutable std::mutex extend_mutex_;
+  mutable std::atomic<size_t> sorted_{0};
+  double max_weight_ = 0.0;
 };
 
 /// \brief A collection of posting lists addressable by TermId.
 ///
 /// Implementations: InMemoryPostingSource (below) over an InvertedFile,
-/// SegmentReader (segment_reader.h) over a compressed mmap-backed segment
-/// and CatalogReadView (storage/catalog) over a multi-segment snapshot.
+/// SegmentReader (segment_reader.h) over a compressed mmap-backed segment,
+/// and CatalogReadView and ShardReadView (storage/catalog) over a
+/// multi-segment snapshot.
 /// Sources are immutable after construction and safe for concurrent reads;
-/// each OpenCursor/OpenImpactCursor/OpenFragmentCursor call returns an
-/// independent cursor.
+/// each OpenCursor/OpenImpactCursor call returns an independent cursor.
 class PostingSource {
  public:
   virtual ~PostingSource() = default;
@@ -193,20 +243,13 @@ class PostingSource {
   /// with a cheaper path (in-memory binary search) override.
   virtual std::optional<uint32_t> FindTf(TermId t, DocId doc) const;
 
-  /// t's impact-ordered fragment directory. The default serves the whole
-  /// list as a single fragment bounded by MaxImpact (0 without impacts);
-  /// SegmentReader overrides with its stored MOAFRG01 directory.
-  virtual std::unique_ptr<FragmentCursor> OpenFragmentCursor(TermId t) const;
-
   /// Postings of t by descending `model` weight, ties by ascending doc —
   /// exact sorted access over any storage. Requires HasImpacts(t) and a
   /// model whose arithmetic matches the source's impact bounds (the same
-  /// precondition impact orders always had). The default decodes
-  /// fragments lazily through OpenFragmentCursor: a fragment is only
-  /// decoded once an undecoded fragment's bound could still beat the best
-  /// pending posting, so fragmented sources pay for the prefix actually
-  /// consumed. InMemoryPostingSource overrides with the materialized
-  /// impact order.
+  /// precondition impact orders always had). The default scores the whole
+  /// list into a fresh ImpactOrder on every call and sorts only the prefix
+  /// the cursor reads; InMemoryPostingSource serves its materialized order
+  /// and ShardReadView the order its snapshot caches per (shard, term).
   virtual std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const;
 };

@@ -290,103 +290,7 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::OpenInternal(
   }
 #endif
 
-  // Optional MOAFRG01 sidecar: absent is fine (no lazy impact order), but
-  // a sidecar that exists and disagrees with the segment must fail the
-  // open — understated fragment bounds would silently corrupt the exact
-  // impact order every sorted-access strategy relies on.
-  Result<std::pair<FragmentFileHeader, FragmentDirectory>> sidecar =
-      ReadFragmentDirectory(FragmentSidecarPath(path));
-  if (sidecar.ok()) {
-    auto [frag_header, directory] = std::move(sidecar).ValueOrDie();
-    MOA_RETURN_NOT_OK(reader->AttachFragmentDirectory(frag_header,
-                                                      std::move(directory)));
-  } else if (sidecar.status().code() != StatusCode::kNotFound) {
-    return sidecar.status();
-  }
   return reader;
-}
-
-Status SegmentReader::AttachFragmentDirectory(
-    const FragmentFileHeader& frag_header, FragmentDirectory directory) {
-  if (!has_impacts()) {
-    return Status::InvalidArgument(
-        "fragment directory: segment stores no impact bounds");
-  }
-  if (frag_header.num_terms != header_.num_terms) {
-    return Status::InvalidArgument(
-        "fragment directory: vocabulary disagrees with segment");
-  }
-  // The fragment bounds are only upper bounds under the model that
-  // produced the block bounds they were derived from — the stamps must
-  // agree byte-for-byte.
-  if (std::memcmp(frag_header.impact_model, header_.impact_model,
-                  kImpactModelBytes) != 0) {
-    return Status::InvalidArgument(
-        "fragment directory: impact model disagrees with segment");
-  }
-
-  for (TermId t = 0; t < header_.num_terms; ++t) {
-    const TermDirEntry term = term_entry(t);
-    const TermFragEntry& entry = directory.terms[t];
-    if (entry.df != term.df) {
-      return Status::InvalidArgument(
-          "fragment directory: document frequency disagrees with segment");
-    }
-    // The fragments' block ranges must partition [0, block_count) —
-    // anything else would drop or double-decode postings.
-    std::vector<std::pair<uint32_t, uint32_t>> ranges;
-    uint64_t covered = 0;
-    double max_bound = 0.0;
-    for (uint32_t f = 0; f < entry.frag_count; ++f) {
-      const FragDirEntry& frag =
-          directory.fragments[entry.frag_begin + f];
-      if (frag.block_begin >= term.block_count ||
-          frag.block_count > term.block_count - frag.block_begin) {
-        return Status::InvalidArgument(
-            "fragment directory: fragment range exceeds term blocks");
-      }
-      ranges.emplace_back(frag.block_begin, frag.block_count);
-      covered += frag.block_count;
-      // The stored bound must be exactly the max over the covered
-      // blocks' bounds (how the writer produces it); inequality means a
-      // corrupted bound — in either direction it breaks the impact-order
-      // contract.
-      double expected = 0.0;
-      for (uint32_t b = 0; b < frag.block_count; ++b) {
-        expected = std::max(
-            expected, LoadPod<BlockDirEntry>(
-                          block_dir_,
-                          term.block_begin + frag.block_begin + b)
-                          .max_impact);
-      }
-      if (frag.max_impact != expected) {
-        return Status::InvalidArgument(
-            "fragment directory: fragment/block impact mismatch");
-      }
-      max_bound = std::max(max_bound, frag.max_impact);
-    }
-    if (covered != term.block_count) {
-      return Status::InvalidArgument(
-          "fragment directory: fragments do not cover the term's blocks");
-    }
-    std::sort(ranges.begin(), ranges.end());
-    uint32_t next = 0;
-    for (const auto& [begin, count] : ranges) {
-      if (begin != next) {
-        return Status::InvalidArgument(
-            "fragment directory: fragment ranges overlap or leave gaps");
-      }
-      next = begin + count;
-    }
-    if (entry.frag_count > 0 && max_bound != term.max_impact) {
-      return Status::InvalidArgument(
-          "fragment directory: term impact bound mismatch");
-    }
-  }
-
-  frag_dir_ = std::move(directory);
-  has_fragments_ = true;
-  return Status::OK();
 }
 
 Status SegmentReader::Validate() {
@@ -554,64 +458,6 @@ std::unique_ptr<PostingCursor> SegmentReader::OpenCursor(TermId t) const {
       block_dir_ + entry.block_begin * sizeof(BlockDirEntry),
       entry.block_count, payload_ + entry.payload_offset,
       term_payload_bytes(entry, t), entry.df, entry.max_impact);
-}
-
-/// FragmentCursor over one term's validated MOAFRG01 entries: every
-/// fragment is served by the ordinary lazy block cursor restricted to the
-/// fragment's block run, so decoding one fragment never touches its
-/// neighbours' payload.
-class SegmentFragmentCursor final : public FragmentCursor {
- public:
-  SegmentFragmentCursor(const SegmentReader* reader, TermId term)
-      : reader_(reader),
-        term_(reader->term_entry(term)),
-        entry_(reader->frag_dir_.terms[term]),
-        term_payload_bytes_(
-            reader->term_payload_bytes(term_, term)) {}
-
-  size_t num_fragments() const override { return entry_.frag_count; }
-  double max_impact(size_t f) const override { return frag(f).max_impact; }
-  size_t size(size_t f) const override {
-    const FragDirEntry& fr = frag(f);
-    size_t postings = 0;
-    for (uint32_t b = 0; b < fr.block_count; ++b) {
-      postings += BlockEntry(fr.block_begin + b).count;
-    }
-    return postings;
-  }
-  std::unique_ptr<PostingCursor> OpenFragment(size_t f) const override {
-    const FragDirEntry& fr = frag(f);
-    // Byte extent of the run: up to the block after it (or the term end).
-    const uint32_t end_block = fr.block_begin + fr.block_count;
-    const uint64_t end_bytes = end_block < term_.block_count
-                                   ? BlockEntry(end_block).offset
-                                   : term_payload_bytes_;
-    return std::make_unique<BlockPostingCursor>(
-        reader_->block_dir_ + (term_.block_begin + fr.block_begin) *
-                                  sizeof(BlockDirEntry),
-        fr.block_count, reader_->payload_ + term_.payload_offset, end_bytes,
-        static_cast<uint32_t>(size(f)), fr.max_impact);
-  }
-
- private:
-  const FragDirEntry& frag(size_t f) const {
-    return reader_->frag_dir_.fragments[entry_.frag_begin + f];
-  }
-  BlockDirEntry BlockEntry(uint32_t term_relative) const {
-    return LoadPod<BlockDirEntry>(reader_->block_dir_,
-                                  term_.block_begin + term_relative);
-  }
-
-  const SegmentReader* reader_;
-  TermDirEntry term_;
-  TermFragEntry entry_;
-  uint64_t term_payload_bytes_;
-};
-
-std::unique_ptr<FragmentCursor> SegmentReader::OpenFragmentCursor(
-    TermId t) const {
-  if (!has_fragments_) return PostingSource::OpenFragmentCursor(t);
-  return std::make_unique<SegmentFragmentCursor>(this, t);
 }
 
 Status SegmentReader::CheckIntegrity() const {

@@ -23,7 +23,6 @@
 
 #include "common/status.h"
 #include "storage/inverted_file.h"
-#include "storage/segment/fragment_directory.h"
 #include "storage/segment/posting_cursor.h"
 #include "storage/segment/segment_format.h"
 
@@ -31,11 +30,9 @@ namespace moa {
 
 class SegmentReader final : public PostingSource {
  public:
-  /// Maps and validates the segment at `path`. When a MOAFRG01 sidecar
-  /// sits next to it (`path + ".frg"`), the sidecar is read and fully
-  /// cross-validated against the segment (model stamp, block ranges,
-  /// impact-order and bound invariants); a sidecar that disagrees fails
-  /// the Open, a missing sidecar merely disables lazy impact order.
+  /// Maps and validates the segment at `path`. Nothing else is read: a
+  /// `path + ".frg"` fragment-directory sidecar left by an older version
+  /// is ignored.
   ///
   /// Records moa_segment_open_total / moa_segment_open_ms /
   /// moa_segment_open_failures_total (the wrapper is the only metrics
@@ -56,11 +53,9 @@ class SegmentReader final : public PostingSource {
   }
   double MaxImpact(TermId t) const override;
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
-  /// Impact-ordered fragments from the MOAFRG01 sidecar: each fragment is
-  /// a run of the term's blocks decoded through the ordinary lazy block
-  /// cursor. Falls back to the single-fragment default when the segment
-  /// has no sidecar.
-  std::unique_ptr<FragmentCursor> OpenFragmentCursor(TermId t) const override;
+  // OpenImpactCursor: PostingSource's default — every call decodes and
+  // scores the whole list into a fresh ImpactOrder. Catalog snapshots
+  // serve sorted access from their per-(shard, term) cache instead.
 
   uint64_t total_tokens() const { return header_.total_tokens; }
   uint32_t block_size() const { return header_.block_size; }
@@ -77,12 +72,6 @@ class SegmentReader final : public PostingSource {
   /// Token count of document d (served from the mapped section).
   uint32_t DocLength(DocId d) const;
 
-  /// True when a validated MOAFRG01 sidecar backs OpenFragmentCursor.
-  bool has_fragment_directory() const { return has_fragments_; }
-  /// The validated sidecar contents (meaningful only when
-  /// has_fragment_directory()).
-  const FragmentDirectory& fragment_directory() const { return frag_dir_; }
-
   /// Decodes every block and re-validates cross-block invariants plus the
   /// global token count — catches payload corruption that the structural
   /// checks at Open cannot see (e.g. a flipped tf byte).
@@ -94,8 +83,6 @@ class SegmentReader final : public PostingSource {
   Result<InvertedFile> ToInvertedFile() const;
 
  private:
-  friend class SegmentFragmentCursor;
-
   SegmentReader() = default;
 
   /// The actual map-and-validate; Open is a thin metrics wrapper.
@@ -103,10 +90,6 @@ class SegmentReader final : public PostingSource {
       const std::string& path);
 
   Status Validate();
-  /// Cross-validates a structurally valid sidecar against the mapped
-  /// directories; on success installs it as the fragment directory.
-  Status AttachFragmentDirectory(const FragmentFileHeader& header,
-                                 FragmentDirectory directory);
   TermDirEntry term_entry(TermId t) const;
   /// Payload bytes owned by term t (derived from the next term's offset).
   uint64_t term_payload_bytes(const TermDirEntry& entry, TermId t) const;
@@ -119,9 +102,6 @@ class SegmentReader final : public PostingSource {
   const uint8_t* term_dir_ = nullptr;
   const uint8_t* block_dir_ = nullptr;
   const uint8_t* payload_ = nullptr;
-  // Validated MOAFRG01 sidecar (empty when the segment has none).
-  bool has_fragments_ = false;
-  FragmentDirectory frag_dir_;
 };
 
 }  // namespace moa

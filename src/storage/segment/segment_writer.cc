@@ -8,7 +8,6 @@
 
 #include "storage/atomic_file.h"
 #include "storage/segment/block_codec.h"
-#include "storage/segment/fragment_directory.h"
 
 namespace moa {
 namespace {
@@ -22,8 +21,8 @@ Status WritePodVector(std::FILE* f, const std::vector<T>& v) {
   return WriteBytes(f, v.data(), v.size() * sizeof(T));
 }
 
-/// Fully built segment sections, shared by the segment body writer and
-/// the fragment-directory sidecar.
+/// Fully built segment sections. They are built before the file is
+/// opened, so a build error leaves nothing on disk.
 struct SegmentImage {
   std::vector<TermDirEntry> term_dir;
   std::vector<BlockDirEntry> block_dir;
@@ -129,25 +128,9 @@ Status WriteSegment(const InvertedFile& file, const std::string& path,
   SegmentImage image;
   MOA_RETURN_NOT_OK(BuildImage(file, options, &image));
 
-  // A sidecar left over from an earlier write at this path describes the
-  // *old* segment; drop it before the new segment publishes so no crash
-  // point leaves a mismatched pair (segment-without-sidecar is valid and
-  // merely loses laziness).
-  const std::string sidecar = FragmentSidecarPath(path);
-  std::remove(sidecar.c_str());
-
-  MOA_RETURN_NOT_OK(WriteFileAtomically(path, [&](std::FILE* out) {
+  return WriteFileAtomically(path, [&](std::FILE* out) {
     return WriteBody(file, options, image, out);
-  }));
-
-  if (options.impact_fn && options.fragment_blocks > 0) {
-    const FragmentDirectory directory = BuildFragmentDirectory(
-        image.term_dir, image.block_dir, options.fragment_blocks);
-    return WriteFragmentDirectory(
-        sidecar, directory,
-        options.impact_model.substr(0, kImpactModelBytes - 1));
-  }
-  return Status::OK();
+  });
 }
 
 }  // namespace moa

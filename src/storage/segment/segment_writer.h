@@ -31,18 +31,11 @@ struct SegmentWriterOptions {
   /// stamped into the header so readers can refuse to prune with bounds
   /// computed under a different model. Truncated to kImpactModelBytes - 1.
   std::string impact_model;
-  /// Consecutive blocks grouped into one impact-ordered fragment of the
-  /// MOAFRG01 sidecar (`<path>.frg`), written whenever impact_fn is set.
-  /// 0 disables the sidecar (the segment then serves impact order through
-  /// a single whole-list fragment).
-  uint32_t fragment_blocks = 8;
 };
 
-/// Writes `file` as a MOAIF03 segment at `path` (atomic overwrite), plus
-/// the MOAFRG01 fragment-directory sidecar at `path + ".frg"` when
-/// impacts are stored. A stale sidecar from an earlier write is removed
-/// before the new segment publishes, so no crash point leaves a segment
-/// next to a sidecar that does not describe it.
+/// Writes `file` as a MOAIF03 segment at `path` (atomic overwrite). The
+/// segment is the only file written: sorted access needs no sidecar, as
+/// readers score impact orders from the doc-ordered blocks.
 Status WriteSegment(const InvertedFile& file, const std::string& path,
                     const SegmentWriterOptions& options = {});
 

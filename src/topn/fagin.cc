@@ -13,9 +13,11 @@ namespace {
 
 /// Per-query-term sorted access: an impact cursor over the term's
 /// postings in descending-weight order. Works over any PostingSource —
-/// the in-memory file serves its materialized impact order, a segment
-/// decodes fragments lazily through its MOAFRG01 directory, a catalog
-/// snapshot materializes the live postings' order.
+/// the in-memory file serves its materialized impact order, a catalog
+/// shard the impact order its snapshot built on the term's first use
+/// (normally its bound), and any other source (a bare segment,
+/// CatalogReadView) scores the list into a fresh, lazily sorted
+/// ImpactOrder per call.
 struct ListAccess {
   TermId term;
   std::unique_ptr<ImpactCursor> cursor;

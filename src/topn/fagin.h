@@ -39,9 +39,10 @@ struct FaginOptions {
 // All three algorithms consume sorted access through
 // PostingSource::OpenImpactCursor and random access through
 // PostingSource::FindTf, so the same implementation serves the in-memory
-// file (materialized impact order), a compressed mmap segment (lazy
-// fragment-directory decode) and a catalog snapshot (live postings). All
-// require impact metadata (HasImpacts) on every non-empty query-term list.
+// file (materialized impact order), a catalog shard (the snapshot's cached
+// impact order of its live postings) and any other source, a bare segment
+// included (a lazily sorted impact order per call). All require impact
+// metadata (HasImpacts) on every non-empty query-term list.
 
 /// Fagin's original algorithm (FA): sorted phase until n documents have
 /// been seen in every list, then random-access completion of all seen

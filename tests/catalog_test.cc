@@ -511,6 +511,40 @@ TEST(IndexCatalogTest, OpenRejectsRetiredSegmentFormat) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(IndexCatalogTest, StrayFragmentSidecarIsIgnoredAndReclaimed) {
+  // Older versions wrote a `<segment>.frg` fragment directory next to
+  // every segment. Open must ignore it — this one is not even readable —
+  // and a merge that drops the segment must unlink it with the segment.
+  const std::string dir = FreshDir("stray_frg");
+  auto catalog = MustCreate(InDir(dir));
+  ASSERT_TRUE(catalog->AddDocuments({{{1, 2}}, {{1, 1}, {2, 2}}}).ok());
+  ASSERT_TRUE(catalog->Flush().ok());
+  ASSERT_TRUE(catalog->AddDocuments({{{2, 5}}, {{1, 7}}}).ok());
+  ASSERT_TRUE(catalog->Flush().ok());
+  catalog.reset();
+  const std::string stray = dir + "/" + SegmentFileName(1) + ".frg";
+  std::ofstream(stray, std::ios::binary) << "not a fragment directory";
+
+  auto reopened = IndexCatalog::Open(InDir(dir));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  catalog = std::move(reopened).ValueOrDie();
+  EXPECT_EQ(Scan(*catalog->Snapshot(), 1),
+            (std::vector<Posting>{{0, 2}, {1, 1}, {3, 7}}));
+  const auto view = catalog->OpenReadView();
+  size_t sorted = 0;
+  for (auto c = view->OpenImpactCursor(1, *view->model()); !c->at_end();
+       c->next()) {
+    ++sorted;
+  }
+  EXPECT_EQ(sorted, 3u);
+
+  auto merged = catalog->Merge();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.ValueOrDie(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/" + SegmentFileName(1)));
+  EXPECT_FALSE(std::filesystem::exists(stray));
+}
+
 TEST(IndexCatalogTest, CreateRefusesExistingCatalogDirectory) {
   const std::string dir = FreshDir("refuse");
   auto catalog = MustCreate(InDir(dir));

@@ -553,6 +553,11 @@ Oracle BuildShardedOracle(const ShardedShadow& shadow,
   return oracle;
 }
 
+/// The safe strategies that read sorted access (impact orders).
+constexpr PhysicalStrategy kSortedAccessStrategies[] = {
+    PhysicalStrategy::kFaginFA, PhysicalStrategy::kFaginTA,
+    PhysicalStrategy::kFaginNRA};
+
 /// Differential check of one strategy through the coordinator.
 ///
 /// Safe strategies: the positional score sequence is bit-identical to the
@@ -568,11 +573,10 @@ Oracle BuildShardedOracle(const ShardedShadow& shadow,
 /// they are held to the universal liveness invariant only.
 void CheckShardedStrategy(const std::shared_ptr<const ShardedSnapshot>& snap,
                           const Oracle& oracle, PhysicalStrategy s,
-                          const Query& q) {
+                          const Query& q, size_t n = kTopN) {
   ShardCoordinator::Options copts;
   copts.fragmentation = &oracle.fragmentation;
-  auto actual =
-      ShardCoordinator::Execute(snap, s, q, kTopN, ExecOptions{}, copts);
+  auto actual = ShardCoordinator::Execute(snap, s, q, n, ExecOptions{}, copts);
   ASSERT_TRUE(actual.ok()) << StrategyName(s) << ": "
                            << actual.status().ToString();
   const std::vector<ScoredDoc>& got = actual.ValueOrDie().items;
@@ -585,14 +589,14 @@ void CheckShardedStrategy(const std::shared_ptr<const ShardedSnapshot>& snap,
   if (!IsSafeStrategy(s)) return;
 
   auto expected = StrategyRegistry::Global().Execute(s, oracle.context(), q,
-                                                     kTopN, ExecOptions{});
+                                                     n, ExecOptions{});
   ASSERT_TRUE(expected.ok()) << StrategyName(s) << ": "
                              << expected.status().ToString();
   const std::vector<ScoredDoc>& ref = expected.ValueOrDie().items;
 
   if (s == PhysicalStrategy::kFaginNRA) {
     const std::vector<ScoredDoc> truth =
-        ExactTopN(*oracle.file, *oracle.model, q, kTopN);
+        ExactTopN(*oracle.file, *oracle.model, q, n);
     ASSERT_EQ(got.size(), truth.size()) << StrategyName(s);
     if (truth.empty()) return;
     const std::vector<double> truth_scores =
@@ -601,7 +605,7 @@ void CheckShardedStrategy(const std::shared_ptr<const ShardedSnapshot>& snap,
       const DocId oid = oracle.to_oracle.at(sd.doc);
       EXPECT_GE(truth_scores[oid] + 1e-9, truth.back().score)
           << StrategyName(s) << " doc " << sd.doc
-          << " is outside the exact top-" << kTopN;
+          << " is outside the exact top-" << n;
     }
     return;
   }
@@ -610,7 +614,7 @@ void CheckShardedStrategy(const std::shared_ptr<const ShardedSnapshot>& snap,
   for (size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(got[i].score, ref[i].score) << StrategyName(s) << " rank " << i;
   }
-  const bool full = got.size() == kTopN;
+  const bool full = got.size() == n;
   for (size_t i = 0; i < ref.size(); ++i) {
     if (full && ref[i].score == ref.back().score) continue;  // n-th-score tie
     EXPECT_EQ(oracle.to_oracle.at(got[i].doc), ref[i].doc)
@@ -701,6 +705,12 @@ void RunShardedIteration(uint64_t seed, size_t num_shards, int iteration) {
           CheckShardedStrategy(snap, oracle, s, q);
           if (::testing::Test::HasFatalFailure()) return;
         }
+        // Again with 4n on the same snapshot: these read deeper into the
+        // impact orders the first pass cached.
+        for (PhysicalStrategy s : kSortedAccessStrategies) {
+          CheckShardedStrategy(snap, oracle, s, q, 4 * kTopN);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
       }
     }
   }
@@ -720,6 +730,10 @@ void RunShardedIteration(uint64_t seed, size_t num_shards, int iteration) {
     for (const Query& q : RandomQueries(rng, 2)) {
       for (PhysicalStrategy s : AllStrategies()) {
         CheckShardedStrategy(snap, oracle, s, q);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      for (PhysicalStrategy s : kSortedAccessStrategies) {
+        CheckShardedStrategy(snap, oracle, s, q, 4 * kTopN);
         if (::testing::Test::HasFatalFailure()) return;
       }
     }

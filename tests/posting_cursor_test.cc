@@ -5,18 +5,18 @@
 // small enough that every list spans several blocks, so advance_to
 // crosses block boundaries, and at the production default), and the
 // catalog's chained/merged tombstone-filtering cursor over a
-// segments+memtable snapshot whose live documents equal the reference.
+// segments+memtable snapshot whose live documents equal the reference —
+// served both by CatalogReadView and by a one-shard ShardReadView, whose
+// sorted access reads the snapshot's cached impact order.
 //
-// Also here: the FragmentCursor contract (fragments partition each list,
-// descend in max impact, and each fragment's sub-cursor obeys the full
-// PostingCursor contract) and the ImpactCursor contract (every
-// implementation reproduces the in-memory materialized impact order
-// bit-for-bit — docs, tfs and weights).
+// Also here: the ImpactCursor contract (every implementation reproduces
+// the in-memory materialized impact order bit-for-bit — docs, tfs and
+// weights; term 5's 130 postings outgrow the first lazily sorted chunk, so
+// the lazy impact orders extend their sorted prefix mid-scan).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,8 +25,8 @@
 #include "common/cost_ticker.h"
 #include "ir/scoring.h"
 #include "storage/catalog/index_catalog.h"
+#include "storage/catalog/sharded_catalog.h"
 #include "storage/inverted_file.h"
-#include "storage/segment/fragment_directory.h"
 #include "storage/segment/posting_cursor.h"
 #include "storage/segment/segment_reader.h"
 #include "storage/segment/segment_writer.h"
@@ -61,6 +61,8 @@ struct Fixture {
   std::unique_ptr<SegmentReader> segment128;
   std::unique_ptr<IndexCatalog> catalog;
   std::shared_ptr<const CatalogReadView> catalog_view;
+  /// The same catalog state as a one-shard snapshot (local ids = global).
+  std::shared_ptr<const ShardedSnapshot> sharded;
   uint64_t catalog_doc_space = 0;
 
   Fixture() {
@@ -142,6 +144,9 @@ struct Fixture {
     }
 
     catalog_view = catalog->OpenReadView();
+    sharded = std::make_shared<const ShardedSnapshot>(
+        std::vector<std::shared_ptr<const CatalogState>>{catalog->Snapshot()},
+        ScoringModelKind::kBm25);
     catalog_doc_space = catalog_view->state().doc_space();
     EXPECT_EQ(catalog_doc_space, per_doc.size() + 5);
   }
@@ -151,7 +156,6 @@ struct Fixture {
     segment128.reset();
     for (const std::string* path : {&segment4_path, &segment128_path}) {
       std::remove(path->c_str());
-      std::remove(FragmentSidecarPath(*path).c_str());
     }
   }
 };
@@ -166,6 +170,7 @@ enum class SourceKind {
   kSegmentBlock4,
   kSegmentBlock128,
   kCatalog,
+  kShardView,
 };
 
 std::string KindName(const ::testing::TestParamInfo<SourceKind>& info) {
@@ -174,6 +179,7 @@ std::string KindName(const ::testing::TestParamInfo<SourceKind>& info) {
     case SourceKind::kSegmentBlock4: return "SegmentBitPacked4";
     case SourceKind::kSegmentBlock128: return "SegmentBitPacked128";
     case SourceKind::kCatalog: return "CatalogMerged";
+    case SourceKind::kShardView: return "OneShardView";
   }
   return "?";
 }
@@ -186,6 +192,7 @@ class CursorConformanceTest : public ::testing::TestWithParam<SourceKind> {
       case SourceKind::kSegmentBlock4: return *f.segment4;
       case SourceKind::kSegmentBlock128: return *f.segment128;
       case SourceKind::kCatalog: return *f.catalog_view;
+      case SourceKind::kShardView: return f.sharded->shard_source(0);
       case SourceKind::kInMemory: break;
     }
     static InMemoryPostingSource in_memory(&SharedFixture().file);
@@ -195,7 +202,8 @@ class CursorConformanceTest : public ::testing::TestWithParam<SourceKind> {
   /// The catalog's doc-id space includes its tombstoned junk slots.
   size_t expected_num_docs() const {
     Fixture& f = SharedFixture();
-    return GetParam() == SourceKind::kCatalog
+    return GetParam() == SourceKind::kCatalog ||
+                   GetParam() == SourceKind::kShardView
                ? static_cast<size_t>(f.catalog_doc_space)
                : f.file.num_docs();
   }
@@ -365,84 +373,6 @@ TEST_P(CursorConformanceTest, FindTfMatchesReference) {
   }
 }
 
-TEST_P(CursorConformanceTest, FragmentsPartitionEveryListInImpactOrder) {
-  // Every source serves a valid fragment directory: per term, fragments
-  // are enumerated by descending max impact, each streams doc-ordered
-  // postings dominated by its bound, and their union (re-sorted by doc)
-  // is exactly the reference list.
-  Fixture& f = SharedFixture();
-  const auto& lists = TermLists();
-  for (TermId t = 0; t < lists.size(); ++t) {
-    auto fragments = source().OpenFragmentCursor(t);
-    if (lists[t].empty()) {
-      EXPECT_EQ(fragments->num_fragments(), 0u) << "term " << t;
-      continue;
-    }
-    ASSERT_GE(fragments->num_fragments(), 1u) << "term " << t;
-    std::map<DocId, uint32_t> gathered;
-    double prev_bound = std::numeric_limits<double>::infinity();
-    size_t total = 0;
-    for (size_t fr = 0; fr < fragments->num_fragments(); ++fr) {
-      EXPECT_LE(fragments->max_impact(fr), prev_bound)
-          << "term " << t << " fragment " << fr;
-      prev_bound = fragments->max_impact(fr);
-      size_t count = 0;
-      DocId prev_doc = 0;
-      for (auto cursor = fragments->OpenFragment(fr); !cursor->at_end();
-           cursor->next(), ++count) {
-        if (count > 0) {
-          EXPECT_GT(cursor->doc(), prev_doc) << "term " << t;
-        }
-        prev_doc = cursor->doc();
-        const double w =
-            f.model->Weight(t, Posting{cursor->doc(), cursor->tf()});
-        EXPECT_GE(fragments->max_impact(fr), w)
-            << "term " << t << " fragment " << fr;
-        EXPECT_TRUE(gathered.emplace(cursor->doc(), cursor->tf()).second)
-            << "term " << t << ": doc in two fragments";
-      }
-      EXPECT_EQ(count, fragments->size(fr)) << "term " << t;
-      total += count;
-    }
-    EXPECT_EQ(total, lists[t].size()) << "term " << t;
-    size_t i = 0;
-    for (const auto& [doc, tf] : gathered) {
-      EXPECT_EQ(doc, lists[t][i].doc) << "term " << t;
-      EXPECT_EQ(tf, lists[t][i].tf) << "term " << t;
-      ++i;
-    }
-  }
-}
-
-TEST_P(CursorConformanceTest, EveryFragmentCursorObeysTheCursorContract) {
-  // A fragment's sub-cursor is a full PostingCursor over its sub-list:
-  // re-scan, advance_to on present and absent targets, past-the-end
-  // exhaustion, and the never-move-backwards rule.
-  for (TermId t = 0; t < TermLists().size(); ++t) {
-    auto fragments = source().OpenFragmentCursor(t);
-    for (size_t fr = 0; fr < fragments->num_fragments(); ++fr) {
-      std::vector<Posting> sub;
-      for (auto cursor = fragments->OpenFragment(fr); !cursor->at_end();
-           cursor->next()) {
-        sub.push_back(Posting{cursor->doc(), cursor->tf()});
-      }
-      ASSERT_FALSE(sub.empty()) << "term " << t << " fragment " << fr;
-      for (size_t i = 0; i < sub.size(); ++i) {
-        auto cursor = fragments->OpenFragment(fr);
-        cursor->advance_to(sub[i].doc);
-        ASSERT_FALSE(cursor->at_end()) << "term " << t;
-        EXPECT_EQ(cursor->doc(), sub[i].doc);
-        EXPECT_EQ(cursor->tf(), sub[i].tf);
-        cursor->advance_to(sub[0].doc);  // backwards: must not move
-        EXPECT_EQ(cursor->doc(), sub[i].doc);
-      }
-      auto cursor = fragments->OpenFragment(fr);
-      cursor->advance_to(sub.back().doc + 1);
-      EXPECT_TRUE(cursor->at_end()) << "term " << t << " fragment " << fr;
-    }
-  }
-}
-
 TEST_P(CursorConformanceTest, ImpactCursorReproducesMaterializedOrder) {
   // Sorted access must be *identical* across implementations: the same
   // (doc, tf, weight) sequence as the in-memory materialized impact
@@ -552,18 +482,9 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, CursorConformanceTest,
                          ::testing::Values(SourceKind::kInMemory,
                                            SourceKind::kSegmentBlock4,
                                            SourceKind::kSegmentBlock128,
-                                           SourceKind::kCatalog),
+                                           SourceKind::kCatalog,
+                                           SourceKind::kShardView),
                          KindName);
-
-TEST(SegmentFragmentDirectoryTest, SmallBlockSegmentIsActuallyFragmented) {
-  // Guard against the suite silently degenerating to single-fragment
-  // sources: with block size 4 and the default grouping, the long term 5
-  // must span several fragments on disk.
-  Fixture& f = SharedFixture();
-  ASSERT_TRUE(f.segment4->has_fragment_directory());
-  auto fragments = f.segment4->OpenFragmentCursor(5);
-  EXPECT_GE(fragments->num_fragments(), 3u);
-}
 
 }  // namespace
 }  // namespace moa

@@ -7,10 +7,10 @@
 //
 // Two databases opened from the same config hold identical collections.
 // One serves it statically from memory; the other flushes it into its
-// catalog and merges it into a single segment, with a fragment directory,
-// under the same doc ids. A third check round-trips the file *through*
-// that segment (ToInvertedFile) and runs every strategy over the decoded
-// copy via the registry directly.
+// catalog and merges it into a single segment under the same doc ids, so
+// its sorted access reads the snapshot's cached impact orders. A third
+// check round-trips the file *through* that segment (ToInvertedFile) and
+// runs every strategy over the decoded copy via the registry directly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -109,11 +109,6 @@ TEST_F(SegmentParityTest, CatalogServesOneMergedSegment) {
   const SegmentReader& reader = *state->segments().front()->reader;
   EXPECT_TRUE(reader.has_impacts());
   EXPECT_TRUE(reader.CheckIntegrity().ok());
-  // The strategy sweep below must exercise the *lazy* impact-order path:
-  // catalog segments carry the MOAFRG01 sidecar, so the Fagin/champion
-  // accesses run over the fragment directory, not the single-fragment
-  // fallback.
-  EXPECT_TRUE(reader.has_fragment_directory());
   EXPECT_FALSE(in_memory_->is_dynamic());
 }
 

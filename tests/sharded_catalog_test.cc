@@ -3,15 +3,18 @@
 // Covers the sharded storage contract from the bottom up: the global/local
 // id interleaving, least-loaded routing (identity ids from a pristine
 // catalog), consistent multi-shard snapshots aggregating global
-// statistics, the snapshot-owned per-(shard, term) bound cache, the
-// coordinator's bound-ordered visiting with strict-below-n-th shard
-// skipping (exact skipped-work accounting in CostCounters), durability
-// through per-shard MANIFESTs (one shard in the root directory), the lock
-// split (a writer blocked by backpressure stalls no snapshot; a refused
-// same-shard upsert deletes nothing), and — at the engine level — that an
-// MmDatabase serving N shards answers bit-identically to a single catalog
-// given the same lifecycle (safe strategies; fagin_nra is set-level above
-// one shard because its partial lower bounds are partition-dependent).
+// statistics, the snapshot-owned per-(shard, term) bound and impact-order
+// caches (the order's size, one scoring pass shared by the bound and the
+// order, concurrent lazy extension, the explained query's
+// impact_postings), the coordinator's bound-ordered visiting with
+// strict-below-n-th shard skipping (exact skipped-work accounting in
+// CostCounters), durability through per-shard MANIFESTs (one shard in the
+// root directory), the lock split (a writer blocked by backpressure stalls
+// no snapshot; a refused same-shard upsert deletes nothing), and — at the
+// engine level — that an MmDatabase serving N shards answers
+// bit-identically to a single catalog given the same lifecycle (safe
+// strategies; fagin_nra is set-level above one shard because its partial
+// lower bounds are partition-dependent).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -238,6 +241,154 @@ TEST(ShardedCatalogTest, CoordinatorSkipsShardsBelowTheNthBound) {
   EXPECT_EQ(result.ValueOrDie().stats.cost.shards_visited, 4);
   EXPECT_EQ(result.ValueOrDie().stats.cost.shards_skipped, 0);
   EXPECT_EQ(result.ValueOrDie().items[0].doc, 0u);
+}
+
+TEST(ShardedCatalogTest, ImpactCursorSizeIsTheShardsPostingCount) {
+  ShardedCatalog::Options options;
+  options.num_shards = 2;
+  options.shard.num_terms = kVocab;
+  auto created = ShardedCatalog::Create(options);
+  ASSERT_TRUE(created.ok());
+  ShardedCatalog& catalog = *created.ValueOrDie();
+
+  // Round-robin from empty: the term lands in shard 0 three times and in
+  // shard 1 twice, so its global df (5) overstates both shards' lists.
+  constexpr TermId kTerm = 5;
+  for (uint32_t tf = 1; tf <= 5; ++tf) {
+    ASSERT_TRUE(catalog.AddDocument({{kTerm, tf}, {9, 1}}).ok());
+  }
+  auto snap = catalog.Snapshot();
+  ASSERT_EQ(snap->stats().df[kTerm], 5u);
+  for (size_t s = 0; s < 2; ++s) {
+    auto cursor =
+        snap->shard_source(s).OpenImpactCursor(kTerm, snap->shard_model(s));
+    const size_t size = cursor->size();
+    size_t emitted = 0;
+    for (; !cursor->at_end(); cursor->next()) ++emitted;
+    EXPECT_EQ(emitted, s == 0 ? 3u : 2u) << "shard " << s;
+    EXPECT_EQ(size, emitted) << "shard " << s;
+  }
+}
+
+TEST(ShardedCatalogTest, TermBoundAndSortedAccessShareOneScoringPass) {
+  // The coordinator takes every query term's bound before planning; on a
+  // fresh snapshot that bound scores the term's impact order, and sorted
+  // access then reads the cached order instead of scoring the postings a
+  // second time.
+  ShardedCatalog::Options options;
+  options.num_shards = 2;
+  options.shard.num_terms = kVocab;
+  auto created = ShardedCatalog::Create(options);
+  ASSERT_TRUE(created.ok());
+  ShardedCatalog& catalog = *created.ValueOrDie();
+  constexpr TermId kTerm = 7;
+  Rng rng(0x5EED);
+  for (uint32_t d = 0; d < 300; ++d) {
+    std::map<TermId, uint32_t> terms;
+    for (const auto& [t, tf] : SynthDoc(rng)) terms[t] = tf;
+    terms[kTerm] = 1 + static_cast<uint32_t>(rng.Uniform(6));
+    ASSERT_TRUE(
+        catalog.AddDocument(DocTerms(terms.begin(), terms.end())).ok());
+  }
+  ASSERT_TRUE(catalog.DeleteDocument(4).ok());
+
+  auto snap = catalog.Snapshot();
+  for (size_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const PostingSource& source = snap->shard_source(s);
+    const ScoringModel& model = snap->shard_model(s);
+    const CostScope bound_scope;
+    const double bound = snap->ShardTermBound(s, kTerm);
+    const int64_t scored = bound_scope.Snapshot().impact_postings;
+
+    // The bound's definition: the greatest weight of a live posting.
+    double expected = 0.0;
+    size_t live = 0;
+    for (auto c = source.OpenCursor(kTerm); !c->at_end(); c->next(), ++live) {
+      expected = std::max(expected, model.Weight(kTerm, {c->doc(), c->tf()}));
+    }
+    EXPECT_EQ(bound, expected);
+    EXPECT_EQ(scored, static_cast<int64_t>(live));
+
+    const CostScope order_scope;
+    const auto order = snap->ShardImpactOrder(s, kTerm);
+    auto cursor = source.OpenImpactCursor(kTerm, model);
+    EXPECT_EQ(order_scope.Snapshot().impact_postings, 0);
+    EXPECT_EQ(order->max_weight(), expected);
+    EXPECT_EQ(cursor->weight(), expected);
+    EXPECT_EQ(cursor->size(), live);
+  }
+}
+
+TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
+  // Eight readers drain one cached (snapshot, term) order at once, each to
+  // its own depth across the lazily sorted chunk boundaries (64, 256,
+  // 1024): extensions race with readers of the sorted prefix, and every
+  // reader must still see exactly the in-memory materialized order.
+  ShardedCatalog::Options options;
+  options.num_shards = 1;
+  options.shard.num_terms = kVocab;
+  auto created = ShardedCatalog::Create(options);
+  ASSERT_TRUE(created.ok());
+  ShardedCatalog& catalog = *created.ValueOrDie();
+
+  constexpr TermId kTerm = 7;
+  constexpr uint32_t kDocs = 1500;
+  Rng rng(0x1A2B);
+  std::vector<DocTerms> docs;
+  for (uint32_t d = 0; d < kDocs; ++d) {
+    std::map<TermId, uint32_t> terms;
+    for (const auto& [t, tf] : SynthDoc(rng)) terms[t] = tf;
+    terms[kTerm] = 1 + static_cast<uint32_t>(rng.Uniform(6));
+    docs.emplace_back(terms.begin(), terms.end());
+  }
+  ASSERT_TRUE(catalog.AddDocuments(docs).ok());
+
+  InvertedFileBuilder builder(kVocab);
+  for (DocId d = 0; d < kDocs; ++d) {
+    ASSERT_TRUE(builder.AddDocument(d, docs[d]).ok());
+  }
+  InvertedFile file = builder.Build();
+  const std::unique_ptr<ScoringModel> model = MakeBm25(&file);
+  file.BuildImpactOrders(
+      [&](TermId t, const Posting& p) { return model->Weight(t, p); });
+  const PostingList& reference = file.list(kTerm);
+  ASSERT_EQ(reference.size(), kDocs);
+
+  auto snap = catalog.Snapshot();
+  // Cached before the readers start; nothing of it is sorted yet.
+  const std::shared_ptr<const ImpactOrder> order =
+      snap->ShardImpactOrder(0, kTerm);
+  ASSERT_EQ(order->size(), kDocs);
+
+  const size_t depths[8] = {1, 63, 64, 65, 255, 257, 1024, kDocs};
+  std::vector<std::vector<ImpactOrder::Entry>> seen(8);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (size_t i = 0; i < 8; ++i) {
+    readers.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      auto cursor =
+          snap->shard_source(0).OpenImpactCursor(kTerm, snap->shard_model(0));
+      for (size_t k = 0; k < depths[i] && !cursor->at_end();
+           ++k, cursor->next()) {
+        seen[i].push_back({cursor->weight(), cursor->doc(), cursor->tf()});
+      }
+    });
+  }
+  go = true;
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(snap->ShardImpactOrder(0, kTerm), order);
+  for (size_t i = 0; i < 8; ++i) {
+    ASSERT_EQ(seen[i].size(), depths[i]) << "reader " << i;
+    for (size_t k = 0; k < seen[i].size(); ++k) {
+      ASSERT_EQ(seen[i][k].doc, reference.ByImpact(k).doc)
+          << "reader " << i << " rank " << k;
+      EXPECT_EQ(seen[i][k].tf, reference.ByImpact(k).tf);
+      EXPECT_EQ(seen[i][k].weight, reference.ImpactWeight(k));
+    }
+  }
 }
 
 TEST(ShardedCatalogTest, DurableShardsRecoverAcrossReopen) {
@@ -735,6 +886,58 @@ TEST(ShardedCatalogTest, EngineRejectsMalformedQueryOptions) {
   QueryRequest edge{q, kTopN, {}};
   edge.options.quality_target = 0.0;
   EXPECT_TRUE(db.Search(edge).ok());
+}
+
+// Sorted access scores a term's live postings into an impact order once
+// per snapshot. ExplainReport shows the explained query's own share of
+// that work; whether the order was built or cached never moves the work
+// ticks.
+TEST(ShardedCatalogTest, ExplainCountsImpactPostingsScoredForTheQuery) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/sharded_impact_postings";
+  std::filesystem::remove_all(dir);
+  auto opened = MmDatabase::Open(ShardedConfig(dir, 1));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MmDatabase& db = *opened.ValueOrDie();
+  ASSERT_TRUE(db.Flush().ok());  // seeds the catalog as one segment
+
+  QueryWorkloadConfig qconfig;
+  qconfig.num_queries = 1;
+  qconfig.terms_per_query = 3;
+  qconfig.distribution = QueryTermDistribution::kMixed;
+  qconfig.seed = 4711;
+  QueryRequest request{
+      GenerateQueries(db.collection(), qconfig).ValueOrDie()[0], kTopN, {}};
+  request.options.strategy = PhysicalStrategy::kFaginTA;
+
+  // The first query on the fresh snapshot builds the orders, the second
+  // reads them from the snapshot's cache.
+  auto built = db.ExplainSearch(request);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_GT(built.ValueOrDie().impact_postings, 0);
+  EXPECT_NE(built.ValueOrDie().ToString().find("impact orders: scored "),
+            std::string::npos);
+  auto cached = db.ExplainSearch(request);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_EQ(cached.ValueOrDie().impact_postings, 0);
+  if (built.ValueOrDie().has_trace) {
+    EXPECT_EQ(built.ValueOrDie().trace.observed_scalar(),
+              cached.ValueOrDie().trace.observed_scalar());
+  }
+
+  // A write starts a fresh snapshot: the same pair through Search, whose
+  // results carry the whole CostCounters.
+  ASSERT_TRUE(db.AddDocument({{1, 1}, {2, 1}}).ok());
+  auto cold = db.Search(request);
+  auto warm = db.Search(request);
+  ASSERT_TRUE(cold.ok() && warm.ok());
+  const CostCounters& cold_cost = cold.ValueOrDie().top.stats.cost;
+  const CostCounters& warm_cost = warm.ValueOrDie().top.stats.cost;
+  EXPECT_GT(cold_cost.impact_postings, 0);
+  EXPECT_EQ(warm_cost.impact_postings, 0);
+  EXPECT_EQ(cold_cost.Scalar(), warm_cost.Scalar());
+  EXPECT_EQ(cold.ValueOrDie().top.items, warm.ValueOrDie().top.items);
+  std::filesystem::remove_all(dir);
 }
 
 // Least-loaded routing makes a batch's ids non-consecutive, so the engine

@@ -133,7 +133,6 @@ TEST(StrategyPlannerTest, TombstoneHeavySnapshotPrefersRandomAccess) {
   CatalogComposition dirty;
   dirty.num_segments = 1;
   dirty.segment_slots = 10000;
-  dirty.directory_slots = 10000;
   dirty.dead_slots = 8000;
   const StrategyCostInputs storage = StorageInputsFor(dirty);
   EXPECT_DOUBLE_EQ(storage.tombstone_overhead, 4.0);
@@ -170,15 +169,13 @@ TEST(StrategyPlannerTest, MemtableOnlySnapshotIsNeutral) {
 }
 
 TEST(StrategyPlannerTest, MixedCompositionDigest) {
-  // 6000 segment slots with a directory, 2000 without one, 2000 memtable
-  // slots, 500 tombstones: every field is a closed-form mix of the
-  // calibration constants.
+  // 8000 segment slots, 2000 memtable slots, 500 tombstones: every field
+  // is a closed-form mix of the calibration constants.
   CatalogComposition mix;
   mix.num_segments = 2;
   mix.segment_slots = 8000;
   mix.memtable_slots = 2000;
   mix.dead_slots = 500;
-  mix.directory_slots = 6000;
   const StrategyCostInputs in = StorageInputsFor(mix);
 
   // Every segment slot is bit-packed: 8000 of 10000 slots decode.
@@ -186,8 +183,8 @@ TEST(StrategyPlannerTest, MixedCompositionDigest) {
   EXPECT_NEAR(in.tombstone_overhead, 500.0 / 9500.0, 1e-12);
   // 2 segments + the memtable = 3 components to probe.
   EXPECT_NEAR(in.random_access_factor, 1.0 + 0.5 * std::log2(3.0), 1e-12);
-  // memtable share native + directory share * 1.1 + bare share * 3.0.
-  EXPECT_NEAR(in.sorted_access_factor, 0.2 + 1.1 * 0.6 + 3.0 * 0.2, 1e-12);
+  // memtable share native + segment share * 1.1.
+  EXPECT_NEAR(in.sorted_access_factor, 0.2 + 1.1 * 0.8, 1e-12);
 
   // The empty composition (no snapshot at all) is neutral too.
   const StrategyCostInputs empty = StorageInputsFor(CatalogComposition{});
