@@ -14,6 +14,11 @@
 //     materialized in memory, scored into a fresh impact order per call
 //     over a bare segment, and served warm from a catalog snapshot's
 //     cached impact orders.
+//  5. Random access: the Fagin family's probes through the term's impact
+//     cursor — a binary search on the in-memory list, or on a catalog
+//     snapshot's cached order — against a block cursor opened and
+//     skipped per probe over the segment, the probe random access used
+//     to make over storage without a materialized order.
 //
 // MOA_BENCH_TINY=1 shrinks the collection so the CI smoke job finishes
 // in seconds.
@@ -22,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -307,10 +313,10 @@ void BM_ImpactPrefixSegment(benchmark::State& state) {
   ImpactPrefixBench(state, Segment(), StorageDb().model());
 }
 
-void BM_ImpactPrefixCatalogWarm(benchmark::State& state) {
-  // The same collection flushed into a one-shard catalog: after one
-  // warming pass every term's impact order is cached on the snapshot, and
-  // the timed passes only read sorted prefixes.
+/// The same collection flushed into a one-shard catalog, after one
+/// warming pass: every workload term's impact order is cached on the
+/// snapshot.
+const ShardedSnapshot& WarmCatalog() {
   static const std::shared_ptr<const ShardedSnapshot>* snapshot = [] {
     DatabaseConfig config = StorageDb().config();
     config.catalog_dir = PathFor("catalog");
@@ -330,8 +336,77 @@ void BM_ImpactPrefixCatalogWarm(benchmark::State& state) {
                      &checksum, &emitted);
     return snap;
   }();
-  ImpactPrefixBench(state, (*snapshot)->shard_source(0),
-                    (*snapshot)->shard_model(0));
+  return **snapshot;
+}
+
+void BM_ImpactPrefixCatalogWarm(benchmark::State& state) {
+  // The timed passes only read sorted prefixes of cached orders.
+  ImpactPrefixBench(state, WarmCatalog().shard_source(0),
+                    WarmCatalog().shard_model(0));
+}
+
+// ------------------------------------------------------- random access
+
+/// The documents every workload term is probed for: 64 ids spread over
+/// the doc space, so hits and misses mix as they do for probes of
+/// documents the other query terms surfaced.
+std::vector<DocId> ProbeDocs() {
+  const auto docs = static_cast<DocId>(StorageDb().file().num_docs());
+  std::vector<DocId> probes;
+  for (DocId k = 0; k < 64; ++k) probes.push_back(k * 7919 % docs);
+  return probes;
+}
+
+/// Random access the way the Fagin family makes it: FindTf on the term's
+/// impact cursor, one cursor per term opened before timing.
+void CursorProbeBench(benchmark::State& state, const PostingSource& source,
+                      const ScoringModel& model) {
+  std::vector<std::unique_ptr<ImpactCursor>> cursors;
+  for (TermId t : WorkloadTerms()) {
+    cursors.push_back(source.OpenImpactCursor(t, model));
+  }
+  const std::vector<DocId> probes = ProbeDocs();
+  for (auto _ : state) {
+    uint64_t checksum = 0;
+    for (const auto& cursor : cursors) {
+      for (DocId d : probes) checksum += cursor->FindTf(d).value_or(0);
+    }
+    benchmark::DoNotOptimize(checksum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cursors.size() * probes.size()));
+}
+
+void BM_RandomAccessInMemory(benchmark::State& state) {
+  static const InMemoryPostingSource source(&StorageDb().file());
+  CursorProbeBench(state, source, StorageDb().model());
+}
+
+void BM_RandomAccessSegmentCursorProbe(benchmark::State& state) {
+  // A fresh block cursor per probe, skipped to the target: a
+  // block-directory search and a 128-posting block decode per probe.
+  const SegmentReader& segment = Segment();
+  const std::vector<DocId> probes = ProbeDocs();
+  for (auto _ : state) {
+    uint64_t checksum = 0;
+    for (TermId t : WorkloadTerms()) {
+      for (DocId d : probes) {
+        const std::unique_ptr<PostingCursor> cursor = segment.OpenCursor(t);
+        cursor->advance_to(d);
+        if (cursor->doc() == d) checksum += cursor->tf();
+      }
+    }
+    benchmark::DoNotOptimize(checksum);
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<int64_t>(WorkloadTerms().size() * probes.size()));
+}
+
+void BM_RandomAccessCatalogWarm(benchmark::State& state) {
+  // A binary search on the snapshot's cached order of the term.
+  CursorProbeBench(state, WarmCatalog().shard_source(0),
+                   WarmCatalog().shard_model(0));
 }
 
 BENCHMARK(BM_OnDiskSize)->Iterations(1);
@@ -345,6 +420,9 @@ BENCHMARK(BM_AdvanceSegmentCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixInMemory)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixSegment)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixCatalogWarm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RandomAccessInMemory)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RandomAccessSegmentCursorProbe)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RandomAccessCatalogWarm)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace moa

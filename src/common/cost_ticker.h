@@ -54,6 +54,7 @@ struct CostCounters {
   int64_t shard_postings_skipped = 0;
   int64_t impact_postings = 0;
 
+  bool operator==(const CostCounters&) const = default;
   CostCounters& operator+=(const CostCounters& o) {
     sequential_reads += o.sequential_reads;
     random_reads += o.random_reads;

@@ -300,7 +300,8 @@ bool SampleTrace(size_t every) {
 }
 
 /// Static serving: plan on the in-memory statistics, then execute on the
-/// in-memory file. Dynamic queries take ShardCoordinator::Run instead.
+/// in-memory file. Dynamic queries take ShardCoordinator::Run instead,
+/// whose `explain`, `trace` and `decision_out` this shares.
 Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
                                 const ExecContext& context,
                                 const QueryRequest& request, bool explain,
@@ -311,7 +312,7 @@ Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
   // deltas at span boundaries — the per-posting loop never sees the
   // trace. Compiles to nothing under MOA_OBS=OFF.
   std::optional<obs::QueryTrace> qtrace;
-  if (trace) qtrace.emplace();
+  if (trace || explain) qtrace.emplace();
 
   PlanRequest preq;
   preq.n = request.n;
@@ -329,14 +330,16 @@ Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
   out.estimate.predicted = chosen.predicted;
   out.estimate.scalar = chosen.scalar;
   out.predicted_quality = chosen.predicted_quality;
-  if (explain) return out;
 
   ExecOptions eopts;
   eopts.switch_threshold = request.options.switch_threshold;
   WallTimer timer;
   Result<TopNResult> top = StrategyRegistry::Global().Execute(
       out.strategy, context, request.query, request.n, eopts);
-  if (!top.ok()) return top.status();
+  if (!top.ok()) {
+    if (explain) return out;
+    return top.status();
+  }
   out.wall_millis = timer.ElapsedMillis();
   out.top = std::move(top).ValueOrDie();
 
@@ -351,11 +354,30 @@ Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
   return out;
 }
 
+/// Fills what an explain reports of the run it explains: the storage the
+/// run read, the split a fragment strategy used and, when the plan
+/// executed (an explain run is traced exactly then), the run's counters
+/// and stage trace.
+void RecordExplainedRun(const Result<SearchResult>& run, std::string storage,
+                        const Fragmentation& fragmentation,
+                        ExplainReport* report) {
+  if (!run.ok()) return;
+  report->storage = std::move(storage);
+  if (NeedsFragmentation(report->decision.strategy)) {
+    report->fragmentation = fragmentation.ToString();
+  }
+  const SearchResult& r = run.ValueOrDie();
+  report->has_blocks = r.traced;
+  if (!report->has_blocks) return;
+  report->observed = r.top.stats.cost;
+  report->has_trace = obs::kEnabled;
+  if (report->has_trace) report->trace = r.trace;
+}
+
 }  // namespace
 
 Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
-                                          bool explain,
-                                          PlanDecision* decision_out) const {
+                                          ExplainReport* explain) const {
   // deadline_millis is reserved (not yet enforced), but a negative or NaN
   // value is malformed today, not merely unenforced —
   // reject it instead of silently accepting a request no future version
@@ -377,13 +399,18 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
   // the first mutation onto the static side stays static end-to-end (the
   // generated collection is immutable), instead of planning statically
   // and then executing against the catalog.
-  const bool trace = !explain && SampleTrace(config_.trace_every);
+  const bool explaining = explain != nullptr;
+  const bool trace = !explaining && SampleTrace(config_.trace_every);
+  PlanDecision* decision_out = explaining ? &explain->decision : nullptr;
   if (!is_dynamic()) {
     // Static serving: neutral in-memory storage signals.
     const StrategyPlanner planner(estimator_.get());
-    return FinishQuery(PlanAndRun(planner, static_context(), request, explain,
-                                  trace, decision_out),
+    Result<SearchResult> run = PlanAndRun(planner, static_context(), request,
+                                          explaining, trace, decision_out);
+    if (!explaining) return FinishQuery(std::move(run));
+    RecordExplainedRun(run, "in-memory inverted file", fragmentation_,
                        explain);
+    return run;
   }
 
   // The live-statistics fragmentation is only built when a fragment
@@ -395,9 +422,9 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
   // Explain always builds it: the candidate table should show the fragment
   // strategies' predictions.
   const bool want_frag =
-      explain || (options.strategy.has_value()
-                      ? NeedsFragmentation(*options.strategy)
-                      : options.quality_target < 1.0);
+      explaining || (options.strategy.has_value()
+                         ? NeedsFragmentation(*options.strategy)
+                         : options.quality_target < 1.0);
   // One consistent multi-shard snapshot, then the bound-aware
   // scatter-gather coordinator (per-shard planning, bound-ordered visits
   // with suffix skipping, threshold-seeded max-score).
@@ -406,9 +433,11 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
       want_frag ? DynamicFragmentation(*snapshot) : nullptr;
   ShardCoordinator::Options copts;
   copts.fragmentation = frag.get();
-  return FinishQuery(ShardCoordinator::Run(snapshot, request, explain, trace,
-                                           decision_out, copts),
-                     explain);
+  Result<SearchResult> run = ShardCoordinator::Run(
+      snapshot, request, explaining, trace, decision_out, copts);
+  if (!explaining) return FinishQuery(std::move(run));
+  RecordExplainedRun(run, snapshot->Describe(), *frag, explain);
+  return run;
 }
 
 namespace {
@@ -458,9 +487,9 @@ struct QueryMetrics {
 
 }  // namespace
 
-Result<SearchResult> MmDatabase::FinishQuery(Result<SearchResult> result,
-                                             bool explain) const {
-  if (!obs::kEnabled || explain || !result.ok()) return result;
+Result<SearchResult> MmDatabase::FinishQuery(
+    Result<SearchResult> result) const {
+  if (!obs::kEnabled || !result.ok()) return result;
   const SearchResult& r = result.ValueOrDie();
   const QueryMetrics& metrics = QueryMetrics::Get();
   const auto strategy_index = static_cast<size_t>(r.strategy);
@@ -499,7 +528,7 @@ Result<SearchResult> MmDatabase::FinishQuery(Result<SearchResult> result,
 }
 
 Result<SearchResult> MmDatabase::Search(const QueryRequest& request) const {
-  return RunQuery(request, /*explain=*/false, nullptr);
+  return RunQuery(request, /*explain=*/nullptr);
 }
 
 std::vector<ScoredDoc> MmDatabase::GroundTruth(const Query& query,
@@ -540,63 +569,11 @@ std::vector<double> MmDatabase::GroundTruthScores(const Query& query) const {
   return scores;
 }
 
-bool MmDatabase::TracedExecution(PhysicalStrategy strategy, const Query& query,
-                                 size_t n, double switch_threshold,
-                                 ExplainReport* report) const {
-  // Best effort: re-run the query and report how the storage layer
-  // behaved, with per-query tracing active so the report also carries
-  // stage spans and observed CostCounters. A strategy that cannot execute
-  // here (missing impacts, precondition failures) simply contributes no
-  // counters — the explain itself must not fail because of it.
-  obs::QueryTrace qtrace;
-  const Result<TopNResult> run = Execute(strategy, query, n, switch_threshold);
-  obs::QueryTraceData data = qtrace.Finish();
-  if (!run.ok()) return false;
-  const CostCounters& cost = run.ValueOrDie().stats.cost;
-  report->blocks_decoded = cost.blocks_decoded;
-  report->blocks_skipped = cost.blocks_skipped;
-  report->has_shards = cost.shards_visited != 0 || cost.shards_skipped != 0;
-  report->shards_visited = cost.shards_visited;
-  report->shards_skipped = cost.shards_skipped;
-  report->trace = std::move(data);
-  return true;
-}
-
 Result<ExplainReport> MmDatabase::ExplainSearch(
     const QueryRequest& request) const {
   ExplainReport report;
-  Result<SearchResult> planned =
-      RunQuery(request, /*explain=*/true, &report.decision);
-  if (!planned.ok()) return planned.status();
-  // The storage the plan reads and, for fragment strategies, the split
-  // the chosen strategy would use.
-  const bool fragmented = NeedsFragmentation(report.decision.strategy);
-  if (is_dynamic()) {
-    const std::shared_ptr<const ShardedSnapshot> snapshot =
-        catalog_->Snapshot();
-    report.storage = snapshot->Describe();
-    if (fragmented) {
-      report.fragmentation = DynamicFragmentation(*snapshot)->ToString();
-    }
-  } else {
-    report.storage = "in-memory inverted file";
-    if (fragmented) report.fragmentation = fragmentation_.ToString();
-  }
-  report.has_blocks = TracedExecution(report.decision.strategy, request.query,
-                                      request.n,
-                                      request.options.switch_threshold,
-                                      &report);
-  // The explained query's own share: planning asked for every term's bound,
-  // which scores the impact orders a fresh snapshot lacks; the re-run
-  // above finds them cached.
-  report.impact_postings = planned.ValueOrDie().top.stats.cost.impact_postings;
-  if (report.has_blocks && obs::kEnabled) {
-    report.has_trace = true;
-    report.trace.strategy = StrategyName(report.decision.strategy);
-    report.trace.planned = !report.decision.forced;
-    report.trace.predicted_scalar = report.decision.chosen.scalar;
-    report.trace.predicted_quality = report.decision.chosen.predicted_quality;
-  }
+  const Result<SearchResult> run = RunQuery(request, &report);
+  if (!run.ok()) return run.status();
   return report;
 }
 

@@ -337,15 +337,16 @@ class MmDatabase {
   /// (tombstoned slots score 0). Same precondition as GroundTruth.
   std::vector<double> GroundTruthScores(const Query& query) const;
 
-  /// Planner Explain, structured. The report carries the full planning
-  /// decision — every candidate with predicted cost, predicted quality
-  /// and a reject reason — plus what storage the plan reads (the
-  /// in-memory file or the catalog snapshot composition), the
-  /// fragmentation a fragment strategy
-  /// would use, and, when the chosen strategy can execute here,
-  /// best-effort block counters from actually running the query
-  /// (compressed blocks decoded vs skipped undecoded). Explain always
-  /// runs the full candidate enumeration, forced strategies included.
+  /// Planner Explain, structured. Runs the query the way Search does —
+  /// one snapshot, each shard executing its own plan — traced, and
+  /// reports that run: the full planning decision (every candidate with
+  /// predicted cost, predicted quality and a reject reason, forced
+  /// strategies included; the highest-bound shard's over a catalog), the
+  /// storage the run read (the in-memory file or the catalog snapshot
+  /// composition), the fragmentation a fragment strategy used, and the
+  /// run's observed CostCounters and stage trace. A plan that cannot
+  /// execute here is still reported, with has_blocks false. Explain runs
+  /// record no query metrics and no trace in RecentTraces().
   Result<ExplainReport> ExplainSearch(const QueryRequest& request) const;
 
   const InvertedFile& file() const { return collection_->inverted_file(); }
@@ -369,23 +370,18 @@ class MmDatabase {
   /// mutations invalidate by bumping the version).
   std::shared_ptr<const Fragmentation> DynamicFragmentation(
       const ShardedSnapshot& snapshot) const;
-  /// The one implementation behind Search / SearchBatch / Execute /
-  /// ExplainSearch: snapshots storage once, plans, and executes. A forced
-  /// strategy takes the PlanForced fast path (no enumeration). With
-  /// `explain` true the planner always enumerates the full candidate
-  /// table into *decision_out (forced requests included) and execution is
-  /// skipped — ExplainSearch reports block usage separately, best effort.
-  Result<SearchResult> RunQuery(const QueryRequest& request, bool explain,
-                                PlanDecision* decision_out) const;
-  /// Records per-query metrics and pushes the trace into the ring.
-  /// Pass-through for errors and explain-only runs.
-  Result<SearchResult> FinishQuery(Result<SearchResult> result,
-                                   bool explain) const;
-  /// Fills the ExplainReport block/shard counters and stage trace by
-  /// running the query with `strategy` (best effort; returns false when
-  /// execution fails).
-  bool TracedExecution(PhysicalStrategy strategy, const Query& query, size_t n,
-                       double switch_threshold, ExplainReport* report) const;
+  /// The one implementation behind Search / SearchBatch / ExplainSearch:
+  /// snapshots storage once, plans, and executes. A forced strategy takes
+  /// the PlanForced fast path (no enumeration). With `explain` set the run
+  /// is traced and fills the report: the planner enumerates the full
+  /// candidate table (forced requests included), and a strategy that fails
+  /// to execute returns the plan alone (ShardCoordinator::Run's contract).
+  Result<SearchResult> RunQuery(const QueryRequest& request,
+                                ExplainReport* explain) const;
+  /// Records per-query metrics and pushes the trace into the ring
+  /// (Search's runs only; explain runs record neither). Pass-through for
+  /// errors.
+  Result<SearchResult> FinishQuery(Result<SearchResult> result) const;
 
   DatabaseConfig config_;
   std::unique_ptr<Collection> collection_;

@@ -209,7 +209,7 @@ Result<SearchResult> ShardCoordinator::Run(
   // attach here; executions on pool helpers have no installed trace and
   // report through their result's CostCounters instead.
   std::optional<obs::QueryTrace> qtrace;
-  if (trace) qtrace.emplace();
+  if (trace || explain) qtrace.emplace();
 
   const size_t num_shards = snapshot->num_shards();
 
@@ -263,11 +263,6 @@ Result<SearchResult> ShardCoordinator::Run(
     out.predicted_quality =
         std::min(out.predicted_quality, chosen.predicted_quality);
   }
-  if (explain) {
-    out.top.stats.cost.impact_postings = bound_scored;
-    return out;
-  }
-
   ExecOptions eopts;
   eopts.switch_threshold = request.options.switch_threshold;
   WallTimer timer;
@@ -276,7 +271,10 @@ Result<SearchResult> ShardCoordinator::Run(
       options.fragmentation,
       EffectiveParallelism(options.parallelism, num_shards),
       options.bound_pruning);
-  if (!top.ok()) return top.status();
+  if (!top.ok()) {
+    if (explain) return out;
+    return top.status();
+  }
   out.wall_millis = timer.ElapsedMillis();
   out.top = std::move(top).ValueOrDie();
   out.top.stats.cost.impact_postings += bound_scored;

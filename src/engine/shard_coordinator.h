@@ -72,11 +72,13 @@ class ShardCoordinator {
 
   /// Planner-driven scatter-gather (MmDatabase::Search on a dynamic
   /// database): plans per shard, then executes bound-ordered with
-  /// skipping and threshold seeding. With `explain` set, stops after
-  /// planning; `decision_out` (optional, read only with `explain`)
-  /// receives the full decision of the highest-bound shard. The result's
-  /// estimate sums the per-shard predictions; its predicted_quality is
-  /// the minimum across shards.
+  /// skipping and threshold seeding. With `explain` set (the run
+  /// MmDatabase::ExplainSearch reports), `decision_out` (optional, read
+  /// only with `explain`) receives the full decision of the highest-bound
+  /// shard, the run is traced whatever `trace` says, and a strategy that
+  /// fails to execute returns the plan alone, untraced, instead of the
+  /// error. The result's estimate sums the per-shard predictions; its
+  /// predicted_quality is the minimum across shards.
   static Result<SearchResult> Run(
       const std::shared_ptr<const ShardedSnapshot>& snapshot,
       const QueryRequest& request, bool explain, bool trace,

@@ -3,7 +3,7 @@
 // All three are cursor-based: sorted access comes from
 // PostingSource::OpenImpactCursor (materialized order in memory, the
 // snapshot's cached impact order over a catalog shard, a per-call
-// ImpactOrder elsewhere) and random access from PostingSource::FindTf.
+// ImpactOrder elsewhere) and random access from the same cursor's FindTf.
 #include <algorithm>
 #include <cmath>
 

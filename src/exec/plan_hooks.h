@@ -50,8 +50,10 @@ struct StrategyCostInputs {
   /// Dead postings streamed-and-skipped per live posting (tombstoned docs
   /// keep their slots until a merge reclaims them).
   double tombstone_overhead = 0.0;
-  /// Point-lookup multiplier: locating the owning component of a doc id
-  /// across a multi-segment snapshot makes random access costlier.
+  /// Point-lookup multiplier: StorageInputsFor still prices a probe by
+  /// the snapshot's component count (see kComponentProbeFactor in
+  /// strategy_planner.cc), though a probe now reads the term's impact
+  /// order whatever the composition.
   double random_access_factor = 1.0;
   /// Impact-ordered (sorted) access multiplier: 1 when the storage serves
   /// it natively (in-memory impact orders, memtable postings); larger for

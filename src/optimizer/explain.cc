@@ -94,17 +94,17 @@ std::string ExplainReport::ToString() const {
   os << "storage: " << storage << "\n";
   if (!fragmentation.empty()) os << "fragmentation: " << fragmentation << "\n";
   if (has_blocks) {
-    os << "blocks: decoded " << blocks_decoded << ", skipped "
-       << blocks_skipped
+    os << "blocks: decoded " << observed.blocks_decoded << ", skipped "
+       << observed.blocks_skipped
        << " (block-directory skips + block-max pruning; 0/0 over "
           "blockless in-memory lists)\n";
-    os << "impact orders: scored " << impact_postings
+    os << "impact orders: scored " << observed.impact_postings
        << " postings (0 = sorted access read materialized or cached "
           "orders)\n";
   }
-  if (has_shards) {
-    os << "shards: visited " << shards_visited << ", skipped "
-       << shards_skipped << " (aggregate impact-bound pruning)\n";
+  if (observed.shards_visited != 0 || observed.shards_skipped != 0) {
+    os << "shards: visited " << observed.shards_visited << ", skipped "
+       << observed.shards_skipped << " (aggregate impact-bound pruning)\n";
   }
   if (has_trace) {
     os << "trace: predicted_scalar=" << trace.predicted_scalar

@@ -26,10 +26,10 @@ std::string ExplainTrace(const RewriteTrace& trace);
 /// Everything the old text output said, as data: the full planning
 /// decision (every candidate with predicted cost, predicted quality and
 /// reject reason), what storage the plan reads, the fragmentation the
-/// fragment strategies would use, and the block-level behavior of a
-/// best-effort execution. ToString() renders the classic multi-line text
-/// ("chosen: ...", "alternatives (cheapest first): ...", "storage: ...",
-/// "impact orders: ...", "blocks: ...").
+/// fragment strategies would use, and the work of the explained run.
+/// ToString() renders the classic multi-line text ("chosen: ...",
+/// "alternatives (cheapest first): ...", "storage: ...", "blocks: ...",
+/// "impact orders: ...", "shards: ...", "trace: ...").
 struct ExplainReport {
   PlanDecision decision;
   /// Payload of the `storage:` line (what the plan will read).
@@ -37,25 +37,20 @@ struct ExplainReport {
   /// Payload of the `fragmentation:` line; empty = line omitted (no
   /// fragment strategy involved).
   std::string fragmentation;
-  /// Block-level counters from actually running the chosen strategy;
-  /// has_blocks = false when that execution was not possible.
+  /// True when the plan executed; false when the chosen strategy cannot
+  /// run here, and `observed` and `trace` stay empty.
   bool has_blocks = false;
-  int64_t blocks_decoded = 0;
-  int64_t blocks_skipped = 0;
-  /// Shard scatter-gather counters of the same best-effort execution;
-  /// has_shards = false over unsharded storage.
-  bool has_shards = false;
-  int64_t shards_visited = 0;
-  int64_t shards_skipped = 0;
-  /// Postings the explained query scored into impact orders
-  /// (CostCounters::impact_postings): on a catalog, planning asks for
-  /// every query term's bound, which scores the term's order once per
-  /// snapshot, so the count comes from planning, not from the best-effort
-  /// execution. 0 over materialized in-memory orders or when the snapshot
-  /// had already cached every order, so a second explain on the same
-  /// snapshot reads 0.
-  int64_t impact_postings = 0;
-  /// Stage trace of the same best-effort execution: per-stage wall time and
+  /// The explained run's CostCounters — what Search reports for the same
+  /// query on the same snapshot. Its block counters fill the `blocks:`
+  /// line (compressed blocks decoded vs skipped), its shard counters the
+  /// `shards:` line (omitted over unsharded storage), and its
+  /// impact_postings the `impact orders:` line: the postings the run
+  /// scored into impact orders, the bounds planning asked for included —
+  /// 0 over materialized in-memory orders or when the snapshot had
+  /// already cached every order, so a second explain on the same snapshot
+  /// reads 0.
+  CostCounters observed;
+  /// Stage trace of the explained run: per-stage wall time and
   /// CostCounters deltas plus the planner's predicted scalar for comparison
   /// against trace.observed_scalar(). has_trace = false when the execution
   /// failed or when observability is compiled out (MOA_OBS=OFF).

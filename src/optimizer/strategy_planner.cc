@@ -13,14 +13,19 @@ namespace {
 //
 // Measured against the cursor benches (bench_e13 batch throughput,
 // bench_e14 storage comparison, bench_e15 lifecycle): scan rate over
-// mmap-compressed blocks vs the in-memory file, and FindTf over a
+// mmap-compressed blocks vs the in-memory file, and random probes over a
 // multi-component snapshot vs a single segment. Recalibrate from the
 // per-layer metrics of `perfbench/run.py --trace 1` (see CONTRIBUTING.md).
 
 /// Bit-packed (MOAIF03) blocks bulk-decode close to memory speed.
 constexpr double kBitPackedDecodeFactor = 1.15;
-/// Each extra snapshot component adds a binary-search step to every
-/// random probe (CatalogState::Locate) plus a per-component seek.
+/// Random-access premium per doubling of the snapshot's components. It
+/// was set when a probe located the owning component by binary search and
+/// opened a block cursor there. A probe now binary-searches the term's
+/// cached impact order, whatever the composition, so the premium no
+/// longer matches the work; it stays, like kSegmentSortedFactor, until
+/// the random and sorted access factors are recalibrated together in a
+/// change of their own (it moves plans and work ticks).
 constexpr double kComponentProbeFactor = 0.5;
 /// Sorted (impact-order) access over segment postings: a snapshot scores
 /// a term's live postings into an impact order once and serves every
@@ -141,7 +146,9 @@ StrategyCostInputs StorageInputsFor(const CatalogComposition& c) {
       live == 0 ? 0.0
                 : static_cast<double>(c.dead_slots) / static_cast<double>(live);
 
-  // Random access: FindTf locates the owning component first.
+  // Random access: priced per component, as when a probe located the
+  // owning component (see kComponentProbeFactor: kept until the access
+  // factors are recalibrated together).
   const size_t components = c.num_segments + (c.memtable_slots > 0 ? 1 : 0);
   in.random_access_factor =
       1.0 + kComponentProbeFactor *

@@ -291,30 +291,6 @@ std::unique_ptr<PostingCursor> CatalogState::OpenMergedCursor(
                                                 stats_.df[t], max_impact);
 }
 
-std::optional<uint32_t> CatalogState::FindTf(TermId t, DocId g) const {
-  CostTicker::TickRandom();
-  if (g >= doc_space()) return std::nullopt;
-  const auto [comp, local] = Locate(g);
-  if (comp == segments_.size()) {
-    if (!memtable_deleted_.empty() && memtable_deleted_[local] != 0) {
-      return std::nullopt;
-    }
-    const std::vector<Posting>& postings = memtable_->postings(t);
-    const auto it = std::lower_bound(
-        postings.begin(), postings.end(), local,
-        [](const Posting& p, DocId d) { return p.doc < d; });
-    if (it == postings.end() || it->doc != local) return std::nullopt;
-    return it->tf;
-  }
-  const CatalogSegment& seg = *segments_[comp];
-  if (!seg.deleted.empty() && seg.deleted[local] != 0) return std::nullopt;
-  if (seg.reader->DocFrequency(t) == 0) return std::nullopt;
-  const auto cursor = seg.reader->OpenCursor(t);
-  cursor->advance_to(local);
-  if (cursor->at_end() || cursor->doc() != local) return std::nullopt;
-  return cursor->tf();
-}
-
 double CatalogState::TermBound(const ScoringModel& model, TermId t) const {
   {
     std::lock_guard<std::mutex> lock(bounds_mutex_);

@@ -141,13 +141,6 @@ class CatalogState {
   std::unique_ptr<PostingCursor> OpenMergedCursor(TermId t,
                                                   double max_impact) const;
 
-  /// Random access: tf of term t in the live document at global id g
-  /// (nullopt when absent or tombstoned). Locates the one owning
-  /// component and probes it directly — no merged-cursor construction —
-  /// which is what keeps Fagin-style random access cheap over a
-  /// multi-segment snapshot. Ticks one random read.
-  std::optional<uint32_t> FindTf(TermId t, DocId g) const;
-
   /// Exact max current weight over t's live postings under `model`
   /// (bound to this snapshot's stats view). Cached build-once per state;
   /// every caller must use the same model arithmetic — the IndexCatalog
@@ -248,9 +241,6 @@ class CatalogReadView final : public PostingSource {
   }
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override {
     return state_->OpenMergedCursor(t, state_->TermBound(*model_, t));
-  }
-  std::optional<uint32_t> FindTf(TermId t, DocId doc) const override {
-    return state_->FindTf(t, doc);
   }
 
   const ScoringModel* model() const { return model_.get(); }

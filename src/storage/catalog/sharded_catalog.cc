@@ -350,12 +350,6 @@ const DocTerms& ShardedSnapshot::TermsOf(DocId global) const {
       ShardedCatalog::LocalOf(global, n));
 }
 
-std::optional<uint32_t> ShardedSnapshot::FindTf(TermId t, DocId global) const {
-  const size_t n = entries_.size();
-  return entries_[ShardedCatalog::ShardOf(global, n)]->state->FindTf(
-      t, ShardedCatalog::LocalOf(global, n));
-}
-
 std::vector<DocId> ShardedSnapshot::LiveDocIds() const {
   const size_t n = entries_.size();
   std::vector<DocId> ids;

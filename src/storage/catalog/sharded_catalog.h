@@ -45,11 +45,14 @@
 // planning, or a sorted access — scores the shard's live postings once
 // into an ImpactOrder (storage/segment/posting_cursor.h), sorted lazily;
 // the bound is the order's greatest weight, so bound and sorted access
-// share that one scoring pass. The snapshot caches the order, and with it
-// the bound, for every later query. The cache is keyed by term, so a
-// fresh snapshot costs nothing until a term is used, holds 16 B per live
-// posting of each term used (at most one in-memory impact order of the
-// collection), and dies with the snapshot.
+// share that one scoring pass. The Fagin family's random access reads the
+// same order through its cursor (a binary search on the order's
+// doc-ordered entries), so a probe takes no lock and decodes no block.
+// The snapshot caches the order, and with it the bound, for every later
+// query. The cache is keyed by term, so a fresh snapshot costs nothing
+// until a term is used, holds 16 B per live posting of each term used
+// and 4 B more once a cursor has read it (at most one in-memory impact
+// order of the collection), and dies with the snapshot.
 //
 // Thread-safety. Two locks. The mutation lock serializes mutations, so a
 // routing decision and its commits are atomic. The snapshot lock guards
@@ -253,12 +256,10 @@ class ShardReadView final : public PostingSource {
   bool HasImpacts(TermId /*t*/) const override { return true; }
   double MaxImpact(TermId t) const override;
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
-  std::optional<uint32_t> FindTf(TermId t, DocId doc) const override {
-    return state_->FindTf(t, doc);
-  }
   /// Serves the snapshot's cached order (ShardedSnapshot::ShardImpactOrder),
-  /// scored under the shard's model; `model` must have the same arithmetic
-  /// and is not consulted, as with InMemoryPostingSource.
+  /// scored under the shard's model, for sorted and random access alike
+  /// (see file comment); `model` must have the same arithmetic and is not
+  /// consulted, as with InMemoryPostingSource.
   std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const override;
 
@@ -322,7 +323,6 @@ class ShardedSnapshot {
   uint32_t DocLength(DocId global) const;
   bool IsDeleted(DocId global) const;
   const DocTerms& TermsOf(DocId global) const;
-  std::optional<uint32_t> FindTf(TermId t, DocId global) const;
   /// Live global ids, ascending.
   std::vector<DocId> LiveDocIds() const;
 

@@ -1,6 +1,8 @@
 #include "storage/segment/posting_cursor.h"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 #include <vector>
 
 #include "common/cost_ticker.h"
@@ -50,7 +52,8 @@ class InMemoryPostingCursor final : public PostingCursor {
 };
 
 /// Impact cursor over a list's materialized impact order (ByImpact /
-/// ImpactWeight) — zero extra work, exactly the legacy sorted access.
+/// ImpactWeight) — zero extra work, exactly the legacy sorted access —
+/// with random access by PostingList::FindTf.
 class MaterializedImpactCursor final : public ImpactCursor {
  public:
   explicit MaterializedImpactCursor(const PostingList* list) : list_(list) {}
@@ -68,6 +71,9 @@ class MaterializedImpactCursor final : public ImpactCursor {
     if (pos_ < list_->size()) ++pos_;
   }
   size_t size() const override { return list_->size(); }
+  std::optional<uint32_t> FindTf(DocId doc) const override {
+    return list_->FindTf(doc);
+  }
 
  private:
   const PostingList* list_;
@@ -84,17 +90,10 @@ bool ImpactBefore(const ImpactOrder::Entry& a, const ImpactOrder::Entry& b) {
 
 }  // namespace
 
-std::optional<uint32_t> PostingSource::FindTf(TermId t, DocId doc) const {
-  CostTicker::TickRandom();
-  const std::unique_ptr<PostingCursor> cursor = OpenCursor(t);
-  cursor->advance_to(doc);
-  if (cursor->at_end() || cursor->doc() != doc) return std::nullopt;
-  return cursor->tf();
-}
-
 /// Cursor over a shared ImpactOrder. `sorted_` caches the prefix length
-/// this cursor last loaded: below it, entries are final and read without
-/// synchronization.
+/// this cursor last loaded: below it, the permutation is final and read
+/// without synchronization. Random access reads only the immutable
+/// doc-ordered entries.
 class ImpactOrderCursor final : public ImpactCursor {
  public:
   explicit ImpactOrderCursor(std::shared_ptr<const ImpactOrder> order)
@@ -113,9 +112,20 @@ class ImpactOrderCursor final : public ImpactCursor {
     }
   }
   size_t size() const override { return end_; }
+  std::optional<uint32_t> FindTf(DocId doc) const override {
+    CostTicker::TickRandom();
+    const std::vector<ImpactOrder::Entry>& entries = order_->entries_;
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), doc,
+        [](const ImpactOrder::Entry& e, DocId d) { return e.doc < d; });
+    if (it == entries.end() || it->doc != doc) return std::nullopt;
+    return it->tf;
+  }
 
  private:
-  const ImpactOrder::Entry& at() const { return order_->entries_[pos_]; }
+  const ImpactOrder::Entry& at() const {
+    return order_->entries_[order_->by_impact_[pos_]];
+  }
 
   std::shared_ptr<const ImpactOrder> order_;
   size_t end_;
@@ -128,6 +138,7 @@ ImpactOrder::ImpactOrder(PostingCursor& postings, TermId term,
   entries_.reserve(postings.size());
   for (; !postings.at_end(); postings.next()) {
     const Posting p{postings.doc(), postings.tf()};
+    assert(entries_.empty() || entries_.back().doc < p.doc);
     const double weight = model.Weight(term, p);
     entries_.push_back(Entry{weight, p.doc, p.tf});
     max_weight_ = std::max(max_weight_, weight);
@@ -141,17 +152,24 @@ size_t ImpactOrder::SortedAtLeast(size_t want) const {
   if (sorted >= want || sorted == n) return sorted;
   std::lock_guard<std::mutex> lock(extend_mutex_);
   sorted = sorted_.load(std::memory_order_relaxed);
+  if (sorted < want && by_impact_.empty()) {
+    by_impact_.resize(n);
+    std::iota(by_impact_.begin(), by_impact_.end(), uint32_t{0});
+  }
+  const auto before = [this](uint32_t a, uint32_t b) {
+    return ImpactBefore(entries_[a], entries_[b]);
+  };
   while (sorted < want && sorted < n) {
     const size_t target =
         std::min(n, sorted == 0 ? kFirstChunk : sorted * kGrowth);
-    const auto begin = entries_.begin();
+    const auto begin = by_impact_.begin();
     if (target < n) {
       std::nth_element(begin + static_cast<ptrdiff_t>(sorted),
-                       begin + static_cast<ptrdiff_t>(target), entries_.end(),
-                       ImpactBefore);
+                       begin + static_cast<ptrdiff_t>(target),
+                       by_impact_.end(), before);
     }
     std::sort(begin + static_cast<ptrdiff_t>(sorted),
-              begin + static_cast<ptrdiff_t>(target), ImpactBefore);
+              begin + static_cast<ptrdiff_t>(target), before);
     sorted = target;
   }
   sorted_.store(sorted, std::memory_order_release);
@@ -173,11 +191,6 @@ std::unique_ptr<ImpactCursor> PostingSource::OpenImpactCursor(
 std::unique_ptr<PostingCursor> InMemoryPostingSource::OpenCursor(
     TermId t) const {
   return std::make_unique<InMemoryPostingCursor>(&file_->list(t));
-}
-
-std::optional<uint32_t> InMemoryPostingSource::FindTf(TermId t,
-                                                      DocId doc) const {
-  return file_->list(t).FindTf(doc);
 }
 
 std::unique_ptr<ImpactCursor> InMemoryPostingSource::OpenImpactCursor(

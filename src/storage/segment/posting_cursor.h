@@ -9,6 +9,8 @@
 // Executors that read postings by descending weight (the Fagin family,
 // sparse-probe champions) use ImpactCursor: the materialized order in
 // memory, an ImpactOrder scored from the doc-ordered list everywhere else.
+// The same cursor serves the Fagin family's random access (FindTf), so a
+// query term's sorted and random access read one list.
 //
 // Contract (shared by every implementation, enforced by the conformance
 // suite in tests/posting_cursor_test.cc):
@@ -117,13 +119,15 @@ class PostingCursor {
 
 /// \brief Forward iterator over one term's postings in *descending weight*
 /// order — the sorted access the Fagin family and impact-order champions
-/// consume.
+/// consume — plus random access over the same postings.
 ///
 /// Contract (the exact order InvertedFile::BuildImpactOrders materializes):
 /// postings are emitted by descending weight, ties broken by ascending doc
 /// id. weight() at the current position is also the sorted-access
 /// threshold: no later posting of the term weighs more. doc() returns
-/// kEndDoc once exhausted; weight()/tf() are meaningless there.
+/// kEndDoc once exhausted; weight()/tf() are meaningless there. FindTf
+/// answers for every posting the cursor emits, wherever the cursor
+/// stands, and for nothing else (a tombstoned document is absent).
 class ImpactCursor {
  public:
   virtual ~ImpactCursor() = default;
@@ -139,18 +143,24 @@ class ImpactCursor {
   /// Number of postings the cursor emits in all (a shard's view emits the
   /// shard's live postings, not the global document frequency).
   virtual size_t size() const = 0;
+  /// Random access: term frequency of `doc` among the postings the cursor
+  /// emits (nullopt when there is none). Does not move the cursor. Ticks
+  /// one random read.
+  virtual std::optional<uint32_t> FindTf(DocId doc) const = 0;
 
   bool at_end() const { return doc() == kEndDoc; }
 };
 
 /// \brief One term's postings in impact order, sorted lazily: the sorted
-/// access of storage without a materialized order (segments, catalog
-/// snapshots).
+/// and random access of storage without a materialized order (segments,
+/// catalog snapshots).
 ///
 /// Construction scores every posting a doc-ordered cursor yields, once,
 /// with the caller's model — the cursor decides which postings count
-/// (tombstones filtered) and in which id space. Sorting is lazy:
-/// entries [0, sorted) are final, in the exact order
+/// (tombstones filtered) and in which id space. The entries stay in that
+/// doc order and never change, so random access is a binary search on
+/// them. Sorting is lazy and permutes a separate index array: its prefix
+/// [0, sorted) is final, in the exact order that
 /// InvertedFile::BuildImpactOrders materializes (weight descending, doc
 /// ascending). A cursor that reaches the end of the sorted prefix extends
 /// it: nth_element picks the next chunk and sort orders it. The first
@@ -160,14 +170,16 @@ class ImpactCursor {
 /// O(k log k) sorting — not a full sort of the list.
 ///
 /// Thread-safety: any number of cursors may read one order at once (the
-/// per-snapshot cache shares it across queries). Extensions serialize on
-/// a mutex and publish the new length with a release store; a reader only
-/// reads below the length it loaded with acquire, and an extension only
-/// writes above it.
+/// per-snapshot cache shares it across queries), random access with no
+/// synchronization at all. Extensions serialize on a mutex and publish the
+/// new length with a release store; a reader only reads the permutation
+/// below the length it loaded with acquire, and an extension only writes
+/// above it.
 ///
-/// Memory: 16 B per posting (Entry), held by whoever owns the order — the
-/// cursor alone for PostingSource's uncached default, the snapshot for
-/// ShardedSnapshot's cache.
+/// Memory: 16 B per posting (Entry), plus 4 B per posting for the
+/// permutation once a cursor has read the order; held by whoever owns the
+/// order — the cursor alone for PostingSource's uncached default, the
+/// snapshot for ShardedSnapshot's cache.
 class ImpactOrder {
  public:
   struct Entry {
@@ -206,9 +218,12 @@ class ImpactOrder {
   /// returns its length.
   size_t SortedAtLeast(size_t want) const;
 
-  // Elements are permuted in place by extensions; the vector itself is
-  // never resized after construction.
-  mutable std::vector<Entry> entries_;
+  /// Doc-ordered, immutable after construction.
+  std::vector<Entry> entries_;
+  /// Impact rank -> index into entries_. Allocated by the first extension
+  /// (an order only its bound reads never needs it) and never resized
+  /// after; extensions permute it above the published length.
+  mutable std::vector<uint32_t> by_impact_;
   mutable std::mutex extend_mutex_;
   mutable std::atomic<size_t> sorted_{0};
   double max_weight_ = 0.0;
@@ -237,14 +252,9 @@ class PostingSource {
   /// A fresh cursor positioned on t's first posting.
   virtual std::unique_ptr<PostingCursor> OpenCursor(TermId t) const = 0;
 
-  /// Random access: term frequency of `doc` in t's list (nullopt when the
-  /// document does not contain the term). Ticks one random read. The
-  /// default opens a fresh cursor and skips to the target; implementations
-  /// with a cheaper path (in-memory binary search) override.
-  virtual std::optional<uint32_t> FindTf(TermId t, DocId doc) const;
-
   /// Postings of t by descending `model` weight, ties by ascending doc —
-  /// exact sorted access over any storage. Requires HasImpacts(t) and a
+  /// exact sorted access over any storage, and random access over the
+  /// same postings (ImpactCursor::FindTf). Requires HasImpacts(t) and a
   /// model whose arithmetic matches the source's impact bounds (the same
   /// precondition impact orders always had). The default scores the whole
   /// list into a fresh ImpactOrder on every call and sorts only the prefix
@@ -276,9 +286,8 @@ class InMemoryPostingSource final : public PostingSource {
     return file_->list(t).max_weight();
   }
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
-  /// Binary search on the doc-ordered list (PostingList::FindTf).
-  std::optional<uint32_t> FindTf(TermId t, DocId doc) const override;
-  /// Serves the list's materialized impact order directly (requires
+  /// Serves the list's materialized impact order directly, and random
+  /// access by binary search on the doc-ordered list (requires
   /// InvertedFile::BuildImpactOrders, which must have used arithmetic
   /// equal to `model` — the long-standing impact-order precondition);
   /// `model` itself is not consulted.

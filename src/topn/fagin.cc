@@ -11,13 +11,13 @@
 namespace moa {
 namespace {
 
-/// Per-query-term sorted access: an impact cursor over the term's
-/// postings in descending-weight order. Works over any PostingSource —
-/// the in-memory file serves its materialized impact order, a catalog
-/// shard the impact order its snapshot built on the term's first use
-/// (normally its bound), and any other source (a bare segment,
-/// CatalogReadView) scores the list into a fresh, lazily sorted
-/// ImpactOrder per call.
+/// Per-query-term sorted and random access: an impact cursor over the
+/// term's postings in descending-weight order, whose FindTf also serves
+/// the random probes. Works over any PostingSource — the in-memory file
+/// serves its materialized impact order, a catalog shard the impact order
+/// its snapshot built on the term's first use (normally its bound), and
+/// any other source (a bare segment, CatalogReadView) scores the list into
+/// a fresh, lazily sorted ImpactOrder per call.
 struct ListAccess {
   TermId term;
   std::unique_ptr<ImpactCursor> cursor;
@@ -48,12 +48,11 @@ Result<std::vector<ListAccess>> MakeAccessors(const PostingSource& source,
 }
 
 /// Random access: weight of `doc` in `accessor`'s list (0 if absent).
-double RandomAccessWeight(const PostingSource& source,
-                          const ScoringModel& model,
+double RandomAccessWeight(const ScoringModel& model,
                           const ListAccess& accessor, DocId doc,
                           TopNStats* stats) {
   ++stats->random_accesses;
-  auto tf = source.FindTf(accessor.term, doc);  // ticks one random read
+  auto tf = accessor.cursor->FindTf(doc);  // ticks one random read
   if (!tf.has_value()) return 0.0;
   CostTicker::TickScore();
   return model.Weight(accessor.term, Posting{doc, *tf});
@@ -146,8 +145,8 @@ Result<TopNResult> FaginTA(const PostingSource& source,
           double score = 0.0;
           for (size_t j = 0; j < accessors.size(); ++j) {
             score += (j == i) ? w
-                              : RandomAccessWeight(source, model, accessors[j],
-                                                   doc, &result.stats);
+                              : RandomAccessWeight(model, accessors[j], doc,
+                                                   &result.stats);
           }
           best.Offer(ScoredDoc{doc, score});
         }
@@ -254,7 +253,7 @@ Result<TopNResult> FaginFA(const PostingSource& source,
     for (const auto& [doc, mask] : seen_mask) {
       double score = 0.0;
       for (const auto& cur : accessors) {
-        score += RandomAccessWeight(source, model, cur, doc, &result.stats);
+        score += RandomAccessWeight(model, cur, doc, &result.stats);
       }
       best.Offer(ScoredDoc{doc, score});
     }

@@ -36,13 +36,15 @@ struct FaginOptions {
   int64_t check_every = 256;
 };
 
-// All three algorithms consume sorted access through
-// PostingSource::OpenImpactCursor and random access through
-// PostingSource::FindTf, so the same implementation serves the in-memory
-// file (materialized impact order), a catalog shard (the snapshot's cached
-// impact order of its live postings) and any other source, a bare segment
-// included (a lazily sorted impact order per call). All require impact
-// metadata (HasImpacts) on every non-empty query-term list.
+// All three algorithms open one PostingSource::OpenImpactCursor per query
+// term and read both accesses from it: sorted access by stepping it,
+// random access through its FindTf. So the same implementation serves the
+// in-memory file (materialized impact order, binary search on the
+// doc-ordered list), a catalog shard (the snapshot's cached impact order
+// of its live postings, binary search on its doc-ordered entries, no lock)
+// and any other source, a bare segment included (a lazily sorted impact
+// order per call). All require impact metadata (HasImpacts) on every
+// non-empty query-term list.
 
 /// Fagin's original algorithm (FA): sorted phase until n documents have
 /// been seen in every list, then random-access completion of all seen

@@ -204,8 +204,8 @@ TEST_F(MmDatabaseTest, ExplainReportsFormatAndSkippedBlocksOverSegment) {
     const ExplainReport& r = report.ValueOrDie();
     EXPECT_NE(r.storage.find("MOAIF03"), std::string::npos) << r.storage;
     ASSERT_TRUE(r.has_blocks) << r.ToString();
-    EXPECT_GT(r.blocks_decoded, 0);
-    max_skipped = std::max(max_skipped, r.blocks_skipped);
+    EXPECT_GT(r.observed.blocks_decoded, 0);
+    max_skipped = std::max(max_skipped, r.observed.blocks_skipped);
     // The text rendering keeps the historical block line.
     EXPECT_NE(r.ToString().find("blocks: decoded "), std::string::npos);
   }

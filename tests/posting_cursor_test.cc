@@ -12,7 +12,8 @@
 // Also here: the ImpactCursor contract (every implementation reproduces
 // the in-memory materialized impact order bit-for-bit — docs, tfs and
 // weights; term 5's 130 postings outgrow the first lazily sorted chunk, so
-// the lazy impact orders extend their sorted prefix mid-scan).
+// the lazy impact orders extend their sorted prefix mid-scan), and its
+// random access (FindTf finds exactly the postings the cursor emits).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -357,19 +358,50 @@ TEST_P(CursorConformanceTest, ImpactBoundsDominateEveryPosting) {
 }
 
 TEST_P(CursorConformanceTest, FindTfMatchesReference) {
+  // Random access is served by the impact cursor of the term's sorted
+  // access: every reference posting is found, wherever the cursor stands,
+  // and nothing else is — not the gaps, not past the end, and on the
+  // catalog kinds not the tombstoned junk documents, whose postings the
+  // snapshot still stores, nor the first id past the doc space. Every
+  // probe ticks exactly one random read.
+  Fixture& f = SharedFixture();
   const auto& lists = TermLists();
+  const bool catalog = GetParam() == SourceKind::kCatalog ||
+                       GetParam() == SourceKind::kShardView;
   for (TermId t = 0; t < lists.size(); ++t) {
+    auto cursor = source().OpenImpactCursor(t, *f.model);
+    std::vector<DocId> misses;
     DocId prev_end = 0;
     for (const Posting& p : lists[t]) {
-      EXPECT_EQ(source().FindTf(t, p.doc), std::optional<uint32_t>(p.tf))
-          << "term " << t << " doc " << p.doc;
-      if (p.doc > prev_end) {
-        EXPECT_FALSE(source().FindTf(t, p.doc - 1).has_value())
-            << "term " << t;
-      }
+      if (p.doc > prev_end) misses.push_back(p.doc - 1);
       prev_end = p.doc + 1;
     }
-    EXPECT_FALSE(source().FindTf(t, prev_end).has_value()) << "term " << t;
+    misses.push_back(prev_end);
+    if (catalog) {
+      for (DocId d = static_cast<DocId>(f.file.num_docs());
+           d <= f.catalog_doc_space; ++d) {
+        misses.push_back(d);
+      }
+    }
+    // Probe before, while and after the cursor walks the order, so the
+    // probes interleave with the lazy sort's extensions.
+    for (int pass = 0; pass < 3; ++pass) {
+      CostScope scope;
+      for (const Posting& p : lists[t]) {
+        EXPECT_EQ(cursor->FindTf(p.doc), std::optional<uint32_t>(p.tf))
+            << "term " << t << " doc " << p.doc << " pass " << pass;
+      }
+      for (DocId d : misses) {
+        EXPECT_FALSE(cursor->FindTf(d).has_value())
+            << "term " << t << " doc " << d << " pass " << pass;
+      }
+      EXPECT_EQ(scope.Snapshot().random_reads,
+                static_cast<int64_t>(lists[t].size() + misses.size()))
+          << "term " << t;
+      for (size_t i = 0; i < lists[t].size() / 2 && !cursor->at_end(); ++i) {
+        cursor->next();
+      }
+    }
   }
 }
 

@@ -25,6 +25,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,9 +133,14 @@ TEST(ShardedCatalogTest, SnapshotAggregatesGlobalStats) {
   EXPECT_EQ(snap->DocLength(0), 3u);
   EXPECT_EQ(snap->DocLength(1), 4u);
   EXPECT_FALSE(snap->IsDeleted(0));
-  ASSERT_TRUE(snap->FindTf(11, 1).has_value());
-  EXPECT_EQ(*snap->FindTf(11, 1), 3u);
-  EXPECT_FALSE(snap->FindTf(11, 0).has_value());
+  // Random access goes through the owning shard's impact cursor, in
+  // shard-local ids: global 1 is shard 1's local 0, global 0 shard 0's.
+  const auto term11 = [&](size_t s) {
+    return snap->shard_source(s).OpenImpactCursor(11, snap->shard_model(s));
+  };
+  EXPECT_EQ(term11(1)->FindTf(ShardedCatalog::LocalOf(1, 2)),
+            std::optional<uint32_t>(3u));
+  EXPECT_FALSE(term11(0)->FindTf(ShardedCatalog::LocalOf(0, 2)).has_value());
   EXPECT_EQ(snap->LiveDocIds(), (std::vector<DocId>{0, 1}));
 
   // Versions are strictly monotone across mutations; the per-shard read
@@ -323,8 +329,9 @@ TEST(ShardedCatalogTest, TermBoundAndSortedAccessShareOneScoringPass) {
 TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
   // Eight readers drain one cached (snapshot, term) order at once, each to
   // its own depth across the lazily sorted chunk boundaries (64, 256,
-  // 1024): extensions race with readers of the sorted prefix, and every
-  // reader must still see exactly the in-memory materialized order.
+  // 1024): extensions race with readers of the sorted prefix and with
+  // random access, and every reader must still see exactly the in-memory
+  // materialized order and find every posting's tf.
   ShardedCatalog::Options options;
   options.num_shards = 1;
   options.shard.num_terms = kVocab;
@@ -363,6 +370,11 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
 
   const size_t depths[8] = {1, 63, 64, 65, 255, 257, 1024, kDocs};
   std::vector<std::vector<ImpactOrder::Entry>> seen(8);
+  // Every reader also probes every reference doc by random access, half
+  // before and half after its walk, while the others extend the sorted
+  // prefix; found[i][d] is the tf reader i got for doc d.
+  std::vector<std::vector<std::optional<uint32_t>>> found(
+      8, std::vector<std::optional<uint32_t>>(kDocs));
   std::atomic<bool> go{false};
   std::vector<std::thread> readers;
   for (size_t i = 0; i < 8; ++i) {
@@ -370,10 +382,15 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
       while (!go.load()) std::this_thread::yield();
       auto cursor =
           snap->shard_source(0).OpenImpactCursor(kTerm, snap->shard_model(0));
+      const auto probe = [&](DocId begin, DocId end) {
+        for (DocId d = begin; d < end; ++d) found[i][d] = cursor->FindTf(d);
+      };
+      probe(0, kDocs / 2);
       for (size_t k = 0; k < depths[i] && !cursor->at_end();
            ++k, cursor->next()) {
         seen[i].push_back({cursor->weight(), cursor->doc(), cursor->tf()});
       }
+      probe(kDocs / 2, kDocs);
     });
   }
   go = true;
@@ -381,6 +398,10 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
 
   EXPECT_EQ(snap->ShardImpactOrder(0, kTerm), order);
   for (size_t i = 0; i < 8; ++i) {
+    for (DocId d = 0; d < kDocs; ++d) {
+      ASSERT_EQ(found[i][d], reference.FindTf(d))
+          << "reader " << i << " doc " << d;
+    }
     ASSERT_EQ(seen[i].size(), depths[i]) << "reader " << i;
     for (size_t k = 0; k < seen[i].size(); ++k) {
       ASSERT_EQ(seen[i][k].doc, reference.ByImpact(k).doc)
@@ -914,12 +935,12 @@ TEST(ShardedCatalogTest, ExplainCountsImpactPostingsScoredForTheQuery) {
   // reads them from the snapshot's cache.
   auto built = db.ExplainSearch(request);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_GT(built.ValueOrDie().impact_postings, 0);
+  EXPECT_GT(built.ValueOrDie().observed.impact_postings, 0);
   EXPECT_NE(built.ValueOrDie().ToString().find("impact orders: scored "),
             std::string::npos);
   auto cached = db.ExplainSearch(request);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-  EXPECT_EQ(cached.ValueOrDie().impact_postings, 0);
+  EXPECT_EQ(cached.ValueOrDie().observed.impact_postings, 0);
   if (built.ValueOrDie().has_trace) {
     EXPECT_EQ(built.ValueOrDie().trace.observed_scalar(),
               cached.ValueOrDie().trace.observed_scalar());
@@ -937,6 +958,62 @@ TEST(ShardedCatalogTest, ExplainCountsImpactPostingsScoredForTheQuery) {
   EXPECT_EQ(warm_cost.impact_postings, 0);
   EXPECT_EQ(cold_cost.Scalar(), warm_cost.Scalar());
   EXPECT_EQ(cold.ValueOrDie().top.items, warm.ValueOrDie().top.items);
+  std::filesystem::remove_all(dir);
+}
+
+// ExplainSearch reports the run Search makes: one snapshot, each shard
+// running its own plan. With shard 0 flushed to a segment and shard 1
+// still in its memtable the shards see different storage, so some
+// queries plan different strategies per shard; for those, forcing the
+// headline strategy on every shard does other work than Search, and the
+// explain must still observe exactly Search's counters.
+TEST(ShardedCatalogTest, ExplainObservesTheRunSearchMakes) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/sharded_explain_run";
+  std::filesystem::remove_all(dir);
+  auto opened = MmDatabase::Open(ShardedConfig(dir, 2));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MmDatabase& db = *opened.ValueOrDie();
+  ASSERT_TRUE(db.DeleteDocument(0).ok());  // seeds both shards' memtables
+  // The facade flushes every shard, so flush shard 0 alone through the
+  // database's catalog (a mutable object behind a const accessor).
+  ASSERT_TRUE(const_cast<ShardedCatalog*>(db.sharded_catalog())
+                  ->Flush(0)
+                  .ok());
+  const auto snap = db.sharded_catalog()->Snapshot();
+  ASSERT_EQ(snap->shard_composition(0).num_segments, 1u);
+  ASSERT_EQ(snap->shard_composition(1).num_segments, 0u);
+
+  QueryWorkloadConfig qconfig;
+  qconfig.num_queries = 200;
+  qconfig.terms_per_query = 3;
+  qconfig.distribution = QueryTermDistribution::kMixed;
+  qconfig.seed = 1919;
+  size_t split_plans = 0;
+  for (const Query& q :
+       GenerateQueries(db.collection(), qconfig).ValueOrDie()) {
+    const QueryRequest request{q, kTopN, {}};
+    auto search = db.Search(request);  // also caches the impact orders
+    ASSERT_TRUE(search.ok()) << search.status().ToString();
+    auto forced = db.Execute(search.ValueOrDie().strategy, q, kTopN);
+    ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+    if (forced.ValueOrDie().stats.cost.Scalar() ==
+        search.ValueOrDie().top.stats.cost.Scalar()) {
+      continue;  // every shard plans the headline strategy
+    }
+    ++split_plans;
+    auto report = db.ExplainSearch(request);
+    auto again = db.Search(request);
+    ASSERT_TRUE(report.ok() && again.ok());
+    ASSERT_EQ(db.sharded_catalog()->Snapshot(), snap);
+    const ExplainReport& r = report.ValueOrDie();
+    const CostCounters& cost = again.ValueOrDie().top.stats.cost;
+    ASSERT_TRUE(r.has_blocks) << r.ToString();
+    EXPECT_EQ(r.decision.strategy, again.ValueOrDie().strategy);
+    EXPECT_EQ(r.observed, cost)
+        << r.observed.ToString() << " vs Search's " << cost.ToString();
+  }
+  EXPECT_GT(split_plans, 0u) << "no query planned differently per shard";
   std::filesystem::remove_all(dir);
 }
 
