@@ -13,7 +13,9 @@
 //  4. Sorted access: the impact-ordered prefix the Fagin family reads —
 //     materialized in memory, scored into a fresh impact order per call
 //     over a bare segment, and served warm from a catalog snapshot's
-//     cached impact orders.
+//     cached impact orders — and the cold side of that cache: the
+//     postings per second a fresh snapshot's scoring pass weighs into
+//     impact orders when the workload terms' bounds are first taken.
 //  5. Random access: the Fagin family's probes through the term's impact
 //     cursor — a binary search on the in-memory list, or on a catalog
 //     snapshot's cached order — against a block cursor opened and
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cost_ticker.h"
 #include "engine/database.h"
 #include "ir/query_gen.h"
 #include "storage/catalog/sharded_catalog.h"
@@ -313,11 +316,10 @@ void BM_ImpactPrefixSegment(benchmark::State& state) {
   ImpactPrefixBench(state, Segment(), StorageDb().model());
 }
 
-/// The same collection flushed into a one-shard catalog, after one
-/// warming pass: every workload term's impact order is cached on the
-/// snapshot.
-const ShardedSnapshot& WarmCatalog() {
-  static const std::shared_ptr<const ShardedSnapshot>* snapshot = [] {
+/// The same collection flushed into a one-shard catalog: one bit-packed
+/// segment, an empty memtable.
+const ShardedCatalog& FlushedCatalog() {
+  static const ShardedCatalog* catalog = [] {
     DatabaseConfig config = StorageDb().config();
     config.catalog_dir = PathFor("catalog");
     std::filesystem::remove_all(config.catalog_dir);
@@ -328,8 +330,17 @@ const ShardedSnapshot& WarmCatalog() {
                    flushed.ToString().c_str());
       std::abort();
     }
+    return db->sharded_catalog();
+  }();
+  return *catalog;
+}
+
+/// The flushed catalog's snapshot after one warming pass: every workload
+/// term's impact order is cached on it.
+const ShardedSnapshot& WarmCatalog() {
+  static const std::shared_ptr<const ShardedSnapshot>* snapshot = [] {
     auto* snap = new std::shared_ptr<const ShardedSnapshot>(
-        db->sharded_catalog()->Snapshot());
+        FlushedCatalog().Snapshot());
     uint64_t checksum = 0;
     int64_t emitted = 0;
     ImpactPrefixPass((*snap)->shard_source(0), (*snap)->shard_model(0),
@@ -345,6 +356,33 @@ void BM_ImpactPrefixCatalogWarm(benchmark::State& state) {
                     WarmCatalog().shard_model(0));
 }
 
+void BM_ImpactScoreCatalogCold(benchmark::State& state) {
+  // What the first query terms on a fresh snapshot pay: each workload
+  // term's bound scores the term's live postings into its impact order
+  // (a repeated term reads the order its first use cached). A fresh
+  // one-shard snapshot per iteration, made and dropped untimed; items are
+  // the postings scored.
+  const std::shared_ptr<const CatalogState> state_ptr =
+      FlushedCatalog().shard(0).Snapshot();
+  int64_t scored = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto snapshot = std::make_shared<const ShardedSnapshot>(
+        std::vector<std::shared_ptr<const CatalogState>>{state_ptr},
+        StorageDb().config().scoring);
+    const CostScope scope;
+    state.ResumeTiming();
+    double checksum = 0.0;
+    for (TermId t : WorkloadTerms()) checksum += snapshot->ShardTermBound(0, t);
+    benchmark::DoNotOptimize(checksum);
+    state.PauseTiming();
+    scored += scope.Snapshot().impact_postings;
+    snapshot.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(scored);
+}
+
 // ------------------------------------------------------- random access
 
 /// The documents every workload term is probed for: 64 ids spread over
@@ -357,8 +395,8 @@ std::vector<DocId> ProbeDocs() {
   return probes;
 }
 
-/// Random access the way the Fagin family makes it: FindTf on the term's
-/// impact cursor, one cursor per term opened before timing.
+/// Random access the way the Fagin family makes it: FindWeight on the
+/// term's impact cursor, one cursor per term opened before timing.
 void CursorProbeBench(benchmark::State& state, const PostingSource& source,
                       const ScoringModel& model) {
   std::vector<std::unique_ptr<ImpactCursor>> cursors;
@@ -367,9 +405,9 @@ void CursorProbeBench(benchmark::State& state, const PostingSource& source,
   }
   const std::vector<DocId> probes = ProbeDocs();
   for (auto _ : state) {
-    uint64_t checksum = 0;
+    double checksum = 0.0;
     for (const auto& cursor : cursors) {
-      for (DocId d : probes) checksum += cursor->FindTf(d).value_or(0);
+      for (DocId d : probes) checksum += cursor->FindWeight(d).value_or(0.0);
     }
     benchmark::DoNotOptimize(checksum);
   }
@@ -420,6 +458,7 @@ BENCHMARK(BM_AdvanceSegmentCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixInMemory)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixSegment)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixCatalogWarm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ImpactScoreCatalogCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RandomAccessInMemory)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RandomAccessSegmentCursorProbe)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RandomAccessCatalogWarm)->Unit(benchmark::kMicrosecond);

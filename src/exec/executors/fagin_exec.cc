@@ -3,7 +3,8 @@
 // All three are cursor-based: sorted access comes from
 // PostingSource::OpenImpactCursor (materialized order in memory, the
 // snapshot's cached impact order over a catalog shard, a per-call
-// ImpactOrder elsewhere) and random access from the same cursor's FindTf.
+// ImpactOrder elsewhere) and random access from the same cursor's
+// FindWeight.
 #include <algorithm>
 #include <cmath>
 

@@ -8,8 +8,8 @@ namespace {
 
 /// Shared base: models either borrow a caller-owned view or own an
 /// InvertedFileStatsView adapter built from the legacy InvertedFile
-/// overloads. Weight arithmetic only ever goes through stats(), so both
-/// binding styles are bit-identical on equal statistics.
+/// overloads. ForTerm only ever reads stats(), so both binding styles are
+/// bit-identical on equal statistics.
 class StatsBoundModel : public ScoringModel {
  public:
   explicit StatsBoundModel(const CollectionStatsView* stats) : stats_(stats) {}
@@ -30,13 +30,12 @@ class TfIdfModel final : public StatsBoundModel {
  public:
   using StatsBoundModel::StatsBoundModel;
 
-  double Weight(TermId t, const Posting& p) const override {
-    const double tf = static_cast<double>(p.tf);
+  TermWeight ForTerm(TermId t) const override {
     const double df = static_cast<double>(stats_->DocFrequency(t));
-    if (df == 0) return 0.0;
+    if (df == 0) return TermWeight{};
     const double n = static_cast<double>(stats_->num_docs());
-    const double dl = static_cast<double>(stats_->DocLength(p.doc));
-    return (1.0 + std::log(tf)) * std::log(1.0 + n / df) / std::sqrt(dl);
+    return TermWeight{.formula = TermWeight::Formula::kTfIdf,
+                      .idf = std::log(1.0 + n / df)};
   }
 
   std::string name() const override { return "tfidf"; }
@@ -51,15 +50,15 @@ class Bm25Model final : public StatsBoundModel {
       : StatsBoundModel(file, /*precompute_cf=*/false), k1_(k1), b_(b),
         avgdl_(stats_->AverageDocLength()) {}
 
-  double Weight(TermId t, const Posting& p) const override {
-    const double tf = static_cast<double>(p.tf);
+  TermWeight ForTerm(TermId t) const override {
     const double df = static_cast<double>(stats_->DocFrequency(t));
-    if (df == 0) return 0.0;
+    if (df == 0) return TermWeight{};
     const double n = static_cast<double>(stats_->num_docs());
-    const double dl = static_cast<double>(stats_->DocLength(p.doc));
-    const double idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
-    const double denom = tf + k1_ * (1.0 - b_ + b_ * dl / avgdl_);
-    return idf * tf * (k1_ + 1.0) / denom;
+    return TermWeight{.formula = TermWeight::Formula::kBm25,
+                      .idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5)),
+                      .k1 = k1_,
+                      .b = b_,
+                      .avgdl = avgdl_};
   }
 
   std::string name() const override { return "bm25"; }
@@ -75,15 +74,13 @@ class LanguageModel final : public StatsBoundModel {
   LanguageModel(const InvertedFile* file, double lambda)
       : StatsBoundModel(file, /*precompute_cf=*/true), lambda_(lambda) {}
 
-  double Weight(TermId t, const Posting& p) const override {
+  TermWeight ForTerm(TermId t) const override {
     const int64_t cf = stats_->CollectionFrequency(t);
-    if (cf == 0) return 0.0;
-    const double tf = static_cast<double>(p.tf);
-    const double dl = static_cast<double>(stats_->DocLength(p.doc));
+    if (cf == 0) return TermWeight{};
     const double c = static_cast<double>(stats_->total_tokens());
-    const double p_doc = tf / dl;
-    const double p_coll = static_cast<double>(cf) / c;
-    return std::log(1.0 + lambda_ / (1.0 - lambda_) * p_doc / p_coll);
+    return TermWeight{.formula = TermWeight::Formula::kLanguageModel,
+                      .p_coll = static_cast<double>(cf) / c,
+                      .lambda = lambda_};
   }
 
   std::string name() const override { return "lm"; }
@@ -93,6 +90,26 @@ class LanguageModel final : public StatsBoundModel {
 };
 
 }  // namespace
+
+double TermWeight::operator()(uint32_t tf_count, uint32_t doc_length) const {
+  const double tf = static_cast<double>(tf_count);
+  const double dl = static_cast<double>(doc_length);
+  switch (formula) {
+    case Formula::kZero:
+      return 0.0;
+    case Formula::kTfIdf:
+      return (1.0 + std::log(tf)) * idf / std::sqrt(dl);
+    case Formula::kBm25: {
+      const double denom = tf + k1 * (1.0 - b + b * dl / avgdl);
+      return idf * tf * (k1 + 1.0) / denom;
+    }
+    case Formula::kLanguageModel: {
+      const double p_doc = tf / dl;
+      return std::log(1.0 + lambda / (1.0 - lambda) * p_doc / p_coll);
+    }
+  }
+  return 0.0;
+}
 
 std::unique_ptr<ScoringModel> MakeTfIdf(const InvertedFile* file) {
   return std::make_unique<TfIdfModel>(file, /*precompute_cf=*/false);

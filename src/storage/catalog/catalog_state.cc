@@ -291,6 +291,35 @@ std::unique_ptr<PostingCursor> CatalogState::OpenMergedCursor(
                                                 stats_.df[t], max_impact);
 }
 
+ImpactOrder::Builder CatalogState::ScoreLivePostings(
+    TermId t, const TermWeight& weight) const {
+  ImpactOrder::Builder order(weight, stats_.df[t]);
+  for (size_t i = 0; i < segments_.size(); ++i) {
+    const CatalogSegment& seg = *segments_[i];
+    if (seg.reader->DocFrequency(t) == 0) continue;
+    const SegmentReader& reader = *seg.reader;
+    const auto doc_length = [&reader](DocId d) { return reader.DocLength(d); };
+    const std::vector<uint8_t>* dead =
+        seg.num_deleted > 0 ? &seg.deleted : nullptr;
+    const std::unique_ptr<PostingCursor> blocks = reader.OpenCursor(t);
+    const DocId* docs;
+    const uint32_t* tfs;
+    while (const size_t n = blocks->block_postings(&docs, &tfs)) {
+      order.Add(
+          base_[i], n, [&](size_t j) { return Posting{docs[j], tfs[j]}; },
+          dead, doc_length);
+      blocks->shallow_advance(blocks->block_last_doc() + 1);
+    }
+  }
+  const std::vector<Posting>& list = memtable_->postings(t);
+  const Memtable& memtable = *memtable_;
+  order.Add(
+      base_.back(), list.size(), [&list](size_t j) { return list[j]; },
+      memtable_has_dead_ ? &memtable_deleted_ : nullptr,
+      [&memtable](DocId d) { return memtable.DocLength(d); });
+  return order;
+}
+
 double CatalogState::TermBound(const ScoringModel& model, TermId t) const {
   {
     std::lock_guard<std::mutex> lock(bounds_mutex_);
@@ -301,15 +330,10 @@ double CatalogState::TermBound(const ScoringModel& model, TermId t) const {
     if (bound_ready_[t] != 0) return bound_[t];
   }
   // Exact bound under this snapshot's statistics: max current weight over
-  // the live postings. Computed outside the lock (idempotent — concurrent
-  // first users store the same value), cached for every later query on
-  // this state.
-  double bound = 0.0;
-  for (auto cursor = OpenMergedCursor(t, 0.0); !cursor->at_end();
-       cursor->next()) {
-    bound = std::max(bound,
-                     model.Weight(t, Posting{cursor->doc(), cursor->tf()}));
-  }
+  // the live postings, folded by the scoring pass (no order is built).
+  // Computed outside the lock (idempotent — concurrent first users store
+  // the same value), cached for every later query on this state.
+  const double bound = ScoreLivePostings(t, model.ForTerm(t)).max_weight();
   std::lock_guard<std::mutex> lock(bounds_mutex_);
   bound_[t] = bound;
   bound_ready_[t] = 1;

@@ -28,6 +28,17 @@
 // queries. Exact bounds keep max-score pruning decisions bit-identical to
 // a fresh index of the survivors.
 //
+// The scoring pass. ScoreLivePostings is the one pass that weighs a term's
+// live postings — for impact orders (ShardedSnapshot's cache,
+// CatalogReadView's sorted access) and for the bound alike. It skips the
+// chained cursor: each segment hands over one decoded block at a time
+// (PostingCursor::block_postings), with lengths from its own
+// SegmentReader::DocLength and tombstones from its bitmap, and the
+// memtable its posting vector, with Memtable::DocLength and its own
+// bitmap; a posting's global id is its component's base plus its local
+// id. The term's TermWeight is read once, so a posting costs a block
+// decode share, a bitmap test, a length load and the formula.
+//
 // Thread-safety: a published CatalogState is immutable except for the
 // internally synchronized bound cache (the SparseIndexCache pattern);
 // snapshots are shared by shared_ptr and may serve many queries while the
@@ -137,9 +148,16 @@ class CatalogState {
 
   /// Doc-ordered cursor over term t's *live* postings, global ids.
   /// `max_impact` is stamped onto the cursor (callers pass the cached
-  /// bound; internal statistics passes use 0).
+  /// bound; a caller that reads no bound passes 0).
   std::unique_ptr<PostingCursor> OpenMergedCursor(TermId t,
                                                   double max_impact) const;
+
+  /// Term t's live postings, global ids ascending, scored with `weight`
+  /// (the term's TermWeight under the statistics to score by) — the
+  /// scoring pass of the file comment. Build() the result for an impact
+  /// order; its max_weight() is the term's exact bound.
+  ImpactOrder::Builder ScoreLivePostings(TermId t,
+                                         const TermWeight& weight) const;
 
   /// Exact max current weight over t's live postings under `model`
   /// (bound to this snapshot's stats view). Cached build-once per state;
@@ -241,6 +259,14 @@ class CatalogReadView final : public PostingSource {
   }
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override {
     return state_->OpenMergedCursor(t, state_->TermBound(*model_, t));
+  }
+  /// A fresh order of t's live postings per call, scored under `model`
+  /// by CatalogState::ScoreLivePostings (no cache: see ShardReadView for
+  /// the snapshot-cached orders the engine reads).
+  std::unique_ptr<ImpactCursor> OpenImpactCursor(
+      TermId t, const ScoringModel& model) const override {
+    return ImpactOrder::OpenCursor(
+        state_->ScoreLivePostings(t, model.ForTerm(t)).Build());
   }
 
   const ScoringModel* model() const { return model_.get(); }

@@ -320,8 +320,8 @@ const std::shared_ptr<const ImpactOrder>& ShardedSnapshot::ShardImpactOrder(
     const auto it = entry.orders.find(t);
     if (it != entry.orders.end()) return it->second;
   }
-  auto built = std::make_shared<const ImpactOrder>(
-      *entry.state->OpenMergedCursor(t, 0.0), t, *entry.model);
+  std::shared_ptr<const ImpactOrder> built =
+      entry.state->ScoreLivePostings(t, entry.model->ForTerm(t)).Build();
   std::lock_guard<std::mutex> lock(entry.orders_mutex);
   return entry.orders.emplace(t, std::move(built)).first->second;
 }

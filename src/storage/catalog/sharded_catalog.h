@@ -43,11 +43,13 @@
 // memtable do not store. The first use of a (shard, term) on a snapshot —
 // its bound, which the coordinator asks for every query term before
 // planning, or a sorted access — scores the shard's live postings once
-// into an ImpactOrder (storage/segment/posting_cursor.h), sorted lazily;
+// into an ImpactOrder (storage/segment/posting_cursor.h), sorted lazily,
+// by CatalogState::ScoreLivePostings under the shard model's TermWeight;
 // the bound is the order's greatest weight, so bound and sorted access
 // share that one scoring pass. The Fagin family's random access reads the
 // same order through its cursor (a binary search on the order's
-// doc-ordered entries), so a probe takes no lock and decodes no block.
+// doc-ordered entries, which carry the weight), so a probe takes no lock,
+// decodes no block and weighs nothing.
 // The snapshot caches the order, and with it the bound, for every later
 // query. The cache is keyed by term, so a fresh snapshot costs nothing
 // until a term is used, holds 16 B per live posting of each term used
@@ -259,7 +261,7 @@ class ShardReadView final : public PostingSource {
   /// Serves the snapshot's cached order (ShardedSnapshot::ShardImpactOrder),
   /// scored under the shard's model, for sorted and random access alike
   /// (see file comment); `model` must have the same arithmetic and is not
-  /// consulted, as with InMemoryPostingSource.
+  /// consulted.
   std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const override;
 

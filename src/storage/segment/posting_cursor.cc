@@ -53,10 +53,12 @@ class InMemoryPostingCursor final : public PostingCursor {
 
 /// Impact cursor over a list's materialized impact order (ByImpact /
 /// ImpactWeight) — zero extra work, exactly the legacy sorted access —
-/// with random access by PostingList::FindTf.
+/// with random access by PostingList::FindTf, a hit weighed by the model.
 class MaterializedImpactCursor final : public ImpactCursor {
  public:
-  explicit MaterializedImpactCursor(const PostingList* list) : list_(list) {}
+  MaterializedImpactCursor(const PostingList* list, TermId term,
+                           const ScoringModel& model)
+      : list_(list), term_(term), model_(model) {}
 
   DocId doc() const override {
     return pos_ < list_->size() ? list_->ByImpact(pos_).doc : kEndDoc;
@@ -71,12 +73,16 @@ class MaterializedImpactCursor final : public ImpactCursor {
     if (pos_ < list_->size()) ++pos_;
   }
   size_t size() const override { return list_->size(); }
-  std::optional<uint32_t> FindTf(DocId doc) const override {
-    return list_->FindTf(doc);
+  std::optional<double> FindWeight(DocId doc) const override {
+    const std::optional<uint32_t> tf = list_->FindTf(doc);
+    if (!tf.has_value()) return std::nullopt;
+    return model_.Weight(term_, Posting{doc, *tf});
   }
 
  private:
   const PostingList* list_;
+  TermId term_;
+  const ScoringModel& model_;
   size_t pos_ = 0;
 };
 
@@ -112,14 +118,14 @@ class ImpactOrderCursor final : public ImpactCursor {
     }
   }
   size_t size() const override { return end_; }
-  std::optional<uint32_t> FindTf(DocId doc) const override {
+  std::optional<double> FindWeight(DocId doc) const override {
     CostTicker::TickRandom();
     const std::vector<ImpactOrder::Entry>& entries = order_->entries_;
     const auto it = std::lower_bound(
         entries.begin(), entries.end(), doc,
         [](const ImpactOrder::Entry& e, DocId d) { return e.doc < d; });
     if (it == entries.end() || it->doc != doc) return std::nullopt;
-    return it->tf;
+    return it->weight;
   }
 
  private:
@@ -133,17 +139,12 @@ class ImpactOrderCursor final : public ImpactCursor {
   size_t pos_ = 0;
 };
 
-ImpactOrder::ImpactOrder(PostingCursor& postings, TermId term,
-                         const ScoringModel& model) {
-  entries_.reserve(postings.size());
-  for (; !postings.at_end(); postings.next()) {
-    const Posting p{postings.doc(), postings.tf()};
-    assert(entries_.empty() || entries_.back().doc < p.doc);
-    const double weight = model.Weight(term, p);
-    entries_.push_back(Entry{weight, p.doc, p.tf});
-    max_weight_ = std::max(max_weight_, weight);
-  }
+std::shared_ptr<const ImpactOrder> ImpactOrder::Builder::Build() {
   CostTicker::TickImpactPostings(static_cast<int64_t>(entries_.size()));
+  auto order = std::make_shared<ImpactOrder>();
+  order->entries_ = std::move(entries_);
+  order->max_weight_ = max_weight_;
+  return order;
 }
 
 size_t ImpactOrder::SortedAtLeast(size_t want) const {
@@ -183,9 +184,20 @@ std::unique_ptr<ImpactCursor> ImpactOrder::OpenCursor(
 
 std::unique_ptr<ImpactCursor> PostingSource::OpenImpactCursor(
     TermId t, const ScoringModel& model) const {
+  const CollectionStatsView& stats = model.stats();
+  const auto doc_length = [&stats](DocId d) { return stats.DocLength(d); };
   const std::unique_ptr<PostingCursor> postings = OpenCursor(t);
-  return ImpactOrder::OpenCursor(
-      std::make_shared<const ImpactOrder>(*postings, t, model));
+  ImpactOrder::Builder order(model.ForTerm(t), postings->size());
+  const DocId* docs;
+  const uint32_t* tfs;
+  while (const size_t n = postings->block_postings(&docs, &tfs)) {
+    order.Add(
+        0, n, [&](size_t j) { return Posting{docs[j], tfs[j]}; }, nullptr,
+        doc_length);
+    postings->shallow_advance(postings->block_last_doc() + 1);
+  }
+  assert(postings->at_end());  // the cursor serves block batches
+  return ImpactOrder::OpenCursor(order.Build());
 }
 
 std::unique_ptr<PostingCursor> InMemoryPostingSource::OpenCursor(
@@ -194,8 +206,8 @@ std::unique_ptr<PostingCursor> InMemoryPostingSource::OpenCursor(
 }
 
 std::unique_ptr<ImpactCursor> InMemoryPostingSource::OpenImpactCursor(
-    TermId t, const ScoringModel& /*model*/) const {
-  return std::make_unique<MaterializedImpactCursor>(&file_->list(t));
+    TermId t, const ScoringModel& model) const {
+  return std::make_unique<MaterializedImpactCursor>(&file_->list(t), t, model);
 }
 
 }  // namespace moa

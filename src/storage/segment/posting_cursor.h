@@ -9,8 +9,8 @@
 // Executors that read postings by descending weight (the Fagin family,
 // sparse-probe champions) use ImpactCursor: the materialized order in
 // memory, an ImpactOrder scored from the doc-ordered list everywhere else.
-// The same cursor serves the Fagin family's random access (FindTf), so a
-// query term's sorted and random access read one list.
+// The same cursor serves the Fagin family's random access (FindWeight), so
+// a query term's sorted and random access read one list.
 //
 // Contract (shared by every implementation, enforced by the conformance
 // suite in tests/posting_cursor_test.cc):
@@ -47,7 +47,9 @@
 #ifndef MOA_STORAGE_SEGMENT_POSTING_CURSOR_H_
 #define MOA_STORAGE_SEGMENT_POSTING_CURSOR_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -55,12 +57,11 @@
 #include <optional>
 #include <vector>
 
+#include "ir/scoring.h"
 #include "storage/inverted_file.h"
 #include "storage/posting.h"
 
 namespace moa {
-
-class ScoringModel;
 
 /// Sentinel returned by PostingCursor::doc() when the cursor is exhausted.
 inline constexpr DocId kEndDoc = std::numeric_limits<DocId>::max();
@@ -125,9 +126,10 @@ class PostingCursor {
 /// postings are emitted by descending weight, ties broken by ascending doc
 /// id. weight() at the current position is also the sorted-access
 /// threshold: no later posting of the term weighs more. doc() returns
-/// kEndDoc once exhausted; weight()/tf() are meaningless there. FindTf
+/// kEndDoc once exhausted; weight()/tf() are meaningless there. FindWeight
 /// answers for every posting the cursor emits, wherever the cursor
-/// stands, and for nothing else (a tombstoned document is absent).
+/// stands, with the weight sorted access emits for it, and for nothing
+/// else (a tombstoned document is absent).
 class ImpactCursor {
  public:
   virtual ~ImpactCursor() = default;
@@ -143,10 +145,10 @@ class ImpactCursor {
   /// Number of postings the cursor emits in all (a shard's view emits the
   /// shard's live postings, not the global document frequency).
   virtual size_t size() const = 0;
-  /// Random access: term frequency of `doc` among the postings the cursor
+  /// Random access: the weight of `doc` among the postings the cursor
   /// emits (nullopt when there is none). Does not move the cursor. Ticks
   /// one random read.
-  virtual std::optional<uint32_t> FindTf(DocId doc) const = 0;
+  virtual std::optional<double> FindWeight(DocId doc) const = 0;
 
   bool at_end() const { return doc() == kEndDoc; }
 };
@@ -155,12 +157,13 @@ class ImpactCursor {
 /// and random access of storage without a materialized order (segments,
 /// catalog snapshots).
 ///
-/// Construction scores every posting a doc-ordered cursor yields, once,
-/// with the caller's model — the cursor decides which postings count
-/// (tombstones filtered) and in which id space. The entries stay in that
-/// doc order and never change, so random access is a binary search on
-/// them. Sorting is lazy and permutes a separate index array: its prefix
-/// [0, sorted) is final, in the exact order that
+/// An ImpactOrder::Builder makes it in one scoring pass: its caller feeds
+/// the term's postings as doc-ordered runs of one storage component each,
+/// and decides which postings count (tombstones skipped) and in which id
+/// space; the builder scores each once with the term's TermWeight. The
+/// entries stay in that doc order and never change, so random access is a
+/// binary search on them. Sorting is lazy and permutes a separate index
+/// array: its prefix [0, sorted) is final, in the exact order that
 /// InvertedFile::BuildImpactOrders materializes (weight descending, doc
 /// ascending). A cursor that reaches the end of the sorted prefix extends
 /// it: nth_element picks the next chunk and sort orders it. The first
@@ -189,11 +192,10 @@ class ImpactOrder {
   };
   static_assert(sizeof(Entry) == 16);
 
+  class Builder;
+
   /// An empty order (a term with no live posting).
   ImpactOrder() = default;
-  /// Scores every posting `postings` yields under `model` and ticks
-  /// CostCounters::impact_postings by their number.
-  ImpactOrder(PostingCursor& postings, TermId term, const ScoringModel& model);
   ImpactOrder(const ImpactOrder&) = delete;
   ImpactOrder& operator=(const ImpactOrder&) = delete;
 
@@ -229,6 +231,52 @@ class ImpactOrder {
   double max_weight_ = 0.0;
 };
 
+/// \brief The one scoring pass that makes an ImpactOrder.
+///
+/// Add scores a run of one component's doc-ordered postings (a decoded
+/// segment block, a memtable list) with the term's TermWeight, skipping
+/// the ones its tombstone bitmap flags; runs arrive in ascending id order.
+/// The greatest weight is folded while scoring, so a caller that needs
+/// only the bound reads max_weight() and never builds the order.
+class ImpactOrder::Builder {
+ public:
+  /// `capacity`: the number of postings that will be added (reserved).
+  Builder(const TermWeight& weight, size_t capacity) : weight_(weight) {
+    entries_.reserve(capacity);
+  }
+
+  /// Scores the run posting(0), ..., posting(n - 1): Postings with
+  /// component-local ids, ascending, whose id in the order is `base` + the
+  /// local id. A posting whose local id is flagged in `dead` (null: none
+  /// is) is skipped; `doc_length(id)` is the token count of local
+  /// document `id`.
+  template <typename PostingFn, typename DocLengthFn>
+  void Add(uint64_t base, size_t n, const PostingFn& posting,
+           const std::vector<uint8_t>* dead, const DocLengthFn& doc_length) {
+    for (size_t i = 0; i < n; ++i) {
+      const Posting p = posting(i);
+      if (dead != nullptr && (*dead)[p.doc] != 0) continue;
+      const auto doc = static_cast<DocId>(base + p.doc);
+      assert(entries_.empty() || entries_.back().doc < doc);
+      const double weight = weight_(p.tf, doc_length(p.doc));
+      entries_.push_back(Entry{weight, doc, p.tf});
+      max_weight_ = std::max(max_weight_, weight);
+    }
+  }
+
+  /// The greatest weight added so far (0 before any posting).
+  double max_weight() const { return max_weight_; }
+
+  /// The order of every posting added; ticks
+  /// CostCounters::impact_postings by their number.
+  std::shared_ptr<const ImpactOrder> Build();
+
+ private:
+  TermWeight weight_;
+  std::vector<Entry> entries_;
+  double max_weight_ = 0.0;
+};
+
 /// \brief A collection of posting lists addressable by TermId.
 ///
 /// Implementations: InMemoryPostingSource (below) over an InvertedFile,
@@ -254,12 +302,15 @@ class PostingSource {
 
   /// Postings of t by descending `model` weight, ties by ascending doc —
   /// exact sorted access over any storage, and random access over the
-  /// same postings (ImpactCursor::FindTf). Requires HasImpacts(t) and a
-  /// model whose arithmetic matches the source's impact bounds (the same
-  /// precondition impact orders always had). The default scores the whole
-  /// list into a fresh ImpactOrder on every call and sorts only the prefix
-  /// the cursor reads; InMemoryPostingSource serves its materialized order
-  /// and ShardReadView the order its snapshot caches per (shard, term).
+  /// same postings (ImpactCursor::FindWeight). Requires HasImpacts(t) and
+  /// a model whose arithmetic matches the source's impact bounds (the
+  /// same precondition impact orders always had). The default scores the
+  /// whole list, block batch by block batch (it requires cursors that
+  /// serve block_postings, as a segment's do), into a fresh ImpactOrder
+  /// on every call and sorts only the prefix the cursor reads;
+  /// InMemoryPostingSource serves its materialized order, CatalogReadView
+  /// a fresh order of its snapshot's live postings and ShardReadView the
+  /// order its snapshot caches per (shard, term).
   virtual std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const;
 };
@@ -286,11 +337,11 @@ class InMemoryPostingSource final : public PostingSource {
     return file_->list(t).max_weight();
   }
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
-  /// Serves the list's materialized impact order directly, and random
-  /// access by binary search on the doc-ordered list (requires
+  /// Serves the list's materialized impact order directly (requires
   /// InvertedFile::BuildImpactOrders, which must have used arithmetic
-  /// equal to `model` — the long-standing impact-order precondition);
-  /// `model` itself is not consulted.
+  /// equal to `model` — the long-standing impact-order precondition), and
+  /// random access by binary search on the doc-ordered list, weighing a
+  /// hit with `model`, which must outlive the cursor.
   std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const override;
 

@@ -448,10 +448,6 @@ double SegmentReader::MaxImpact(TermId t) const {
   return term_entry(t).max_impact;
 }
 
-uint32_t SegmentReader::DocLength(DocId d) const {
-  return LoadPod<uint32_t>(doc_lengths_, d);
-}
-
 std::unique_ptr<PostingCursor> SegmentReader::OpenCursor(TermId t) const {
   const TermDirEntry entry = term_entry(t);
   return std::make_unique<BlockPostingCursor>(

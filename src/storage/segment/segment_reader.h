@@ -16,6 +16,7 @@
 #ifndef MOA_STORAGE_SEGMENT_SEGMENT_READER_H_
 #define MOA_STORAGE_SEGMENT_SEGMENT_READER_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -54,8 +55,9 @@ class SegmentReader final : public PostingSource {
   double MaxImpact(TermId t) const override;
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
   // OpenImpactCursor: PostingSource's default — every call decodes and
-  // scores the whole list into a fresh ImpactOrder. Catalog snapshots
-  // serve sorted access from their per-(shard, term) cache instead.
+  // scores the whole list, block by block, into a fresh ImpactOrder.
+  // Catalog snapshots serve sorted access from their per-(shard, term)
+  // cache instead.
 
   uint64_t total_tokens() const { return header_.total_tokens; }
   uint32_t block_size() const { return header_.block_size; }
@@ -69,8 +71,14 @@ class SegmentReader final : public PostingSource {
     return std::string(header_.impact_model, len);
   }
   uint64_t file_size() const { return size_; }
-  /// Token count of document d (served from the mapped section).
-  uint32_t DocLength(DocId d) const;
+  /// Token count of document d (served from the mapped section). Inline:
+  /// the catalog's scoring pass reads one per posting.
+  uint32_t DocLength(DocId d) const {
+    assert(d < header_.num_docs);
+    uint32_t length;
+    std::memcpy(&length, doc_lengths_ + sizeof(uint32_t) * d, sizeof(length));
+    return length;
+  }
 
   /// Decodes every block and re-validates cross-block invariants plus the
   /// global token count — catches payload corruption that the structural

@@ -46,27 +46,29 @@ std::unordered_map<DocId, double> BlockMaxAccumulate(
   };
 
   std::vector<DocId> probe_order;  // reused across pruned terms
+  const CollectionStatsView& stats = model.stats();
 
-  // Sequential scan of term t's whole list. `insert` distinguishes the
-  // dense phase (unseen docs may open accumulators, budget permitting)
-  // from the pruned update-scan (existing accumulators only). Consumes
-  // the cursor's columnar per-block batch when it provides one — same
-  // postings in the same order with identical tick accounting, minus
-  // four virtual calls per posting; blockless and merged cursors take
-  // the per-posting fallback.
-  const auto scan_term = [&](TermId t, bool insert) {
+  // Sequential scan of term t's whole list, weighed with the term's
+  // TermWeight (read once per term, bit-identical to model.Weight).
+  // `insert` distinguishes the dense phase (unseen docs may open
+  // accumulators, budget permitting) from the pruned update-scan
+  // (existing accumulators only). Consumes the cursor's columnar
+  // per-block batch when it provides one — same postings in the same
+  // order with identical tick accounting, minus four virtual calls per
+  // posting; blockless and merged cursors take the per-posting fallback.
+  const auto scan_term = [&](TermId t, const TermWeight& weight,
+                             bool insert) {
     const auto cursor = source.OpenCursor(t);
     const auto step = [&](DocId d, uint32_t tf) {
       CostTicker::TickSeq();
-      const Posting p{d, tf};
       auto it = acc.find(d);
       if (it != acc.end()) {
         CostTicker::TickScore();
-        it->second += model.Weight(t, p);
+        it->second += weight(tf, stats.DocLength(d));
       } else if (insert && (options.accumulator_budget == 0 ||
                             acc.size() < options.accumulator_budget)) {
         CostTicker::TickScore();
-        acc.emplace(d, model.Weight(t, p));
+        acc.emplace(d, weight(tf, stats.DocLength(d)));
       }
       // else: pruned phase or budget bound — read but not scored.
     };
@@ -104,10 +106,11 @@ std::unordered_map<DocId, double> BlockMaxAccumulate(
       }
     }
     const TermId t = terms[i];
+    const TermWeight weight = model.ForTerm(t);
 
     if (inserting) {
       // Dense phase: full scan, building and updating accumulators.
-      scan_term(t, /*insert=*/true);
+      scan_term(t, weight, /*insert=*/true);
       continue;
     }
 
@@ -116,7 +119,7 @@ std::unordered_map<DocId, double> BlockMaxAccumulate(
     // touches fewer cursor positions than per-accumulator probing would.
     const uint32_t df = source.DocFrequency(t);
     if (acc.size() >= df) {
-      scan_term(t, /*insert=*/false);
+      scan_term(t, weight, /*insert=*/false);
       continue;
     }
 
@@ -149,7 +152,7 @@ std::unordered_map<DocId, double> BlockMaxAccumulate(
       cursor->advance_to(d);
       if (!cursor->at_end() && cursor->doc() == d) {
         CostTicker::TickScore();
-        it->second += model.Weight(t, Posting{d, cursor->tf()});
+        it->second += weight(cursor->tf(), stats.DocLength(d));
       }
     }
   }

@@ -12,14 +12,13 @@ namespace moa {
 namespace {
 
 /// Per-query-term sorted and random access: an impact cursor over the
-/// term's postings in descending-weight order, whose FindTf also serves
-/// the random probes. Works over any PostingSource — the in-memory file
-/// serves its materialized impact order, a catalog shard the impact order
-/// its snapshot built on the term's first use (normally its bound), and
-/// any other source (a bare segment, CatalogReadView) scores the list into
-/// a fresh, lazily sorted ImpactOrder per call.
+/// term's postings in descending-weight order, whose FindWeight also
+/// serves the random probes. Works over any PostingSource — the in-memory
+/// file serves its materialized impact order, a catalog shard the impact
+/// order its snapshot built on the term's first use (normally its bound),
+/// and any other source (a bare segment, CatalogReadView) scores the list
+/// into a fresh, lazily sorted ImpactOrder per call.
 struct ListAccess {
-  TermId term;
   std::unique_ptr<ImpactCursor> cursor;
 
   bool exhausted() const { return cursor->at_end(); }
@@ -42,20 +41,22 @@ Result<std::vector<ListAccess>> MakeAccessors(const PostingSource& source,
           "Fagin algorithms require impact orders; call "
           "InvertedFile::BuildImpactOrders first");
     }
-    accessors.push_back(ListAccess{t, source.OpenImpactCursor(t, model)});
+    accessors.push_back(ListAccess{source.OpenImpactCursor(t, model)});
   }
   return accessors;
 }
 
-/// Random access: weight of `doc` in `accessor`'s list (0 if absent).
-double RandomAccessWeight(const ScoringModel& model,
-                          const ListAccess& accessor, DocId doc,
+/// Random access: weight of `doc` in `accessor`'s list (0 if absent), as
+/// its sorted access emits it. A hit ticks one score on every storage, so
+/// the work ticks do not depend on whether the weight was stored.
+double RandomAccessWeight(const ListAccess& accessor, DocId doc,
                           TopNStats* stats) {
   ++stats->random_accesses;
-  auto tf = accessor.cursor->FindTf(doc);  // ticks one random read
-  if (!tf.has_value()) return 0.0;
+  const std::optional<double> weight =
+      accessor.cursor->FindWeight(doc);  // ticks one random read
+  if (!weight.has_value()) return 0.0;
   CostTicker::TickScore();
-  return model.Weight(accessor.term, Posting{doc, *tf});
+  return *weight;
 }
 
 /// Bounded best-n tracker (min-heap on ScoredDocLess; front = weakest).
@@ -145,7 +146,7 @@ Result<TopNResult> FaginTA(const PostingSource& source,
           double score = 0.0;
           for (size_t j = 0; j < accessors.size(); ++j) {
             score += (j == i) ? w
-                              : RandomAccessWeight(model, accessors[j], doc,
+                              : RandomAccessWeight(accessors[j], doc,
                                                    &result.stats);
           }
           best.Offer(ScoredDoc{doc, score});
@@ -253,7 +254,7 @@ Result<TopNResult> FaginFA(const PostingSource& source,
     for (const auto& [doc, mask] : seen_mask) {
       double score = 0.0;
       for (const auto& cur : accessors) {
-        score += RandomAccessWeight(model, cur, doc, &result.stats);
+        score += RandomAccessWeight(cur, doc, &result.stats);
       }
       best.Offer(ScoredDoc{doc, score});
     }

@@ -13,7 +13,8 @@
 // the in-memory materialized impact order bit-for-bit — docs, tfs and
 // weights; term 5's 130 postings outgrow the first lazily sorted chunk, so
 // the lazy impact orders extend their sorted prefix mid-scan), and its
-// random access (FindTf finds exactly the postings the cursor emits).
+// random access (FindWeight finds exactly the postings the cursor emits,
+// with the model's weight bit for bit).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -357,13 +358,13 @@ TEST_P(CursorConformanceTest, ImpactBoundsDominateEveryPosting) {
   }
 }
 
-TEST_P(CursorConformanceTest, FindTfMatchesReference) {
+TEST_P(CursorConformanceTest, FindWeightMatchesReference) {
   // Random access is served by the impact cursor of the term's sorted
   // access: every reference posting is found, wherever the cursor stands,
-  // and nothing else is — not the gaps, not past the end, and on the
-  // catalog kinds not the tombstoned junk documents, whose postings the
-  // snapshot still stores, nor the first id past the doc space. Every
-  // probe ticks exactly one random read.
+  // with model.Weight's bits, and nothing else is — not the gaps, not
+  // past the end, and on the catalog kinds not the tombstoned junk
+  // documents, whose postings the snapshot still stores, nor the first id
+  // past the doc space. Every probe ticks exactly one random read.
   Fixture& f = SharedFixture();
   const auto& lists = TermLists();
   const bool catalog = GetParam() == SourceKind::kCatalog ||
@@ -388,11 +389,12 @@ TEST_P(CursorConformanceTest, FindTfMatchesReference) {
     for (int pass = 0; pass < 3; ++pass) {
       CostScope scope;
       for (const Posting& p : lists[t]) {
-        EXPECT_EQ(cursor->FindTf(p.doc), std::optional<uint32_t>(p.tf))
+        EXPECT_EQ(cursor->FindWeight(p.doc),
+                  std::optional<double>(f.model->Weight(t, p)))
             << "term " << t << " doc " << p.doc << " pass " << pass;
       }
       for (DocId d : misses) {
-        EXPECT_FALSE(cursor->FindTf(d).has_value())
+        EXPECT_FALSE(cursor->FindWeight(d).has_value())
             << "term " << t << " doc " << d << " pass " << pass;
       }
       EXPECT_EQ(scope.Snapshot().random_reads,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "test_util.h"
 
 namespace moa {
@@ -122,6 +127,80 @@ TEST(StatsViewBindingTest, ViewBoundModelsMatchFileBoundModels) {
       for (size_t i = 0; i < list.size(); ++i) {
         EXPECT_EQ(by_view->Weight(t, list[i]), by_file->Weight(t, list[i]))
             << name << " term " << t;
+      }
+    }
+  }
+}
+
+TEST(TermWeightTest, ForTermIsWeightBitForBitOverATfAndLengthGrid) {
+  // Term 0 and 1 occur in documents of the grid's lengths; term 2 occurs
+  // in none (df = 0, cf = 0), so every weight it gets is 0. For every
+  // model, ForTerm(t)(tf, dl) must be Weight(t, {d, tf}) to the bit, and
+  // both must be the model's formula evaluated per posting, operation for
+  // operation, as the reference below spells it out.
+  const uint32_t lengths[] = {1, 2, 7, 30, 150, 151, 999, 4096};
+  InvertedFileBuilder builder(3);
+  for (DocId d = 0; d < std::size(lengths); ++d) {
+    std::vector<std::pair<TermId, uint32_t>> terms{{1, 1}};
+    if (lengths[d] > 1) terms.emplace_back(0, lengths[d] - 1);
+    ASSERT_TRUE(builder.AddDocument(d, terms).ok());
+  }
+  const InvertedFile file = builder.Build();
+  InvertedFileStatsView view(&file, /*precompute_cf=*/true);
+  ASSERT_EQ(view.DocFrequency(2), 0u);
+  ASSERT_EQ(view.CollectionFrequency(2), 0);
+
+  const double n = static_cast<double>(view.num_docs());
+  const double avgdl = view.AverageDocLength();
+  const double c = static_cast<double>(view.total_tokens());
+  const auto reference = [&](ScoringModelKind kind, TermId t, uint32_t tf_count,
+                             uint32_t length) {
+    const double tf = static_cast<double>(tf_count);
+    const double df = static_cast<double>(view.DocFrequency(t));
+    const double dl = static_cast<double>(length);
+    switch (kind) {
+      case ScoringModelKind::kTfIdf:
+        if (df == 0) return 0.0;
+        return (1.0 + std::log(tf)) * std::log(1.0 + n / df) / std::sqrt(dl);
+      case ScoringModelKind::kBm25: {
+        if (df == 0) return 0.0;
+        const double k1 = 1.2;
+        const double b = 0.75;
+        const double idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
+        const double denom = tf + k1 * (1.0 - b + b * dl / avgdl);
+        return idf * tf * (k1 + 1.0) / denom;
+      }
+      case ScoringModelKind::kLanguageModel: {
+        const int64_t cf = view.CollectionFrequency(t);
+        if (cf == 0) return 0.0;
+        const double lambda = 0.15;
+        const double p_doc = tf / dl;
+        const double p_coll = static_cast<double>(cf) / c;
+        return std::log(1.0 + lambda / (1.0 - lambda) * p_doc / p_coll);
+      }
+    }
+    return -1.0;
+  };
+
+  const std::pair<ScoringModelKind, const char*> kinds[] = {
+      {ScoringModelKind::kTfIdf, "tfidf"},
+      {ScoringModelKind::kBm25, "bm25"},
+      {ScoringModelKind::kLanguageModel, "lm"},
+  };
+  for (const auto& [kind, name] : kinds) {
+    const auto model = MakeScoringModel(kind, &view);
+    for (TermId t = 0; t < 3; ++t) {
+      const TermWeight weight = model->ForTerm(t);
+      for (DocId d = 0; d < std::size(lengths); ++d) {
+        ASSERT_EQ(view.DocLength(d), lengths[d]);
+        for (const uint32_t tf : {1u, 2u, 3u, 10u, 255u, 70000u}) {
+          const double w = weight(tf, lengths[d]);
+          EXPECT_EQ(w, model->Weight(t, Posting{d, tf}))
+              << name << " term " << t << " tf " << tf << " dl " << lengths[d];
+          EXPECT_EQ(w, reference(kind, t, tf, lengths[d]))
+              << name << " term " << t << " tf " << tf << " dl " << lengths[d];
+          if (t == 2) EXPECT_EQ(w, 0.0) << name;
+        }
       }
     }
   }

@@ -5,12 +5,14 @@
 // catalog), consistent multi-shard snapshots aggregating global
 // statistics, the snapshot-owned per-(shard, term) bound and impact-order
 // caches (the order's size, one scoring pass shared by the bound and the
-// order, concurrent lazy extension, the explained query's
-// impact_postings), the coordinator's bound-ordered visiting with
-// strict-below-n-th shard skipping (exact skipped-work accounting in
-// CostCounters), durability through per-shard MANIFESTs (one shard in the
-// root directory), the lock split (a writer blocked by backpressure stalls
-// no snapshot; a refused same-shard upsert deletes nothing), and — at the
+// order, that pass against a per-posting reference under every model over
+// tombstoned segments and memtable, concurrent lazy extension, the
+// explained query's impact_postings), the coordinator's bound-ordered
+// visiting with strict-below-n-th shard skipping (exact skipped-work
+// accounting in CostCounters), durability through per-shard MANIFESTs
+// (one shard in the root directory), the lock split (a writer blocked by
+// backpressure stalls no snapshot; a refused same-shard upsert deletes
+// nothing), and — at the
 // engine level — that an MmDatabase serving N shards answers
 // bit-identically to a single catalog given the same lifecycle (safe
 // strategies; fagin_nra is set-level above one shard because its partial
@@ -138,9 +140,12 @@ TEST(ShardedCatalogTest, SnapshotAggregatesGlobalStats) {
   const auto term11 = [&](size_t s) {
     return snap->shard_source(s).OpenImpactCursor(11, snap->shard_model(s));
   };
-  EXPECT_EQ(term11(1)->FindTf(ShardedCatalog::LocalOf(1, 2)),
-            std::optional<uint32_t>(3u));
-  EXPECT_FALSE(term11(0)->FindTf(ShardedCatalog::LocalOf(0, 2)).has_value());
+  const DocId local1 = ShardedCatalog::LocalOf(1, 2);
+  EXPECT_EQ(term11(1)->FindWeight(local1),
+            std::optional<double>(
+                snap->shard_model(1).Weight(11, Posting{local1, 3})));
+  EXPECT_FALSE(
+      term11(0)->FindWeight(ShardedCatalog::LocalOf(0, 2)).has_value());
   EXPECT_EQ(snap->LiveDocIds(), (std::vector<DocId>{0, 1}));
 
   // Versions are strictly monotone across mutations; the per-shard read
@@ -331,7 +336,7 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
   // its own depth across the lazily sorted chunk boundaries (64, 256,
   // 1024): extensions race with readers of the sorted prefix and with
   // random access, and every reader must still see exactly the in-memory
-  // materialized order and find every posting's tf.
+  // materialized order and find every posting's weight.
   ShardedCatalog::Options options;
   options.num_shards = 1;
   options.shard.num_terms = kVocab;
@@ -372,9 +377,9 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
   std::vector<std::vector<ImpactOrder::Entry>> seen(8);
   // Every reader also probes every reference doc by random access, half
   // before and half after its walk, while the others extend the sorted
-  // prefix; found[i][d] is the tf reader i got for doc d.
-  std::vector<std::vector<std::optional<uint32_t>>> found(
-      8, std::vector<std::optional<uint32_t>>(kDocs));
+  // prefix; found[i][d] is the weight reader i got for doc d.
+  std::vector<std::vector<std::optional<double>>> found(
+      8, std::vector<std::optional<double>>(kDocs));
   std::atomic<bool> go{false};
   std::vector<std::thread> readers;
   for (size_t i = 0; i < 8; ++i) {
@@ -383,7 +388,9 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
       auto cursor =
           snap->shard_source(0).OpenImpactCursor(kTerm, snap->shard_model(0));
       const auto probe = [&](DocId begin, DocId end) {
-        for (DocId d = begin; d < end; ++d) found[i][d] = cursor->FindTf(d);
+        for (DocId d = begin; d < end; ++d) {
+          found[i][d] = cursor->FindWeight(d);
+        }
       };
       probe(0, kDocs / 2);
       for (size_t k = 0; k < depths[i] && !cursor->at_end();
@@ -399,8 +406,10 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
   EXPECT_EQ(snap->ShardImpactOrder(0, kTerm), order);
   for (size_t i = 0; i < 8; ++i) {
     for (DocId d = 0; d < kDocs; ++d) {
-      ASSERT_EQ(found[i][d], reference.FindTf(d))
-          << "reader " << i << " doc " << d;
+      const std::optional<uint32_t> tf = reference.FindTf(d);
+      std::optional<double> expected;
+      if (tf.has_value()) expected = model->Weight(kTerm, Posting{d, *tf});
+      ASSERT_EQ(found[i][d], expected) << "reader " << i << " doc " << d;
     }
     ASSERT_EQ(seen[i].size(), depths[i]) << "reader " << i;
     for (size_t k = 0; k < seen[i].size(); ++k) {
@@ -408,6 +417,157 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
           << "reader " << i << " rank " << k;
       EXPECT_EQ(seen[i][k].tf, reference.ByImpact(k).tf);
       EXPECT_EQ(seen[i][k].weight, reference.ImpactWeight(k));
+    }
+  }
+}
+
+TEST(ShardedCatalogTest, ScoringPassMatchesPerPostingReferenceForEveryModel) {
+  // The scoring pass weighs a shard's live postings component by
+  // component — segment blocks, then the memtable — with the term's
+  // TermWeight. Under every model, at one shard and at two, its impact
+  // order must equal a per-posting reference bit for bit: the merged
+  // cursor's postings weighed with ScoringModel::Weight, sorted by weight
+  // descending, then doc ascending. Each shard holds two flushed segments
+  // (block size 4) and a memtable, with tombstones in all three. Term 0
+  // occurs in every document, so its blocks span local ids 4k..4k+3 of
+  // each segment, and the deletes hit the first posting of block 1, the
+  // last of block 2 and the whole of block 3.
+  constexpr TermId kTerms = 24;
+  constexpr DocId kSegmentDocs = 24;  // per shard and segment
+  constexpr DocId kMemtableDocs = 10;  // per shard
+  const std::pair<ScoringModelKind, const char*> kinds[] = {
+      {ScoringModelKind::kTfIdf, "tfidf"},
+      {ScoringModelKind::kBm25, "bm25"},
+      {ScoringModelKind::kLanguageModel, "lm"},
+  };
+  for (const auto& [kind, name] : kinds) {
+    for (const size_t shards : {1u, 2u}) {
+      SCOPED_TRACE(std::string(name) + ", " + std::to_string(shards) +
+                   " shard(s)");
+      const std::string dir = std::string(::testing::TempDir()) +
+                              "/sharded_every_model_" + name + "_" +
+                              std::to_string(shards);
+      std::filesystem::remove_all(dir);
+      ShardedCatalog::Options options;
+      options.num_shards = shards;
+      options.shard.num_terms = kTerms;
+      options.shard.dir = dir;
+      options.shard.scoring = kind;
+      options.shard.segment_block_size = 4;
+      options.shard.wal_enabled = false;
+      auto created = ShardedCatalog::Create(options);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      ShardedCatalog& catalog = *created.ValueOrDie();
+
+      // Balanced batches from a pristine catalog route round-robin, so
+      // every shard's local ids run 0..23 in the first segment, 24..47 in
+      // the second and 48..57 in the memtable.
+      Rng rng(0xC0DE + shards);
+      const auto add_batch = [&](DocId per_shard) {
+        std::vector<DocTerms> batch;
+        for (DocId i = 0; i < per_shard * shards; ++i) {
+          std::map<TermId, uint32_t> terms{
+              {0, 1 + static_cast<uint32_t>(rng.Uniform(5))}};
+          const size_t extra = 2 + rng.Uniform(5);
+          for (size_t k = 0; k < extra; ++k) {
+            terms[1 + static_cast<TermId>(rng.Uniform(kTerms - 1))] =
+                1 + static_cast<uint32_t>(rng.Uniform(7));
+          }
+          batch.emplace_back(terms.begin(), terms.end());
+        }
+        ASSERT_TRUE(catalog.AddDocuments(batch).ok());
+      };
+      add_batch(kSegmentDocs);
+      ASSERT_TRUE(catalog.FlushAll().ok());
+      add_batch(kSegmentDocs);
+      ASSERT_TRUE(catalog.FlushAll().ok());
+      add_batch(kMemtableDocs);
+
+      std::vector<DocId> dead_locals;
+      for (const DocId base : {DocId{0}, kSegmentDocs}) {
+        for (const DocId local : {4, 11, 12, 13, 14, 15}) {
+          dead_locals.push_back(base + local);
+        }
+      }
+      for (const DocId local : {0, 4, 5, 9}) {
+        dead_locals.push_back(2 * kSegmentDocs + local);
+      }
+      for (size_t s = 0; s < shards; ++s) {
+        for (const DocId local : dead_locals) {
+          ASSERT_TRUE(catalog
+                          .DeleteDocument(
+                              ShardedCatalog::GlobalOf(local, s, shards))
+                          .ok());
+        }
+      }
+
+      const auto snap = catalog.Snapshot();
+      for (size_t s = 0; s < shards; ++s) {
+        const CatalogState& state = snap->shard_state(s);
+        ASSERT_EQ(state.segments().size(), 2u);
+        for (const auto& segment : state.segments()) {
+          ASSERT_GT(segment->num_deleted, 0u);
+        }
+        const auto view = catalog.shard(s).OpenReadView();
+        for (TermId t = 0; t < kTerms; ++t) {
+          SCOPED_TRACE("shard " + std::to_string(s) + " term " +
+                       std::to_string(t));
+          // The reference under `model`: every live posting the merged
+          // cursor yields, weighed one at a time, in impact order.
+          const auto reference = [&](const ScoringModel& model) {
+            std::vector<ImpactOrder::Entry> entries;
+            for (auto c = state.OpenMergedCursor(t, 0.0); !c->at_end();
+                 c->next()) {
+              const Posting p{c->doc(), c->tf()};
+              entries.push_back({model.Weight(t, p), p.doc, p.tf});
+            }
+            std::sort(entries.begin(), entries.end(),
+                      [](const ImpactOrder::Entry& a,
+                         const ImpactOrder::Entry& b) {
+                        if (a.weight != b.weight) return a.weight > b.weight;
+                        return a.doc < b.doc;
+                      });
+            return entries;
+          };
+          const auto expect_order = [&](ImpactCursor& cursor,
+                                        const std::vector<ImpactOrder::Entry>&
+                                            expected) {
+            EXPECT_EQ(cursor.size(), expected.size());
+            for (const ImpactOrder::Entry& e : expected) {
+              ASSERT_FALSE(cursor.at_end());
+              EXPECT_EQ(cursor.doc(), e.doc);
+              EXPECT_EQ(cursor.tf(), e.tf);
+              EXPECT_EQ(cursor.weight(), e.weight) << "doc " << e.doc;
+              EXPECT_EQ(cursor.FindWeight(e.doc),
+                        std::optional<double>(e.weight));
+              cursor.next();
+            }
+            EXPECT_TRUE(cursor.at_end());
+            for (const DocId local : dead_locals) {
+              EXPECT_FALSE(cursor.FindWeight(local).has_value())
+                  << "dead doc " << local;
+            }
+          };
+
+          // The snapshot's cached order, scored by the bound.
+          const ScoringModel& model = snap->shard_model(s);
+          const std::vector<ImpactOrder::Entry> expected = reference(model);
+          const CostScope scope;
+          const double bound = snap->ShardTermBound(s, t);
+          EXPECT_EQ(scope.Snapshot().impact_postings,
+                    static_cast<int64_t>(expected.size()));
+          EXPECT_EQ(bound, expected.empty() ? 0.0 : expected.front().weight);
+          expect_order(
+              *snap->shard_source(s).OpenImpactCursor(t, model), expected);
+
+          // The shard's own read view: its bound and per-call order, under
+          // the shard's own statistics.
+          const std::vector<ImpactOrder::Entry> own =
+              reference(*view->model());
+          EXPECT_EQ(view->MaxImpact(t), own.empty() ? 0.0 : own.front().weight);
+          expect_order(*view->OpenImpactCursor(t, *view->model()), own);
+        }
+      }
     }
   }
 }
