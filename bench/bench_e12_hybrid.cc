@@ -14,7 +14,7 @@ namespace {
 
 const std::vector<double>& Attribute() {
   static const std::vector<double>* attr = [] {
-    const size_t n = benchutil::Db().file().num_docs();
+    const size_t n = benchutil::Db().exec_context().postings->num_docs();
     Rng rng(2024);
     auto* v = new std::vector<double>(n);
     for (size_t i = 0; i < n; ++i) (*v)[i] = rng.NextDouble() * 100.0;
@@ -26,7 +26,7 @@ const std::vector<double>& Attribute() {
 void BM_HybridPlans(benchmark::State& state) {
   // selectivity in percent: predicate [0, sel).
   const double sel = static_cast<double>(state.range(0));
-  MmDatabase& db = benchutil::Db();
+  const ExecContext context = benchutil::Db().exec_context();
   AttributePredicate pred{0.0, sel};
 
   double ff_work = 0.0, rf_work = 0.0;
@@ -40,8 +40,10 @@ void BM_HybridPlans(benchmark::State& state) {
       HybridOptions ff, rf, aut;
       ff.plan = HybridPlan::kFilterFirst;
       rf.plan = HybridPlan::kRankFirst;
-      auto r1 = HybridTopN(db.file(), db.model(), q, Attribute(), pred, 10, ff);
-      auto r2 = HybridTopN(db.file(), db.model(), q, Attribute(), pred, 10, rf);
+      auto r1 = HybridTopN(*context.postings, *context.model, q, Attribute(),
+                           pred, 10, ff);
+      auto r2 = HybridTopN(*context.postings, *context.model, q, Attribute(),
+                           pred, 10, rf);
       ff_work += r1.ValueOrDie().stats.cost.Scalar();
       rf_work += r2.ValueOrDie().stats.cost.Scalar();
       rf_restarts += r2.ValueOrDie().stats.restarts;

@@ -17,9 +17,13 @@ int main() {
   config.collection.seed = 808;
   auto db = MmDatabase::Open(config).ValueOrDie();
 
+  // The database's posting storage and scoring model, as the top-N
+  // operators read them.
+  const ExecContext context = db->exec_context();
+
   // Synthetic per-document attribute: "days since epoch" in [0, 100).
   Rng rng(404);
-  std::vector<double> date(db->file().num_docs());
+  std::vector<double> date(context.postings->num_docs());
   for (auto& v : date) v = rng.NextDouble() * 100.0;
 
   QueryWorkloadConfig qconfig;
@@ -37,7 +41,8 @@ int main() {
     AttributePredicate pred{lo, hi};
     HybridOptions opts;  // kAuto
     const HybridPlan plan = ChooseHybridPlan(date, pred, opts);
-    auto r = HybridTopN(db->file(), db->model(), q, date, pred, 10, opts)
+    auto r = HybridTopN(*context.postings, *context.model, q, date, pred, 10,
+                        opts)
                  .ValueOrDie();
     char label[64];
     std::snprintf(label, sizeof(label), "[%.1f, %.1f]", lo, hi);

@@ -293,7 +293,7 @@ namespace {
 /// round-robin — no atomics, and SearchBatch workers each sample their
 /// own every-Nth query independently.
 bool SampleTrace(size_t every) {
-  if (!obs::kEnabled || every == 0) return false;
+  if (every == 0) return false;
   if (every == 1) return true;
   thread_local uint64_t counter = 0;
   return (counter++ % every) == 0;
@@ -310,7 +310,7 @@ Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
   // span and the stage spans the executors open all attach here (spans
   // against no current trace are no-ops). Stage CostCounters are ticker
   // deltas at span boundaries — the per-posting loop never sees the
-  // trace. Compiles to nothing under MOA_OBS=OFF.
+  // trace.
   std::optional<obs::QueryTrace> qtrace;
   if (trace || explain) qtrace.emplace();
 
@@ -370,8 +370,7 @@ void RecordExplainedRun(const Result<SearchResult>& run, std::string storage,
   report->has_blocks = r.traced;
   if (!report->has_blocks) return;
   report->observed = r.top.stats.cost;
-  report->has_trace = obs::kEnabled;
-  if (report->has_trace) report->trace = r.trace;
+  report->trace = r.trace;
 }
 
 }  // namespace
@@ -489,7 +488,7 @@ struct QueryMetrics {
 
 Result<SearchResult> MmDatabase::FinishQuery(
     Result<SearchResult> result) const {
-  if (!obs::kEnabled || !result.ok()) return result;
+  if (!result.ok()) return result;
   const SearchResult& r = result.ValueOrDie();
   const QueryMetrics& metrics = QueryMetrics::Get();
   const auto strategy_index = static_cast<size_t>(r.strategy);

@@ -176,8 +176,7 @@ struct SearchResult {
   bool traced = false;
   /// Per-stage trace of this execution (plan / cursor-open / accumulate /
   /// heap-merge spans, wall time + CostCounters deltas). Empty when the
-  /// query was not sampled or the observability layer is compiled out
-  /// (MOA_OBS=OFF).
+  /// query was not sampled.
   obs::QueryTraceData trace;
 };
 
@@ -316,15 +315,17 @@ class MmDatabase {
     return is_dynamic() ? catalog_.get() : nullptr;
   }
   /// The only shard's IndexCatalog when DatabaseConfig::num_shards == 1
-  /// (nullptr while static, or with more shards).
+  /// (nullptr while static, or with more shards). Kept because the
+  /// benchmark harness (perfbench/moabench.cc) calls it; other callers can
+  /// read sharded_catalog()->shard(0).
   const IndexCatalog* catalog() const {
     const ShardedCatalog* sharded = sharded_catalog();
     return sharded != nullptr && sharded->num_shards() == 1 ? &sharded->shard(0)
                                                             : nullptr;
   }
 
-  /// The last completed query traces (oldest first; capacity 64). Empty
-  /// when the observability layer is compiled out. Thread-safe.
+  /// The last completed query traces (oldest first; capacity 64).
+  /// Thread-safe.
   std::vector<obs::QueryTraceData> RecentTraces() const {
     return trace_ring_.Snapshot();
   }
@@ -420,8 +421,7 @@ class MmDatabase {
   mutable std::shared_ptr<const Fragmentation> dyn_frag_;
 
   /// Last K completed query traces (mutable: Search is const; the ring is
-  /// engine bookkeeping, not database state). Never written when the
-  /// observability layer is compiled out.
+  /// engine bookkeeping, not database state).
   mutable obs::TraceRing trace_ring_{64};
 };
 

@@ -1,6 +1,7 @@
 #include "engine/hybrid.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.h"
 #include "ir/exact_eval.h"
@@ -19,7 +20,7 @@ std::vector<ScoredDoc> SelectTop(std::vector<ScoredDoc> docs, size_t n) {
   return docs;
 }
 
-TopNResult FilterFirst(const InvertedFile& file, const ScoringModel& model,
+TopNResult FilterFirst(const PostingSource& source, const ScoringModel& model,
                        const Query& query,
                        const std::vector<double>& attribute,
                        const AttributePredicate& predicate, size_t n) {
@@ -32,7 +33,7 @@ TopNResult FilterFirst(const InvertedFile& file, const ScoringModel& model,
     CostTicker::TickCompare();
     allowed[d] = predicate.Matches(attribute[d]);
   }
-  std::vector<double> acc = AccumulateScores(file, model, query);
+  std::vector<double> acc = AccumulateScores(source, model, query);
   std::vector<ScoredDoc> docs;
   for (DocId d = 0; d < acc.size(); ++d) {
     if (acc[d] > 0.0 && allowed[d]) docs.push_back(ScoredDoc{d, acc[d]});
@@ -43,14 +44,14 @@ TopNResult FilterFirst(const InvertedFile& file, const ScoringModel& model,
   return result;
 }
 
-TopNResult RankFirst(const InvertedFile& file, const ScoringModel& model,
+TopNResult RankFirst(const PostingSource& source, const ScoringModel& model,
                      const Query& query,
                      const std::vector<double>& attribute,
                      const AttributePredicate& predicate, size_t n,
                      double overfetch) {
   TopNResult result;
   CostScope scope;
-  std::vector<double> acc = AccumulateScores(file, model, query);
+  std::vector<double> acc = AccumulateScores(source, model, query);
   std::vector<ScoredDoc> ranking;
   for (DocId d = 0; d < acc.size(); ++d) {
     if (acc[d] > 0.0) ranking.push_back(ScoredDoc{d, acc[d]});
@@ -59,8 +60,12 @@ TopNResult RankFirst(const InvertedFile& file, const ScoringModel& model,
 
   // Probe the attribute only for the ranked prefix; double on underflow.
   // Only the prefix is ever sorted (bounded sort-stop, not a full sort).
-  size_t fetch = std::max<size_t>(1, static_cast<size_t>(
-                                         overfetch * static_cast<double>(n)));
+  // The fetch is capped at the ranking before the cast, which a factor
+  // past size_t would overflow.
+  size_t fetch = std::max<size_t>(
+      1, static_cast<size_t>(
+             std::min(overfetch * static_cast<double>(n),
+                      static_cast<double>(ranking.size()))));
   for (;;) {
     const size_t limit = std::min(fetch, ranking.size());
     std::partial_sort(ranking.begin(), ranking.begin() + limit, ranking.end(),
@@ -110,26 +115,27 @@ HybridPlan ChooseHybridPlan(const std::vector<double>& attribute,
                                                       : HybridPlan::kFilterFirst;
 }
 
-Result<TopNResult> HybridTopN(const InvertedFile& file,
+Result<TopNResult> HybridTopN(const PostingSource& source,
                               const ScoringModel& model, const Query& query,
                               const std::vector<double>& attribute,
                               const AttributePredicate& predicate, size_t n,
                               const HybridOptions& options) {
-  if (attribute.size() != file.num_docs()) {
+  if (attribute.size() != source.num_docs()) {
     return Status::InvalidArgument(
         "attribute column length must equal num_docs");
   }
-  if (predicate.hi < predicate.lo) {
-    return Status::InvalidArgument("predicate hi < lo");
+  // Negated comparisons, so that a NaN fails them too.
+  if (!(predicate.lo <= predicate.hi)) {
+    return Status::InvalidArgument("predicate needs lo <= hi");
   }
-  if (options.overfetch < 1.0) {
-    return Status::InvalidArgument("overfetch must be >= 1");
+  if (!(options.overfetch >= 1.0) || std::isinf(options.overfetch)) {
+    return Status::InvalidArgument("overfetch must be finite and >= 1");
   }
   const HybridPlan plan = ChooseHybridPlan(attribute, predicate, options);
   if (plan == HybridPlan::kFilterFirst) {
-    return FilterFirst(file, model, query, attribute, predicate, n);
+    return FilterFirst(source, model, query, attribute, predicate, n);
   }
-  return RankFirst(file, model, query, attribute, predicate, n,
+  return RankFirst(source, model, query, attribute, predicate, n,
                    options.overfetch);
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ir/query_gen.h"
+#include "storage/segment/posting_cursor.h"
 #include "topn/topn_result.h"
 
 namespace moa {
@@ -46,7 +47,8 @@ enum class HybridPlan {
 /// \brief Tuning for HybridTopN.
 struct HybridOptions {
   HybridPlan plan = HybridPlan::kAuto;
-  /// Initial over-fetch factor for kRankFirst.
+  /// Initial over-fetch factor for kRankFirst: finite and >= 1. A factor
+  /// whose fetch exceeds the ranking fetches all of it.
   double overfetch = 4.0;
   /// kAuto picks kRankFirst when estimated selectivity exceeds this.
   /// Calibrated on bench_e12: rank-first starts winning near 2-5%
@@ -58,12 +60,16 @@ struct HybridOptions {
   uint64_t seed = 0xFACADE;
 };
 
-/// Executes the integrated query. `attribute` holds one value per document
-/// (attribute.size() == file.num_docs()). Exact under both plans (rank-
-/// first restarts on underflow). `stats.restarts` counts rank-first
-/// restarts; `stats.stopped_early` is set when rank-first succeeded
-/// without draining the full ranking.
-Result<TopNResult> HybridTopN(const InvertedFile& file,
+/// Executes the integrated query over any posting storage: the in-memory
+/// file through an InMemoryPostingSource, a segment, or a catalog read
+/// view. `attribute` holds one value per document id
+/// (attribute.size() == source.num_docs(), which over a catalog counts
+/// tombstoned slots too; no cursor yields them, so they never rank).
+/// Exact under both plans (rank-first restarts on underflow).
+/// `stats.restarts` counts rank-first restarts; `stats.stopped_early` is
+/// set when rank-first succeeded without draining the full ranking.
+/// InvalidArgument unless lo <= hi and the overfetch factor is valid.
+Result<TopNResult> HybridTopN(const PostingSource& source,
                               const ScoringModel& model, const Query& query,
                               const std::vector<double>& attribute,
                               const AttributePredicate& predicate, size_t n,

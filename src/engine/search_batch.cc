@@ -73,13 +73,11 @@ Result<BatchSearchResult> MmDatabase::SearchBatch(
   out.stats.p50_millis = latency_hist.ValueAtQuantile(0.50);
   out.stats.p95_millis = latency_hist.ValueAtQuantile(0.95);
   out.stats.p99_millis = latency_hist.ValueAtQuantile(0.99);
-  if (obs::kEnabled) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("moa_batch_total")->Add();
-    registry.GetCounter("moa_batch_queries_total")
-        ->Add(static_cast<double>(requests.size()));
-    registry.GetHistogram("moa_batch_wall_ms")->Observe(out.stats.wall_millis);
-  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("moa_batch_total")->Add();
+  registry.GetCounter("moa_batch_queries_total")
+      ->Add(static_cast<double>(requests.size()));
+  registry.GetHistogram("moa_batch_wall_ms")->Observe(out.stats.wall_millis);
   return out;
 }
 

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#if MOA_OBS_ENABLED
-
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
@@ -276,5 +274,3 @@ void MetricsRegistry::ResetForTest() {
 
 }  // namespace obs
 }  // namespace moa
-
-#endif  // MOA_OBS_ENABLED

@@ -4,10 +4,9 @@
 // Design constraints, in order:
 //  1. The block-decode hot path must never see this layer. Nothing here
 //     is called per posting; engine and storage code records metrics at
-//     query/stage/operation granularity only, and the whole layer
-//     compiles to empty inline stubs under -DMOA_OBS_ENABLED=0 (CMake:
-//     -DMOA_OBS=OFF) so the zero-cost claim is checkable by building the
-//     registry out and re-running bench_e13.
+//     query/stage/operation granularity only. The layer is always
+//     compiled in: what tracing costs is measured in one binary, by
+//     DatabaseConfig::trace_every.
 //  2. SearchBatch workers must not contend: Counter::Add is a relaxed
 //     atomic add into one of kShards cache-line-padded cells picked by a
 //     thread-local shard index; cells are merged on read. Value() is
@@ -26,10 +25,6 @@
 #ifndef MOA_OBS_METRICS_H_
 #define MOA_OBS_METRICS_H_
 
-#ifndef MOA_OBS_ENABLED
-#define MOA_OBS_ENABLED 1
-#endif
-
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -43,16 +38,13 @@
 namespace moa {
 namespace obs {
 
-/// True when the observability layer is compiled in; callers can branch
-/// on it with an ordinary `if` (the dead arm folds away).
-inline constexpr bool kEnabled = MOA_OBS_ENABLED != 0;
+/// Kept only because the benchmark harness (perfbench/moabench.cc) names it.
+inline constexpr bool kEnabled = true;
 
 enum class MetricsFormat {
   kPrometheus,  ///< text exposition: `name{label} value` + # TYPE lines
   kJson,        ///< one object: {"counters":[...],"gauges":...,"histograms":...}
 };
-
-#if MOA_OBS_ENABLED
 
 /// \brief Monotonically increasing sum (doubles: planner scalar costs
 /// feed counters too; integer increments stay exact below 2^53).
@@ -186,60 +178,6 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<HistogramMetric>> histograms_;
 };
-
-#else  // !MOA_OBS_ENABLED
-
-// Inert stand-ins: every member is an empty inline function, so call
-// sites compile to nothing and need no #ifdefs of their own.
-
-class Counter {
- public:
-  void Add(double = 1.0) {}
-  double Value() const { return 0.0; }
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  double Value() const { return 0.0; }
-};
-
-class HistogramMetric {
- public:
-  void Observe(double) {}
-  int64_t Count() const { return 0; }
-  double Sum() const { return 0.0; }
-  double Min() const { return 0.0; }
-  double Max() const { return 0.0; }
-  double Quantile(double) const { return 0.0; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-  Counter* GetCounter(std::string_view, std::string_view = "") {
-    return &counter_;
-  }
-  Gauge* GetGauge(std::string_view, std::string_view = "") { return &gauge_; }
-  HistogramMetric* GetHistogram(std::string_view, std::string_view = "") {
-    return &histogram_;
-  }
-  std::string Render(MetricsFormat) const {
-    return "# observability compiled out (MOA_OBS=OFF)\n";
-  }
-  std::vector<std::string> MetricNames() const { return {}; }
-  void ResetForTest() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  HistogramMetric histogram_;
-};
-
-#endif  // MOA_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace moa

@@ -33,8 +33,6 @@ std::string QueryTraceData::ToString() const {
   return out;
 }
 
-#if MOA_OBS_ENABLED
-
 namespace {
 thread_local QueryTrace* g_current_trace = nullptr;
 }  // namespace
@@ -69,8 +67,6 @@ QueryTraceData QueryTrace::Finish() {
   }
   return std::move(data_);
 }
-
-#endif  // MOA_OBS_ENABLED
 
 void TraceRing::Push(QueryTraceData trace) {
   std::lock_guard<std::mutex> lock(mutex_);

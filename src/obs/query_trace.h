@@ -12,10 +12,6 @@
 // boundaries: the per-posting loop is never touched, and the counters a
 // trace reports are bit-identical to what CostScope would capture (the
 // trace only *reads* the ticker, it never ticks).
-//
-// Under -DMOA_OBS_ENABLED=0 QueryTrace/TraceSpan collapse to empty
-// inline types; TraceRing stays functional (it is engine state, not a
-// hot-path structure) but never receives a trace.
 #ifndef MOA_OBS_QUERY_TRACE_H_
 #define MOA_OBS_QUERY_TRACE_H_
 
@@ -26,7 +22,6 @@
 
 #include "common/cost_ticker.h"
 #include "common/timer.h"
-#include "obs/metrics.h"  // for MOA_OBS_ENABLED / obs::kEnabled
 
 namespace moa {
 namespace obs {
@@ -71,8 +66,6 @@ struct QueryTraceData {
   /// Multi-line rendering: one header line, one line per stage.
   std::string ToString() const;
 };
-
-#if MOA_OBS_ENABLED
 
 /// \brief Active per-query recorder; stack-allocated by the engine.
 ///
@@ -132,27 +125,10 @@ class TraceSpan {
   CostCounters base_;
 };
 
-#else  // !MOA_OBS_ENABLED
-
-class QueryTrace {
- public:
-  static constexpr QueryTrace* Current() { return nullptr; }
-  void AddSpan(const char*, double, const CostCounters&) {}
-  QueryTraceData Finish() { return QueryTraceData{}; }
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-};
-
-#endif  // MOA_OBS_ENABLED
-
 /// \brief Fixed-capacity ring of the last K completed traces.
 ///
 /// Mutex-protected (one short move per completed query); Snapshot copies
-/// out oldest-first. Engine state rather than hot-path: functional even
-/// with the recorder compiled out, it just stays empty.
+/// out oldest-first. Engine state, not hot-path.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity) : capacity_(capacity) {}

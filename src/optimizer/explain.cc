@@ -106,7 +106,7 @@ std::string ExplainReport::ToString() const {
     os << "shards: visited " << observed.shards_visited << ", skipped "
        << observed.shards_skipped << " (aggregate impact-bound pruning)\n";
   }
-  if (has_trace) {
+  if (has_blocks) {
     os << "trace: predicted_scalar=" << trace.predicted_scalar
        << " observed_scalar=" << trace.observed_scalar()
        << " wall=" << trace.wall_millis << "ms\n";

@@ -50,11 +50,9 @@ struct ExplainReport {
   /// already cached every order, so a second explain on the same snapshot
   /// reads 0.
   CostCounters observed;
-  /// Stage trace of the explained run: per-stage wall time and
-  /// CostCounters deltas plus the planner's predicted scalar for comparison
-  /// against trace.observed_scalar(). has_trace = false when the execution
-  /// failed or when observability is compiled out (MOA_OBS=OFF).
-  bool has_trace = false;
+  /// Stage trace of the explained run (set with has_blocks): per-stage
+  /// wall time and CostCounters deltas plus the planner's predicted scalar
+  /// for comparison against trace.observed_scalar().
   obs::QueryTraceData trace;
 
   std::string ToString() const;

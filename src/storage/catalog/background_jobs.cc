@@ -54,7 +54,7 @@ BackgroundMaintenance::BackgroundMaintenance(
     : catalog_(catalog),
       policy_(policy),
       on_state_change_(std::move(on_state_change)) {
-  if (obs::kEnabled) BgMetrics::Get();  // register the family eagerly
+  BgMetrics::Get();  // register the family eagerly
   catalog_->SetWriteObserver([this] { MaybeSchedule(); });
   // Ingest may have preceded attachment (e.g. a reopened catalog whose
   // replayed memtable is already over the trigger).
@@ -99,7 +99,7 @@ void BackgroundMaintenance::RunJob() {
       snap->memtable().num_docs() >= policy_.flush_trigger_docs) {
     const Status s = catalog_->Flush();
     if (s.ok()) {
-      if (obs::kEnabled) BgMetrics::Get().flushes->Add();
+      BgMetrics::Get().flushes->Add();
     } else {
       error = s;
       MOA_LOG(Error) << "background flush failed: " << s.ToString();
@@ -112,7 +112,7 @@ void BackgroundMaintenance::RunJob() {
     const Status s =
         catalog_->Merge(PickMergeRun(*snap, policy_.merge_fanin)).status();
     if (s.ok()) {
-      if (obs::kEnabled) BgMetrics::Get().merges->Add();
+      BgMetrics::Get().merges->Add();
     } else {
       error = s;
       MOA_LOG(Error) << "background merge failed: " << s.ToString();

@@ -320,26 +320,6 @@ ImpactOrder::Builder CatalogState::ScoreLivePostings(
   return order;
 }
 
-double CatalogState::TermBound(const ScoringModel& model, TermId t) const {
-  {
-    std::lock_guard<std::mutex> lock(bounds_mutex_);
-    if (bound_ready_.empty()) {
-      bound_.assign(num_terms(), 0.0);
-      bound_ready_.assign(num_terms(), 0);
-    }
-    if (bound_ready_[t] != 0) return bound_[t];
-  }
-  // Exact bound under this snapshot's statistics: max current weight over
-  // the live postings, folded by the scoring pass (no order is built).
-  // Computed outside the lock (idempotent — concurrent first users store
-  // the same value), cached for every later query on this state.
-  const double bound = ScoreLivePostings(t, model.ForTerm(t)).max_weight();
-  std::lock_guard<std::mutex> lock(bounds_mutex_);
-  bound_[t] = bound;
-  bound_ready_[t] = 1;
-  return bound;
-}
-
 std::string CatalogState::Describe() const {
   std::ostringstream os;
   os << "catalog v" << version_ << ": memtable(" << memtable_->num_docs()
@@ -377,11 +357,5 @@ CatalogComposition CatalogState::Composition() const {
   for (uint8_t d : memtable_deleted_) c.dead_slots += (d != 0) ? 1 : 0;
   return c;
 }
-
-CatalogReadView::CatalogReadView(std::shared_ptr<const CatalogState> state,
-                                 ScoringModelKind scoring)
-    : state_(std::move(state)),
-      stats_view_(state_),
-      model_(MakeScoringModel(scoring, &stats_view_)) {}
 
 }  // namespace moa

@@ -1,5 +1,6 @@
 // CatalogState: one immutable snapshot of the multi-segment index, plus
-// the merged posting source that serves queries from it.
+// the merged cursor and the scoring pass that read it. Queries read it
+// through a ShardedSnapshot (storage/catalog/sharded_snapshot.h).
 //
 // Global doc-id space. Segments are ordered; segment i owns the global id
 // range [base[i], base[i] + num_docs_i) — including tombstoned documents,
@@ -19,41 +20,31 @@
 // computes bit-identical weights to one bound to a fresh InvertedFile of
 // the surviving documents.
 //
-// Impact bounds: per-segment stored max_impacts go stale the moment the
-// collection statistics move (they were computed under flush-time df/
-// avgdl/N), so the snapshot does not trust them. Instead each state keeps
-// a build-once bound cache: MaxImpact(t) is the exact maximum current
-// weight over the term's live postings, computed on first use under this
-// snapshot's statistics (O(live postings of t)) and shared by later
-// queries. Exact bounds keep max-score pruning decisions bit-identical to
-// a fresh index of the survivors.
-//
 // The scoring pass. ScoreLivePostings is the one pass that weighs a term's
-// live postings — for impact orders (ShardedSnapshot's cache,
-// CatalogReadView's sorted access) and for the bound alike. It skips the
-// chained cursor: each segment hands over one decoded block at a time
-// (PostingCursor::block_postings), with lengths from its own
-// SegmentReader::DocLength and tombstones from its bitmap, and the
+// live postings, for ShardedSnapshot's impact orders and with them the
+// term's bound. A state caches neither: weights depend on the statistics
+// a query scores by, and the snapshot that reads the state owns those.
+// The pass skips the chained cursor: each segment hands over one decoded
+// block at a time (PostingCursor::block_postings), with lengths from its
+// own SegmentReader::DocLength and tombstones from its bitmap, and the
 // memtable its posting vector, with Memtable::DocLength and its own
 // bitmap; a posting's global id is its component's base plus its local
 // id. The term's TermWeight is read once, so a posting costs a block
 // decode share, a bitmap test, a length load and the formula.
 //
 // Thread-safety: a published CatalogState is immutable except for the
-// internally synchronized bound cache (the SparseIndexCache pattern);
-// snapshots are shared by shared_ptr and may serve many queries while the
-// catalog publishes successor states.
+// internally synchronized sparse-index cache; states are shared by
+// shared_ptr and may serve many queries while the catalog publishes
+// successor states.
 #ifndef MOA_STORAGE_CATALOG_CATALOG_STATE_H_
 #define MOA_STORAGE_CATALOG_CATALOG_STATE_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "ir/collection_stats.h"
 #include "ir/scoring.h"
 #include "storage/catalog/forward_index.h"
 #include "storage/catalog/memtable.h"
@@ -147,7 +138,7 @@ class CatalogState {
   std::vector<DocId> LiveDocIds() const;
 
   /// Doc-ordered cursor over term t's *live* postings, global ids.
-  /// `max_impact` is stamped onto the cursor (callers pass the cached
+  /// `max_impact` is stamped onto the cursor (callers pass the snapshot's
   /// bound; a caller that reads no bound passes 0).
   std::unique_ptr<PostingCursor> OpenMergedCursor(TermId t,
                                                   double max_impact) const;
@@ -158,12 +149,6 @@ class CatalogState {
   /// order; its max_weight() is the term's exact bound.
   ImpactOrder::Builder ScoreLivePostings(TermId t,
                                          const TermWeight& weight) const;
-
-  /// Exact max current weight over t's live postings under `model`
-  /// (bound to this snapshot's stats view). Cached build-once per state;
-  /// every caller must use the same model arithmetic — the IndexCatalog
-  /// serves one scoring kind per catalog.
-  double TermBound(const ScoringModel& model, TermId t) const;
 
   /// Human-readable storage composition, e.g.
   /// "memtable(3 docs) + segments[seg 1: 100 docs, seg 2: 50 docs (-4)]".
@@ -177,11 +162,10 @@ class CatalogState {
   /// Snapshot-scoped on purpose: a sparse index materializes the term's
   /// live postings, which change across snapshots, so a catalog-wide
   /// cache would serve stale postings after any mutation. Internally
-  /// synchronized (build-once / read-many), like the bound cache.
+  /// synchronized (build-once / read-many).
   SparseIndexCache& sparse_cache() const { return sparse_cache_; }
 
  private:
-  friend class CatalogStatsViewImpl;
   friend class IndexCatalog;
 
   /// Locates global id g: component index (segments.size() = memtable)
@@ -197,86 +181,8 @@ class CatalogState {
   /// base_[i] = first global id of segment i; base_.back() = memtable.
   std::vector<uint64_t> base_;
 
-  // Build-once bound cache (see file comment).
-  mutable std::mutex bounds_mutex_;
-  mutable std::vector<double> bound_;
-  mutable std::vector<uint8_t> bound_ready_;
   // Snapshot-scoped sparse-index cache (see sparse_cache()).
   mutable SparseIndexCache sparse_cache_;
-};
-
-/// \brief CollectionStatsView over one snapshot (live statistics).
-class CatalogStatsViewImpl final : public CollectionStatsView {
- public:
-  explicit CatalogStatsViewImpl(std::shared_ptr<const CatalogState> state)
-      : state_(std::move(state)) {}
-
-  size_t num_terms() const override { return state_->num_terms(); }
-  size_t num_docs() const override { return state_->stats().num_live_docs; }
-  uint32_t DocFrequency(TermId t) const override {
-    return state_->stats().df[t];
-  }
-  uint32_t DocLength(DocId d) const override { return state_->DocLength(d); }
-  double AverageDocLength() const override {
-    const CatalogStats& s = state_->stats();
-    if (s.num_live_docs == 0) return 0.0;
-    return static_cast<double>(s.total_live_tokens) /
-           static_cast<double>(s.num_live_docs);
-  }
-  int64_t total_tokens() const override {
-    return state_->stats().total_live_tokens;
-  }
-  int64_t CollectionFrequency(TermId t) const override {
-    return state_->stats().cf[t];
-  }
-
- private:
-  std::shared_ptr<const CatalogState> state_;
-};
-
-/// \brief Per-query read view: PostingSource + stats view + scoring model
-/// over one snapshot, bundled so ExecContext::postings_owner can keep the
-/// whole chain alive for the query's lifetime.
-class CatalogReadView final : public PostingSource {
- public:
-  CatalogReadView(std::shared_ptr<const CatalogState> state,
-                  ScoringModelKind scoring);
-
-  // PostingSource:
-  size_t num_terms() const override { return state_->num_terms(); }
-  /// Doc-id space bound for accumulator sizing — includes tombstoned
-  /// slots, which simply never surface from any cursor. The *live* count
-  /// lives in stats().num_docs().
-  size_t num_docs() const override {
-    return static_cast<size_t>(state_->doc_space());
-  }
-  uint32_t DocFrequency(TermId t) const override {
-    return state_->stats().df[t];
-  }
-  bool HasImpacts(TermId /*t*/) const override { return true; }
-  double MaxImpact(TermId t) const override {
-    return state_->TermBound(*model_, t);
-  }
-  std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override {
-    return state_->OpenMergedCursor(t, state_->TermBound(*model_, t));
-  }
-  /// A fresh order of t's live postings per call, scored under `model`
-  /// by CatalogState::ScoreLivePostings (no cache: see ShardReadView for
-  /// the snapshot-cached orders the engine reads).
-  std::unique_ptr<ImpactCursor> OpenImpactCursor(
-      TermId t, const ScoringModel& model) const override {
-    return ImpactOrder::OpenCursor(
-        state_->ScoreLivePostings(t, model.ForTerm(t)).Build());
-  }
-
-  const ScoringModel* model() const { return model_.get(); }
-  const CollectionStatsView* stats_view() const { return &stats_view_; }
-  const CatalogState& state() const { return *state_; }
-
- private:
-  std::shared_ptr<const CatalogState> state_;
-  CatalogStatsViewImpl stats_view_;
-  std::unique_ptr<ScoringModel> model_;
 };
 
 }  // namespace moa

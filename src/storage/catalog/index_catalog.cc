@@ -24,7 +24,7 @@ double FileSizeOrZero(const std::string& path) {
 
 /// Writer options for a catalog segment: impacts are stamped under a
 /// model bound to the flushed file's *own* statistics. Snapshots never
-/// prune on these stored bounds (live statistics move; CatalogState
+/// prune on these stored bounds (live statistics move; ShardedSnapshot
 /// recomputes exact bounds per snapshot), but a segment served standalone
 /// — or a future bounds-rebasing optimization — gets the full impact
 /// metadata for free.
@@ -339,24 +339,25 @@ std::shared_ptr<const CatalogState> IndexCatalog::Snapshot() const {
   return state_;
 }
 
-std::shared_ptr<const CatalogReadView> IndexCatalog::OpenReadView() const {
-  return std::make_shared<const CatalogReadView>(Snapshot(),
-                                                 options_.scoring);
+std::shared_ptr<const ShardReadView> IndexCatalog::OpenReadView() const {
+  auto snapshot = std::make_shared<const ShardedSnapshot>(
+      std::vector<std::shared_ptr<const CatalogState>>{Snapshot()},
+      options_.scoring);
+  const ShardReadView* view = &snapshot->shard_source(0);
+  return std::shared_ptr<const ShardReadView>(std::move(snapshot), view);
 }
 
 void IndexCatalog::Publish(std::shared_ptr<const CatalogState> next) {
-  if (obs::kEnabled) {
-    // Gauges track the published state; every mutation funnels through
-    // here, so the scrape always sees the latest catalog shape.
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    registry.GetGauge("moa_catalog_segments")
-        ->Set(static_cast<double>(next->segments().size()));
-    const double live = static_cast<double>(next->stats().num_live_docs);
-    const double space = static_cast<double>(next->doc_space());
-    registry.GetGauge("moa_catalog_live_docs")->Set(live);
-    registry.GetGauge("moa_catalog_tombstone_density")
-        ->Set(space == 0.0 ? 0.0 : 1.0 - live / space);
-  }
+  // Gauges track the published state; every mutation funnels through
+  // here, so the scrape always sees the latest catalog shape.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetGauge("moa_catalog_segments")
+      ->Set(static_cast<double>(next->segments().size()));
+  const double live = static_cast<double>(next->stats().num_live_docs);
+  const double space = static_cast<double>(next->doc_space());
+  registry.GetGauge("moa_catalog_live_docs")->Set(live);
+  registry.GetGauge("moa_catalog_tombstone_density")
+      ->Set(space == 0.0 ? 0.0 : 1.0 - live / space);
   std::lock_guard<std::mutex> lock(state_mutex_);
   state_ = std::move(next);
 }
@@ -438,7 +439,7 @@ void IndexCatalog::SubmitAndWait(PendingWrite* write) {
       return static_cast<bool>(write_observer_);
     };
     if (observer_attached() && OverBudget()) {
-      if (obs::kEnabled) GroupMetrics::Get().backpressure->Add();
+      GroupMetrics::Get().backpressure->Add();
       if (options_.backpressure_soft_fail) {
         write->status = Status::ResourceExhausted(
             "catalog: write budget exceeded (memtable debt)");
@@ -658,11 +659,9 @@ void IndexCatalog::CommitGroup(std::vector<PendingWrite*>& group) {
   Publish(std::make_shared<const CatalogState>(
       std::move(segments), std::move(memtable), std::move(memtable_deleted),
       std::move(stats), cur->version() + 1));
-  if (obs::kEnabled) {
-    const GroupMetrics& m = GroupMetrics::Get();
-    m.commits->Add();
-    m.ops->Observe(static_cast<double>(group.size()));
-  }
+  const GroupMetrics& m = GroupMetrics::Get();
+  m.commits->Add();
+  m.ops->Observe(static_cast<double>(group.size()));
 }
 
 Status IndexCatalog::RotateWal(
@@ -702,7 +701,7 @@ Status IndexCatalog::RotateWal(
   wal_ = std::move(fresh);
   wal_seq_ = new_seq;
   std::remove(old_path.c_str());  // best-effort; orphan is ignored by Open
-  if (obs::kEnabled) GroupMetrics::Get().rotations->Add();
+  GroupMetrics::Get().rotations->Add();
   return Status::OK();
 }
 
@@ -805,14 +804,12 @@ Status IndexCatalog::Flush() {
   }
   backpressure_cv_.notify_all();
 
-  if (obs::kEnabled) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("moa_catalog_flush_total")->Add();
-    registry.GetHistogram("moa_catalog_flush_ms")
-        ->Observe(flush_timer.ElapsedMillis());
-    registry.GetCounter("moa_catalog_bytes_written_total")
-        ->Add(FileSizeOrZero(segment_path) + FileSizeOrZero(forward_path));
-  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("moa_catalog_flush_total")->Add();
+  registry.GetHistogram("moa_catalog_flush_ms")
+      ->Observe(flush_timer.ElapsedMillis());
+  registry.GetCounter("moa_catalog_bytes_written_total")
+      ->Add(FileSizeOrZero(segment_path) + FileSizeOrZero(forward_path));
   return Status::OK();
 }
 
@@ -945,16 +942,14 @@ Result<size_t> IndexCatalog::Merge(const MergePolicy& policy) {
   for (const auto& seg : run) {
     RemoveSegmentFiles(seg->segment_path);
   }
-  if (obs::kEnabled) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("moa_catalog_merge_total")->Add();
-    registry.GetHistogram("moa_catalog_merge_ms")
-        ->Observe(merge_timer.ElapsedMillis());
-    registry.GetCounter("moa_catalog_merge_segments_total")
-        ->Add(static_cast<double>(count));
-    registry.GetCounter("moa_catalog_bytes_written_total")
-        ->Add(FileSizeOrZero(segment_path) + FileSizeOrZero(forward_path));
-  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("moa_catalog_merge_total")->Add();
+  registry.GetHistogram("moa_catalog_merge_ms")
+      ->Observe(merge_timer.ElapsedMillis());
+  registry.GetCounter("moa_catalog_merge_segments_total")
+      ->Add(static_cast<double>(count));
+  registry.GetCounter("moa_catalog_bytes_written_total")
+      ->Add(FileSizeOrZero(segment_path) + FileSizeOrZero(forward_path));
   return count;
 }
 

@@ -71,6 +71,7 @@
 #include "ir/scoring.h"
 #include "storage/catalog/catalog_state.h"
 #include "storage/catalog/manifest.h"
+#include "storage/catalog/sharded_snapshot.h"
 #include "storage/catalog/wal.h"
 #include "storage/segment/segment_format.h"
 
@@ -99,10 +100,10 @@ class IndexCatalog {
     /// Catalog directory for segments + MANIFEST. Empty = memory-only:
     /// adds and deletes work, Flush/Merge return FailedPrecondition.
     std::string dir;
-    /// Scoring kind served by read views; the snapshot bound cache is
-    /// computed under this model, so one catalog serves one kind. Flush
-    /// and merge also stamp segment impact bounds under a model of this
-    /// kind bound to the flushed file's own statistics.
+    /// Scoring kind that snapshots of this catalog score by: OpenReadView's
+    /// and, for every shard, ShardedCatalog::Snapshot's. Flush and merge
+    /// also stamp segment impact bounds under a model of this kind bound to
+    /// the flushed file's own statistics.
     ScoringModelKind scoring = ScoringModelKind::kBm25;
     uint32_t segment_block_size = kDefaultSegmentBlockSize;
     /// Write-ahead log (directory-backed catalogs only). Acknowledged
@@ -183,9 +184,12 @@ class IndexCatalog {
 
   /// The current published state (snapshot-per-query anchor).
   std::shared_ptr<const CatalogState> Snapshot() const;
-  /// PostingSource + stats view + scoring model over the current state,
-  /// bundled for ExecContext (see CatalogReadView).
-  std::shared_ptr<const CatalogReadView> OpenReadView() const;
+  /// The read view of a one-shard ShardedSnapshot over the current state:
+  /// PostingSource, scoring model and state in one handle for ExecContext,
+  /// scored under the state's own statistics. The pointer aliases the
+  /// snapshot, which it keeps alive, with its impact orders and bounds —
+  /// also past this catalog's destruction.
+  std::shared_ptr<const ShardReadView> OpenReadView() const;
 
   /// Registers (or clears, with nullptr) the maintenance observer,
   /// invoked after every committed mutation group. While set, the

@@ -233,9 +233,8 @@ struct ShardedSnapshot::ShardEntry {
   CatalogComposition composition;
 
   // Build-once impact orders by term under the snapshot's global
-  // statistics, which also carry the term's bound (CatalogState's own
-  // bound cache cannot be reused here — see the header's file comment).
-  // A map, so an untouched snapshot allocates nothing.
+  // statistics, which also carry the term's bound (see the header's file
+  // comment). A map, so an untouched snapshot allocates nothing.
   mutable std::mutex orders_mutex;
   mutable std::unordered_map<TermId, std::shared_ptr<const ImpactOrder>>
       orders;
@@ -281,7 +280,7 @@ const CatalogState& ShardedSnapshot::shard_state(size_t s) const {
   return *entries_[s]->state;
 }
 
-const PostingSource& ShardedSnapshot::shard_source(size_t s) const {
+const ShardReadView& ShardedSnapshot::shard_source(size_t s) const {
   return entries_[s]->source;
 }
 
@@ -378,6 +377,10 @@ std::string ShardedSnapshot::Describe() const {
 
 size_t ShardReadView::num_terms() const {
   return snapshot_->stats().df.size();
+}
+
+const ScoringModel* ShardReadView::model() const {
+  return &snapshot_->shard_model(shard_);
 }
 
 uint32_t ShardReadView::DocFrequency(TermId t) const {

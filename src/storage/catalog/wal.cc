@@ -182,11 +182,9 @@ Status WalWriter::AppendRecord(uint8_t type,
   MOA_RETURN_NOT_OK(WriteAllBytes(f_, framed.data(), framed.size(), "wal"));
   ++pending_records_;
   appended_bytes_ += framed.size();
-  if (obs::kEnabled) {
-    const WalMetrics& m = WalMetrics::Get();
-    m.appended_records->Add();
-    m.appended_bytes->Add(static_cast<double>(framed.size()));
-  }
+  const WalMetrics& m = WalMetrics::Get();
+  m.appended_records->Add();
+  m.appended_bytes->Add(static_cast<double>(framed.size()));
   return Status::OK();
 }
 
@@ -208,7 +206,7 @@ Status WalWriter::Sync() {
     return Status::Internal("wal: fsync failed: " + path_);
   }
   pending_records_ = 0;
-  if (obs::kEnabled) WalMetrics::Get().fsyncs->Add();
+  WalMetrics::Get().fsyncs->Add();
   return Status::OK();
 }
 
@@ -295,11 +293,9 @@ Result<WalReplay> ReplayWal(const std::string& path) {
                      << offset << " (" << bytes.size() - offset
                      << " bytes dropped)";
   }
-  if (obs::kEnabled) {
-    const WalMetrics& m = WalMetrics::Get();
-    m.replay_records->Add(static_cast<double>(replay.records.size()));
-    if (replay.truncated) m.replay_truncations->Add();
-  }
+  const WalMetrics& m = WalMetrics::Get();
+  m.replay_records->Add(static_cast<double>(replay.records.size()));
+  if (replay.truncated) m.replay_truncations->Add();
   return replay;
 }
 

@@ -281,8 +281,8 @@ class ImpactOrder::Builder {
 ///
 /// Implementations: InMemoryPostingSource (below) over an InvertedFile,
 /// SegmentReader (segment_reader.h) over a compressed mmap-backed segment,
-/// and CatalogReadView and ShardReadView (storage/catalog) over a
-/// multi-segment snapshot.
+/// and ShardReadView (storage/catalog/sharded_snapshot.h) over one shard
+/// of a multi-segment catalog snapshot.
 /// Sources are immutable after construction and safe for concurrent reads;
 /// each OpenCursor/OpenImpactCursor call returns an independent cursor.
 class PostingSource {
@@ -308,9 +308,8 @@ class PostingSource {
   /// whole list, block batch by block batch (it requires cursors that
   /// serve block_postings, as a segment's do), into a fresh ImpactOrder
   /// on every call and sorts only the prefix the cursor reads;
-  /// InMemoryPostingSource serves its materialized order, CatalogReadView
-  /// a fresh order of its snapshot's live postings and ShardReadView the
-  /// order its snapshot caches per (shard, term).
+  /// InMemoryPostingSource serves its materialized order and ShardReadView
+  /// the order its snapshot caches per (shard, term).
   virtual std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const;
 };

@@ -222,14 +222,11 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
     const std::string& path) {
   WallTimer timer;
   Result<std::unique_ptr<SegmentReader>> result = OpenInternal(path);
-  if (obs::kEnabled) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("moa_segment_open_total")->Add();
-    registry.GetHistogram("moa_segment_open_ms")
-        ->Observe(timer.ElapsedMillis());
-    if (!result.ok()) {
-      registry.GetCounter("moa_segment_open_failures_total")->Add();
-    }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("moa_segment_open_total")->Add();
+  registry.GetHistogram("moa_segment_open_ms")->Observe(timer.ElapsedMillis());
+  if (!result.ok()) {
+    registry.GetCounter("moa_segment_open_failures_total")->Add();
   }
   return result;
 }

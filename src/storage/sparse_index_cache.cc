@@ -15,25 +15,19 @@ namespace {
 // warm-cache probe (the per-query hot case) costs one sharded add, not
 // a string-keyed map lookup.
 void RecordHit() {
-  if (obs::kEnabled) {
-    static obs::Counter* const hits =
-        obs::MetricsRegistry::Global().GetCounter(
-            "moa_sparse_cache_hits_total");
-    hits->Add();
-  }
+  static obs::Counter* const hits =
+      obs::MetricsRegistry::Global().GetCounter("moa_sparse_cache_hits_total");
+  hits->Add();
 }
 
 void RecordBuild(double build_millis) {
-  if (obs::kEnabled) {
-    static obs::Counter* const misses =
-        obs::MetricsRegistry::Global().GetCounter(
-            "moa_sparse_cache_misses_total");
-    static obs::HistogramMetric* const build_ms =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "moa_sparse_cache_build_ms");
-    misses->Add();
-    build_ms->Observe(build_millis);
-  }
+  static obs::Counter* const misses =
+      obs::MetricsRegistry::Global().GetCounter(
+          "moa_sparse_cache_misses_total");
+  static obs::HistogramMetric* const build_ms =
+      obs::MetricsRegistry::Global().GetHistogram("moa_sparse_cache_build_ms");
+  misses->Add();
+  build_ms->Observe(build_millis);
 }
 
 }  // namespace

@@ -14,10 +14,10 @@ namespace {
 /// Per-query-term sorted and random access: an impact cursor over the
 /// term's postings in descending-weight order, whose FindWeight also
 /// serves the random probes. Works over any PostingSource — the in-memory
-/// file serves its materialized impact order, a catalog shard the impact
-/// order its snapshot built on the term's first use (normally its bound),
-/// and any other source (a bare segment, CatalogReadView) scores the list
-/// into a fresh, lazily sorted ImpactOrder per call.
+/// file serves its materialized impact order, a catalog shard view the
+/// impact order its snapshot built on the term's first use (normally its
+/// bound), and a bare segment scores the list into a fresh, lazily sorted
+/// ImpactOrder per call.
 struct ListAccess {
   std::unique_ptr<ImpactCursor> cursor;
 

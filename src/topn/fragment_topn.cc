@@ -100,7 +100,9 @@ Result<TopNResult> QualitySwitchTopN(const PostingSource& source,
                                      const ScoringModel& model,
                                      const Query& query, size_t n,
                                      const QualitySwitchOptions& options) {
-  if (options.switch_threshold < 0.0) {
+  // Negated, so that a NaN, which no `potential > threshold * nth` test
+  // would ever pass, is refused too.
+  if (!(options.switch_threshold >= 0.0)) {
     return Status::InvalidArgument("switch_threshold must be >= 0");
   }
   TopNResult result;

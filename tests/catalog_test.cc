@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "storage/catalog/forward_index.h"
@@ -543,6 +544,82 @@ TEST(IndexCatalogTest, StrayFragmentSidecarIsIgnoredAndReclaimed) {
   EXPECT_EQ(merged.ValueOrDie(), 2u);
   EXPECT_FALSE(std::filesystem::exists(dir + "/" + SegmentFileName(1)));
   EXPECT_FALSE(std::filesystem::exists(stray));
+}
+
+/// What a read view returns for term t: its impact order (doc, tf,
+/// weight), its bound, and its merged cursor's postings and stamped bound.
+struct ViewRead {
+  std::vector<std::tuple<DocId, uint32_t, double>> order;
+  double bound = 0.0;
+  std::vector<Posting> postings;
+  double cursor_bound = 0.0;
+};
+
+ViewRead ReadView(const ShardReadView& view, TermId t) {
+  ViewRead read;
+  for (auto c = view.OpenImpactCursor(t, *view.model()); !c->at_end();
+       c->next()) {
+    read.order.emplace_back(c->doc(), c->tf(), c->weight());
+  }
+  read.bound = view.MaxImpact(t);
+  auto cursor = view.OpenCursor(t);
+  read.cursor_bound = cursor->max_impact();
+  for (; !cursor->at_end(); cursor->next()) {
+    read.postings.push_back({cursor->doc(), cursor->tf()});
+  }
+  return read;
+}
+
+TEST(IndexCatalogTest, ReadViewOutlivesItsCatalog) {
+  // A read view keeps its snapshot alive: deletes, adds, a flush, a merge
+  // that unlinks the view's segment files and the catalog's destruction
+  // leave what it returns unchanged. `cold` is first read only after all
+  // of that, so its impact orders are scored from the unlinked segments.
+  const std::string dir = FreshDir("outlive");
+  auto catalog = MustCreate(InDir(dir));
+  ASSERT_TRUE(catalog->AddDocuments({{{1, 2}, {2, 1}}, {{1, 1}}, {{2, 3}}})
+                  .ok());
+  ASSERT_TRUE(catalog->Flush().ok());
+  ASSERT_TRUE(catalog->AddDocuments({{{1, 4}, {3, 1}}, {{2, 2}}}).ok());
+  ASSERT_TRUE(catalog->Flush().ok());
+  ASSERT_TRUE(catalog->AddDocuments({{{1, 1}, {2, 5}}, {{3, 2}}}).ok());
+  ASSERT_TRUE(catalog->DeleteDocument(1).ok());  // in the first segment
+  ASSERT_TRUE(catalog->DeleteDocument(5).ok());  // in the memtable
+  const auto view = catalog->OpenReadView();
+  const auto cold = catalog->OpenReadView();
+  ASSERT_EQ(view->state().segments().size(), 2u);
+  std::vector<std::string> segment_files;
+  for (const auto& segment : view->state().segments()) {
+    segment_files.push_back(segment->segment_path);
+  }
+  std::vector<ViewRead> before;
+  for (TermId t = 0; t < 5; ++t) before.push_back(ReadView(*view, t));
+  // Term 1's live postings; documents 1 and 5 are tombstoned.
+  EXPECT_EQ(before[1].postings, (std::vector<Posting>{{0, 2}, {3, 4}}));
+  EXPECT_EQ(before[1].order.size(), 2u);
+  EXPECT_GT(before[1].bound, 0.0);
+
+  ASSERT_TRUE(catalog->DeleteDocument(0).ok());
+  ASSERT_TRUE(catalog->AddDocument({{1, 9}, {3, 3}}).ok());
+  ASSERT_TRUE(catalog->Flush().ok());
+  auto merged = catalog->Merge();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.ValueOrDie(), 3u);
+  for (const std::string& path : segment_files) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+  }
+  catalog.reset();
+
+  for (TermId t = 0; t < 5; ++t) {
+    SCOPED_TRACE("term " + std::to_string(t));
+    for (const ShardReadView* v : {view.get(), cold.get()}) {
+      const ViewRead after = ReadView(*v, t);
+      EXPECT_EQ(after.order, before[t].order);
+      EXPECT_EQ(after.bound, before[t].bound);
+      EXPECT_EQ(after.postings, before[t].postings);
+      EXPECT_EQ(after.cursor_bound, before[t].cursor_bound);
+    }
+  }
 }
 
 TEST(IndexCatalogTest, CreateRefusesExistingCatalogDirectory) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/exact_eval.h"
 #include "ir/metrics.h"
 #include "test_util.h"
@@ -153,12 +155,21 @@ TEST(QualitySwitchTest, SparseCacheIsReused) {
   EXPECT_EQ(cache.size(), after_first);
 }
 
-TEST(QualitySwitchTest, RejectsNegativeThreshold) {
-  QualitySwitchOptions opts;
-  opts.switch_threshold = -1.0;
-  auto r = QualitySwitchTopN(SmallSource(), SmallFragmentation(), SmallModel(),
-                             SmallQueries()[0], 10, opts);
-  EXPECT_FALSE(r.ok());
+TEST(QualitySwitchTest, RejectsNegativeOrNaNThreshold) {
+  // A NaN passes a `< 0` check, and then `potential > NaN * nth` never
+  // holds: the large fragment would silently never be read.
+  for (const double threshold :
+       {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    for (const LargeFragmentMode mode :
+         {LargeFragmentMode::kFullScan, LargeFragmentMode::kSparseProbe}) {
+      QualitySwitchOptions opts;
+      opts.switch_threshold = threshold;
+      opts.mode = mode;
+      auto r = QualitySwitchTopN(SmallSource(), SmallFragmentation(),
+                                 SmallModel(), SmallQueries()[0], 10, opts);
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << threshold;
+    }
+  }
 }
 
 TEST(QualitySwitchTest, AllSmallQueryStopsEarlyWithoutLargePass) {

@@ -6,7 +6,7 @@
 // crosses block boundaries, and at the production default), and the
 // catalog's chained/merged tombstone-filtering cursor over a
 // segments+memtable snapshot whose live documents equal the reference —
-// served both by CatalogReadView and by a one-shard ShardReadView, whose
+// served by IndexCatalog::OpenReadView, a one-shard ShardReadView whose
 // sorted access reads the snapshot's cached impact order.
 //
 // Also here: the ImpactCursor contract (every implementation reproduces
@@ -27,7 +27,6 @@
 #include "common/cost_ticker.h"
 #include "ir/scoring.h"
 #include "storage/catalog/index_catalog.h"
-#include "storage/catalog/sharded_catalog.h"
 #include "storage/inverted_file.h"
 #include "storage/segment/posting_cursor.h"
 #include "storage/segment/segment_reader.h"
@@ -62,9 +61,7 @@ struct Fixture {
   std::unique_ptr<SegmentReader> segment4;
   std::unique_ptr<SegmentReader> segment128;
   std::unique_ptr<IndexCatalog> catalog;
-  std::shared_ptr<const CatalogReadView> catalog_view;
-  /// The same catalog state as a one-shard snapshot (local ids = global).
-  std::shared_ptr<const ShardedSnapshot> sharded;
+  std::shared_ptr<const ShardReadView> catalog_view;
   uint64_t catalog_doc_space = 0;
 
   Fixture() {
@@ -146,9 +143,6 @@ struct Fixture {
     }
 
     catalog_view = catalog->OpenReadView();
-    sharded = std::make_shared<const ShardedSnapshot>(
-        std::vector<std::shared_ptr<const CatalogState>>{catalog->Snapshot()},
-        ScoringModelKind::kBm25);
     catalog_doc_space = catalog_view->state().doc_space();
     EXPECT_EQ(catalog_doc_space, per_doc.size() + 5);
   }
@@ -172,7 +166,6 @@ enum class SourceKind {
   kSegmentBlock4,
   kSegmentBlock128,
   kCatalog,
-  kShardView,
 };
 
 std::string KindName(const ::testing::TestParamInfo<SourceKind>& info) {
@@ -181,7 +174,6 @@ std::string KindName(const ::testing::TestParamInfo<SourceKind>& info) {
     case SourceKind::kSegmentBlock4: return "SegmentBitPacked4";
     case SourceKind::kSegmentBlock128: return "SegmentBitPacked128";
     case SourceKind::kCatalog: return "CatalogMerged";
-    case SourceKind::kShardView: return "OneShardView";
   }
   return "?";
 }
@@ -194,7 +186,6 @@ class CursorConformanceTest : public ::testing::TestWithParam<SourceKind> {
       case SourceKind::kSegmentBlock4: return *f.segment4;
       case SourceKind::kSegmentBlock128: return *f.segment128;
       case SourceKind::kCatalog: return *f.catalog_view;
-      case SourceKind::kShardView: return f.sharded->shard_source(0);
       case SourceKind::kInMemory: break;
     }
     static InMemoryPostingSource in_memory(&SharedFixture().file);
@@ -204,8 +195,7 @@ class CursorConformanceTest : public ::testing::TestWithParam<SourceKind> {
   /// The catalog's doc-id space includes its tombstoned junk slots.
   size_t expected_num_docs() const {
     Fixture& f = SharedFixture();
-    return GetParam() == SourceKind::kCatalog ||
-                   GetParam() == SourceKind::kShardView
+    return GetParam() == SourceKind::kCatalog
                ? static_cast<size_t>(f.catalog_doc_space)
                : f.file.num_docs();
   }
@@ -362,13 +352,12 @@ TEST_P(CursorConformanceTest, FindWeightMatchesReference) {
   // Random access is served by the impact cursor of the term's sorted
   // access: every reference posting is found, wherever the cursor stands,
   // with model.Weight's bits, and nothing else is — not the gaps, not
-  // past the end, and on the catalog kinds not the tombstoned junk
+  // past the end, and on the catalog kind not the tombstoned junk
   // documents, whose postings the snapshot still stores, nor the first id
   // past the doc space. Every probe ticks exactly one random read.
   Fixture& f = SharedFixture();
   const auto& lists = TermLists();
-  const bool catalog = GetParam() == SourceKind::kCatalog ||
-                       GetParam() == SourceKind::kShardView;
+  const bool catalog = GetParam() == SourceKind::kCatalog;
   for (TermId t = 0; t < lists.size(); ++t) {
     auto cursor = source().OpenImpactCursor(t, *f.model);
     std::vector<DocId> misses;
@@ -516,8 +505,7 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, CursorConformanceTest,
                          ::testing::Values(SourceKind::kInMemory,
                                            SourceKind::kSegmentBlock4,
                                            SourceKind::kSegmentBlock128,
-                                           SourceKind::kCatalog,
-                                           SourceKind::kShardView),
+                                           SourceKind::kCatalog),
                          KindName);
 
 }  // namespace

@@ -24,7 +24,6 @@ void ExpectCountersEqual(const CostCounters& a, const CostCounters& b,
 }
 
 TEST(QueryTraceTest, SpansAttachToCurrentTraceAndNest) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out (MOA_OBS=OFF)";
   ASSERT_EQ(QueryTrace::Current(), nullptr);
   QueryTrace outer;
   ASSERT_EQ(QueryTrace::Current(), &outer);
@@ -68,7 +67,6 @@ TEST(QueryTraceTest, SpanWithoutActiveTraceIsNoOp) {
 // CostCounters sum to the whole-query delta, and that delta equals the
 // result's own CostScope counters field for field.
 TEST(QueryTraceTest, DatabaseTraceRoundTrip) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out (MOA_OBS=OFF)";
   DatabaseConfig config;
   config.collection.num_docs = 2000;
   config.collection.vocabulary = 4000;
@@ -142,7 +140,6 @@ TEST(QueryTraceTest, DatabaseTraceRoundTrip) {
 // Planned (unforced) queries carry the planner's prediction next to the
 // observed counters — the calibration feed.
 TEST(QueryTraceTest, PlannedQueryCarriesPrediction) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out (MOA_OBS=OFF)";
   DatabaseConfig config;
   config.collection.num_docs = 1500;
   config.collection.vocabulary = 3000;
@@ -172,7 +169,6 @@ TEST(QueryTraceTest, PlannedQueryCarriesPrediction) {
 // disables span collection entirely — while SearchResult's plan estimate
 // and CostCounters stay populated for every query.
 TEST(QueryTraceTest, TraceSamplingHonorsPeriod) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out (MOA_OBS=OFF)";
   DatabaseConfig config;
   config.collection.num_docs = 800;
   config.collection.vocabulary = 2000;

@@ -560,8 +560,8 @@ TEST(ShardedCatalogTest, ScoringPassMatchesPerPostingReferenceForEveryModel) {
           expect_order(
               *snap->shard_source(s).OpenImpactCursor(t, model), expected);
 
-          // The shard's own read view: its bound and per-call order, under
-          // the shard's own statistics.
+          // The shard's own read view, a one-shard snapshot of its state:
+          // its bound and order, under the shard's own statistics.
           const std::vector<ImpactOrder::Entry> own =
               reference(*view->model());
           EXPECT_EQ(view->MaxImpact(t), own.empty() ? 0.0 : own.front().weight);
@@ -860,7 +860,7 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
   RunAlignedLifecycle(*opened.ValueOrDie());
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_NE(reference_db.catalog(), nullptr);
-  const std::shared_ptr<const CatalogReadView> view =
+  const std::shared_ptr<const ShardReadView> view =
       reference_db.catalog()->OpenReadView();
   const Fragmentation fragmentation = Fragmentation::Build(
       view->state().stats().df, reference_db.config().fragmentation);
@@ -1101,10 +1101,10 @@ TEST(ShardedCatalogTest, ExplainCountsImpactPostingsScoredForTheQuery) {
   auto cached = db.ExplainSearch(request);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   EXPECT_EQ(cached.ValueOrDie().observed.impact_postings, 0);
-  if (built.ValueOrDie().has_trace) {
-    EXPECT_EQ(built.ValueOrDie().trace.observed_scalar(),
-              cached.ValueOrDie().trace.observed_scalar());
-  }
+  ASSERT_TRUE(built.ValueOrDie().has_blocks);
+  ASSERT_TRUE(cached.ValueOrDie().has_blocks);
+  EXPECT_EQ(built.ValueOrDie().trace.observed_scalar(),
+            cached.ValueOrDie().trace.observed_scalar());
 
   // A write starts a fresh snapshot: the same pair through Search, whose
   // results carry the whole CostCounters.
