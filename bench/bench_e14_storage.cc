@@ -1,5 +1,5 @@
 // E14 — posting storage: the compressed block-based MOAIF03 segment
-// against the in-memory InvertedFile it encodes. Four questions:
+// against the in-memory InvertedFile it encodes. Five questions:
 //
 //  1. Space: on-disk segment bytes against the raw posting bytes of the
 //     same collection, 8 B per (doc, tf) posting plus 4 B per document
@@ -8,11 +8,12 @@
 //  2. Cold start: SegmentReader::Open maps the file and validates the
 //     directories only — postings decode lazily per block.
 //  3. Hot path: full-list scan and skip-heavy advance_to throughput via
-//     the cursor API over both representations (plus the raw
-//     vector-direct scan as the no-abstraction reference).
+//     the cursor API over both representations — the segment's block
+//     cursor opened by SegmentReader::OpenCursor, which the catalog's
+//     merged cursor chains — plus the raw vector-direct scan as the
+//     no-abstraction reference.
 //  4. Sorted access: the impact-ordered prefix the Fagin family reads —
-//     materialized in memory, scored into a fresh impact order per call
-//     over a bare segment, and served warm from a catalog snapshot's
+//     materialized in memory, and served warm from a catalog snapshot's
 //     cached impact orders — and the cold side of that cache: the
 //     postings per second a fresh snapshot's scoring pass weighs into
 //     impact orders when the workload terms' bounds are first taken.
@@ -77,12 +78,7 @@ struct StoredSegment {
 
   StoredSegment() {
     MmDatabase& db = StorageDb();
-    SegmentWriterOptions options;
-    options.impact_model = db.model().name();
-    options.impact_fn = [&db](TermId t, const Posting& p) {
-      return db.model().Weight(t, p);
-    };
-    const Status written = WriteSegment(db.file(), path, options);
+    const Status written = WriteSegment(db.file(), path);
     if (!written.ok()) {
       std::fprintf(stderr, "bench_e14: write failed: %s\n",
                    written.ToString().c_str());
@@ -155,7 +151,7 @@ void BM_ColdStartMmapOpen(benchmark::State& state) {
 
 template <typename SourceFn>
 void ScanBench(benchmark::State& state, SourceFn&& source_fn) {
-  const PostingSource& source = source_fn();
+  const auto& source = source_fn();
   int64_t postings = 0;
   for (auto _ : state) {
     uint64_t checksum = 0;
@@ -205,11 +201,11 @@ void BM_ScanSegmentCursor(benchmark::State& state) {
 
 /// The block-batch scan idiom (PostingCursor::block_postings): one
 /// virtual call per block instead of four per posting, so throughput is
-/// decode-bound rather than dispatch-bound. This is the hot path
-/// BlockMaxAccumulate's dense phase runs.
+/// decode-bound rather than dispatch-bound. This is how the catalog's
+/// scoring pass reads a segment.
 template <typename SourceFn>
 void ScanBlocksBench(benchmark::State& state, SourceFn&& source_fn) {
-  const PostingSource& source = source_fn();
+  const auto& source = source_fn();
   int64_t postings = 0;
   for (auto _ : state) {
     uint64_t checksum = 0;
@@ -244,7 +240,7 @@ void BM_ScanSegmentBlocks(benchmark::State& state) {
 
 template <typename SourceFn>
 void AdvanceBench(benchmark::State& state, SourceFn&& source_fn) {
-  const PostingSource& source = source_fn();
+  const auto& source = source_fn();
   // Skip-heavy access: stride through each list in jumps of ~1/32 of the
   // doc space, the pattern of merge-joins and sparse probes.
   const DocId stride =
@@ -308,12 +304,6 @@ void ImpactPrefixBench(benchmark::State& state, const PostingSource& source,
 void BM_ImpactPrefixInMemory(benchmark::State& state) {
   static const InMemoryPostingSource source(&StorageDb().file());
   ImpactPrefixBench(state, source, StorageDb().model());
-}
-
-void BM_ImpactPrefixSegment(benchmark::State& state) {
-  // PostingSource's uncached default: every open decodes and scores the
-  // whole list, then sorts only the prefix read.
-  ImpactPrefixBench(state, Segment(), StorageDb().model());
 }
 
 /// The same collection flushed into a one-shard catalog: one bit-packed
@@ -456,7 +446,6 @@ BENCHMARK(BM_ScanSegmentBlocks)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceInMemoryCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AdvanceSegmentCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixInMemory)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ImpactPrefixSegment)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixCatalogWarm)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactScoreCatalogCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RandomAccessInMemory)->Unit(benchmark::kMicrosecond);

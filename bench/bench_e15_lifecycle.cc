@@ -10,7 +10,8 @@
 //     and chaining is the fragmentation tax).
 //  4. Merge win: query latency over the fragmented catalog vs after
 //     Merge() compacts it back to one segment (counter `frag_over_merged`
-//     on the merged run).
+//     on the merged run: the ratio of the two sides' median pass times,
+//     over the same number of passes, taken in alternation).
 //  5. Ingest with automatic maintenance: the same durable ingest (WAL on,
 //     periodic flush every `trigger` documents) with the flushes either
 //     blocking the ingest thread (arg 0, foreground) or running as
@@ -280,34 +281,48 @@ void BM_QueryBySegmentCount(benchmark::State& state) {
 
 // ---------------------------------------------------------- merge win
 
+double Median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
+
 void BM_QueryAfterMerge(benchmark::State& state) {
   // 8 segments, then one Merge(): the counter reports the fragmented /
-  // merged latency ratio over the same workload.
+  // merged latency ratio over the same workload. The fragmented view
+  // outlives the merge (it keeps its snapshot and segments alive), so
+  // every iteration times one pass over each, untimed by the framework
+  // on the fragmented side; a drift in machine speed then moves both.
   const std::string dir = FreshDir("mergewin");
   auto catalog = FragmentedCatalog(8, dir);
   const std::vector<Query> queries = Workload(Tiny() ? 16 : 64);
 
-  // Warm pass first: the snapshot's impact-bound cache builds on first
-  // use and must not be charged to the fragmented side.
-  auto view = catalog->OpenReadView();
-  benchmark::DoNotOptimize(RunQueries(*view, queries));
-  WallTimer fragmented_timer;
-  benchmark::DoNotOptimize(RunQueries(*view, queries));
-  const double fragmented_millis = fragmented_timer.ElapsedMillis();
-
+  const auto fragmented = catalog->OpenReadView();
   MustOk(catalog->Merge().status(), "merge");
-  view = catalog->OpenReadView();
+  const auto merged = catalog->OpenReadView();
+  // Warm passes first: each snapshot's bounds and impact orders build on
+  // first use and must not be charged to either side.
+  benchmark::DoNotOptimize(RunQueries(*fragmented, queries));
+  benchmark::DoNotOptimize(RunQueries(*merged, queries));
 
-  double merged_millis = 0;
+  std::vector<double> fragmented_millis;
+  std::vector<double> merged_millis;
   for (auto _ : state) {
+    state.PauseTiming();
+    WallTimer fragmented_timer;
+    benchmark::DoNotOptimize(RunQueries(*fragmented, queries));
+    fragmented_millis.push_back(fragmented_timer.ElapsedMillis());
+    state.ResumeTiming();
     WallTimer timer;
-    benchmark::DoNotOptimize(RunQueries(*view, queries));
-    merged_millis = timer.ElapsedMillis();
+    benchmark::DoNotOptimize(RunQueries(*merged, queries));
+    merged_millis.push_back(timer.ElapsedMillis());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries.size()));
-  if (merged_millis > 0) {
-    state.counters["frag_over_merged"] = fragmented_millis / merged_millis;
+  const double merged_median = Median(merged_millis);
+  if (merged_median > 0) {
+    state.counters["frag_over_merged"] =
+        Median(fragmented_millis) / merged_median;
   }
   std::filesystem::remove_all(dir);
 }

@@ -38,8 +38,8 @@ namespace moa {
 /// Validate().
 struct ExecContext {
   /// Representation-agnostic posting storage every executor streams from:
-  /// the in-memory file through an InMemoryPostingSource, an mmap-backed
-  /// segment, or a multi-segment catalog snapshot.
+  /// the in-memory file through an InMemoryPostingSource, or a
+  /// multi-segment catalog snapshot.
   const PostingSource* postings = nullptr;
   const ScoringModel* model = nullptr;
   /// Step-1 fragmentation; required by fragment strategies only.

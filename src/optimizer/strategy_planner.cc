@@ -64,8 +64,9 @@ StrategyCostInputs BuildCostInputs(const CardinalityEstimator& est,
 }
 
 /// One candidate's evaluation — shared verbatim by Plan() (which collects
-/// all of them) and PlanChoice() (which only tracks the running minimum),
-/// so the two paths cannot disagree on eligibility or cost.
+/// all of them), PlanChoice() (which only tracks the running minimum) and
+/// PlanForced() (which evaluates the forced one alone), so the paths
+/// cannot disagree on eligibility or cost.
 PlanCandidate Evaluate(const StrategyRegistry::Entry& entry,
                        PhysicalStrategy s, const StrategyCostInputs& inputs,
                        int active_terms, const PlanRequest& request) {
@@ -111,6 +112,23 @@ Status NoEligibleCandidate() {
   return Status::FailedPrecondition(
       "no strategy meets the request (quality target too high for the "
       "eligible candidates?)");
+}
+
+/// Accepts the evaluation of forced strategy `s` (null: unregistered),
+/// for Plan() and PlanForced() alike. A strategy that cannot run here
+/// fails; forcing overrides cost- and quality-based rejection by design.
+Status AcceptForced(PhysicalStrategy s, PlanCandidate* forced) {
+  if (forced == nullptr) {
+    return Status::FailedPrecondition(
+        std::string("forced strategy unregistered: ") + StrategyName(s));
+  }
+  if (forced->reject == PlanReject::kNeedsFragmentation ||
+      forced->reject == PlanReject::kNoActiveTerms) {
+    return Status::FailedPrecondition(
+        std::string("forced strategy unavailable: ") + StrategyName(s));
+  }
+  forced->reject = PlanReject::kNone;
+  return Status::OK();
 }
 
 }  // namespace
@@ -199,19 +217,7 @@ Result<PlanDecision> StrategyPlanner::Plan(const Query& query,
     for (PlanCandidate& c : decision.candidates) {
       if (c.strategy == *request.force) forced = &c;
     }
-    if (forced == nullptr) {
-      return Status::FailedPrecondition(
-          std::string("forced strategy unregistered: ") +
-          StrategyName(*request.force));
-    }
-    if (forced->reject == PlanReject::kNeedsFragmentation ||
-        forced->reject == PlanReject::kNoActiveTerms) {
-      return Status::FailedPrecondition(
-          std::string("forced strategy unavailable: ") +
-          StrategyName(*request.force));
-    }
-    // Forcing overrides cost- and quality-based rejection by design.
-    forced->reject = PlanReject::kNone;
+    MOA_RETURN_NOT_OK(AcceptForced(*request.force, forced));
     decision.forced = true;
     decision.strategy = *request.force;
     decision.chosen = *forced;
@@ -255,38 +261,21 @@ Result<PlanCandidate> StrategyPlanner::PlanChoice(
 
 Result<PlanDecision> StrategyPlanner::PlanForced(
     const Query& query, const PlanRequest& request) const {
-  const StrategyRegistry& registry = StrategyRegistry::Global();
   const PhysicalStrategy s = *request.force;
-  const StrategyRegistry::Entry* entry = registry.Find(s);
-  if (entry == nullptr) {
-    return Status::FailedPrecondition(
-        std::string("forced strategy unregistered: ") + StrategyName(s));
+  const StrategyRegistry::Entry* entry = StrategyRegistry::Global().Find(s);
+  PlanCandidate forced;
+  if (entry != nullptr) {
+    forced = Evaluate(*entry, s,
+                      BuildCostInputs(*est_, query, request.n, storage_),
+                      est_->ActiveTerms(query), request);
   }
-  const PlannerHooks& hooks = entry->planner;
-  const StrategyCostInputs inputs =
-      BuildCostInputs(*est_, query, request.n, storage_);
-  if (hooks.needs_fragmentation && !inputs.has_fragmentation) {
-    return Status::FailedPrecondition(
-        std::string("forced strategy unavailable: ") + StrategyName(s));
-  }
-  if (hooks.needs_active_terms && est_->ActiveTerms(query) < 1) {
-    return Status::FailedPrecondition(
-        std::string("forced strategy unavailable: ") + StrategyName(s));
-  }
+  MOA_RETURN_NOT_OK(AcceptForced(s, entry != nullptr ? &forced : nullptr));
   PlanDecision decision;
   decision.forced = true;
   decision.strategy = s;
   decision.quality_target = request.quality_target;
-  decision.chosen.strategy = s;
-  decision.chosen.safe = entry->safe;
-  if (hooks.cost != nullptr) {
-    decision.chosen.costed = true;
-    decision.chosen.predicted = hooks.cost(inputs);
-    decision.chosen.scalar = decision.chosen.predicted.Scalar();
-    decision.chosen.predicted_quality =
-        hooks.quality != nullptr ? hooks.quality(inputs) : 1.0;
-  }
-  decision.candidates.push_back(decision.chosen);
+  decision.chosen = forced;
+  decision.candidates.push_back(forced);
   return decision;
 }
 

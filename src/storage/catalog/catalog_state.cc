@@ -34,11 +34,6 @@ class VectorPostingCursor final : public PostingCursor {
     pos_ = static_cast<size_t>(it - postings_->begin());
   }
   size_t size() const override { return postings_->size(); }
-  // The memtable has no precomputed impact metadata; the chained cursor
-  // never consults its components' bounds (it serves the snapshot-exact
-  // bound itself).
-  double block_max_impact() const override { return 0.0; }
-  double max_impact() const override { return 0.0; }
   // One uncompressed block spanning the whole list — the exact skip key
   // lets the chained cursor's shallow_advance treat the memtable component
   // like any block-structured one.
@@ -69,11 +64,8 @@ struct Component {
 class ChainedPostingCursor final : public PostingCursor {
  public:
   ChainedPostingCursor(std::vector<Component> comps, TermId term,
-                       uint32_t live_df, double max_impact)
-      : comps_(std::move(comps)),
-        term_(term),
-        live_df_(live_df),
-        max_impact_(max_impact) {
+                       uint32_t live_df)
+      : comps_(std::move(comps)), term_(term), live_df_(live_df) {
     Enter(0);
     SettleOnLive();
   }
@@ -130,13 +122,6 @@ class ChainedPostingCursor final : public PostingCursor {
     }
   }
   size_t size() const override { return live_df_; }
-  /// The snapshot-exact term bound is the only impact metadata the merged
-  /// view serves; it upper-bounds every block trivially. Stored per-block
-  /// bounds would be tighter but are stale under moved live statistics
-  /// (BM25/LM weights do not factorize), so the merged cursor's win from
-  /// shallow_advance is decode skipping, not tighter bounds.
-  double block_max_impact() const override { return max_impact_; }
-  double max_impact() const override { return max_impact_; }
   /// Inner skip key lifted into the global id space. Safe: every inner
   /// implementation returns a real local doc id (< its component's doc
   /// count) or kEndDoc, never the blockless kEndDoc - 1 default.
@@ -182,7 +167,6 @@ class ChainedPostingCursor final : public PostingCursor {
   std::vector<Component> comps_;
   TermId term_;
   uint32_t live_df_;
-  double max_impact_;
   size_t comp_ = 0;
   // True after a shallow_advance: the inner cursor is block-positioned but
   // not settled on a live posting; doc()/next() need a deep advance first
@@ -267,7 +251,7 @@ std::vector<DocId> CatalogState::LiveDocIds() const {
 }
 
 std::unique_ptr<PostingCursor> CatalogState::OpenMergedCursor(
-    TermId t, double max_impact) const {
+    TermId t) const {
   std::vector<Component> comps;
   for (size_t i = 0; i < segments_.size(); ++i) {
     const CatalogSegment& seg = *segments_[i];
@@ -288,7 +272,7 @@ std::unique_ptr<PostingCursor> CatalogState::OpenMergedCursor(
     comps.push_back(c);
   }
   return std::make_unique<ChainedPostingCursor>(std::move(comps), t,
-                                                stats_.df[t], max_impact);
+                                                stats_.df[t]);
 }
 
 ImpactOrder::Builder CatalogState::ScoreLivePostings(

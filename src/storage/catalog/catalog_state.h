@@ -22,8 +22,11 @@
 //
 // The scoring pass. ScoreLivePostings is the one pass that weighs a term's
 // live postings, for ShardedSnapshot's impact orders and with them the
-// term's bound. A state caches neither: weights depend on the statistics
-// a query scores by, and the snapshot that reads the state owns those.
+// term's bound, the only bound any query reads: segments store postings
+// and nothing derived from scoring statistics, and the merged cursor
+// carries no bound. A state caches neither: weights depend on the
+// statistics a query scores by, and the snapshot that reads the state
+// owns those.
 // The pass skips the chained cursor: each segment hands over one decoded
 // block at a time (PostingCursor::block_postings), with lengths from its
 // own SegmentReader::DocLength and tombstones from its bitmap, and the
@@ -138,10 +141,7 @@ class CatalogState {
   std::vector<DocId> LiveDocIds() const;
 
   /// Doc-ordered cursor over term t's *live* postings, global ids.
-  /// `max_impact` is stamped onto the cursor (callers pass the snapshot's
-  /// bound; a caller that reads no bound passes 0).
-  std::unique_ptr<PostingCursor> OpenMergedCursor(TermId t,
-                                                  double max_impact) const;
+  std::unique_ptr<PostingCursor> OpenMergedCursor(TermId t) const;
 
   /// Term t's live postings, global ids ascending, scored with `weight`
   /// (the term's TermWeight under the statistics to score by) — the

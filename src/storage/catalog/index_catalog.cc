@@ -22,26 +22,6 @@ double FileSizeOrZero(const std::string& path) {
   return ec ? 0.0 : static_cast<double>(size);
 }
 
-/// Writer options for a catalog segment: impacts are stamped under a
-/// model bound to the flushed file's *own* statistics. Snapshots never
-/// prune on these stored bounds (live statistics move; ShardedSnapshot
-/// recomputes exact bounds per snapshot), but a segment served standalone
-/// — or a future bounds-rebasing optimization — gets the full impact
-/// metadata for free.
-SegmentWriterOptions CatalogSegmentWriterOptions(
-    const InvertedFile& file, ScoringModelKind scoring, uint32_t block_size,
-    std::unique_ptr<ScoringModel>* model_out) {
-  SegmentWriterOptions options;
-  options.block_size = block_size;
-  *model_out = MakeScoringModel(scoring, &file);
-  ScoringModel* model = model_out->get();
-  options.impact_fn = [model](TermId t, const Posting& p) {
-    return model->Weight(t, p);
-  };
-  options.impact_model = model->name().substr(0, kImpactModelBytes - 1);
-  return options;
-}
-
 /// Opens one durable segment (reader + sidecar) and cross-validates the
 /// two against each other: document counts, per-document lengths, and the
 /// full per-term document frequencies — a sidecar that drifted from its
@@ -737,11 +717,8 @@ Status IndexCatalog::Flush() {
 
   Result<InvertedFile> file = flush_mem->ToInvertedFile();
   if (!file.ok()) return file.status();
-  std::unique_ptr<ScoringModel> impact_model;
-  const SegmentWriterOptions wopts = CatalogSegmentWriterOptions(
-      file.ValueOrDie(), options_.scoring, options_.segment_block_size,
-      &impact_model);
-  MOA_RETURN_NOT_OK(WriteSegment(file.ValueOrDie(), seg->segment_path, wopts));
+  MOA_RETURN_NOT_OK(WriteSegment(file.ValueOrDie(), seg->segment_path,
+                                 {options_.segment_block_size}));
   MOA_RETURN_NOT_OK(
       WriteForwardIndex(flush_mem->forward_index(), forward_path));
   MOA_RETURN_NOT_OK(Fault("flush:segment-written"));
@@ -874,11 +851,8 @@ Result<size_t> IndexCatalog::Merge(const MergePolicy& policy) {
   const std::string forward_path = options_.dir + "/" + ForwardFileName(id);
 
   const InvertedFile merged_file = builder.Build();
-  std::unique_ptr<ScoringModel> impact_model;
-  const SegmentWriterOptions wopts = CatalogSegmentWriterOptions(
-      merged_file, options_.scoring, options_.segment_block_size,
-      &impact_model);
-  MOA_RETURN_NOT_OK(WriteSegment(merged_file, merged->segment_path, wopts));
+  MOA_RETURN_NOT_OK(WriteSegment(merged_file, merged->segment_path,
+                                 {options_.segment_block_size}));
   MOA_RETURN_NOT_OK(WriteForwardIndex(merged_fwd, forward_path));
   MOA_RETURN_NOT_OK(Fault("merge:segment-written"));
 

@@ -101,9 +101,7 @@ class IndexCatalog {
     /// adds and deletes work, Flush/Merge return FailedPrecondition.
     std::string dir;
     /// Scoring kind that snapshots of this catalog score by: OpenReadView's
-    /// and, for every shard, ShardedCatalog::Snapshot's. Flush and merge
-    /// also stamp segment impact bounds under a model of this kind bound to
-    /// the flushed file's own statistics.
+    /// and, for every shard, ShardedCatalog::Snapshot's.
     ScoringModelKind scoring = ScoringModelKind::kBm25;
     uint32_t segment_block_size = kDefaultSegmentBlockSize;
     /// Write-ahead log (directory-backed catalogs only). Acknowledged

@@ -392,7 +392,7 @@ double ShardReadView::MaxImpact(TermId t) const {
 }
 
 std::unique_ptr<PostingCursor> ShardReadView::OpenCursor(TermId t) const {
-  return state_->OpenMergedCursor(t, snapshot_->ShardTermBound(shard_, t));
+  return state_->OpenMergedCursor(t);
 }
 
 std::unique_ptr<ImpactCursor> ShardReadView::OpenImpactCursor(

@@ -15,16 +15,17 @@
 // strategy whose reported scores are full deterministic sums. With one
 // shard the global statistics are the state's own.
 //
-// Impact bounds. Per-segment stored max_impacts go stale the moment the
-// collection statistics move (they were computed under flush-time df/
-// avgdl/N), so no snapshot trusts them. Weights depend on the statistics
-// a snapshot scores by, which move whenever any shard mutates — while an
-// unchanged shard's CatalogState persists from one snapshot to the next.
-// So the snapshot, not the state, owns the bounds: per (shard, term), the
-// exact max current weight of the shard's live postings under the
-// snapshot's statistics, computed on first use (with the term's impact
-// order, below) and shared by every query on this snapshot. Exact bounds
-// keep max-score pruning decisions bit-identical to a fresh index of the
+// Impact bounds. Segments store no bounds: a bound computed at flush
+// would go stale the moment the collection statistics move. Weights
+// depend on the statistics a snapshot scores by, which move whenever any
+// shard mutates — while an unchanged shard's CatalogState persists from
+// one snapshot to the next. So the snapshot, not the state, owns the
+// bounds, and ShardReadView::MaxImpact is how a query reads one
+// (doc-ordered cursors carry none): per (shard, term), the exact max
+// current weight of the shard's live postings under the snapshot's
+// statistics, computed on first use (with the term's impact order,
+// below) and shared by every query on this snapshot. Exact bounds keep
+// max-score pruning decisions bit-identical to a fresh index of the
 // survivors. The per-shard *query* bound — the sum of a query's term
 // bounds, the shard-skipping currency of the coordinator — comes from the
 // same cache.

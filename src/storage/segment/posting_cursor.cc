@@ -1,7 +1,6 @@
 #include "storage/segment/posting_cursor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <vector>
 
@@ -36,12 +35,9 @@ class InMemoryPostingCursor final : public PostingCursor {
     pos_ = static_cast<size_t>(it - postings.begin());
   }
   size_t size() const override { return list_->size(); }
-  double block_max_impact() const override { return max_impact(); }
-  double max_impact() const override { return list_->max_weight(); }
   /// One uncompressed block spanning the whole list: its skip key is the
   /// list's final doc id (exact, unlike the base-class conservative
-  /// default), so a pruning loop that rules out max_impact() skips the
-  /// entire remaining list in one shallow step.
+  /// default).
   DocId block_last_doc() const override {
     return pos_ < list_->size() ? list_->postings().back().doc : kEndDoc;
   }
@@ -180,24 +176,6 @@ size_t ImpactOrder::SortedAtLeast(size_t want) const {
 std::unique_ptr<ImpactCursor> ImpactOrder::OpenCursor(
     std::shared_ptr<const ImpactOrder> order) {
   return std::make_unique<ImpactOrderCursor>(std::move(order));
-}
-
-std::unique_ptr<ImpactCursor> PostingSource::OpenImpactCursor(
-    TermId t, const ScoringModel& model) const {
-  const CollectionStatsView& stats = model.stats();
-  const auto doc_length = [&stats](DocId d) { return stats.DocLength(d); };
-  const std::unique_ptr<PostingCursor> postings = OpenCursor(t);
-  ImpactOrder::Builder order(model.ForTerm(t), postings->size());
-  const DocId* docs;
-  const uint32_t* tfs;
-  while (const size_t n = postings->block_postings(&docs, &tfs)) {
-    order.Add(
-        0, n, [&](size_t j) { return Posting{docs[j], tfs[j]}; }, nullptr,
-        doc_length);
-    postings->shallow_advance(postings->block_last_doc() + 1);
-  }
-  assert(postings->at_end());  // the cursor serves block batches
-  return ImpactOrder::OpenCursor(order.Build());
 }
 
 std::unique_ptr<PostingCursor> InMemoryPostingSource::OpenCursor(

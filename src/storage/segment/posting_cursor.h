@@ -4,11 +4,13 @@
 // Executors that only need doc-ordered (doc, tf) streams — the baselines,
 // term-at-a-time max-score and STOP AFTER — talk to this interface instead
 // of touching std::vector<Posting> directly, so the same algorithm runs
-// unchanged over the in-memory InvertedFile and over a compressed
-// mmap-backed MOAIF03 segment (storage/segment/segment_reader.h).
+// unchanged over the in-memory InvertedFile and over a catalog snapshot,
+// whose compressed mmap-backed MOAIF03 segments
+// (storage/segment/segment_reader.h) serve the same cursor.
 // Executors that read postings by descending weight (the Fagin family,
 // sparse-probe champions) use ImpactCursor: the materialized order in
-// memory, an ImpactOrder scored from the doc-ordered list everywhere else.
+// memory, an ImpactOrder scored from the doc-ordered postings over a
+// catalog snapshot.
 // The same cursor serves the Fagin family's random access (FindWeight), so
 // a query term's sorted and random access read one list.
 //
@@ -22,21 +24,21 @@
 //    is a no-op when doc() >= target already (cursors never move
 //    backwards). advance_to(kEndDoc) exhausts the cursor unless a posting
 //    for the largest representable doc exists.
-//  - Impact metadata (max_impact / block_max_impact) is an upper bound on
-//    the scoring weight of any posting in the term / in the current block.
-//    It is only meaningful when the source HasImpacts for the term; the
-//    in-memory implementation treats the whole list as one block.
+//  - Cursors carry no scoring bound: a term's bound is the source's
+//    (PostingSource::MaxImpact), computed under the statistics a query
+//    scores by.
 //  - shallow_advance(target) moves only the *block* position: afterwards
 //    the current block is the first one whose block_last_doc() >= target
 //    (or the cursor is block-exhausted, block_last_doc() == kEndDoc) and
 //    no payload has been decoded. In the shallow state only
-//    block_max_impact(), block_last_doc(), shallow_advance() and
-//    advance_to() are meaningful; doc()/tf()/next() require a deep
-//    advance_to first. Block-max pruning loops live on this: bound-check
-//    a block via block_max_impact(), then either decode it (advance_to)
-//    or skip it wholesale (shallow_advance(block_last_doc() + 1)).
-//    Implementations without block structure default shallow_advance to
-//    advance_to — always correct, just never cheaper.
+//    block_last_doc(), shallow_advance() and advance_to() are
+//    meaningful; doc()/tf()/next() require a deep advance_to first. The
+//    max-score probe loop lives on this: it shallow-steps to a candidate
+//    document and decodes the block (advance_to) only when the term's
+//    bound cannot rule the document out, so blocks holding no surviving
+//    candidate are never decoded. Implementations without block
+//    structure default shallow_advance to advance_to — always correct,
+//    just never cheaper; the in-memory one serves its list as one block.
 //
 // Cost accounting stays in the algorithms (CostTicker ticks per posting
 // touched), not in the cursors, so switching representations does not
@@ -86,16 +88,12 @@ class PostingCursor {
   virtual void shallow_advance(DocId target) { advance_to(target); }
   /// Total number of postings (the term's document frequency).
   virtual size_t size() const = 0;
-  /// Upper bound on the weight of any posting in the current block.
-  virtual double block_max_impact() const = 0;
-  /// Upper bound on the weight of any posting of the term.
-  virtual double max_impact() const = 0;
   /// Largest doc id in the current block — the block's skip key: no
   /// posting with doc > block_last_doc() exists in the current block, and
   /// shallow_advance(block_last_doc() + 1) skips it without decoding.
   /// kEndDoc iff the cursor is exhausted at block level. The conservative
   /// default (kEndDoc - 1 while postings remain) is correct for blockless
-  /// cursors whose block_max_impact spans the rest of the list.
+  /// cursors, whose one block spans the rest of the list.
   virtual DocId block_last_doc() const {
     return at_end() ? kEndDoc : kEndDoc - 1;
   }
@@ -107,7 +105,8 @@ class PostingCursor {
   /// default; callers then fall back to doc()/tf()/next()). The pointers
   /// stay valid until the cursor moves. Consume the batch, then step with
   /// shallow_advance(block_last_doc() + 1): one virtual call per block
-  /// instead of four per posting — the segment scan hot path.
+  /// instead of four per posting — how the catalog's scoring pass reads a
+  /// segment.
   virtual size_t block_postings(const DocId** docs,
                                 const uint32_t** tfs) const {
     (void)docs;
@@ -154,8 +153,8 @@ class ImpactCursor {
 };
 
 /// \brief One term's postings in impact order, sorted lazily: the sorted
-/// and random access of storage without a materialized order (segments,
-/// catalog snapshots).
+/// and random access of storage without a materialized order (catalog
+/// snapshots).
 ///
 /// An ImpactOrder::Builder makes it in one scoring pass: its caller feeds
 /// the term's postings as doc-ordered runs of one storage component each,
@@ -180,9 +179,8 @@ class ImpactCursor {
 /// above it.
 ///
 /// Memory: 16 B per posting (Entry), plus 4 B per posting for the
-/// permutation once a cursor has read the order; held by whoever owns the
-/// order — the cursor alone for PostingSource's uncached default, the
-/// snapshot for ShardedSnapshot's cache.
+/// permutation once a cursor has read the order; held by the snapshot
+/// that caches it (ShardedSnapshot) and by the cursors reading it.
 class ImpactOrder {
  public:
   struct Entry {
@@ -280,7 +278,6 @@ class ImpactOrder::Builder {
 /// \brief A collection of posting lists addressable by TermId.
 ///
 /// Implementations: InMemoryPostingSource (below) over an InvertedFile,
-/// SegmentReader (segment_reader.h) over a compressed mmap-backed segment,
 /// and ShardReadView (storage/catalog/sharded_snapshot.h) over one shard
 /// of a multi-segment catalog snapshot.
 /// Sources are immutable after construction and safe for concurrent reads;
@@ -293,33 +290,33 @@ class PostingSource {
   virtual size_t num_docs() const = 0;
   /// Number of documents containing term t.
   virtual uint32_t DocFrequency(TermId t) const = 0;
-  /// True if MaxImpact/impact bounds are available for term t.
+  /// True if MaxImpact and OpenImpactCursor are available for term t.
   virtual bool HasImpacts(TermId t) const = 0;
-  /// Upper bound on the weight of any posting of t; requires HasImpacts.
+  /// The term's bound, the one every pruning decision reads: the exact
+  /// greatest weight of t's postings (the materialized order's maximum
+  /// in memory, the snapshot's under its statistics over a catalog).
+  /// Requires HasImpacts.
   virtual double MaxImpact(TermId t) const = 0;
   /// A fresh cursor positioned on t's first posting.
   virtual std::unique_ptr<PostingCursor> OpenCursor(TermId t) const = 0;
 
   /// Postings of t by descending `model` weight, ties by ascending doc —
-  /// exact sorted access over any storage, and random access over the
-  /// same postings (ImpactCursor::FindWeight). Requires HasImpacts(t) and
-  /// a model whose arithmetic matches the source's impact bounds (the
-  /// same precondition impact orders always had). The default scores the
-  /// whole list, block batch by block batch (it requires cursors that
-  /// serve block_postings, as a segment's do), into a fresh ImpactOrder
-  /// on every call and sorts only the prefix the cursor reads;
-  /// InMemoryPostingSource serves its materialized order and ShardReadView
-  /// the order its snapshot caches per (shard, term).
+  /// exact sorted access, and random access over the same postings
+  /// (ImpactCursor::FindWeight). Requires HasImpacts(t) and a model whose
+  /// arithmetic matches the source's impact bounds (the same precondition
+  /// impact orders always had). InMemoryPostingSource serves its
+  /// materialized order and ShardReadView the order its snapshot caches
+  /// per (shard, term).
   virtual std::unique_ptr<ImpactCursor> OpenImpactCursor(
-      TermId t, const ScoringModel& model) const;
+      TermId t, const ScoringModel& model) const = 0;
 };
 
 /// \brief Zero-copy PostingSource view over an in-memory InvertedFile.
 ///
 /// Cheap to construct (one pointer), so callers holding only an
 /// InvertedFile can adapt it on the stack. Impact bounds come from the
-/// list's materialized impact order (InvertedFile::BuildImpactOrders); the
-/// whole list counts as a single block.
+/// list's materialized impact order (InvertedFile::BuildImpactOrders); a
+/// cursor serves the whole list as a single block.
 class InMemoryPostingSource final : public PostingSource {
  public:
   explicit InMemoryPostingSource(const InvertedFile* file) : file_(file) {}

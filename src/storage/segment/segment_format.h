@@ -26,11 +26,14 @@
 // the rest of the list; that is what makes lazy per-block decode and
 // skip-driven advance_to cheap over mmap.
 //
-// Impact metadata (per-term and per-block max scoring weight) is optional:
-// kFlagHasImpacts says whether the writer was given a weight function.
-// The bounds are stored as f64 computed with the exact same arithmetic as
-// InvertedFile::BuildImpactOrders so that max-score pruning over a segment
-// takes bit-identical decisions to the in-memory path.
+// Impact fields (kFlagHasImpacts, the header's impact_model and the
+// per-term and per-block max_impact) are written as zero and read by no
+// query: a bound depends on collection statistics that move after the
+// segment is written, so bounds come from the catalog snapshot instead.
+// The fields stay in the layout only so that segments written by older
+// versions, which stamped them, still open; the reader validates them
+// (finite, non-negative, zero without the flag, each term's bound the
+// maximum over its blocks) and otherwise ignores them.
 #ifndef MOA_STORAGE_SEGMENT_SEGMENT_FORMAT_H_
 #define MOA_STORAGE_SEGMENT_SEGMENT_FORMAT_H_
 
@@ -62,10 +65,8 @@ struct SegmentHeader {
   char magic[8];
   uint32_t block_size;    ///< max postings per block, >= 1
   uint32_t flags;         ///< kFlag* bits
-  /// NUL-padded name of the scoring model whose Weight produced the
-  /// max_impact metadata (empty without kFlagHasImpacts). Impact bounds
-  /// are only upper bounds under the *same* model — consumers must match
-  /// this against their serving model before trusting them for pruning.
+  /// NUL-padded name of the scoring model an older writer stamped its
+  /// max_impact fields with; written empty (see the file comment).
   char impact_model[kImpactModelBytes];
   uint64_t num_terms;
   uint64_t num_docs;
@@ -83,7 +84,7 @@ struct TermDirEntry {
                             ///< the payload section
   uint32_t block_count;     ///< number of blocks (ceil(df / block_size))
   uint32_t df;              ///< document frequency
-  double max_impact;        ///< max weight over the term (0 w/o impacts)
+  double max_impact;        ///< written as 0 (see the file comment)
 };
 static_assert(sizeof(TermDirEntry) == 32);
 static_assert(std::is_trivially_copyable_v<TermDirEntry>);
@@ -94,7 +95,7 @@ struct BlockDirEntry {
   uint32_t last_doc;    ///< doc id of the block's final posting (skip key)
   uint32_t count;       ///< postings in the block, in [1, block_size]
   uint32_t max_tf;      ///< max term frequency in the block
-  double max_impact;    ///< max weight in the block (0 w/o impacts)
+  double max_impact;    ///< written as 0 (see the file comment)
 };
 static_assert(sizeof(BlockDirEntry) == 24);
 static_assert(std::is_trivially_copyable_v<BlockDirEntry>);

@@ -33,10 +33,10 @@ T LoadPod(const uint8_t* base, uint64_t index) {
 /// directory entry is current) and the block *payload* (the decoded
 /// docs/tfs arrays) are tracked separately: moving the position is a
 /// directory read, decoding is deferred until doc()/tf() actually need
-/// postings. That split is what makes shallow_advance free — block-max
-/// pruning moves the position across the directory, inspects
-/// block_max_impact()/block_last_doc(), and only pays DecodePostingBlock
-/// for blocks that survive the bound check. advance_to gallops over the
+/// postings. That split is what makes shallow_advance free — the
+/// max-score probe loop moves the position across the directory, reads
+/// block_last_doc(), and only pays DecodePostingBlock for blocks holding
+/// a document its bound check keeps. advance_to gallops over the
 /// block directory (exponential probe + binary search), so short hops —
 /// the common case in ordered probing — cost O(1) directory reads while
 /// long skips stay O(log distance).
@@ -44,13 +44,12 @@ class BlockPostingCursor final : public PostingCursor {
  public:
   BlockPostingCursor(const uint8_t* blocks, uint32_t num_blocks,
                      const uint8_t* payload, uint64_t payload_bytes,
-                     uint32_t df, double max_impact)
+                     uint32_t df)
       : blocks_(blocks),
         num_blocks_(num_blocks),
         payload_(payload),
         payload_bytes_(payload_bytes),
-        df_(df),
-        max_impact_(max_impact) {
+        df_(df) {
     if (num_blocks_ > 0) SetBlock(0);
   }
 
@@ -65,10 +64,6 @@ class BlockPostingCursor final : public PostingCursor {
     return block_idx_ < num_blocks_ ? tfs_[pos_] : 0;
   }
   size_t size() const override { return df_; }
-  double block_max_impact() const override {
-    return block_idx_ < num_blocks_ ? current_.max_impact : 0.0;
-  }
-  double max_impact() const override { return max_impact_; }
   DocId block_last_doc() const override {
     return block_idx_ < num_blocks_ ? current_.last_doc : kEndDoc;
   }
@@ -198,7 +193,6 @@ class BlockPostingCursor final : public PostingCursor {
   const uint8_t* payload_;
   uint64_t payload_bytes_;
   uint32_t df_;
-  double max_impact_;
 
   // block_idx_ and the decode cache are mutable: EnsureDecoded runs from
   // const accessors and must be able to fail closed.
@@ -385,9 +379,10 @@ Status SegmentReader::Validate() {
       if (e.payload_offset + be.offset > h.payload_bytes) {
         return Status::InvalidArgument("segment: block payload out of range");
       }
-      // Impact bounds feed max-score pruning: a corrupted (NaN, negative
-      // or understated) bound would silently drop true top-N documents,
-      // so reject what the cheap structural invariants can see.
+      // Impact bounds are written as zero and read by no query, but a
+      // segment written by an older version carries stamped ones: a
+      // corrupted (NaN, negative or understated) bound is still corrupt
+      // input, so reject what the cheap structural invariants can see.
       const bool has_impacts = (h.flags & kFlagHasImpacts) != 0;
       if (!std::isfinite(be.max_impact) || be.max_impact < 0.0 ||
           (!has_impacts && be.max_impact != 0.0)) {
@@ -441,16 +436,12 @@ uint32_t SegmentReader::DocFrequency(TermId t) const {
   return term_entry(t).df;
 }
 
-double SegmentReader::MaxImpact(TermId t) const {
-  return term_entry(t).max_impact;
-}
-
 std::unique_ptr<PostingCursor> SegmentReader::OpenCursor(TermId t) const {
   const TermDirEntry entry = term_entry(t);
   return std::make_unique<BlockPostingCursor>(
       block_dir_ + entry.block_begin * sizeof(BlockDirEntry),
       entry.block_count, payload_ + entry.payload_offset,
-      term_payload_bytes(entry, t), entry.df, entry.max_impact);
+      term_payload_bytes(entry, t), entry.df);
 }
 
 Status SegmentReader::CheckIntegrity() const {

@@ -1,7 +1,14 @@
-// Mmap-backed MOAIF03 segment reader: a PostingSource whose posting lists
-// stay compressed on disk until a cursor touches them. Open rejects any
-// other magic, retired formats included, with InvalidArgument, so an old
-// file fails cleanly instead of being misread.
+// Mmap-backed MOAIF03 segment reader: one immutable component of a
+// catalog (storage/catalog/catalog_state.h), whose posting lists stay
+// compressed on disk until a cursor touches them. Open rejects any other
+// magic, retired formats included, with InvalidArgument, so an old file
+// fails cleanly instead of being misread.
+//
+// The reader serves postings and document lengths only. Impact fields a
+// segment written by an older version carries are validated at Open
+// (they are input from outside the program) and otherwise ignored:
+// bounds and impact orders come from the catalog snapshot, under the
+// statistics a query scores by.
 //
 // Open() memory-maps the file read-only and fully validates the header
 // and both directories (bounds, monotonicity, block-count arithmetic,
@@ -29,7 +36,7 @@
 
 namespace moa {
 
-class SegmentReader final : public PostingSource {
+class SegmentReader final {
  public:
   /// Maps and validates the segment at `path`. Nothing else is read: a
   /// `path + ".frg"` fragment-directory sidecar left by an older version
@@ -40,36 +47,21 @@ class SegmentReader final : public PostingSource {
   /// touchpoint; validation itself stays metrics-free).
   static Result<std::unique_ptr<SegmentReader>> Open(const std::string& path);
 
-  ~SegmentReader() override;
+  ~SegmentReader();
   SegmentReader(const SegmentReader&) = delete;
   SegmentReader& operator=(const SegmentReader&) = delete;
 
-  // PostingSource:
-  size_t num_terms() const override { return header_.num_terms; }
-  size_t num_docs() const override { return header_.num_docs; }
-  uint32_t DocFrequency(TermId t) const override;
-  bool HasImpacts(TermId /*t*/) const override {
-    // Impact metadata is all-or-nothing per segment.
-    return (header_.flags & kFlagHasImpacts) != 0;
-  }
-  double MaxImpact(TermId t) const override;
-  std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
-  // OpenImpactCursor: PostingSource's default — every call decodes and
-  // scores the whole list, block by block, into a fresh ImpactOrder.
-  // Catalog snapshots serve sorted access from their per-(shard, term)
-  // cache instead.
+  size_t num_terms() const { return header_.num_terms; }
+  size_t num_docs() const { return header_.num_docs; }
+  /// Number of documents of this segment containing term t.
+  uint32_t DocFrequency(TermId t) const;
+  /// A fresh block cursor positioned on t's first posting (local ids).
+  /// Payload decodes lazily, one block per first touch; block_postings
+  /// hands over a decoded block whole.
+  std::unique_ptr<PostingCursor> OpenCursor(TermId t) const;
 
   uint64_t total_tokens() const { return header_.total_tokens; }
   uint32_t block_size() const { return header_.block_size; }
-  bool has_impacts() const { return (header_.flags & kFlagHasImpacts) != 0; }
-  /// Name of the scoring model the stored impact bounds were computed
-  /// with (empty when the segment carries no impacts). Consumers must
-  /// match this against their serving model before pruning on the
-  /// bounds — they are meaningless under a different model.
-  std::string impact_model() const {
-    const size_t len = ::strnlen(header_.impact_model, kImpactModelBytes);
-    return std::string(header_.impact_model, len);
-  }
   uint64_t file_size() const { return size_; }
   /// Token count of document d (served from the mapped section). Inline:
   /// the catalog's scoring pass reads one per posting.

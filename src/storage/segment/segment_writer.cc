@@ -70,12 +70,7 @@ Status BuildImage(const InvertedFile& file,
       block.max_impact = 0.0;
       for (size_t i = begin; i < begin + count; ++i) {
         block.max_tf = std::max(block.max_tf, postings[i].tf);
-        if (options.impact_fn) {
-          block.max_impact =
-              std::max(block.max_impact, options.impact_fn(t, postings[i]));
-        }
       }
-      entry.max_impact = std::max(entry.max_impact, block.max_impact);
       EncodePostingBlock(SegmentCodec::kBitPacked, postings.data() + begin,
                          count, payload);
       block_dir.push_back(block);
@@ -95,11 +90,6 @@ Status WriteBody(const InvertedFile& file, const SegmentWriterOptions& options,
   SegmentHeader header{};
   std::memcpy(header.magic, kSegmentMagic, sizeof(header.magic));
   header.block_size = options.block_size;
-  header.flags = options.impact_fn ? kFlagHasImpacts : 0;
-  if (options.impact_fn) {
-    options.impact_model.copy(header.impact_model,
-                              sizeof(header.impact_model) - 1);
-  }
   header.num_terms = file.num_terms();
   header.num_docs = file.num_docs();
   header.total_tokens = static_cast<uint64_t>(file.total_tokens());

@@ -52,37 +52,23 @@ std::unordered_map<DocId, double> BlockMaxAccumulate(
   // TermWeight (read once per term, bit-identical to model.Weight).
   // `insert` distinguishes the dense phase (unseen docs may open
   // accumulators, budget permitting) from the pruned update-scan
-  // (existing accumulators only). Consumes the cursor's columnar
-  // per-block batch when it provides one — same postings in the same
-  // order with identical tick accounting, minus four virtual calls per
-  // posting; blockless and merged cursors take the per-posting fallback.
+  // (existing accumulators only).
   const auto scan_term = [&](TermId t, const TermWeight& weight,
                              bool insert) {
-    const auto cursor = source.OpenCursor(t);
-    const auto step = [&](DocId d, uint32_t tf) {
+    for (auto cursor = source.OpenCursor(t); !cursor->at_end();
+         cursor->next()) {
       CostTicker::TickSeq();
+      const DocId d = cursor->doc();
       auto it = acc.find(d);
       if (it != acc.end()) {
         CostTicker::TickScore();
-        it->second += weight(tf, stats.DocLength(d));
+        it->second += weight(cursor->tf(), stats.DocLength(d));
       } else if (insert && (options.accumulator_budget == 0 ||
                             acc.size() < options.accumulator_budget)) {
         CostTicker::TickScore();
-        acc.emplace(d, weight(tf, stats.DocLength(d)));
+        acc.emplace(d, weight(cursor->tf(), stats.DocLength(d)));
       }
       // else: pruned phase or budget bound — read but not scored.
-    };
-    while (!cursor->at_end()) {
-      const DocId* docs;
-      const uint32_t* tfs;
-      const size_t m = cursor->block_postings(&docs, &tfs);
-      if (m == 0) {
-        step(cursor->doc(), cursor->tf());
-        cursor->next();
-        continue;
-      }
-      for (size_t j = 0; j < m; ++j) step(docs[j], tfs[j]);
-      cursor->shallow_advance(cursor->block_last_doc() + 1);
     }
   };
 
@@ -130,16 +116,16 @@ std::unordered_map<DocId, double> BlockMaxAccumulate(
     for (const auto& [d, s] : acc) probe_order.push_back(d);
     std::sort(probe_order.begin(), probe_order.end());
     CostTicker::TickCompare(static_cast<int64_t>(probe_order.size()));
+    const double term_bound = source.MaxImpact(t);
     const auto cursor = source.OpenCursor(t);
     for (DocId d : probe_order) {
       cursor->shallow_advance(d);
       if (cursor->block_last_doc() == kEndDoc) break;  // term exhausted
       const auto it = acc.find(d);
-      // Ceiling on d's final score: current sum, plus the block bound for
-      // this term (an upper bound on Weight(t, d) whether or not d is in
-      // the block), plus everything the unprocessed terms could add.
-      const double ceiling =
-          it->second + cursor->block_max_impact() + remaining[i + 1];
+      // Ceiling on d's final score: current sum, plus the term's bound
+      // (an upper bound on Weight(t, d) whether or not d holds t), plus
+      // everything the unprocessed terms could add.
+      const double ceiling = it->second + term_bound + remaining[i + 1];
       CostTicker::TickCompare();
       if (ceiling < nth_lower) {
         // Strictly below a lower bound on the n-th best score, which only

@@ -8,15 +8,16 @@
 // the whole posting list the helper probes the cursor once per surviving
 // accumulator — shallow_advance to the accumulator's doc, bound-check
 //
-//   acc[d] + block_max_impact() + remaining-terms bound  <  nth lower bound
+//   acc[d] + MaxImpact(t) + remaining-terms bound  <  nth lower bound
 //
 // against the running n-th best score, and only deep-advance (decode) when
 // the bound cannot rule the document out. Documents ruled out are dropped
 // permanently: their ceiling is strictly below the running n-th best
 // score, which never decreases, so they can never re-enter the top n.
-// Over block-structured storage (MOAIF03 segments) the shallow
-// step is a block-directory walk and the payload of skipped blocks is
-// never decoded.
+// Every bound is the source's (PostingSource::MaxImpact), one per
+// (snapshot, term) over a catalog. Over block-structured storage (MOAIF03
+// segments) the shallow step is a block-directory walk, and a block that
+// holds no surviving accumulator is never decoded.
 //
 // Exactness: every retained document's score is the same sum, added in
 // the same term order, as the full dense scan would produce — the top-n

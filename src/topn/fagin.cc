@@ -16,8 +16,7 @@ namespace {
 /// serves the random probes. Works over any PostingSource — the in-memory
 /// file serves its materialized impact order, a catalog shard view the
 /// impact order its snapshot built on the term's first use (normally its
-/// bound), and a bare segment scores the list into a fresh, lazily sorted
-/// ImpactOrder per call.
+/// bound).
 struct ListAccess {
   std::unique_ptr<ImpactCursor> cursor;
 

@@ -40,12 +40,10 @@ struct FaginOptions {
 // term and read both accesses from it: sorted access by stepping it,
 // random access through its FindWeight. So the same implementation serves
 // the in-memory file (materialized impact order, binary search on the
-// doc-ordered list, a hit weighed by the model), a catalog shard (the
+// doc-ordered list, a hit weighed by the model) and a catalog shard (the
 // snapshot's cached impact order of its live postings, binary search on
-// its doc-ordered entries, which carry the weight; no lock) and any other
-// source, a bare segment included (a lazily sorted impact order per call).
-// All require impact metadata (HasImpacts) on every non-empty query-term
-// list.
+// its doc-ordered entries, which carry the weight; no lock). All require
+// impact metadata (HasImpacts) on every non-empty query-term list.
 
 /// Fagin's original algorithm (FA): sorted phase until n documents have
 /// been seen in every list, then random-access completion of all seen

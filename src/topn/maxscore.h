@@ -48,8 +48,8 @@ struct MaxScoreOptions {
 };
 
 /// Term-at-a-time evaluation with max-score pruning. Requires impact
-/// bounds (PostingSource::HasImpacts: in-memory impact orders, or stored
-/// per-term max impacts of a segment).
+/// bounds (PostingSource::HasImpacts: in-memory impact orders, or a
+/// catalog snapshot's bounds under its statistics).
 Result<TopNResult> MaxScoreTopN(const PostingSource& source,
                                 const ScoringModel& model, const Query& query,
                                 size_t n, const MaxScoreOptions& options = {});

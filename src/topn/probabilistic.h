@@ -29,8 +29,7 @@ struct ProbabilisticOptions {
 
 /// Probabilistic cutoff execution; safe via restart (halving the cutoff,
 /// falling back to 0 after 3 restarts). Dense accumulation through
-/// cursors, so it runs over the in-memory file, a mmap segment or a
-/// catalog snapshot.
+/// cursors, so it runs over the in-memory file or a catalog snapshot.
 Result<TopNResult> ProbabilisticTopN(const PostingSource& source,
                                      const ScoringModel& model,
                                      const Query& query, size_t n,

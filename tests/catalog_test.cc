@@ -58,7 +58,7 @@ std::unique_ptr<IndexCatalog> MustCreate(const IndexCatalog::Options& opts) {
 /// Live (doc, tf) pairs a term's merged cursor yields.
 std::vector<Posting> Scan(const CatalogState& state, TermId t) {
   std::vector<Posting> out;
-  for (auto c = state.OpenMergedCursor(t, 0.0); !c->at_end(); c->next()) {
+  for (auto c = state.OpenMergedCursor(t); !c->at_end(); c->next()) {
     out.push_back(Posting{c->doc(), c->tf()});
   }
   return out;
@@ -308,7 +308,7 @@ TEST(IndexCatalogTest, MergedCursorAdvanceToHonorsContract) {
   const DocId space = static_cast<DocId>(state->doc_space());
   for (DocId start = 0; start <= space; ++start) {
     for (DocId target = start; target <= space + 1; ++target) {
-      auto cursor = state->OpenMergedCursor(t, 0.0);
+      auto cursor = state->OpenMergedCursor(t);
       cursor->advance_to(start);
       cursor->advance_to(target);  // second hop from a moved cursor
       const auto it = std::lower_bound(
@@ -327,15 +327,15 @@ TEST(IndexCatalogTest, MergedCursorAdvanceToHonorsContract) {
   }
 
   // advance_to(kEndDoc) exhausts; next() at end stays at end.
-  auto cursor = state->OpenMergedCursor(t, 0.0);
+  auto cursor = state->OpenMergedCursor(t);
   cursor->advance_to(kEndDoc);
   EXPECT_TRUE(cursor->at_end());
   cursor->next();
   EXPECT_TRUE(cursor->at_end());
 
   // size() reports the live document frequency.
-  EXPECT_EQ(state->OpenMergedCursor(t, 0.0)->size(), live.size());
-  EXPECT_EQ(state->OpenMergedCursor(3, 0.0)->size(), state->stats().df[3]);
+  EXPECT_EQ(state->OpenMergedCursor(t)->size(), live.size());
+  EXPECT_EQ(state->OpenMergedCursor(3)->size(), state->stats().df[3]);
 }
 
 TEST(IndexCatalogTest, SegmentDeleteIsDurable) {
@@ -547,12 +547,11 @@ TEST(IndexCatalogTest, StrayFragmentSidecarIsIgnoredAndReclaimed) {
 }
 
 /// What a read view returns for term t: its impact order (doc, tf,
-/// weight), its bound, and its merged cursor's postings and stamped bound.
+/// weight), its bound, and its merged cursor's postings.
 struct ViewRead {
   std::vector<std::tuple<DocId, uint32_t, double>> order;
   double bound = 0.0;
   std::vector<Posting> postings;
-  double cursor_bound = 0.0;
 };
 
 ViewRead ReadView(const ShardReadView& view, TermId t) {
@@ -562,9 +561,7 @@ ViewRead ReadView(const ShardReadView& view, TermId t) {
     read.order.emplace_back(c->doc(), c->tf(), c->weight());
   }
   read.bound = view.MaxImpact(t);
-  auto cursor = view.OpenCursor(t);
-  read.cursor_bound = cursor->max_impact();
-  for (; !cursor->at_end(); cursor->next()) {
+  for (auto cursor = view.OpenCursor(t); !cursor->at_end(); cursor->next()) {
     read.postings.push_back({cursor->doc(), cursor->tf()});
   }
   return read;
@@ -617,7 +614,6 @@ TEST(IndexCatalogTest, ReadViewOutlivesItsCatalog) {
       EXPECT_EQ(after.order, before[t].order);
       EXPECT_EQ(after.bound, before[t].bound);
       EXPECT_EQ(after.postings, before[t].postings);
-      EXPECT_EQ(after.cursor_bound, before[t].cursor_bound);
     }
   }
 }

@@ -5,9 +5,12 @@
 // small enough that every list spans several blocks, so advance_to
 // crosses block boundaries, and at the production default), and the
 // catalog's chained/merged tombstone-filtering cursor over a
-// segments+memtable snapshot whose live documents equal the reference —
-// served by IndexCatalog::OpenReadView, a one-shard ShardReadView whose
-// sorted access reads the snapshot's cached impact order.
+// segments+memtable snapshot whose live documents equal the reference.
+// Every catalog kind is served by IndexCatalog::OpenReadView, a one-shard
+// ShardReadView whose sorted access reads the snapshot's cached impact
+// order; a segment kind is a catalog whose one segment holds every
+// reference document, so its chained cursor hands each call to the
+// segment's block cursor.
 //
 // Also here: the ImpactCursor contract (every implementation reproduces
 // the in-memory materialized impact order bit-for-bit — docs, tfs and
@@ -17,7 +20,6 @@
 // with the model's weight bit for bit).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -29,8 +31,6 @@
 #include "storage/catalog/index_catalog.h"
 #include "storage/inverted_file.h"
 #include "storage/segment/posting_cursor.h"
-#include "storage/segment/segment_reader.h"
-#include "storage/segment/segment_writer.h"
 
 namespace moa {
 namespace {
@@ -51,15 +51,28 @@ const std::vector<std::vector<Posting>>& TermLists() {
   return lists;
 }
 
+/// A directory-backed catalog under the gtest temp root, emptied first.
+std::unique_ptr<IndexCatalog> FreshCatalog(const char* name,
+                                           uint32_t block_size) {
+  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  std::filesystem::remove_all(dir);
+  IndexCatalog::Options options;
+  options.num_terms = TermLists().size();
+  options.dir = dir;
+  options.segment_block_size = block_size;
+  return std::move(IndexCatalog::Create(options)).ValueOrDie();
+}
+
 /// Builds an InvertedFile whose per-term lists equal TermLists(), with
-/// BM25 impact orders (so the in-memory source reports impacts too).
+/// BM25 impact orders (so the in-memory source reports impacts too), and
+/// the catalogs that serve the same lists.
 struct Fixture {
+  using Docs = std::vector<std::vector<std::pair<TermId, uint32_t>>>;
+
   InvertedFile file;
   std::unique_ptr<ScoringModel> model;
-  std::string segment4_path;
-  std::string segment128_path;
-  std::unique_ptr<SegmentReader> segment4;
-  std::unique_ptr<SegmentReader> segment128;
+  std::shared_ptr<const ShardReadView> segment4_view;
+  std::shared_ptr<const ShardReadView> segment128_view;
   std::unique_ptr<IndexCatalog> catalog;
   std::shared_ptr<const ShardReadView> catalog_view;
   uint64_t catalog_doc_space = 0;
@@ -70,7 +83,7 @@ struct Fixture {
     for (const auto& list : lists) {
       if (!list.empty()) num_docs = std::max(num_docs, list.back().doc + 1);
     }
-    std::vector<std::vector<std::pair<TermId, uint32_t>>> per_doc(num_docs);
+    Docs per_doc(num_docs);
     for (TermId t = 0; t < lists.size(); ++t) {
       for (const Posting& p : lists[t]) per_doc[p.doc].emplace_back(t, p.tf);
     }
@@ -83,20 +96,32 @@ struct Fixture {
     file.BuildImpactOrders(
         [&](TermId t, const Posting& p) { return model->Weight(t, p); });
 
-    SegmentWriterOptions options;
-    options.impact_fn = [&](TermId t, const Posting& p) {
-      return model->Weight(t, p);
-    };
-    segment4_path = std::string(::testing::TempDir()) + "/cursor4.moaseg";
-    segment128_path = std::string(::testing::TempDir()) + "/cursor128.moaseg";
-    options.block_size = 4;
-    EXPECT_TRUE(WriteSegment(file, segment4_path, options).ok());
-    options.block_size = 128;
-    EXPECT_TRUE(WriteSegment(file, segment128_path, options).ok());
-    segment4 = std::move(SegmentReader::Open(segment4_path)).ValueOrDie();
-    segment128 = std::move(SegmentReader::Open(segment128_path)).ValueOrDie();
-
+    segment4_view = OneSegment("cursor_segment4", 4, per_doc);
+    segment128_view = OneSegment("cursor_segment128", 128, per_doc);
     BuildCatalog(per_doc);
+  }
+
+  static void AddRange(IndexCatalog& catalog, const Docs& per_doc,
+                       size_t begin, size_t end) {
+    std::vector<DocTerms> batch;
+    for (size_t d = begin; d < end; ++d) {
+      batch.emplace_back(per_doc[d].begin(), per_doc[d].end());
+    }
+    EXPECT_TRUE(catalog.AddDocuments(batch).ok());
+  }
+
+  /// The read view of a catalog holding every reference document in one
+  /// segment of `block_size` postings per block, under the reference ids;
+  /// no memtable, no tombstone. The view outlives the catalog.
+  static std::shared_ptr<const ShardReadView> OneSegment(
+      const char* name, uint32_t block_size, const Docs& per_doc) {
+    auto one = FreshCatalog(name, block_size);
+    AddRange(*one, per_doc, 0, per_doc.size());
+    EXPECT_TRUE(one->Flush().ok());
+    auto view = one->OpenReadView();
+    EXPECT_EQ(view->state().segments().size(), 1u);
+    EXPECT_EQ(view->state().memtable().num_docs(), 0u);
+    return view;
   }
 
   /// A catalog snapshot whose *live* documents equal the reference under
@@ -109,30 +134,16 @@ struct Fixture {
   /// segment-side tombstone filtering is exercised by catalog_test,
   /// catalog_parity_test and the lifecycle fuzz harness instead.) The
   /// merged cursors must skip every junk posting.
-  void BuildCatalog(
-      const std::vector<std::vector<std::pair<TermId, uint32_t>>>& per_doc) {
-    const std::string dir =
-        std::string(::testing::TempDir()) + "/cursor_catalog";
-    std::filesystem::remove_all(dir);
-    IndexCatalog::Options options;
-    options.num_terms = TermLists().size();
-    options.dir = dir;
-    options.segment_block_size = 4;
-    catalog = std::move(IndexCatalog::Create(options)).ValueOrDie();
-
-    auto add_range = [&](size_t begin, size_t end) {
-      std::vector<DocTerms> batch;
-      for (size_t d = begin; d < end; ++d) {
-        batch.emplace_back(per_doc[d].begin(), per_doc[d].end());
-      }
-      EXPECT_TRUE(catalog->AddDocuments(batch).ok());
-    };
+  void BuildCatalog(const Docs& per_doc) {
+    catalog = FreshCatalog("cursor_catalog", 4);
     const size_t split = std::min<size_t>(300, per_doc.size());
-    add_range(0, split);
+    AddRange(*catalog, per_doc, 0, split);
     EXPECT_TRUE(catalog->Flush().ok());
     // The rest of the reference stays *live in the memtable*, so merged
     // cursors chain segment -> memtable mid-list.
-    if (split < per_doc.size()) add_range(split, per_doc.size());
+    if (split < per_doc.size()) {
+      AddRange(*catalog, per_doc, split, per_doc.size());
+    }
 
     DocTerms junk;
     for (TermId t = 0; t < TermLists().size(); ++t) junk.emplace_back(t, 2);
@@ -145,14 +156,6 @@ struct Fixture {
     catalog_view = catalog->OpenReadView();
     catalog_doc_space = catalog_view->state().doc_space();
     EXPECT_EQ(catalog_doc_space, per_doc.size() + 5);
-  }
-
-  ~Fixture() {
-    segment4.reset();
-    segment128.reset();
-    for (const std::string* path : {&segment4_path, &segment128_path}) {
-      std::remove(path->c_str());
-    }
   }
 };
 
@@ -183,8 +186,8 @@ class CursorConformanceTest : public ::testing::TestWithParam<SourceKind> {
   const PostingSource& source() const {
     Fixture& f = SharedFixture();
     switch (GetParam()) {
-      case SourceKind::kSegmentBlock4: return *f.segment4;
-      case SourceKind::kSegmentBlock128: return *f.segment128;
+      case SourceKind::kSegmentBlock4: return *f.segment4_view;
+      case SourceKind::kSegmentBlock128: return *f.segment128_view;
       case SourceKind::kCatalog: return *f.catalog_view;
       case SourceKind::kInMemory: break;
     }
@@ -329,21 +332,19 @@ TEST_P(CursorConformanceTest, EmptyListIsImmediatelyExhausted) {
 }
 
 TEST_P(CursorConformanceTest, ImpactBoundsDominateEveryPosting) {
-  // max_impact must equal the in-memory max weight bit-for-bit (that is
-  // what makes max-score pruning representation-agnostic), and the block
-  // bound must dominate every posting in the current block.
+  // The source's bound must equal the in-memory max weight bit-for-bit
+  // (that is what makes max-score pruning representation-agnostic), and
+  // dominate the weight of every posting the term's cursor yields.
   Fixture& f = SharedFixture();
   const auto& lists = TermLists();
   for (TermId t = 0; t < lists.size(); ++t) {
     if (lists[t].empty()) continue;
-    auto cursor = source().OpenCursor(t);
-    EXPECT_EQ(cursor->max_impact(), f.file.list(t).max_weight())
-        << "term " << t;
-    for (; !cursor->at_end(); cursor->next()) {
-      const double w =
-          f.model->Weight(t, Posting{cursor->doc(), cursor->tf()});
-      EXPECT_GE(cursor->block_max_impact(), w) << "term " << t;
-      EXPECT_GE(cursor->max_impact(), w) << "term " << t;
+    const double bound = source().MaxImpact(t);
+    EXPECT_EQ(bound, f.file.list(t).max_weight()) << "term " << t;
+    for (auto cursor = source().OpenCursor(t); !cursor->at_end();
+         cursor->next()) {
+      EXPECT_GE(bound, f.model->Weight(t, Posting{cursor->doc(), cursor->tf()}))
+          << "term " << t;
     }
   }
 }
@@ -352,12 +353,13 @@ TEST_P(CursorConformanceTest, FindWeightMatchesReference) {
   // Random access is served by the impact cursor of the term's sorted
   // access: every reference posting is found, wherever the cursor stands,
   // with model.Weight's bits, and nothing else is — not the gaps, not
-  // past the end, and on the catalog kind not the tombstoned junk
-  // documents, whose postings the snapshot still stores, nor the first id
-  // past the doc space. Every probe ticks exactly one random read.
+  // past the end, and on the catalog kinds not the first id past the doc
+  // space, nor on the merged kind the tombstoned junk documents, whose
+  // postings the snapshot still stores. Every probe ticks exactly one
+  // random read.
   Fixture& f = SharedFixture();
   const auto& lists = TermLists();
-  const bool catalog = GetParam() == SourceKind::kCatalog;
+  const bool catalog = GetParam() != SourceKind::kInMemory;
   for (TermId t = 0; t < lists.size(); ++t) {
     auto cursor = source().OpenImpactCursor(t, *f.model);
     std::vector<DocId> misses;
@@ -369,7 +371,7 @@ TEST_P(CursorConformanceTest, FindWeightMatchesReference) {
     misses.push_back(prev_end);
     if (catalog) {
       for (DocId d = static_cast<DocId>(f.file.num_docs());
-           d <= f.catalog_doc_space; ++d) {
+           d <= expected_num_docs(); ++d) {
         misses.push_back(d);
       }
     }
@@ -491,7 +493,6 @@ TEST_P(CursorConformanceTest, ShallowBlockWalkDecodesNoPayload) {
   while (cursor->block_last_doc() != kEndDoc) {
     ASSERT_LT(hops, 1000);  // malformed skip chain guard
     ++hops;
-    EXPECT_GE(cursor->block_max_impact(), 0.0);
     cursor->shallow_advance(cursor->block_last_doc() + 1);
   }
   const CostCounters used = scope.Snapshot();

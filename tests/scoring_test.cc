@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <utility>
@@ -132,20 +133,27 @@ TEST(StatsViewBindingTest, ViewBoundModelsMatchFileBoundModels) {
   }
 }
 
-TEST(TermWeightTest, ForTermIsWeightBitForBitOverATfAndLengthGrid) {
-  // Term 0 and 1 occur in documents of the grid's lengths; term 2 occurs
-  // in none (df = 0, cf = 0), so every weight it gets is 0. For every
-  // model, ForTerm(t)(tf, dl) must be Weight(t, {d, tf}) to the bit, and
-  // both must be the model's formula evaluated per posting, operation for
-  // operation, as the reference below spells it out.
-  const uint32_t lengths[] = {1, 2, 7, 30, 150, 151, 999, 4096};
+/// The statistics TermWeightTest scores under: terms 0 and 1 occur in
+/// documents of these lengths; term 2 occurs in none (df = 0, cf = 0).
+constexpr uint32_t kGridLengths[] = {1, 2, 7, 30, 150, 151, 999, 4096};
+
+InvertedFile GridFile() {
   InvertedFileBuilder builder(3);
-  for (DocId d = 0; d < std::size(lengths); ++d) {
+  for (DocId d = 0; d < std::size(kGridLengths); ++d) {
     std::vector<std::pair<TermId, uint32_t>> terms{{1, 1}};
-    if (lengths[d] > 1) terms.emplace_back(0, lengths[d] - 1);
-    ASSERT_TRUE(builder.AddDocument(d, terms).ok());
+    if (kGridLengths[d] > 1) terms.emplace_back(0, kGridLengths[d] - 1);
+    EXPECT_TRUE(builder.AddDocument(d, terms).ok());
   }
-  const InvertedFile file = builder.Build();
+  return builder.Build();
+}
+
+TEST(TermWeightTest, ForTermIsWeightBitForBitOverATfAndLengthGrid) {
+  // Every weight term 2 gets is 0. For every model, ForTerm(t)(tf, dl)
+  // must be Weight(t, {d, tf}) to the bit, and both must be the model's
+  // formula evaluated per posting, operation for operation, as the
+  // reference below spells it out.
+  const auto& lengths = kGridLengths;
+  const InvertedFile file = GridFile();
   InvertedFileStatsView view(&file, /*precompute_cf=*/true);
   ASSERT_EQ(view.DocFrequency(2), 0u);
   ASSERT_EQ(view.CollectionFrequency(2), 0);
@@ -200,6 +208,52 @@ TEST(TermWeightTest, ForTermIsWeightBitForBitOverATfAndLengthGrid) {
           EXPECT_EQ(w, reference(kind, t, tf, lengths[d]))
               << name << " term " << t << " tf " << tf << " dl " << lengths[d];
           if (t == 2) EXPECT_EQ(w, 0.0) << name;
+        }
+      }
+    }
+  }
+}
+
+TEST(TermWeightTest, WeightNeverFallsWithTfNorRisesWithLength) {
+  // Exact impact bounds and orders rest on this: for every model and
+  // term, the computed weight (floating point included) never falls as
+  // tf rises and never rises as the document length rises. The grid
+  // takes every tf and length up to 300, then steps of 10% to the
+  // largest tf and length the bit-for-bit grid above uses, under the
+  // same statistics.
+  const InvertedFile file = GridFile();
+  InvertedFileStatsView view(&file, /*precompute_cf=*/true);
+
+  const auto grid = [](uint32_t last) {
+    std::vector<uint32_t> values;
+    for (uint32_t v = 1; v <= 300; ++v) values.push_back(v);
+    while (values.back() < last) {
+      values.push_back(std::min(last, values.back() + values.back() / 10));
+    }
+    return values;
+  };
+  const std::vector<uint32_t> tfs = grid(70000);
+  const std::vector<uint32_t> dls = grid(4096);
+
+  for (const ScoringModelKind kind :
+       {ScoringModelKind::kTfIdf, ScoringModelKind::kBm25,
+        ScoringModelKind::kLanguageModel}) {
+    const auto model = MakeScoringModel(kind, &view);
+    for (TermId t = 0; t < 3; ++t) {
+      const TermWeight weight = model->ForTerm(t);
+      for (size_t i = 0; i < tfs.size(); ++i) {
+        for (size_t j = 0; j < dls.size(); ++j) {
+          const double w = weight(tfs[i], dls[j]);
+          if (i + 1 < tfs.size()) {
+            ASSERT_LE(w, weight(tfs[i + 1], dls[j]))
+                << model->name() << " term " << t << " tf " << tfs[i]
+                << " dl " << dls[j];
+          }
+          if (j + 1 < dls.size()) {
+            ASSERT_GE(w, weight(tfs[i], dls[j + 1]))
+                << model->name() << " term " << t << " tf " << tfs[i]
+                << " dl " << dls[j];
+          }
         }
       }
     }

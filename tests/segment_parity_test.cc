@@ -106,9 +106,7 @@ TEST_F(SegmentParityTest, CatalogServesOneMergedSegment) {
   ASSERT_EQ(state->segments().size(), 1u);
   EXPECT_EQ(state->memtable().num_docs(), 0u);
   EXPECT_EQ(state->doc_space(), in_memory_->file().num_docs());
-  const SegmentReader& reader = *state->segments().front()->reader;
-  EXPECT_TRUE(reader.has_impacts());
-  EXPECT_TRUE(reader.CheckIntegrity().ok());
+  EXPECT_TRUE(state->segments().front()->reader->CheckIntegrity().ok());
   EXPECT_FALSE(in_memory_->is_dynamic());
 }
 

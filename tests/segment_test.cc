@@ -1,10 +1,13 @@
 // MOAIF03 segment format: write → mmap-open → decode round trip,
-// compression vs raw posting bytes, atomic-write behavior, a property
-// round-trip of random posting blocks at the codec level, and negative
-// tests for truncated / bit-flipped / width-corrupted segment files and
-// for the magic of every other format.
+// the block cursor's block-batch walk, compression vs raw posting bytes,
+// atomic-write behavior, a property round-trip of random posting blocks
+// at the codec level, negative tests for truncated / bit-flipped /
+// width-corrupted segment files and for the magic of every other format,
+// and segments carrying the impact bounds older writers stamped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -12,7 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "common/cost_ticker.h"
 #include "common/rng.h"
+#include "exec/registry.h"
+#include "storage/catalog/index_catalog.h"
 #include "storage/segment/block_codec.h"
 #include "storage/segment/segment_format.h"
 #include "storage/segment/segment_reader.h"
@@ -24,15 +30,6 @@ namespace {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
-}
-
-SegmentWriterOptions ImpactOptions(uint32_t block_size = 128) {
-  SegmentWriterOptions options;
-  options.block_size = block_size;
-  options.impact_fn = [](TermId t, const Posting& p) {
-    return testutil::SmallModel().Weight(t, p);
-  };
-  return options;
 }
 
 const InvertedFile& TestFile() {
@@ -59,12 +56,81 @@ SegmentHeader ReadHeader(const std::string& path) {
   return header;
 }
 
+/// Every max_impact field of the segment at `path`: the term directory's,
+/// then the block directory's.
+std::vector<double> StoredBounds(const std::string& path) {
+  const SegmentHeader header = ReadHeader(path);
+  const SegmentLayout layout(header);
+  std::ifstream in(path, std::ios::binary);
+  std::vector<double> bounds;
+  const auto read = [&](uint64_t offset) {
+    double bound = 0;
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(reinterpret_cast<char*>(&bound), sizeof(bound));
+    bounds.push_back(bound);
+  };
+  for (uint64_t t = 0; t < header.num_terms; ++t) {
+    read(layout.term_dir + t * sizeof(TermDirEntry) +
+         offsetof(TermDirEntry, max_impact));
+  }
+  for (uint64_t b = 0; b < header.num_blocks; ++b) {
+    read(layout.block_dir + b * sizeof(BlockDirEntry) +
+         offsetof(BlockDirEntry, max_impact));
+  }
+  return bounds;
+}
+
+/// Patches the segment at `path`, which encodes `file`, to carry impact
+/// metadata the way older writers stamped it: the flag, `model`'s name,
+/// and each block's and each term's greatest `model` weight.
+void StampImpacts(const std::string& path, const InvertedFile& file,
+                  const ScoringModel& model) {
+  SegmentHeader header = ReadHeader(path);
+  const SegmentLayout layout(header);
+  std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+  const auto write = [&fs](uint64_t offset, double bound) {
+    fs.seekp(static_cast<std::streamoff>(offset));
+    fs.write(reinterpret_cast<const char*>(&bound), sizeof(bound));
+  };
+  uint64_t block = 0;
+  for (TermId t = 0; t < file.num_terms(); ++t) {
+    const std::vector<Posting>& postings = file.list(t).postings();
+    double term_bound = 0.0;
+    for (size_t begin = 0; begin < postings.size();
+         begin += header.block_size, ++block) {
+      const size_t end =
+          std::min<size_t>(postings.size(), begin + header.block_size);
+      double block_bound = 0.0;
+      for (size_t i = begin; i < end; ++i) {
+        block_bound = std::max(block_bound, model.Weight(t, postings[i]));
+      }
+      term_bound = std::max(term_bound, block_bound);
+      write(layout.block_dir + block * sizeof(BlockDirEntry) +
+                offsetof(BlockDirEntry, max_impact),
+            block_bound);
+    }
+    write(layout.term_dir + t * sizeof(TermDirEntry) +
+              offsetof(TermDirEntry, max_impact),
+          term_bound);
+  }
+  ASSERT_EQ(block, header.num_blocks);
+  header.flags |= kFlagHasImpacts;
+  model.name().copy(header.impact_model, kImpactModelBytes - 1);
+  fs.seekp(0);
+  fs.write(reinterpret_cast<const char*>(&header), sizeof(header));
+}
+
 TEST(SegmentTest, RoundTripThroughMmapAndFullDecode) {
   const std::string path = TempPath("roundtrip.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
   const SegmentHeader header = ReadHeader(path);
   EXPECT_EQ(std::string(header.magic, sizeof(header.magic)),
             std::string("MOAIF03", 8));  // the NUL included
+  // Nothing derived from scoring statistics is stored: the impacts flag
+  // is clear, the model name empty and every bound zero.
+  EXPECT_EQ(header.flags, 0u);
+  EXPECT_EQ(header.impact_model[0], '\0');
+  for (const double bound : StoredBounds(path)) ASSERT_EQ(bound, 0.0);
 
   auto reader = SegmentReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -74,7 +140,6 @@ TEST(SegmentTest, RoundTripThroughMmapAndFullDecode) {
   EXPECT_EQ(segment.total_tokens(),
             static_cast<uint64_t>(TestFile().total_tokens()));
   EXPECT_EQ(segment.block_size(), 128u);
-  EXPECT_TRUE(segment.has_impacts());
   for (DocId d = 0; d < TestFile().num_docs(); ++d) {
     ASSERT_EQ(segment.DocLength(d), TestFile().DocLength(d)) << "doc " << d;
   }
@@ -93,12 +158,57 @@ TEST(SegmentTest, RoundTripWithoutImpactsAndOddBlockSize) {
   ASSERT_TRUE(WriteSegment(TestFile(), path, options).ok());
   auto reader = SegmentReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_FALSE(reader.ValueOrDie()->has_impacts());
-  EXPECT_FALSE(reader.ValueOrDie()->HasImpacts(0));
   auto decoded = reader.ValueOrDie()->ToInvertedFile();
   ASSERT_TRUE(decoded.ok());
   ExpectSameFile(decoded.ValueOrDie(), TestFile());
   std::remove(path.c_str());
+}
+
+TEST(SegmentTest, BlockPostingsWalkYieldsEveryListBlockByBlock) {
+  // block_postings is how the catalog's scoring pass reads a segment: one
+  // decoded block per call, stepped with shallow_advance past its last
+  // doc. Walked from the start, and again after an advance_to into the
+  // middle of a block, every list must come out whole and in order, and
+  // every block touched must be decoded exactly once.
+  for (const uint32_t block_size : {4u, 128u}) {
+    SCOPED_TRACE("block size " + std::to_string(block_size));
+    const std::string path = TempPath("blocks.moaseg");
+    ASSERT_TRUE(WriteSegment(TestFile(), path, {block_size}).ok());
+    auto reader = SegmentReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    const SegmentReader& segment = *reader.ValueOrDie();
+    for (TermId t = 0; t < TestFile().num_terms(); ++t) {
+      const std::vector<Posting>& list = TestFile().list(t).postings();
+      const size_t blocks = (list.size() + block_size - 1) / block_size;
+      std::vector<size_t> starts = {0};
+      if (list.size() > 1) {
+        size_t mid = list.size() / 2;
+        if (mid % block_size == 0 && mid + 1 < list.size()) ++mid;
+        starts.push_back(mid);
+      }
+      for (const size_t from : starts) {
+        const CostScope scope;
+        const std::unique_ptr<PostingCursor> cursor = segment.OpenCursor(t);
+        if (from > 0) cursor->advance_to(list[from].doc);
+        std::vector<Posting> walked;
+        const DocId* docs;
+        const uint32_t* tfs;
+        while (const size_t n = cursor->block_postings(&docs, &tfs)) {
+          for (size_t j = 0; j < n; ++j) walked.push_back({docs[j], tfs[j]});
+          cursor->shallow_advance(cursor->block_last_doc() + 1);
+        }
+        EXPECT_TRUE(cursor->at_end()) << "term " << t;
+        ASSERT_EQ(walked, std::vector<Posting>(
+                              list.begin() + static_cast<ptrdiff_t>(from),
+                              list.end()))
+            << "term " << t << " from " << from;
+        EXPECT_EQ(scope.Snapshot().blocks_decoded,
+                  static_cast<int64_t>(blocks - from / block_size))
+            << "term " << t << " from " << from;
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(SegmentTest, EmptyCollectionRoundTrips) {
@@ -118,7 +228,7 @@ TEST(SegmentTest, CompressesAtLeastTwoToOneVersusRawPostings) {
   // Raw posting bytes: a (u32 doc, u32 tf) pair per posting plus a u32
   // length per document, the uncompressed content the segment encodes.
   const std::string path = TempPath("size.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
   const uint64_t raw = 8 * static_cast<uint64_t>(TestFile().num_postings()) +
                        4 * static_cast<uint64_t>(TestFile().num_docs());
   const uint64_t segment = std::filesystem::file_size(path);
@@ -145,7 +255,7 @@ TEST(SegmentTest, RejectsBadMagic) {
   const std::string path = TempPath("magic.moaseg");
   for (const char* magic : {"MOAIF01", "MOAIF02", "garbage"}) {
     SCOPED_TRACE(magic);
-    ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+    ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
     ASSERT_TRUE(SegmentReader::Open(path).ok());
     std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
     fs.write(magic, 8);  // the literal's NUL fills the eighth byte
@@ -158,7 +268,7 @@ TEST(SegmentTest, RejectsBadMagic) {
 
 TEST(SegmentTest, RejectsTruncation) {
   const std::string path = TempPath("trunc.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
   const auto full = std::filesystem::file_size(path);
   // Every truncation point must fail cleanly: mid-header, mid-directory,
   // mid-payload, and one byte short.
@@ -173,7 +283,7 @@ TEST(SegmentTest, RejectsTruncation) {
 
 TEST(SegmentTest, RejectsTrailingGarbage) {
   const std::string path = TempPath("trail.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << "extra";
   out.close();
@@ -188,7 +298,7 @@ TEST(SegmentTest, RejectsPayloadSizeWrappingFileSize) {
   // Validate's doc-length loop would read ~16 GiB past the mapping —
   // payload_bytes must be bounded by the file size first.
   const std::string path = TempPath("wrap.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
   const uint64_t real_size = std::filesystem::file_size(path);
   SegmentHeader header{};
   std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -206,7 +316,7 @@ TEST(SegmentTest, RejectsPayloadSizeWrappingFileSize) {
 
 TEST(SegmentTest, RejectsCorruptDirectory) {
   const std::string path = TempPath("dir.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
   // Flip the df of the first term-directory entry (offset: header +
   // aligned doc-length section + block_begin/payload_offset/block_count).
   const SegmentLayout layout(ReadHeader(path));
@@ -216,18 +326,6 @@ TEST(SegmentTest, RejectsCorruptDirectory) {
   fs.write(reinterpret_cast<const char*>(&bogus_df), sizeof(bogus_df));
   fs.close();
   EXPECT_FALSE(SegmentReader::Open(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SegmentTest, StampsAndReportsTheImpactModel) {
-  const std::string path = TempPath("model.moaseg");
-  SegmentWriterOptions options = ImpactOptions();
-  options.impact_model = testutil::SmallModel().name();
-  ASSERT_TRUE(WriteSegment(TestFile(), path, options).ok());
-  auto reader = SegmentReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.ValueOrDie()->impact_model(),
-            testutil::SmallModel().name().substr(0, kImpactModelBytes - 1));
   std::remove(path.c_str());
 }
 
@@ -260,11 +358,14 @@ TEST(SegmentTest, RejectsBlockRangeBeyondDirectory) {
 }
 
 TEST(SegmentTest, RejectsCorruptImpactBound) {
-  // max_impact metadata drives max-score pruning; an understated bound
-  // would silently drop true top-N documents, so Validate must catch a
-  // flipped bound via the term == max-over-blocks invariant.
+  // Segments written by older versions carry stamped max_impact fields.
+  // No query reads them, but they are input from outside the program:
+  // Validate must catch a flipped bound via the term == max-over-blocks
+  // invariant.
   const std::string path = TempPath("impact.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
+  StampImpacts(path, TestFile(), testutil::SmallModel());
+  ASSERT_TRUE(SegmentReader::Open(path).ok());
   const SegmentLayout layout(ReadHeader(path));
   // Halve the first term's max_impact (the f64 behind
   // block_begin/payload_offset u64s and block_count/df u32s): the term
@@ -285,6 +386,107 @@ TEST(SegmentTest, RejectsCorruptImpactBound) {
   std::remove(path.c_str());
 }
 
+/// Everything a catalog answers that its segments' impact fields could
+/// move: each query term's bound, and every strategy's top 10 (the
+/// fragment strategies, which need a fragmentation, aside).
+struct CatalogAnswers {
+  std::vector<double> bounds;
+  std::vector<std::vector<ScoredDoc>> tops;
+};
+
+CatalogAnswers Answer(const IndexCatalog& catalog) {
+  const std::shared_ptr<const ShardReadView> view = catalog.OpenReadView();
+  ExecContext context;
+  context.postings = view.get();
+  context.model = view->model();
+  CatalogAnswers answers;
+  for (const Query& q : testutil::SmallQueries()) {
+    for (const TermId t : q.terms) answers.bounds.push_back(view->MaxImpact(t));
+    for (const PhysicalStrategy s : AllStrategies()) {
+      if (StrategyRegistry::Global().Find(s)->planner.needs_fragmentation) {
+        continue;
+      }
+      auto top =
+          StrategyRegistry::Global().Execute(s, context, q, 10, ExecOptions{});
+      EXPECT_TRUE(top.ok()) << StrategyName(s) << ": "
+                            << top.status().ToString();
+      answers.tops.push_back(top.ok() ? top.ValueOrDie().items
+                                      : std::vector<ScoredDoc>{});
+    }
+  }
+  return answers;
+}
+
+TEST(SegmentTest, CatalogServesSegmentsWithStampedImpactsUnchanged) {
+  // Older writers stamped every segment with the impacts flag, the model's
+  // name and per-block and per-term bounds under the flushed file's own
+  // statistics. A catalog of such segments must still open, and answer
+  // bit for bit as it does unstamped: the fields are validated, then
+  // ignored.
+  const std::string dir = TempPath("stamped_catalog");
+  std::filesystem::remove_all(dir);
+  IndexCatalog::Options options;
+  options.num_terms = TestFile().num_terms();
+  options.dir = dir;
+  options.segment_block_size = 32;
+
+  std::vector<DocTerms> docs(TestFile().num_docs());
+  for (TermId t = 0; t < TestFile().num_terms(); ++t) {
+    for (const Posting& p : TestFile().list(t).postings()) {
+      docs[p.doc].emplace_back(t, p.tf);
+    }
+  }
+  const size_t half = docs.size() / 2;
+  CatalogAnswers unstamped;
+  std::vector<std::string> segment_paths;
+  {
+    auto created = IndexCatalog::Create(options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    IndexCatalog& catalog = *created.ValueOrDie();
+    // Two segments, a tombstone in each.
+    ASSERT_TRUE(catalog
+                    .AddDocuments(std::vector<DocTerms>(
+                        docs.begin(), docs.begin() + half))
+                    .ok());
+    ASSERT_TRUE(catalog.Flush().ok());
+    ASSERT_TRUE(catalog
+                    .AddDocuments(std::vector<DocTerms>(
+                        docs.begin() + half, docs.end()))
+                    .ok());
+    ASSERT_TRUE(catalog.Flush().ok());
+    ASSERT_TRUE(catalog.DeleteDocument(3).ok());
+    ASSERT_TRUE(catalog.DeleteDocument(static_cast<DocId>(half + 5)).ok());
+    unstamped = Answer(catalog);
+    for (const auto& segment : catalog.Snapshot()->segments()) {
+      segment_paths.push_back(segment->segment_path);
+    }
+  }
+  ASSERT_EQ(segment_paths.size(), 2u);
+
+  for (const std::string& path : segment_paths) {
+    auto reader = SegmentReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    auto file = reader.ValueOrDie()->ToInvertedFile();
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    const std::unique_ptr<ScoringModel> model =
+        MakeScoringModel(options.scoring, &file.ValueOrDie());
+    StampImpacts(path, file.ValueOrDie(), *model);
+    const SegmentHeader header = ReadHeader(path);
+    EXPECT_NE(header.flags & kFlagHasImpacts, 0u);
+    EXPECT_EQ(std::string(header.impact_model), model->name());
+    const std::vector<double> bounds = StoredBounds(path);
+    EXPECT_TRUE(std::any_of(bounds.begin(), bounds.end(),
+                            [](double b) { return b > 0.0; }));
+  }
+
+  auto reopened = IndexCatalog::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const CatalogAnswers stamped = Answer(*reopened.ValueOrDie());
+  EXPECT_EQ(stamped.bounds, unstamped.bounds);
+  EXPECT_EQ(stamped.tops, unstamped.tops);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SegmentTest, PayloadBitFlipSweepFailsIntegrityCheck) {
   // Single-bit payload corruption anywhere must be caught. Structural
   // validation at Open cannot see the payload, but CheckIntegrity must:
@@ -293,7 +495,7 @@ TEST(SegmentTest, PayloadBitFlipSweepFailsIntegrityCheck) {
   // token-sum / max-tf / span / minimality / padding checks. Sweeps a
   // strided sample of every payload bit.
   const std::string path = TempPath("flip.moaseg");
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions(32)).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path, {32}).ok());
   const SegmentHeader header = ReadHeader(path);
   const SegmentLayout layout(header);
   ASSERT_GT(header.payload_bytes, 0u);
@@ -412,7 +614,7 @@ TEST(SegmentTest, WriteIsAtomicAndLeavesNoTempFile) {
     std::ofstream out(path, std::ios::binary);
     out << "previous garbage content";
   }
-  ASSERT_TRUE(WriteSegment(TestFile(), path, ImpactOptions()).ok());
+  ASSERT_TRUE(WriteSegment(TestFile(), path).ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   auto reader = SegmentReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -425,7 +627,7 @@ TEST(SegmentTest, FailedWriteCleansUpTempFile) {
   // without leaving the temp file behind.
   const std::string dir = TempPath("atomic_dir.moaseg");
   std::filesystem::create_directory(dir);
-  EXPECT_FALSE(WriteSegment(TestFile(), dir, ImpactOptions()).ok());
+  EXPECT_FALSE(WriteSegment(TestFile(), dir).ok());
   EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
   std::filesystem::remove(dir);
 }

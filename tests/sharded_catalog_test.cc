@@ -516,7 +516,7 @@ TEST(ShardedCatalogTest, ScoringPassMatchesPerPostingReferenceForEveryModel) {
           // cursor yields, weighed one at a time, in impact order.
           const auto reference = [&](const ScoringModel& model) {
             std::vector<ImpactOrder::Entry> entries;
-            for (auto c = state.OpenMergedCursor(t, 0.0); !c->at_end();
+            for (auto c = state.OpenMergedCursor(t); !c->at_end();
                  c->next()) {
               const Posting p{c->doc(), c->tf()};
               entries.push_back({model.Weight(t, p), p.doc, p.tf});

@@ -200,7 +200,7 @@ IndexCatalog::Options InDir(const std::string& dir) {
 
 std::vector<Posting> Scan(const CatalogState& state, TermId t) {
   std::vector<Posting> out;
-  for (auto c = state.OpenMergedCursor(t, 0.0); !c->at_end(); c->next()) {
+  for (auto c = state.OpenMergedCursor(t); !c->at_end(); c->next()) {
     out.push_back(Posting{c->doc(), c->tf()});
   }
   return out;
