@@ -14,14 +14,16 @@
 //     no-abstraction reference.
 //  4. Sorted access: the impact-ordered prefix the Fagin family reads —
 //     materialized in memory, and served warm from a catalog snapshot's
-//     cached impact orders — and the cold side of that cache: the
-//     postings per second a fresh snapshot's scoring pass weighs into
-//     impact orders when the workload terms' bounds are first taken.
+//     emitted impact-order prefixes — and the cold side of that cache: a
+//     fresh snapshot's bounds and 64-entry prefixes, emitted from the
+//     segment's dominance layers, and the one-time build of those layers
+//     when a segment first serves a term.
 //  5. Random access: the Fagin family's probes through the term's impact
-//     cursor — a binary search on the in-memory list, or on a catalog
-//     snapshot's cached order — against a block cursor opened and
-//     skipped per probe over the segment, the probe random access used
-//     to make over storage without a materialized order.
+//     cursor — a binary search on the in-memory list, or on the segment's
+//     decoded doc-ordered postings, weighed per hit — against a block
+//     cursor opened and skipped per probe over the segment, the probe
+//     random access used to make over storage without a materialized
+//     order.
 //
 // MOA_BENCH_TINY=1 shrinks the collection so the CI smoke job finishes
 // in seconds.
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "common/cost_ticker.h"
+#include "common/timer.h"
 #include "engine/database.h"
 #include "ir/query_gen.h"
 #include "storage/catalog/sharded_catalog.h"
@@ -201,8 +204,8 @@ void BM_ScanSegmentCursor(benchmark::State& state) {
 
 /// The block-batch scan idiom (PostingCursor::block_postings): one
 /// virtual call per block instead of four per posting, so throughput is
-/// decode-bound rather than dispatch-bound. This is how the catalog's
-/// scoring pass reads a segment.
+/// decode-bound rather than dispatch-bound. This is how a segment decodes
+/// a term's list for its dominance layers.
 template <typename SourceFn>
 void ScanBlocksBench(benchmark::State& state, SourceFn&& source_fn) {
   const auto& source = source_fn();
@@ -326,7 +329,7 @@ const ShardedCatalog& FlushedCatalog() {
 }
 
 /// The flushed catalog's snapshot after one warming pass: every workload
-/// term's impact order is cached on it.
+/// term's impact order has emitted its 64-entry prefix on it.
 const ShardedSnapshot& WarmCatalog() {
   static const std::shared_ptr<const ShardedSnapshot>* snapshot = [] {
     auto* snap = new std::shared_ptr<const ShardedSnapshot>(
@@ -341,36 +344,81 @@ const ShardedSnapshot& WarmCatalog() {
 }
 
 void BM_ImpactPrefixCatalogWarm(benchmark::State& state) {
-  // The timed passes only read sorted prefixes of cached orders.
+  // The timed passes only read emitted prefixes of cached orders.
   ImpactPrefixBench(state, WarmCatalog().shard_source(0),
                     WarmCatalog().shard_model(0));
 }
 
-void BM_ImpactScoreCatalogCold(benchmark::State& state) {
-  // What the first query terms on a fresh snapshot pay: each workload
-  // term's bound scores the term's live postings into its impact order
-  // (a repeated term reads the order its first use cached). A fresh
-  // one-shard snapshot per iteration, made and dropped untimed; items are
+void BM_ImpactPrefixCatalogCold(benchmark::State& state) {
+  // What the first queries on a fresh snapshot pay for sorted access: per
+  // workload term its bound (the coordinator takes one for every query
+  // term) and the first 64 entries of its impact order, emitted from the
+  // segment's dominance layers (a repeated term reads the prefix its
+  // first use emitted). A fresh one-shard snapshot per iteration, made and
+  // dropped untimed; the segment's layers are built before timing, as
+  // every snapshot after the segment's first queries finds them. Items are
   // the postings scored.
   const std::shared_ptr<const CatalogState> state_ptr =
       FlushedCatalog().shard(0).Snapshot();
+  const auto fresh_snapshot = [&] {
+    return std::make_shared<const ShardedSnapshot>(
+        std::vector<std::shared_ptr<const CatalogState>>{state_ptr},
+        StorageDb().config().scoring);
+  };
+  for (TermId t : WorkloadTerms()) {
+    state_ptr->segments()[0]->reader->Layers(t);
+  }
   int64_t scored = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto snapshot = std::make_shared<const ShardedSnapshot>(
-        std::vector<std::shared_ptr<const CatalogState>>{state_ptr},
-        StorageDb().config().scoring);
+    auto snapshot = fresh_snapshot();
     const CostScope scope;
     state.ResumeTiming();
     double checksum = 0.0;
     for (TermId t : WorkloadTerms()) checksum += snapshot->ShardTermBound(0, t);
+    uint64_t docs = 0;
+    int64_t emitted = 0;
+    ImpactPrefixPass(snapshot->shard_source(0), snapshot->shard_model(0),
+                     &docs, &emitted);
     benchmark::DoNotOptimize(checksum);
+    benchmark::DoNotOptimize(docs);
     state.PauseTiming();
     scored += scope.Snapshot().impact_postings;
     snapshot.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(scored);
+}
+
+void BM_SegmentLayerBuild(benchmark::State& state) {
+  // A segment's first use of each workload term: decode the term's list
+  // and group its postings into dominance layers. A fresh reader per
+  // iteration, opened and closed untimed; `ns_per_posting` divides the
+  // build time by the postings grouped.
+  const std::string& path = Stored().path;
+  int64_t layered = 0;
+  double build_ms = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<SegmentReader> reader =
+        SegmentReader::Open(path).ValueOrDie();
+    const CostScope scope;
+    state.ResumeTiming();
+    WallTimer timer;
+    size_t layers = 0;
+    for (TermId t : WorkloadTerms()) layers += reader->Layers(t).num_layers();
+    benchmark::DoNotOptimize(layers);
+    build_ms += timer.ElapsedMillis();
+    state.PauseTiming();
+    layered += scope.Snapshot().layer_postings;
+    reader.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(layered);
+  if (layered > 0) {
+    state.counters["ns_per_posting"] =
+        1e6 * build_ms / static_cast<double>(layered);
+  }
 }
 
 // ------------------------------------------------------- random access
@@ -432,7 +480,8 @@ void BM_RandomAccessSegmentCursorProbe(benchmark::State& state) {
 }
 
 void BM_RandomAccessCatalogWarm(benchmark::State& state) {
-  // A binary search on the snapshot's cached order of the term.
+  // A binary search on the segment's decoded postings of the term, and
+  // the hit weighed.
   CursorProbeBench(state, WarmCatalog().shard_source(0),
                    WarmCatalog().shard_model(0));
 }
@@ -447,7 +496,8 @@ BENCHMARK(BM_AdvanceInMemoryCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AdvanceSegmentCursor)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixInMemory)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ImpactPrefixCatalogWarm)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ImpactScoreCatalogCold)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ImpactPrefixCatalogCold)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SegmentLayerBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RandomAccessInMemory)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RandomAccessSegmentCursorProbe)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RandomAccessCatalogWarm)->Unit(benchmark::kMicrosecond);

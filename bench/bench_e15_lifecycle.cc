@@ -19,6 +19,11 @@
 //     The background/foreground items-per-second ratio is the headline
 //     number; on a single-core runner the flush cannot overlap ingest
 //     and the ratio honestly collapses toward 1.0.
+//  6. The first query after a write: forced max-score and Fagin TA at one
+//     and two shards, timed on the fresh snapshot a 100-term add
+//     publishes and again on the same snapshot, warm (counter
+//     `first_over_steady`), with the postings the first query scores for
+//     its bounds and sorted access (`impact_postings_pq`).
 //
 // MOA_BENCH_TINY=1 shrinks the corpus so the CI smoke job finishes in
 // seconds.
@@ -37,8 +42,11 @@
 #include "common/timer.h"
 #include "exec/registry.h"
 #include "ir/query_gen.h"
+#include "engine/database.h"
+#include "engine/shard_coordinator.h"
 #include "storage/catalog/background_jobs.h"
 #include "storage/catalog/index_catalog.h"
+#include "storage/catalog/sharded_catalog.h"
 
 namespace moa {
 namespace {
@@ -327,6 +335,101 @@ void BM_QueryAfterMerge(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 
+// ------------------------------------------- first query after a write
+
+void BM_FirstQueryAfterWrite(benchmark::State& state) {
+  // A write publishes a fresh snapshot, whose impact orders and bounds
+  // start empty; the next query pays for the ones it reads. The catalog is
+  // a Zipf collection (the e14 storage shape) seeded by one delete, then
+  // flushed and merged into one segment per shard, with the WAL off; the
+  // queries are 60 of the e13 mixed class. Per iteration, untimed: one
+  // 100-term add, then the snapshot. Timed: the first forced query on that
+  // snapshot (the coordinator's bounds for every query term, then
+  // execution), then the same query again, steady. The segments' layers
+  // are built by an untimed first pass, as a serving catalog's are after
+  // its first queries. Counters: the medians of both sides and their
+  // ratio, and impact_postings and layer_postings per first query.
+  const auto strategy = static_cast<PhysicalStrategy>(state.range(0));
+  const auto shards = static_cast<size_t>(state.range(1));
+  DatabaseConfig config;
+  config.collection.num_docs = Tiny() ? 4000 : 20000;
+  config.collection.vocabulary = Tiny() ? 6000 : 30000;
+  config.collection.mean_doc_length = Tiny() ? 80 : 150;
+  config.collection.zipf_skew = 1.0;
+  config.collection.seed = 900913;
+  config.scoring = ScoringModelKind::kBm25;
+  config.catalog_dir = FreshDir("first_query_" +
+                                std::to_string(state.range(0)) + "_" +
+                                std::to_string(shards));
+  config.num_shards = shards;
+  config.wal_enabled = false;
+  auto db = MmDatabase::Open(config).ValueOrDie();
+  MustOk(db->DeleteDocument(0), "delete");
+  MustOk(db->Flush(), "flush");
+  MustOk(db->Merge().status(), "merge");
+  QueryWorkloadConfig qconfig;
+  qconfig.num_queries = 60;
+  qconfig.terms_per_query = 4;
+  qconfig.distribution = QueryTermDistribution::kMixed;
+  qconfig.seed = 31;
+  const std::vector<Query> queries =
+      GenerateQueries(db->collection(), qconfig).ValueOrDie();
+  const ShardedCatalog& catalog = *db->sharded_catalog();
+  ShardCoordinator::Options coordinator;
+  coordinator.parallelism = 1;
+  const auto run = [&](const std::shared_ptr<const ShardedSnapshot>& snap,
+                       const Query& q) {
+    auto top = ShardCoordinator::Execute(snap, strategy, q, 10,
+                                         ExecOptions{}, coordinator);
+    if (!top.ok()) std::abort();
+    return std::move(top).ValueOrDie();
+  };
+  for (const Query& q : queries) run(catalog.Snapshot(), q);
+
+  Rng rng(0xF125);
+  std::vector<double> first_millis;
+  std::vector<double> steady_millis;
+  int64_t scored = 0;
+  int64_t layered = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::map<TermId, uint32_t> terms;
+    while (terms.size() < 100) {
+      terms.emplace(
+          static_cast<TermId>(rng.Uniform(config.collection.vocabulary)),
+          1 + static_cast<uint32_t>(rng.Uniform(3)));
+    }
+    MustOk(db->AddDocument(DocTerms(terms.begin(), terms.end())).status(),
+           "write");
+    const std::shared_ptr<const ShardedSnapshot> snap = catalog.Snapshot();
+    const Query& q = queries[next++ % queries.size()];
+    state.ResumeTiming();
+    WallTimer first_timer;
+    const TopNResult first = run(snap, q);
+    first_millis.push_back(first_timer.ElapsedMillis());
+    WallTimer steady_timer;
+    const TopNResult steady = run(snap, q);
+    steady_millis.push_back(steady_timer.ElapsedMillis());
+    benchmark::DoNotOptimize(steady.items.data());
+    scored += first.stats.cost.impact_postings;
+    layered += first.stats.cost.layer_postings;
+  }
+  const double runs = static_cast<double>(first_millis.size());
+  const double steady_median = Median(steady_millis);
+  state.counters["first_ms"] = Median(first_millis);
+  state.counters["steady_ms"] = steady_median;
+  if (steady_median > 0) {
+    state.counters["first_over_steady"] =
+        Median(first_millis) / steady_median;
+  }
+  state.counters["impact_postings_pq"] = static_cast<double>(scored) / runs;
+  state.counters["layer_postings_pq"] = static_cast<double>(layered) / runs;
+  const std::string dir = config.catalog_dir;
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
 BENCHMARK(BM_IngestThroughput)
     ->Arg(16)
     ->Arg(256)
@@ -348,6 +451,14 @@ BENCHMARK(BM_QueryBySegmentCount)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_QueryAfterMerge)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FirstQueryAfterWrite)
+    ->ArgNames({"strategy", "shards"})
+    ->Args({static_cast<int64_t>(PhysicalStrategy::kMaxScore), 1})
+    ->Args({static_cast<int64_t>(PhysicalStrategy::kMaxScore), 2})
+    ->Args({static_cast<int64_t>(PhysicalStrategy::kFaginTA), 1})
+    ->Args({static_cast<int64_t>(PhysicalStrategy::kFaginTA), 2})
+    ->Iterations(120)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace moa

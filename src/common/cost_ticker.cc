@@ -20,6 +20,7 @@ std::string CostCounters::ToString() const {
        << " shard_post_skip=" << shard_postings_skipped;
   }
   if (impact_postings != 0) os << " impact=" << impact_postings;
+  if (layer_postings != 0) os << " layer=" << layer_postings;
   os << " scalar=" << Scalar() << "}";
   return os.str();
 }

@@ -33,14 +33,21 @@ namespace moa {
 ///    ledger, lifted to the partition level). Like the block counters,
 ///    outside Scalar(): shard pruning must not perturb per-shard planner
 ///    comparisons.
-///  - `impact_postings`: postings scored into an impact order on the
-///    query's behalf (storage/segment/posting_cursor.h, ImpactOrder) — the
-///    cost of sorted access over storage without a materialized order; on
-///    a catalog snapshot the first bound or sorted access of a term builds
-///    it (the coordinator books bounds taken before execution). 0 when the
-///    order was materialized in memory or came from a snapshot's cache.
-///    Outside Scalar(): whether an order is cached must not move the work
-///    ticks.
+///  - `impact_postings`: postings an impact order scored on the query's
+///    behalf (storage/segment/posting_cursor.h, ImpactOrder) — the cost of
+///    sorted access over storage without a materialized order. On a
+///    catalog snapshot a term's bound or sorted access extends the order's
+///    emitted prefix, scoring the dominance layers (tombstoned postings
+///    included) and the memtable postings the emission needs; the
+///    coordinator books bounds taken before execution. 0 when the order
+///    was materialized in memory or the snapshot had already emitted the
+///    prefix read.
+///  - `layer_postings`: postings a segment grouped into dominance layers
+///    (DominanceLayers) on the query's behalf: the first use of a
+///    (segment, term) builds them, once per segment, at several times the
+///    cost per posting of scoring one. Booked like impact_postings.
+///    Both stay outside Scalar(): whether an order or its layers were
+///    already built must not move the work ticks.
 struct CostCounters {
   int64_t sequential_reads = 0;
   int64_t random_reads = 0;
@@ -53,6 +60,7 @@ struct CostCounters {
   int64_t shards_skipped = 0;
   int64_t shard_postings_skipped = 0;
   int64_t impact_postings = 0;
+  int64_t layer_postings = 0;
 
   bool operator==(const CostCounters&) const = default;
   CostCounters& operator+=(const CostCounters& o) {
@@ -67,6 +75,7 @@ struct CostCounters {
     shards_skipped += o.shards_skipped;
     shard_postings_skipped += o.shard_postings_skipped;
     impact_postings += o.impact_postings;
+    layer_postings += o.layer_postings;
     return *this;
   }
   friend CostCounters operator+(CostCounters a, const CostCounters& b) {
@@ -85,6 +94,7 @@ struct CostCounters {
     a.shards_skipped -= b.shards_skipped;
     a.shard_postings_skipped -= b.shard_postings_skipped;
     a.impact_postings -= b.impact_postings;
+    a.layer_postings -= b.layer_postings;
     return a;
   }
 
@@ -124,6 +134,7 @@ class CostTicker {
     Current().shard_postings_skipped += n;
   }
   static void TickImpactPostings(int64_t n) { Current().impact_postings += n; }
+  static void TickLayerPostings(int64_t n) { Current().layer_postings += n; }
 };
 
 /// \brief RAII frame: captures the counters delta produced inside the scope.

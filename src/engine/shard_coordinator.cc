@@ -27,22 +27,31 @@ struct ShardOrder {
 
 /// Shards by descending query bound; stable sort keeps equal-bound shards
 /// in ascending index order, making the visit order fully deterministic.
-/// A bound the snapshot has not cached yet scores the term's impact order
-/// (ShardedSnapshot::ShardTermBound); `*scored` receives those postings,
-/// which the caller books to the query as CostCounters::impact_postings.
+/// A bound the snapshot has not cached yet emits the first posting of the
+/// term's impact order (ShardedSnapshot::ShardTermBound), and a segment's
+/// first use of the term builds its layers; `*bound_cost` receives the
+/// postings scored and layered for that, which the caller books to the
+/// query (BookBoundCost).
 std::vector<ShardOrder> BoundOrder(const ShardedSnapshot& snapshot,
-                                   const Query& query, int64_t* scored) {
+                                   const Query& query,
+                                   CostCounters* bound_cost) {
   const CostScope scope;
   std::vector<ShardOrder> order(snapshot.num_shards());
   for (size_t s = 0; s < order.size(); ++s) {
     order[s] = ShardOrder{s, snapshot.ShardQueryBound(s, query)};
   }
-  *scored = scope.Snapshot().impact_postings;
+  *bound_cost = scope.Snapshot();
   std::stable_sort(order.begin(), order.end(),
                    [](const ShardOrder& a, const ShardOrder& b) {
                      return a.bound > b.bound;
                    });
   return order;
+}
+
+/// Books the impact-order work BoundOrder did to the query's counters.
+void BookBoundCost(const CostCounters& bound_cost, CostCounters* cost) {
+  cost->impact_postings += bound_cost.impact_postings;
+  cost->layer_postings += bound_cost.layer_postings;
 }
 
 size_t EffectiveParallelism(size_t requested, size_t num_shards) {
@@ -226,10 +235,10 @@ Result<SearchResult> ShardCoordinator::Run(
   }
 
   std::vector<ShardOrder> order;
-  int64_t bound_scored = 0;
+  CostCounters bound_cost;
   {
     obs::TraceSpan span(obs::kStageShardScatter);
-    order = BoundOrder(*snapshot, request.query, &bound_scored);
+    order = BoundOrder(*snapshot, request.query, &bound_cost);
   }
 
   // Per-shard planning: each shard is costed from its own local df and
@@ -277,7 +286,7 @@ Result<SearchResult> ShardCoordinator::Run(
   }
   out.wall_millis = timer.ElapsedMillis();
   out.top = std::move(top).ValueOrDie();
-  out.top.stats.cost.impact_postings += bound_scored;
+  BookBoundCost(bound_cost, &out.top.stats.cost);
 
   if (qtrace.has_value()) {
     out.trace = qtrace->Finish();
@@ -296,10 +305,10 @@ Result<TopNResult> ShardCoordinator::Execute(
     const ExecOptions& exec_options, const Options& options) {
   const size_t num_shards = snapshot->num_shards();
   std::vector<ShardOrder> order;
-  int64_t bound_scored = 0;
+  CostCounters bound_cost;
   {
     obs::TraceSpan span(obs::kStageShardScatter);
-    order = BoundOrder(*snapshot, query, &bound_scored);
+    order = BoundOrder(*snapshot, query, &bound_cost);
   }
   const std::vector<PhysicalStrategy> strategies(num_shards, strategy);
   Result<TopNResult> top = ScatterGatherExec(
@@ -307,7 +316,7 @@ Result<TopNResult> ShardCoordinator::Execute(
       options.fragmentation,
       EffectiveParallelism(options.parallelism, num_shards),
       options.bound_pruning);
-  if (top.ok()) top.ValueOrDie().stats.cost.impact_postings += bound_scored;
+  if (top.ok()) BookBoundCost(bound_cost, &top.ValueOrDie().stats.cost);
   return top;
 }
 

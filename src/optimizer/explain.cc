@@ -99,8 +99,9 @@ std::string ExplainReport::ToString() const {
        << " (block-directory skips + block-max pruning; 0/0 over "
           "blockless in-memory lists)\n";
     os << "impact orders: scored " << observed.impact_postings
+       << " postings, layered " << observed.layer_postings
        << " postings (0 = sorted access read materialized or cached "
-          "orders)\n";
+          "orders and layers)\n";
   }
   if (observed.shards_visited != 0 || observed.shards_skipped != 0) {
     os << "shards: visited " << observed.shards_visited << ", skipped "

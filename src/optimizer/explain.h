@@ -44,11 +44,13 @@ struct ExplainReport {
   /// query on the same snapshot. Its block counters fill the `blocks:`
   /// line (compressed blocks decoded vs skipped), its shard counters the
   /// `shards:` line (omitted over unsharded storage), and its
-  /// impact_postings the `impact orders:` line: the postings the run
-  /// scored into impact orders, the bounds planning asked for included —
-  /// 0 over materialized in-memory orders or when the snapshot had
-  /// already cached every order, so a second explain on the same snapshot
-  /// reads 0.
+  /// impact_postings and layer_postings the `impact orders:` line: the
+  /// postings the run's impact orders scored and the postings its first
+  /// uses of (segment, term) pairs grouped into dominance layers, the
+  /// bounds planning asked for included — 0 over materialized in-memory
+  /// orders or when the snapshot had already emitted what the run read and
+  /// the segments had built their layers, so a second explain on the same
+  /// snapshot reads 0 for both.
   CostCounters observed;
   /// Stage trace of the explained run (set with has_blocks): per-stage
   /// wall time and CostCounters deltas plus the planner's predicted scalar

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <sstream>
 
-#include "common/cost_ticker.h"
-
 namespace moa {
 namespace {
 
@@ -122,9 +120,7 @@ class ChainedPostingCursor final : public PostingCursor {
     }
   }
   size_t size() const override { return live_df_; }
-  /// Inner skip key lifted into the global id space. Safe: every inner
-  /// implementation returns a real local doc id (< its component's doc
-  /// count) or kEndDoc, never the blockless kEndDoc - 1 default.
+  /// Inner skip key lifted into the global id space.
   DocId block_last_doc() const override {
     if (comp_ >= comps_.size()) return kEndDoc;
     const DocId inner_last = inner_->block_last_doc();
@@ -275,33 +271,35 @@ std::unique_ptr<PostingCursor> CatalogState::OpenMergedCursor(
                                                 stats_.df[t]);
 }
 
-ImpactOrder::Builder CatalogState::ScoreLivePostings(
-    TermId t, const TermWeight& weight) const {
-  ImpactOrder::Builder order(weight, stats_.df[t]);
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    const CatalogSegment& seg = *segments_[i];
+std::shared_ptr<const ImpactOrder> CatalogState::OpenImpactOrder(
+    std::shared_ptr<const CatalogState> state, TermId t,
+    const TermWeight& weight) {
+  std::vector<ImpactOrder::Component> components;
+  components.reserve(state->segments_.size() + 1);
+  for (size_t i = 0; i < state->segments_.size(); ++i) {
+    const CatalogSegment& seg = *state->segments_[i];
     if (seg.reader->DocFrequency(t) == 0) continue;
-    const SegmentReader& reader = *seg.reader;
-    const auto doc_length = [&reader](DocId d) { return reader.DocLength(d); };
-    const std::vector<uint8_t>* dead =
-        seg.num_deleted > 0 ? &seg.deleted : nullptr;
-    const std::unique_ptr<PostingCursor> blocks = reader.OpenCursor(t);
-    const DocId* docs;
-    const uint32_t* tfs;
-    while (const size_t n = blocks->block_postings(&docs, &tfs)) {
-      order.Add(
-          base_[i], n, [&](size_t j) { return Posting{docs[j], tfs[j]}; },
-          dead, doc_length);
-      blocks->shallow_advance(blocks->block_last_doc() + 1);
-    }
+    const SegmentReader* reader = seg.reader.get();
+    ImpactOrder::Component c;
+    c.base = state->base_[i];
+    c.layers = &reader->Layers(t);
+    c.postings = &c.layers->postings();
+    c.dead = seg.num_deleted > 0 ? &seg.deleted : nullptr;
+    c.doc_length = [reader](DocId d) { return reader->DocLength(d); };
+    components.push_back(std::move(c));
   }
-  const std::vector<Posting>& list = memtable_->postings(t);
-  const Memtable& memtable = *memtable_;
-  order.Add(
-      base_.back(), list.size(), [&list](size_t j) { return list[j]; },
-      memtable_has_dead_ ? &memtable_deleted_ : nullptr,
-      [&memtable](DocId d) { return memtable.DocLength(d); });
-  return order;
+  if (!state->memtable_->postings(t).empty()) {
+    const Memtable* memtable = state->memtable_.get();
+    ImpactOrder::Component c;
+    c.base = state->base_.back();
+    c.postings = &memtable->postings(t);
+    c.dead = state->memtable_has_dead_ ? &state->memtable_deleted_ : nullptr;
+    c.doc_length = [memtable](DocId d) { return memtable->DocLength(d); };
+    components.push_back(std::move(c));
+  }
+  const size_t live = state->stats_.df[t];
+  return std::make_shared<const ImpactOrder>(weight, std::move(components),
+                                             live, std::move(state));
 }
 
 std::string CatalogState::Describe() const {

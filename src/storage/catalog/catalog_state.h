@@ -1,5 +1,5 @@
 // CatalogState: one immutable snapshot of the multi-segment index, plus
-// the merged cursor and the scoring pass that read it. Queries read it
+// the merged cursor and the impact order that read it. Queries read it
 // through a ShardedSnapshot (storage/catalog/sharded_snapshot.h).
 //
 // Global doc-id space. Segments are ordered; segment i owns the global id
@@ -20,20 +20,22 @@
 // computes bit-identical weights to one bound to a fresh InvertedFile of
 // the surviving documents.
 //
-// The scoring pass. ScoreLivePostings is the one pass that weighs a term's
-// live postings, for ShardedSnapshot's impact orders and with them the
-// term's bound, the only bound any query reads: segments store postings
-// and nothing derived from scoring statistics, and the merged cursor
-// carries no bound. A state caches neither: weights depend on the
-// statistics a query scores by, and the snapshot that reads the state
-// owns those.
-// The pass skips the chained cursor: each segment hands over one decoded
-// block at a time (PostingCursor::block_postings), with lengths from its
-// own SegmentReader::DocLength and tombstones from its bitmap, and the
-// memtable its posting vector, with Memtable::DocLength and its own
-// bitmap; a posting's global id is its component's base plus its local
-// id. The term's TermWeight is read once, so a posting costs a block
-// decode share, a bitmap test, a length load and the formula.
+// The impact order. OpenImpactOrder makes the one ImpactOrder
+// (storage/segment/posting_cursor.h) of a term's live postings, for
+// ShardedSnapshot's per-term cache and with it the term's bound, the only
+// bound any query reads: segments store postings and nothing derived from
+// scoring statistics, and the merged cursor carries no bound. A state
+// caches no order: weights depend on the statistics a query scores by,
+// and the snapshot that reads the state owns those.
+// The order skips the chained cursor. Each segment with postings of the
+// term is one component, read through the term's DominanceLayers, which
+// the segment's reader builds on first use and keeps for every later
+// state and snapshot holding the segment; the memtable is the last
+// component, its posting vector sorted whole per order. Lengths come from
+// the component's own DocLength and tombstones from its bitmap; a
+// posting's global id is its component's base plus its local id. The
+// term's TermWeight is read once, and the order scores only the layers
+// its emissions need.
 //
 // Thread-safety: a published CatalogState is immutable except for the
 // internally synchronized sparse-index cache; states are shared by
@@ -143,12 +145,15 @@ class CatalogState {
   /// Doc-ordered cursor over term t's *live* postings, global ids.
   std::unique_ptr<PostingCursor> OpenMergedCursor(TermId t) const;
 
-  /// Term t's live postings, global ids ascending, scored with `weight`
-  /// (the term's TermWeight under the statistics to score by) — the
-  /// scoring pass of the file comment. Build() the result for an impact
-  /// order; its max_weight() is the term's exact bound.
-  ImpactOrder::Builder ScoreLivePostings(TermId t,
-                                         const TermWeight& weight) const;
+  /// Term t's live postings of `state` in impact order under `weight`
+  /// (the term's TermWeight under the statistics to score by), global ids
+  /// — the impact order of the file comment. Builds each segment's layers
+  /// of t on its first use; scores nothing until the order is read. The
+  /// order keeps `state` alive; its max_weight() is the term's exact
+  /// bound.
+  static std::shared_ptr<const ImpactOrder> OpenImpactOrder(
+      std::shared_ptr<const CatalogState> state, TermId t,
+      const TermWeight& weight);
 
   /// Human-readable storage composition, e.g.
   /// "memtable(3 docs) + segments[seg 1: 100 docs, seg 2: 50 docs (-4)]".

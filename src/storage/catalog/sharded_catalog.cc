@@ -232,9 +232,10 @@ struct ShardedSnapshot::ShardEntry {
   ShardReadView source;
   CatalogComposition composition;
 
-  // Build-once impact orders by term under the snapshot's global
-  // statistics, which also carry the term's bound (see the header's file
-  // comment). A map, so an untouched snapshot allocates nothing.
+  // Impact orders by term under the snapshot's global statistics, each
+  // with the prefix it has emitted so far, whose first entry is the
+  // term's bound (see the header's file comment). A map, so an untouched
+  // snapshot allocates nothing.
   mutable std::mutex orders_mutex;
   mutable std::unordered_map<TermId, std::shared_ptr<const ImpactOrder>>
       orders;
@@ -297,10 +298,10 @@ const CatalogComposition& ShardedSnapshot::shard_composition(size_t s) const {
 }
 
 double ShardedSnapshot::ShardTermBound(size_t s, TermId t) const {
-  // Exact bound under the snapshot's global statistics: max current weight
-  // over the shard's live postings, taken while the term's impact order is
-  // scored, so a later sorted access reuses that pass. A term absent from
-  // this shard gets the empty order, which bounds at zero.
+  // Exact bound under the snapshot's global statistics: the first posting
+  // the term's impact order emits, so a later sorted access reads it from
+  // the emitted prefix. A term absent from this shard gets the empty
+  // order, which bounds at zero.
   return ShardImpactOrder(s, t)->max_weight();
 }
 
@@ -319,10 +320,11 @@ const std::shared_ptr<const ImpactOrder>& ShardedSnapshot::ShardImpactOrder(
     const auto it = entry.orders.find(t);
     if (it != entry.orders.end()) return it->second;
   }
-  std::shared_ptr<const ImpactOrder> built =
-      entry.state->ScoreLivePostings(t, entry.model->ForTerm(t)).Build();
+  // Outside the lock: a segment's first use of the term builds its layers.
+  std::shared_ptr<const ImpactOrder> made = CatalogState::OpenImpactOrder(
+      entry.state, t, entry.model->ForTerm(t));
   std::lock_guard<std::mutex> lock(entry.orders_mutex);
-  return entry.orders.emplace(t, std::move(built)).first->second;
+  return entry.orders.emplace(t, std::move(made)).first->second;
 }
 
 double ShardedSnapshot::ShardQueryBound(size_t s, const Query& query) const {

@@ -23,30 +23,36 @@
 // bounds, and ShardReadView::MaxImpact is how a query reads one
 // (doc-ordered cursors carry none): per (shard, term), the exact max
 // current weight of the shard's live postings under the snapshot's
-// statistics, computed on first use (with the term's impact order,
-// below) and shared by every query on this snapshot. Exact bounds keep
-// max-score pruning decisions bit-identical to a fresh index of the
-// survivors. The per-shard *query* bound — the sum of a query's term
-// bounds, the shard-skipping currency of the coordinator — comes from the
-// same cache.
+// statistics, computed on first use (as the first posting of the term's
+// impact order, below) and shared by every query on this snapshot. Exact
+// bounds keep max-score pruning decisions bit-identical to a fresh index
+// of the survivors. The per-shard *query* bound — the sum of a query's
+// term bounds, the shard-skipping currency of the coordinator — comes
+// from the same cache.
 //
 // Impact orders. Sorted access (the Fagin family, sparse-probe champions)
 // reads a term's postings by descending weight, which segments and the
-// memtable do not store. The first use of a (shard, term) on a snapshot —
+// memtable do not store. What does not depend on the statistics does: each
+// segment's reader keeps, per term and built on first use, the postings'
+// dominance layers over (tf up, length down), shared by every snapshot
+// that holds the segment. The first use of a (shard, term) on a snapshot —
 // its bound, which the coordinator asks for every query term before
-// planning, or a sorted access — scores the shard's live postings once
-// into an ImpactOrder (storage/segment/posting_cursor.h), sorted lazily,
-// by CatalogState::ScoreLivePostings under the shard model's TermWeight;
-// the bound is the order's greatest weight, so bound and sorted access
-// share that one scoring pass. The Fagin family's random access reads the
-// same order through its cursor (a binary search on the order's
-// doc-ordered entries, which carry the weight), so a probe takes no lock,
-// decodes no block and weighs nothing.
-// The snapshot caches the order, and with it the bound, for every later
-// query. The cache is keyed by term, so a fresh snapshot costs nothing
-// until a term is used, holds 16 B per live posting of each term used
-// and 4 B more once a cursor has read it (at most one in-memory impact
-// order of the collection), and dies with the snapshot.
+// planning, or a sorted access — makes an ImpactOrder
+// (storage/segment/posting_cursor.h) by CatalogState::OpenImpactOrder
+// under the shard model's TermWeight. It emits across the shard's
+// components and scores a segment's layers only as far as its emissions
+// need, so a bound scores a few postings per component, not the term's
+// whole list. The bound is the order's first posting, and bound and
+// sorted access continue one emission. The Fagin family's random access reads the same order
+// through its cursor: it finds the component, binary-searches the
+// component's decoded doc-ordered postings and weighs the hit, so a probe
+// takes no lock and decodes no block.
+// The snapshot caches the order with the prefix it has emitted, so later
+// queries on this snapshot read the prefix and score nothing. The cache is
+// keyed by term, so a fresh snapshot costs nothing until a term is used;
+// it holds 16 B per emitted posting plus the order's unemitted scored
+// postings, and dies with the snapshot (cursors keep their order, and the
+// state it reads, alive).
 #ifndef MOA_STORAGE_CATALOG_SHARDED_SNAPSHOT_H_
 #define MOA_STORAGE_CATALOG_SHARDED_SNAPSHOT_H_
 
@@ -122,7 +128,7 @@ class ShardReadView final : public PostingSource {
   double MaxImpact(TermId t) const override;
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
   /// Serves the snapshot's cached order (ShardedSnapshot::ShardImpactOrder),
-  /// scored under the shard's model, for sorted and random access alike
+  /// weighed under the shard's model, for sorted and random access alike
   /// (see file comment); `model` must have the same arithmetic and is not
   /// consulted.
   std::unique_ptr<ImpactCursor> OpenImpactCursor(
@@ -176,20 +182,21 @@ class ShardedSnapshot {
   const CatalogComposition& shard_composition(size_t s) const;
 
   /// Exact max current weight of term t's live postings in shard s under
-  /// the snapshot's global statistics. Build-once per (shard, term): the
-  /// greatest weight of ShardImpactOrder(s, t), which its first use builds.
+  /// the snapshot's global statistics: the first posting of
+  /// ShardImpactOrder(s, t), which its first use emits.
   double ShardTermBound(size_t s, TermId t) const;
   /// Upper bound on any single document's score for `query` in shard s:
   /// the sum of the query terms' shard bounds. This is the coordinator's
   /// shard-skipping currency.
   double ShardQueryBound(size_t s, const Query& query) const;
   /// Term t's live postings in shard s (local ids) in impact order under
-  /// the shard's model. Built on first use, by the bound or by sorted
-  /// access — scoring every live posting once, outside the cache lock;
-  /// concurrent first users may both build, and the first insert wins —
-  /// then shared by every query on this snapshot. The reference is the
-  /// cache's own entry, valid while the snapshot lives; a reader that
-  /// only looks (the bound) takes no reference count.
+  /// the shard's model. Made on first use, by the bound or by sorted
+  /// access, outside the cache lock (a segment's first use of the term
+  /// builds its layers there); concurrent first users may both make one,
+  /// and the first insert wins. Shared by every query on this snapshot,
+  /// with the prefix it has emitted. The reference is the cache's own
+  /// entry, valid while the snapshot lives; a reader that only looks (the
+  /// bound) takes no reference count.
   const std::shared_ptr<const ImpactOrder>& ShardImpactOrder(
       size_t s, TermId t) const;
 

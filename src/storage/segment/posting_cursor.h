@@ -9,8 +9,9 @@
 // (storage/segment/segment_reader.h) serve the same cursor.
 // Executors that read postings by descending weight (the Fagin family,
 // sparse-probe champions) use ImpactCursor: the materialized order in
-// memory, an ImpactOrder scored from the doc-ordered postings over a
-// catalog snapshot.
+// memory, an ImpactOrder over a catalog snapshot, which emits a term's
+// postings from each segment's DominanceLayers and scores only the layers
+// its emissions need.
 // The same cursor serves the Fagin family's random access (FindWeight), so
 // a query term's sorted and random access read one list.
 //
@@ -42,17 +43,17 @@
 //
 // Cost accounting stays in the algorithms (CostTicker ticks per posting
 // touched), not in the cursors, so switching representations does not
-// change the deterministic work counters. The single exception is the
-// blocks_decoded/blocks_skipped pair: those are ticked by block-structured
-// cursors themselves, because they exist precisely to observe
-// representation-level behaviour (and stay outside CostCounters::Scalar).
+// change the deterministic work counters. The exceptions observe
+// representation-level behaviour and stay outside CostCounters::Scalar:
+// block-structured cursors tick blocks_decoded/blocks_skipped themselves,
+// an ImpactOrder ticks the postings it scores (impact_postings) and a
+// DominanceLayers build the postings it groups (layer_postings).
 #ifndef MOA_STORAGE_SEGMENT_POSTING_CURSOR_H_
 #define MOA_STORAGE_SEGMENT_POSTING_CURSOR_H_
 
-#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -91,12 +92,8 @@ class PostingCursor {
   /// Largest doc id in the current block — the block's skip key: no
   /// posting with doc > block_last_doc() exists in the current block, and
   /// shallow_advance(block_last_doc() + 1) skips it without decoding.
-  /// kEndDoc iff the cursor is exhausted at block level. The conservative
-  /// default (kEndDoc - 1 while postings remain) is correct for blockless
-  /// cursors, whose one block spans the rest of the list.
-  virtual DocId block_last_doc() const {
-    return at_end() ? kEndDoc : kEndDoc - 1;
-  }
+  /// kEndDoc iff the cursor is exhausted at block level.
+  virtual DocId block_last_doc() const = 0;
 
   /// Bulk read: exposes the remaining postings of the current block as
   /// directly addressable arrays (*docs)[0..n) / (*tfs)[0..n), decoding
@@ -105,8 +102,8 @@ class PostingCursor {
   /// default; callers then fall back to doc()/tf()/next()). The pointers
   /// stay valid until the cursor moves. Consume the batch, then step with
   /// shallow_advance(block_last_doc() + 1): one virtual call per block
-  /// instead of four per posting — how the catalog's scoring pass reads a
-  /// segment.
+  /// instead of four per posting — how a segment decodes a term's list
+  /// for its DominanceLayers.
   virtual size_t block_postings(const DocId** docs,
                                 const uint32_t** tfs) const {
     (void)docs;
@@ -152,35 +149,88 @@ class ImpactCursor {
   bool at_end() const { return doc() == kEndDoc; }
 };
 
-/// \brief One term's postings in impact order, sorted lazily: the sorted
-/// and random access of storage without a materialized order (catalog
-/// snapshots).
+/// \brief One term's postings in one immutable storage component (a
+/// segment), grouped into layers of maxima over (tf up, length down): the
+/// part of the term's impact order that no statistics change.
 ///
-/// An ImpactOrder::Builder makes it in one scoring pass: its caller feeds
-/// the term's postings as doc-ordered runs of one storage component each,
-/// and decides which postings count (tombstones skipped) and in which id
-/// space; the builder scores each once with the term's TermWeight. The
-/// entries stay in that doc order and never change, so random access is a
-/// binary search on them. Sorting is lazy and permutes a separate index
-/// array: its prefix [0, sorted) is final, in the exact order that
-/// InvertedFile::BuildImpactOrders materializes (weight descending, doc
-/// ascending). A cursor that reaches the end of the sorted prefix extends
-/// it: nth_element picks the next chunk and sort orders it. The first
-/// chunk holds kFirstChunk entries and every extension grows the prefix
-/// kGrowth-fold, so a consumer that reads k postings pays one scoring
-/// pass, one selection pass over the unsorted rest per extension and
-/// O(k log k) sorting — not a full sort of the list.
+/// A posting dominates another when its tf is at least as high and its
+/// document at most as long, and the two (tf, length) points differ.
+/// Layer 0 holds the postings nothing dominates; layer j + 1 those that
+/// only postings of layers <= j dominate. So every posting of layer j + 1
+/// is dominated by one of layer j, and equal points share a layer. Every
+/// model's weight rises with tf and falls with the length, also in
+/// floating point (TermWeightTest checks it), so under any statistics no
+/// posting of a later layer weighs more than the heaviest of layer j: the
+/// threshold ImpactOrder emits by.
 ///
-/// Thread-safety: any number of cursors may read one order at once (the
-/// per-snapshot cache shares it across queries), random access with no
-/// synchronization at all. Extensions serialize on a mutex and publish the
-/// new length with a release store; a reader only reads the permutation
-/// below the length it loaded with acquire, and an extension only writes
-/// above it.
+/// Building sorts the postings by (tf desc, length asc, doc asc) and peels
+/// the layers in one pass: the least length of each layer so far never
+/// falls from one layer to the next, so a point's layer is the number of
+/// layers whose least length is <= its own, found by binary search. Equal
+/// points take the layer of the first of them.
 ///
-/// Memory: 16 B per posting (Entry), plus 4 B per posting for the
-/// permutation once a cursor has read the order; held by the snapshot
-/// that caches it (ShardedSnapshot) and by the cursors reading it.
+/// Memory: 12 B per posting (doc, tf and the layer permutation) and 4 B
+/// per layer; lengths stay with the component.
+class DominanceLayers {
+ public:
+  /// The layers of the doc-ordered `postings`, whose documents hold
+  /// lengths[i] tokens. O(n log n); ticks CostCounters::layer_postings by
+  /// n.
+  DominanceLayers(std::vector<Posting> postings,
+                  const std::vector<uint32_t>& lengths);
+
+  size_t size() const { return postings_.size(); }
+  size_t num_layers() const { return index_.size() - postings_.size(); }
+  /// The postings in doc order, local ids (random access searches these).
+  const std::vector<Posting>& postings() const { return postings_; }
+  /// Layer j's postings, as positions into postings():
+  /// [layer_begin(j), layer_end(j)), by (tf desc, length asc, doc asc).
+  const uint32_t* layer_begin(size_t j) const {
+    return index_.data() + (j == 0 ? 0 : index_[size() + j - 1]);
+  }
+  const uint32_t* layer_end(size_t j) const {
+    return index_.data() + index_[size() + j];
+  }
+
+ private:
+  std::vector<Posting> postings_;  ///< doc order
+  /// The layer permutation (positions, layer after layer), then the end of
+  /// each layer in it.
+  std::vector<uint32_t> index_;
+};
+
+/// \brief One term's postings in impact order over the components of a
+/// catalog snapshot, emitted lazily: the sorted and random access of
+/// storage without a materialized order.
+///
+/// Sorted access emits by (weight desc, id asc) from one heap of every
+/// live posting scored so far. A segment's postings are scored from its
+/// DominanceLayers of the term, a layer at a time, with TA's threshold
+/// test inside one list: the heaviest weight of the segment's last scored
+/// layer bounds every posting of its later layers, so the heap's best
+/// posting is emitted only while it weighs strictly more than that
+/// threshold of every segment with layers left; otherwise the segment
+/// with the greatest threshold scores its next layer. So a segment scores
+/// layer j + 1 whole before anything of layers <= j is emitted, and on a
+/// tie it scores first, which keeps the doc-ascending tie order.
+/// Tombstoned postings are scored, and count toward their layer's
+/// heaviest weight (a later live posting may be dominated by a dead one
+/// only), but never enter the heap. The memtable's live postings of the
+/// term are scored whole by the first extension. The first posting
+/// emitted is the exact greatest live weight (max_weight()).
+///
+/// The emitted prefix is kept: entries below the published length are
+/// final and read without a lock, by any number of cursors. A cursor at
+/// the end of the prefix extends it: extensions serialize on a mutex,
+/// grow the prefix geometrically and publish the new length with a release
+/// store. The prefix lives in chunks that double in size and never move,
+/// so a reader needs no lock while an extension appends. Memory: 16 B per
+/// emitted posting, plus the heap of scored, unemitted postings, released
+/// when the order is drained.
+///
+/// Random access (through the cursor) finds the component by its base,
+/// binary-searches its doc-ordered postings and weighs the hit with the
+/// term's TermWeight, so it returns the bits sorted access emits.
 class ImpactOrder {
  public:
   struct Entry {
@@ -190,17 +240,46 @@ class ImpactOrder {
   };
   static_assert(sizeof(Entry) == 16);
 
-  class Builder;
+  /// One storage component of the order's postings.
+  struct Component {
+    /// Id of the component's local document 0 in the order's id space.
+    uint64_t base = 0;
+    /// The component's postings of the term in doc order, local ids.
+    const std::vector<Posting>* postings = nullptr;
+    /// The same postings' layers (a segment's, whose postings() are
+    /// `postings`); null for a memtable component, sorted whole.
+    const DominanceLayers* layers = nullptr;
+    /// Tombstones by local id; null when none is set.
+    const std::vector<uint8_t>* dead = nullptr;
+    /// Token count of a local document.
+    std::function<uint32_t(DocId)> doc_length;
+
+   private:
+    friend class ImpactOrder;
+    bool has_layers_left() const {
+      return layers != nullptr && scored_layers_ < layers->num_layers();
+    }
+    /// A segment's scoring state, guarded by the order's extend_mutex_.
+    mutable size_t scored_layers_ = 0;
+    mutable double threshold_ = 0.0;  ///< heaviest weight of the last one
+  };
 
   /// An empty order (a term with no live posting).
-  ImpactOrder() = default;
+  ImpactOrder();
+  /// The order of the `size` live postings of `components` (disjoint,
+  /// ascending bases), weighed with `weight`. `owner` keeps alive what the
+  /// components point to, for as long as the order or a cursor lives.
+  ImpactOrder(const TermWeight& weight, std::vector<Component> components,
+              size_t size, std::shared_ptr<const void> owner);
   ImpactOrder(const ImpactOrder&) = delete;
   ImpactOrder& operator=(const ImpactOrder&) = delete;
+  ~ImpactOrder();
 
-  size_t size() const { return entries_.size(); }
-  /// The greatest weight, taken while scoring (0 for an empty order): the
-  /// exact impact bound of the postings, with no sorting.
-  double max_weight() const { return max_weight_; }
+  /// Number of live postings the order emits in all.
+  size_t size() const { return size_; }
+  /// The greatest live weight (0 for an empty order): the first posting
+  /// sorted access emits, emitted on first use.
+  double max_weight() const;
 
   /// A fresh cursor over `order` (non-null), which it keeps alive.
   static std::unique_ptr<ImpactCursor> OpenCursor(
@@ -209,70 +288,36 @@ class ImpactOrder {
  private:
   friend class ImpactOrderCursor;
 
-  /// First sorted chunk; enough for the top-n prefixes Fagin reads.
-  static constexpr size_t kFirstChunk = 64;
-  /// Prefix growth factor per extension.
-  static constexpr size_t kGrowth = 4;
+  /// Scores segment component `c`'s next layer into heap_.
+  void ScoreLayer(const Component& c) const;
 
-  /// Extends the sorted prefix to at least min(want, size()) entries and
-  /// returns its length.
-  size_t SortedAtLeast(size_t want) const;
+  /// Extends the emitted prefix to at least min(want, size()) entries and
+  /// returns its length; ticks CostCounters::impact_postings by the
+  /// postings it scores.
+  size_t EmittedAtLeast(size_t want) const;
+  /// Entry i of the emitted prefix; requires i below a length that
+  /// EmittedAtLeast returned.
+  const Entry& emitted(size_t i) const;
+  /// The weight of `doc` among the postings the order emits.
+  std::optional<double> FindWeight(DocId doc) const;
 
-  /// Doc-ordered, immutable after construction.
-  std::vector<Entry> entries_;
-  /// Impact rank -> index into entries_. Allocated by the first extension
-  /// (an order only its bound reads never needs it) and never resized
-  /// after; extensions permute it above the published length.
-  mutable std::vector<uint32_t> by_impact_;
-  mutable std::mutex extend_mutex_;
-  mutable std::atomic<size_t> sorted_{0};
-  double max_weight_ = 0.0;
-};
-
-/// \brief The one scoring pass that makes an ImpactOrder.
-///
-/// Add scores a run of one component's doc-ordered postings (a decoded
-/// segment block, a memtable list) with the term's TermWeight, skipping
-/// the ones its tombstone bitmap flags; runs arrive in ascending id order.
-/// The greatest weight is folded while scoring, so a caller that needs
-/// only the bound reads max_weight() and never builds the order.
-class ImpactOrder::Builder {
- public:
-  /// `capacity`: the number of postings that will be added (reserved).
-  Builder(const TermWeight& weight, size_t capacity) : weight_(weight) {
-    entries_.reserve(capacity);
-  }
-
-  /// Scores the run posting(0), ..., posting(n - 1): Postings with
-  /// component-local ids, ascending, whose id in the order is `base` + the
-  /// local id. A posting whose local id is flagged in `dead` (null: none
-  /// is) is skipped; `doc_length(id)` is the token count of local
-  /// document `id`.
-  template <typename PostingFn, typename DocLengthFn>
-  void Add(uint64_t base, size_t n, const PostingFn& posting,
-           const std::vector<uint8_t>* dead, const DocLengthFn& doc_length) {
-    for (size_t i = 0; i < n; ++i) {
-      const Posting p = posting(i);
-      if (dead != nullptr && (*dead)[p.doc] != 0) continue;
-      const auto doc = static_cast<DocId>(base + p.doc);
-      assert(entries_.empty() || entries_.back().doc < doc);
-      const double weight = weight_(p.tf, doc_length(p.doc));
-      entries_.push_back(Entry{weight, doc, p.tf});
-      max_weight_ = std::max(max_weight_, weight);
-    }
-  }
-
-  /// The greatest weight added so far (0 before any posting).
-  double max_weight() const { return max_weight_; }
-
-  /// The order of every posting added; ticks
-  /// CostCounters::impact_postings by their number.
-  std::shared_ptr<const ImpactOrder> Build();
-
- private:
   TermWeight weight_;
-  std::vector<Entry> entries_;
-  double max_weight_ = 0.0;
+  std::vector<Component> components_;
+  size_t size_ = 0;
+  std::shared_ptr<const void> owner_;
+
+  mutable std::mutex extend_mutex_;
+  /// Scored, unemitted live postings, a heap by impact order: filled by
+  /// the first extension and dropped once the order is drained. Guarded
+  /// by extend_mutex_.
+  mutable std::vector<Entry> heap_;
+  /// The emitted prefix in chunks of 4, 4, 8, 16, ... entries: the first
+  /// inline, the others in chunks_ (one slot per chunk size() needs, made
+  /// with chunk 1). A chunk is allocated by the extension that first
+  /// writes into it, before the length that covers it is published.
+  mutable Entry first_chunk_[4];
+  mutable std::unique_ptr<std::unique_ptr<Entry[]>[]> chunks_;
+  mutable std::atomic<size_t> emitted_{0};
 };
 
 /// \brief A collection of posting lists addressable by TermId.

@@ -207,6 +207,11 @@ class BlockPostingCursor final : public PostingCursor {
 }  // namespace
 
 SegmentReader::~SegmentReader() {
+  if (layers_ != nullptr) {
+    for (uint64_t t = 0; t < header_.num_terms; ++t) {
+      delete layers_[t].load(std::memory_order_relaxed);
+    }
+  }
   if (data_ != nullptr) {
     ::munmap(const_cast<uint8_t*>(data_), static_cast<size_t>(size_));
   }
@@ -257,6 +262,8 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::OpenInternal(
   reader->term_dir_ = reader->data_ + layout.term_dir;
   reader->block_dir_ = reader->data_ + layout.block_dir;
   reader->payload_ = reader->data_ + layout.payload;
+  reader->layers_ = std::make_unique<std::atomic<const DominanceLayers*>[]>(
+      reader->header_.num_terms);
 
 #ifdef MADV_RANDOM
   // Paging hints, purely advisory and ignored on failure (and compiled out
@@ -442,6 +449,35 @@ std::unique_ptr<PostingCursor> SegmentReader::OpenCursor(TermId t) const {
       block_dir_ + entry.block_begin * sizeof(BlockDirEntry),
       entry.block_count, payload_ + entry.payload_offset,
       term_payload_bytes(entry, t), entry.df);
+}
+
+const DominanceLayers& SegmentReader::Layers(TermId t) const {
+  assert(t < header_.num_terms);
+  std::atomic<const DominanceLayers*>& slot = layers_[t];
+  if (const DominanceLayers* built = slot.load(std::memory_order_acquire)) {
+    return *built;
+  }
+  std::lock_guard<std::mutex> lock(layer_build_mutex_[t % kLayerBuildLocks]);
+  if (const DominanceLayers* built = slot.load(std::memory_order_acquire)) {
+    return *built;
+  }
+  std::vector<Posting> postings;
+  std::vector<uint32_t> lengths;
+  postings.reserve(DocFrequency(t));
+  lengths.reserve(DocFrequency(t));
+  const std::unique_ptr<PostingCursor> blocks = OpenCursor(t);
+  const DocId* docs;
+  const uint32_t* tfs;
+  while (const size_t n = blocks->block_postings(&docs, &tfs)) {
+    for (size_t i = 0; i < n; ++i) {
+      postings.push_back(Posting{docs[i], tfs[i]});
+      lengths.push_back(DocLength(docs[i]));
+    }
+    blocks->shallow_advance(blocks->block_last_doc() + 1);
+  }
+  const auto* built = new DominanceLayers(std::move(postings), lengths);
+  slot.store(built, std::memory_order_release);
+  return *built;
 }
 
 Status SegmentReader::CheckIntegrity() const {

@@ -4,11 +4,15 @@
 // magic, retired formats included, with InvalidArgument, so an old file
 // fails cleanly instead of being misread.
 //
-// The reader serves postings and document lengths only. Impact fields a
-// segment written by an older version carries are validated at Open
-// (they are input from outside the program) and otherwise ignored:
-// bounds and impact orders come from the catalog snapshot, under the
-// statistics a query scores by.
+// The reader serves postings, document lengths and, per term, the
+// postings' dominance layers (DominanceLayers,
+// storage/segment/posting_cursor.h): the (tf, length) structure of the
+// term's impact order, which no statistics change, so every catalog
+// snapshot that holds the segment shares it. Impact fields a segment
+// written by an older version carries are validated at Open (they are
+// input from outside the program) and otherwise ignored: bounds and
+// impact orders come from the catalog snapshot, under the statistics a
+// query scores by.
 //
 // Open() memory-maps the file read-only and fully validates the header
 // and both directories (bounds, monotonicity, block-count arithmetic,
@@ -18,15 +22,23 @@
 // an index rebuild, and queries only ever fault in the blocks they scan
 // or skip to.
 //
-// Thread-safety: the reader is immutable after Open and safe for
-// concurrent OpenCursor calls; each cursor is single-threaded.
+// Thread-safety: the mapping and its directories are immutable after
+// Open, and concurrent OpenCursor calls are safe; each cursor is
+// single-threaded. A term's layers are built on the first Layers call,
+// once: concurrent first callers of one term wait on a build lock (one of
+// a few, shared by terms), and later callers read the published layers
+// with one acquire load and no lock. Layers are never persisted; they
+// live, at 12 B per posting, as long as the reader.
 #ifndef MOA_STORAGE_SEGMENT_SEGMENT_READER_H_
 #define MOA_STORAGE_SEGMENT_SEGMENT_READER_H_
 
+#include <array>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -64,13 +76,18 @@ class SegmentReader final {
   uint32_t block_size() const { return header_.block_size; }
   uint64_t file_size() const { return size_; }
   /// Token count of document d (served from the mapped section). Inline:
-  /// the catalog's scoring pass reads one per posting.
+  /// an impact order reads one per posting it scores or finds.
   uint32_t DocLength(DocId d) const {
     assert(d < header_.num_docs);
     uint32_t length;
     std::memcpy(&length, doc_lengths_ + sizeof(uint32_t) * d, sizeof(length));
     return length;
   }
+
+  /// Term t's postings with their dominance layers, built on the first
+  /// call (one decode of the list; ticks CostCounters::layer_postings) and
+  /// kept while the reader lives. Thread-safe; see the file comment.
+  const DominanceLayers& Layers(TermId t) const;
 
   /// Decodes every block and re-validates cross-block invariants plus the
   /// global token count — catches payload corruption that the structural
@@ -102,6 +119,12 @@ class SegmentReader final {
   const uint8_t* term_dir_ = nullptr;
   const uint8_t* block_dir_ = nullptr;
   const uint8_t* payload_ = nullptr;
+
+  /// Per term, its layers once built (null before); owned by the reader.
+  std::unique_ptr<std::atomic<const DominanceLayers*>[]> layers_;
+  static constexpr size_t kLayerBuildLocks = 16;
+  /// Serialize the builds of the terms t with t % kLayerBuildLocks equal.
+  mutable std::array<std::mutex, kLayerBuildLocks> layer_build_mutex_;
 };
 
 }  // namespace moa

@@ -7,17 +7,19 @@
 // catalog's chained/merged tombstone-filtering cursor over a
 // segments+memtable snapshot whose live documents equal the reference.
 // Every catalog kind is served by IndexCatalog::OpenReadView, a one-shard
-// ShardReadView whose sorted access reads the snapshot's cached impact
-// order; a segment kind is a catalog whose one segment holds every
-// reference document, so its chained cursor hands each call to the
-// segment's block cursor.
+// ShardReadView whose sorted access reads the snapshot's impact order,
+// emitted from the segments' dominance layers and the memtable; a segment
+// kind is a catalog whose one segment holds every reference document, so
+// its chained cursor hands each call to the segment's block cursor.
 //
 // Also here: the ImpactCursor contract (every implementation reproduces
 // the in-memory materialized impact order bit-for-bit — docs, tfs and
-// weights; term 5's 130 postings outgrow the first lazily sorted chunk, so
-// the lazy impact orders extend their sorted prefix mid-scan), and its
-// random access (FindWeight finds exactly the postings the cursor emits,
-// with the model's weight bit for bit).
+// weights; term 5's 130 postings outgrow several doublings of the emitted
+// prefix, so the catalog orders extend it mid-scan, scoring more layers),
+// and its random access (FindWeight finds exactly the postings the cursor
+// emits, with the model's weight bit for bit). The layered emission itself
+// is checked against a full sort, ties and tombstones included, in
+// impact_order_test.cc.
 #include <gtest/gtest.h>
 
 #include <filesystem>

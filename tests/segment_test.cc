@@ -165,7 +165,7 @@ TEST(SegmentTest, RoundTripWithoutImpactsAndOddBlockSize) {
 }
 
 TEST(SegmentTest, BlockPostingsWalkYieldsEveryListBlockByBlock) {
-  // block_postings is how the catalog's scoring pass reads a segment: one
+  // block_postings is how a segment decodes a term for its layers: one
   // decoded block per call, stepped with shallow_advance past its last
   // doc. Walked from the start, and again after an advance_to into the
   // middle of a block, every list must come out whole and in order, and

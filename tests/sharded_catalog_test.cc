@@ -4,10 +4,11 @@
 // id interleaving, least-loaded routing (identity ids from a pristine
 // catalog), consistent multi-shard snapshots aggregating global
 // statistics, the snapshot-owned per-(shard, term) bound and impact-order
-// caches (the order's size, one scoring pass shared by the bound and the
-// order, that pass against a per-posting reference under every model over
-// tombstoned segments and memtable, concurrent lazy extension, the
-// explained query's impact_postings), the coordinator's bound-ordered
+// caches (the order's size, one layered emission shared by the bound and
+// the order, the order against a per-posting reference under every model
+// over tombstoned segments and memtable, concurrent first use and
+// extension, the explained query's impact_postings and layer_postings),
+// the coordinator's bound-ordered
 // visiting with strict-below-n-th shard skipping (exact skipped-work
 // accounting in CostCounters), durability through per-shard MANIFESTs
 // (one shard in the root directory), the lock split (a writer blocked by
@@ -283,23 +284,30 @@ TEST(ShardedCatalogTest, ImpactCursorSizeIsTheShardsPostingCount) {
 
 TEST(ShardedCatalogTest, TermBoundAndSortedAccessShareOneScoringPass) {
   // The coordinator takes every query term's bound before planning; on a
-  // fresh snapshot that bound scores the term's impact order, and sorted
-  // access then reads the cached order instead of scoring the postings a
-  // second time.
+  // fresh snapshot that bound emits the first posting of the term's
+  // impact order, scoring a few dominance layers per segment rather than
+  // the term's list, and sorted access then reads that posting from the
+  // order's emitted prefix instead of scoring again.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/sharded_bound_shares_order";
+  std::filesystem::remove_all(dir);
   ShardedCatalog::Options options;
   options.num_shards = 2;
   options.shard.num_terms = kVocab;
+  options.shard.dir = dir;
+  options.shard.wal_enabled = false;
   auto created = ShardedCatalog::Create(options);
   ASSERT_TRUE(created.ok());
   ShardedCatalog& catalog = *created.ValueOrDie();
   constexpr TermId kTerm = 7;
   Rng rng(0x5EED);
-  for (uint32_t d = 0; d < 300; ++d) {
+  for (uint32_t d = 0; d < 600; ++d) {
     std::map<TermId, uint32_t> terms;
     for (const auto& [t, tf] : SynthDoc(rng)) terms[t] = tf;
     terms[kTerm] = 1 + static_cast<uint32_t>(rng.Uniform(6));
     ASSERT_TRUE(
         catalog.AddDocument(DocTerms(terms.begin(), terms.end())).ok());
+    if (d == 579) ASSERT_TRUE(catalog.FlushAll().ok());
   }
   ASSERT_TRUE(catalog.DeleteDocument(4).ok());
 
@@ -310,7 +318,7 @@ TEST(ShardedCatalogTest, TermBoundAndSortedAccessShareOneScoringPass) {
     const ScoringModel& model = snap->shard_model(s);
     const CostScope bound_scope;
     const double bound = snap->ShardTermBound(s, kTerm);
-    const int64_t scored = bound_scope.Snapshot().impact_postings;
+    const CostCounters bound_cost = bound_scope.Snapshot();
 
     // The bound's definition: the greatest weight of a live posting.
     double expected = 0.0;
@@ -319,27 +327,44 @@ TEST(ShardedCatalogTest, TermBoundAndSortedAccessShareOneScoringPass) {
       expected = std::max(expected, model.Weight(kTerm, {c->doc(), c->tf()}));
     }
     EXPECT_EQ(bound, expected);
-    EXPECT_EQ(scored, static_cast<int64_t>(live));
+    // The first use of the term groups the segment's postings into layers,
+    // once; the bound scores far fewer postings than the shard holds.
+    const CatalogState& state = snap->shard_state(s);
+    ASSERT_EQ(state.segments().size(), 1u);
+    EXPECT_EQ(bound_cost.layer_postings,
+              static_cast<int64_t>(
+                  state.segments()[0]->reader->DocFrequency(kTerm)));
+    EXPECT_GT(bound_cost.impact_postings, 0);
+    EXPECT_LT(10 * bound_cost.impact_postings, static_cast<int64_t>(live));
 
     const CostScope order_scope;
     const auto order = snap->ShardImpactOrder(s, kTerm);
     auto cursor = source.OpenImpactCursor(kTerm, model);
     EXPECT_EQ(order_scope.Snapshot().impact_postings, 0);
+    EXPECT_EQ(order_scope.Snapshot().layer_postings, 0);
     EXPECT_EQ(order->max_weight(), expected);
     EXPECT_EQ(cursor->weight(), expected);
     EXPECT_EQ(cursor->size(), live);
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
-  // Eight readers drain one cached (snapshot, term) order at once, each to
-  // its own depth across the lazily sorted chunk boundaries (64, 256,
-  // 1024): extensions race with readers of the sorted prefix and with
+  // Eight readers first-touch one (segment, term) on a fresh snapshot at
+  // once: they race to make the order and to build the segment's layers of
+  // the term, which must be built once. Then each drains the one order to
+  // its own depth across the emitted prefix's chunk boundaries (16, 48,
+  // 112, ...), so extensions race with readers of the prefix and with
   // random access, and every reader must still see exactly the in-memory
   // materialized order and find every posting's weight.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/sharded_concurrent_order";
+  std::filesystem::remove_all(dir);
   ShardedCatalog::Options options;
   options.num_shards = 1;
   options.shard.num_terms = kVocab;
+  options.shard.dir = dir;
+  options.shard.wal_enabled = false;
   auto created = ShardedCatalog::Create(options);
   ASSERT_TRUE(created.ok());
   ShardedCatalog& catalog = *created.ValueOrDie();
@@ -355,6 +380,7 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
     docs.emplace_back(terms.begin(), terms.end());
   }
   ASSERT_TRUE(catalog.AddDocuments(docs).ok());
+  ASSERT_TRUE(catalog.FlushAll().ok());
 
   InvertedFileBuilder builder(kVocab);
   for (DocId d = 0; d < kDocs; ++d) {
@@ -368,25 +394,24 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
   ASSERT_EQ(reference.size(), kDocs);
 
   auto snap = catalog.Snapshot();
-  // Cached before the readers start; nothing of it is sorted yet.
-  const std::shared_ptr<const ImpactOrder> order =
-      snap->ShardImpactOrder(0, kTerm);
-  ASSERT_EQ(order->size(), kDocs);
-
-  const size_t depths[8] = {1, 63, 64, 65, 255, 257, 1024, kDocs};
+  const size_t depths[8] = {1, 16, 17, 48, 113, 497, 1024, kDocs};
   std::vector<std::vector<ImpactOrder::Entry>> seen(8);
   // Every reader also probes every reference doc by random access, half
-  // before and half after its walk, while the others extend the sorted
+  // before and half after its walk, while the others extend the emitted
   // prefix; found[i][d] is the weight reader i got for doc d.
   std::vector<std::vector<std::optional<double>>> found(
       8, std::vector<std::optional<double>>(kDocs));
+  std::vector<const ImpactOrder*> orders(8);
+  std::vector<int64_t> layered(8);
   std::atomic<bool> go{false};
   std::vector<std::thread> readers;
   for (size_t i = 0; i < 8; ++i) {
     readers.emplace_back([&, i] {
       while (!go.load()) std::this_thread::yield();
+      const CostScope scope;
       auto cursor =
           snap->shard_source(0).OpenImpactCursor(kTerm, snap->shard_model(0));
+      orders[i] = snap->ShardImpactOrder(0, kTerm).get();
       const auto probe = [&](DocId begin, DocId end) {
         for (DocId d = begin; d < end; ++d) {
           found[i][d] = cursor->FindWeight(d);
@@ -398,12 +423,19 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
         seen[i].push_back({cursor->weight(), cursor->doc(), cursor->tf()});
       }
       probe(kDocs / 2, kDocs);
+      layered[i] = scope.Snapshot().layer_postings;
     });
   }
   go = true;
   for (std::thread& reader : readers) reader.join();
 
-  EXPECT_EQ(snap->ShardImpactOrder(0, kTerm), order);
+  int64_t layered_total = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(orders[i], orders[0]) << "reader " << i;
+    layered_total += layered[i];
+  }
+  EXPECT_EQ(orders[0], snap->ShardImpactOrder(0, kTerm).get());
+  EXPECT_EQ(layered_total, static_cast<int64_t>(kDocs));
   for (size_t i = 0; i < 8; ++i) {
     for (DocId d = 0; d < kDocs; ++d) {
       const std::optional<uint32_t> tf = reference.FindTf(d);
@@ -419,19 +451,21 @@ TEST(ShardedCatalogTest, ConcurrentReadersShareOneLazyImpactOrder) {
       EXPECT_EQ(seen[i][k].weight, reference.ImpactWeight(k));
     }
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedCatalogTest, ScoringPassMatchesPerPostingReferenceForEveryModel) {
-  // The scoring pass weighs a shard's live postings component by
-  // component — segment blocks, then the memtable — with the term's
-  // TermWeight. Under every model, at one shard and at two, its impact
-  // order must equal a per-posting reference bit for bit: the merged
-  // cursor's postings weighed with ScoringModel::Weight, sorted by weight
+  // The impact order weighs a shard's live postings component by
+  // component — each segment's dominance layers, then the memtable — with
+  // the term's TermWeight. Under every model, at one shard and at two, it
+  // must equal a per-posting reference bit for bit: the merged cursor's
+  // postings weighed with ScoringModel::Weight, sorted by weight
   // descending, then doc ascending. Each shard holds two flushed segments
   // (block size 4) and a memtable, with tombstones in all three. Term 0
   // occurs in every document, so its blocks span local ids 4k..4k+3 of
   // each segment, and the deletes hit the first posting of block 1, the
-  // last of block 2 and the whole of block 3.
+  // last of block 2 and the whole of block 3. Every posting is scored at
+  // most once, and every live one is.
   constexpr TermId kTerms = 24;
   constexpr DocId kSegmentDocs = 24;  // per shard and segment
   constexpr DocId kMemtableDocs = 10;  // per shard
@@ -549,16 +583,25 @@ TEST(ShardedCatalogTest, ScoringPassMatchesPerPostingReferenceForEveryModel) {
             }
           };
 
-          // The snapshot's cached order, scored by the bound.
+          // The snapshot's cached order, first read by the bound.
           const ScoringModel& model = snap->shard_model(s);
           const std::vector<ImpactOrder::Entry> expected = reference(model);
+          int64_t postings = 0;  // tombstoned ones included
+          for (const auto& segment : state.segments()) {
+            postings += segment->reader->DocFrequency(t);
+          }
+          for (const Posting& p : state.memtable().postings(t)) {
+            postings += state.memtable_deleted()[p.doc] == 0 ? 1 : 0;
+          }
           const CostScope scope;
           const double bound = snap->ShardTermBound(s, t);
-          EXPECT_EQ(scope.Snapshot().impact_postings,
-                    static_cast<int64_t>(expected.size()));
+          EXPECT_LE(scope.Snapshot().impact_postings, postings);
           EXPECT_EQ(bound, expected.empty() ? 0.0 : expected.front().weight);
           expect_order(
               *snap->shard_source(s).OpenImpactCursor(t, model), expected);
+          EXPECT_GE(scope.Snapshot().impact_postings,
+                    static_cast<int64_t>(expected.size()));
+          EXPECT_LE(scope.Snapshot().impact_postings, postings);
 
           // The shard's own read view, a one-shard snapshot of its state:
           // its bound and order, under the shard's own statistics.
@@ -1069,10 +1112,10 @@ TEST(ShardedCatalogTest, EngineRejectsMalformedQueryOptions) {
   EXPECT_TRUE(db.Search(edge).ok());
 }
 
-// Sorted access scores a term's live postings into an impact order once
-// per snapshot. ExplainReport shows the explained query's own share of
-// that work; whether the order was built or cached never moves the work
-// ticks.
+// Sorted access emits a term's impact order once per snapshot, from
+// dominance layers each segment builds once. ExplainReport shows the
+// explained query's own share of both; whether the order or the layers
+// were built or cached never moves the work ticks.
 TEST(ShardedCatalogTest, ExplainCountsImpactPostingsScoredForTheQuery) {
   const std::string dir =
       std::string(::testing::TempDir()) + "/sharded_impact_postings";
@@ -1091,23 +1134,31 @@ TEST(ShardedCatalogTest, ExplainCountsImpactPostingsScoredForTheQuery) {
       GenerateQueries(db.collection(), qconfig).ValueOrDie()[0], kTopN, {}};
   request.options.strategy = PhysicalStrategy::kFaginTA;
 
-  // The first query on the fresh snapshot builds the orders, the second
-  // reads them from the snapshot's cache.
+  // The first query on the fresh catalog builds the segment's layers and
+  // the snapshot's orders, the second reads both from the caches.
   auto built = db.ExplainSearch(request);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_GT(built.ValueOrDie().observed.impact_postings, 0);
+  EXPECT_GT(built.ValueOrDie().observed.layer_postings, 0);
   EXPECT_NE(built.ValueOrDie().ToString().find("impact orders: scored "),
+            std::string::npos);
+  EXPECT_NE(built.ValueOrDie().ToString().find(
+                "layered " +
+                std::to_string(built.ValueOrDie().observed.layer_postings) +
+                " postings"),
             std::string::npos);
   auto cached = db.ExplainSearch(request);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   EXPECT_EQ(cached.ValueOrDie().observed.impact_postings, 0);
+  EXPECT_EQ(cached.ValueOrDie().observed.layer_postings, 0);
   ASSERT_TRUE(built.ValueOrDie().has_blocks);
   ASSERT_TRUE(cached.ValueOrDie().has_blocks);
   EXPECT_EQ(built.ValueOrDie().trace.observed_scalar(),
             cached.ValueOrDie().trace.observed_scalar());
 
   // A write starts a fresh snapshot: the same pair through Search, whose
-  // results carry the whole CostCounters.
+  // results carry the whole CostCounters. The segment, and its layers,
+  // survive the write.
   ASSERT_TRUE(db.AddDocument({{1, 1}, {2, 1}}).ok());
   auto cold = db.Search(request);
   auto warm = db.Search(request);
@@ -1116,6 +1167,8 @@ TEST(ShardedCatalogTest, ExplainCountsImpactPostingsScoredForTheQuery) {
   const CostCounters& warm_cost = warm.ValueOrDie().top.stats.cost;
   EXPECT_GT(cold_cost.impact_postings, 0);
   EXPECT_EQ(warm_cost.impact_postings, 0);
+  EXPECT_EQ(cold_cost.layer_postings, 0);
+  EXPECT_EQ(warm_cost.layer_postings, 0);
   EXPECT_EQ(cold_cost.Scalar(), warm_cost.Scalar());
   EXPECT_EQ(cold.ValueOrDie().top.items, warm.ValueOrDie().top.items);
   std::filesystem::remove_all(dir);
