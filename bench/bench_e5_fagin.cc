@@ -3,10 +3,13 @@
 // the processing as soon as it is certain that the required top N answers
 // have been computed."
 //
-// Per (algorithm, N): the depth of sorted access, random accesses, and the
-// fraction of the query's postings volume actually touched. Expected
-// shape: accesses << volume, growing with N; NRA does zero random access;
-// the exhaustive baseline reads 100%.
+// Per (algorithm, N): the depth of sorted access, random accesses (also
+// per distinct document seen), and the fraction of the query's postings
+// volume actually touched. Expected shape: accesses << volume, growing
+// with N; FA completes every seen document in every list (m random
+// accesses each), TA makes fewer than m - 1 per document once its bound
+// prunes probes; NRA does zero random access; the exhaustive baseline
+// reads 100%.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -25,18 +28,21 @@ int64_t WorkloadVolume() {
 void RunFagin(benchmark::State& state, PhysicalStrategy strategy) {
   const size_t n = static_cast<size_t>(state.range(0));
   MmDatabase& db = benchutil::Db();
-  int64_t sorted = 0, random = 0;
+  int64_t sorted = 0, random = 0, candidates = 0;
   for (auto _ : state) {
-    sorted = random = 0;
+    sorted = random = candidates = 0;
     for (const Query& q : benchutil::ZipfWorkload()) {
       auto r = db.Execute(strategy, q, n);
       sorted += r.ValueOrDie().stats.sorted_accesses;
       random += r.ValueOrDie().stats.random_accesses;
+      candidates += r.ValueOrDie().stats.candidates;
       benchmark::DoNotOptimize(r.ValueOrDie().items.data());
     }
   }
   state.counters["sorted_accesses"] = static_cast<double>(sorted);
   state.counters["random_accesses"] = static_cast<double>(random);
+  state.counters["random_per_candidate"] =
+      static_cast<double>(random) / static_cast<double>(candidates);
   state.counters["volume_touched_pct"] =
       100.0 * static_cast<double>(sorted) /
       static_cast<double>(WorkloadVolume());

@@ -199,6 +199,11 @@ Result<size_t> ShardedCatalog::MergeAll(const MergePolicy& policy) {
 }
 
 std::shared_ptr<const ShardedSnapshot> ShardedCatalog::Snapshot() const {
+  // Declared before the lock, so the snapshot this call replaces is
+  // destroyed (when this held its last reference) after the lock is
+  // released, on this reader's thread: writers that take the lock do not
+  // wait for it to free its orders.
+  std::shared_ptr<const ShardedSnapshot> replaced;
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
   // Read the generation before the shard states: a commit that bumps it
   // later leaves this snapshot marked stale, never a stale one current.
@@ -207,6 +212,7 @@ std::shared_ptr<const ShardedSnapshot> ShardedCatalog::Snapshot() const {
     std::vector<std::shared_ptr<const CatalogState>> states;
     states.reserve(shards_.size());
     for (const auto& shard : shards_) states.push_back(shard->Snapshot());
+    replaced = std::move(cached_);
     cached_ = std::make_shared<const ShardedSnapshot>(std::move(states),
                                                       options_.shard.scoring);
     cached_generation_ = generation;

@@ -50,12 +50,13 @@ class InMemoryPostingCursor final : public PostingCursor {
 
 /// Impact cursor over a list's materialized impact order (ByImpact /
 /// ImpactWeight) — zero extra work, exactly the legacy sorted access —
-/// with random access by PostingList::FindTf, a hit weighed by the model.
+/// with random access by PostingList::FindTf, a hit weighed with the
+/// term's TermWeight, read once when the cursor opens (Weight's bits).
 class MaterializedImpactCursor final : public ImpactCursor {
  public:
   MaterializedImpactCursor(const PostingList* list, TermId term,
                            const ScoringModel& model)
-      : list_(list), term_(term), model_(model) {}
+      : list_(list), weight_(model.ForTerm(term)), stats_(model.stats()) {}
 
   DocId doc() const override {
     return pos_ < list_->size() ? list_->ByImpact(pos_).doc : kEndDoc;
@@ -73,13 +74,13 @@ class MaterializedImpactCursor final : public ImpactCursor {
   std::optional<double> FindWeight(DocId doc) const override {
     const std::optional<uint32_t> tf = list_->FindTf(doc);
     if (!tf.has_value()) return std::nullopt;
-    return model_.Weight(term_, Posting{doc, *tf});
+    return weight_(*tf, stats_.DocLength(doc));
   }
 
  private:
   const PostingList* list_;
-  TermId term_;
-  const ScoringModel& model_;
+  TermWeight weight_;
+  const CollectionStatsView& stats_;
   size_t pos_ = 0;
 };
 

@@ -382,7 +382,8 @@ class InMemoryPostingSource final : public PostingSource {
   /// InvertedFile::BuildImpactOrders, which must have used arithmetic
   /// equal to `model` — the long-standing impact-order precondition), and
   /// random access by binary search on the doc-ordered list, weighing a
-  /// hit with `model`, which must outlive the cursor.
+  /// hit with the term's TermWeight under `model`, read when the cursor
+  /// opens; `model` must outlive the cursor.
   std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const override;
 

@@ -1,10 +1,11 @@
 #include "topn/fagin.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "obs/query_trace.h"
 
@@ -56,6 +57,60 @@ double RandomAccessWeight(const ListAccess& accessor, DocId doc,
   if (!weight.has_value()) return 0.0;
   CostTicker::TickScore();
   return *weight;
+}
+
+/// Set of document ids by open addressing: linear probing in a power-of-
+/// two table kept at most half full, growing by doubling, a free slot
+/// holding kEndDoc (no document id equals it). TA's resolved documents
+/// live in one flat array per query, not in one node per candidate.
+class DocIdSet {
+ public:
+  /// Adds `doc`; false when it was already in the set.
+  bool Insert(DocId doc) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    for (size_t i = Home(doc);; i = (i + 1) & mask_) {
+      if (slots_[i] == doc) return false;
+      if (slots_[i] == kEndDoc) {
+        slots_[i] = doc;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+ private:
+  /// Fibonacci hashing: the top bits of the product pick the slot.
+  size_t Home(DocId doc) const {
+    return static_cast<size_t>((uint64_t{doc} * 0x9E3779B97F4A7C15ULL) >>
+                               shift_);
+  }
+
+  void Grow() {
+    std::vector<DocId> old = std::move(slots_);
+    const size_t capacity = old.empty() ? 64 : 2 * old.size();
+    slots_.assign(capacity, kEndDoc);
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (DocId doc : old) {
+      if (doc == kEndDoc) continue;
+      size_t i = Home(doc);
+      while (slots_[i] != kEndDoc) i = (i + 1) & mask_;
+      slots_[i] = doc;
+    }
+  }
+
+  std::vector<DocId> slots_;
+  size_t size_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 64;
+};
+
+/// Sum of `weights` in accessor order: a document's score once every
+/// list is known, an upper bound on it while some hold a threshold.
+double SumInAccessorOrder(const std::vector<double>& weights) {
+  double sum = 0.0;
+  for (double w : weights) sum += w;
+  return sum;
 }
 
 /// Bounded best-n tracker (min-heap on ScoredDocLess; front = weakest).
@@ -116,14 +171,21 @@ Result<TopNResult> FaginTA(const PostingSource& source,
     accessors = std::move(accessors_or).ValueOrDie();
   }
 
+  const size_t m = accessors.size();
   BestN best(n);
-  std::unordered_set<DocId> resolved;
+  DocIdSet resolved;
+  // Per-candidate scratch, reused for the whole query: the candidate's
+  // weight in each list (a threshold until probed) and the other lists in
+  // probe order.
+  std::vector<double> weights(m);
+  std::vector<size_t> probe_order;
+  probe_order.reserve(m);
   {
     obs::TraceSpan span(obs::kStageAccumulate);
-    bool done = accessors.empty() || n == 0;
+    bool done = m == 0 || n == 0;
     while (!done) {
       bool any_advanced = false;
-      for (size_t i = 0; i < accessors.size(); ++i) {
+      for (size_t i = 0; i < m; ++i) {
         ListAccess& cur = accessors[i];
         if (cur.exhausted()) continue;
         any_advanced = true;
@@ -132,24 +194,50 @@ Result<TopNResult> FaginTA(const PostingSource& source,
         cur.cursor->next();
         ++result.stats.sorted_accesses;
         CostTicker::TickSeq();
+        if (!resolved.Insert(doc)) continue;
+        ++result.stats.candidates;
 
-        if (resolved.insert(doc).second) {
-          ++result.stats.candidates;
-          // Complete the score via random access to every other list. The
-          // sorted-access weight `w` is folded in at accessor position i so
-          // the floating-point addition order is always the accessor order,
-          // independent of which list surfaced the document first — that
-          // order depends on the *other* documents in the source, and
-          // keeping it out of the sum makes TA scores bit-identical across
-          // physical partitionings of the document space.
-          double score = 0.0;
-          for (size_t j = 0; j < accessors.size(); ++j) {
-            score += (j == i) ? w
-                              : RandomAccessWeight(accessors[j], doc,
-                                                   &result.stats);
+        // First seen in list i, so unseen in every other list: its weight
+        // there is at most that list's threshold, also when it is absent
+        // (weights are >= 0; an exhausted list has threshold 0 and lacks
+        // it). Probe the other lists by descending threshold, ties to the
+        // lower accessor.
+        probe_order.clear();
+        for (size_t j = 0; j < m; ++j) {
+          if (j == i) {
+            weights[j] = w;
+            continue;
           }
-          best.Offer(ScoredDoc{doc, score});
+          weights[j] = accessors[j].threshold();
+          probe_order.push_back(j);
+          for (size_t k = probe_order.size() - 1;
+               k > 0 && weights[probe_order[k - 1]] < weights[j]; --k) {
+            std::swap(probe_order[k - 1], probe_order[k]);
+          }
         }
+        // Once the heap is full, stop probing as soon as the upper bound
+        // falls strictly below the n-th best score: the document cannot
+        // enter the top n (on equality it could, by its lower id), so
+        // skipping it leaves the heap, and every later decision, as
+        // completing it would. Bound and score are sums in accessor order
+        // of the same operands, a threshold standing where no probe has
+        // replaced it; IEEE addition in a fixed order never falls when an
+        // operand rises, so the computed score never exceeds the computed
+        // bound. Summing in accessor order, not in the order the lists
+        // surfaced the document, also keeps TA's scores bit-identical
+        // across partitionings of the document space.
+        bool pruned = false;
+        for (size_t j : probe_order) {
+          if (best.full()) {
+            CostTicker::TickCompare();
+            if (SumInAccessorOrder(weights) < best.nth_score()) {
+              pruned = true;
+              break;
+            }
+          }
+          weights[j] = RandomAccessWeight(accessors[j], doc, &result.stats);
+        }
+        if (!pruned) best.Offer(ScoredDoc{doc, SumInAccessorOrder(weights)});
       }
       // Threshold: best possible score of any unseen document.
       double tau = 0.0;

@@ -52,9 +52,23 @@ Result<TopNResult> FaginFA(const PostingSource& source,
                            const ScoringModel& model, const Query& query,
                            size_t n, const FaginOptions& options = {});
 
-/// Threshold Algorithm (TA): round-robin sorted access with immediate
-/// random-access completion; stops when the n-th best score reaches the
-/// threshold (sum of the last weights seen per list).
+/// Threshold Algorithm (TA): round-robin sorted access with random-access
+/// completion of each newly seen document; stops when the n-th best score
+/// reaches the threshold (sum of the last weights seen per list).
+///
+/// Completion is lazy once n documents are held (after the Upper
+/// algorithm's bound-driven probing, Marian, Bruno and Gravano, TODS
+/// 2004): a document first seen in list i is unseen in every other list,
+/// so its weight there is at most that list's current threshold. TA
+/// probes the other lists by descending threshold (ties to the lower
+/// accessor index) and stops, leaving the document resolved, as soon as
+/// its upper bound (known weights plus the unprobed lists' thresholds,
+/// summed in accessor order like the score) is *strictly* below the n-th
+/// best score; on equality the document could still win on its lower id.
+/// Each bound test ticks one compare. A skipped document could not have
+/// entered the heap, so answers, scores, sorted accesses, candidates and
+/// the stopping round are those of eager completion; only random accesses
+/// fall.
 Result<TopNResult> FaginTA(const PostingSource& source,
                            const ScoringModel& model, const Query& query,
                            size_t n, const FaginOptions& options = {});

@@ -8,19 +8,22 @@
 namespace moa {
 namespace {
 
-/// Accumulates postings of `terms` into `acc`, ticking seq + score.
+/// Accumulates postings of `terms` into `acc`, ticking seq + score, each
+/// weighed with its term's TermWeight (read once per term, Weight's bits).
 /// Cursor-based, so the same pass runs over the in-memory file, a mmap
 /// segment or a catalog snapshot (tombstones already filtered).
 void AccumulateTerms(const PostingSource& source, const ScoringModel& model,
                      const std::vector<TermId>& terms,
                      std::vector<double>* acc) {
+  const CollectionStatsView& stats = model.stats();
   for (TermId t : terms) {
+    const TermWeight weight = model.ForTerm(t);
     for (auto cursor = source.OpenCursor(t); !cursor->at_end();
          cursor->next()) {
       CostTicker::TickSeq();
       CostTicker::TickScore();
-      const Posting p{cursor->doc(), cursor->tf()};
-      (*acc)[p.doc] += model.Weight(t, p);
+      const DocId d = cursor->doc();
+      (*acc)[d] += weight(cursor->tf(), stats.DocLength(d));
     }
   }
 }
@@ -199,12 +202,14 @@ Result<TopNResult> QualitySwitchTopN(const PostingSource& source,
             local = SparseIndex(&local_list, options.sparse_block);
             index = &local;
           }
+          const TermWeight weight = model.ForTerm(t);
+          const CollectionStatsView& stats = model.stats();
           for (const ScoredDoc& sd : pool) {
             ++result.stats.random_accesses;
             auto tf = index->Probe(sd.doc);
             if (tf.has_value()) {
               CostTicker::TickScore();
-              acc[sd.doc] += model.Weight(t, Posting{sd.doc, *tf});
+              acc[sd.doc] += weight(*tf, stats.DocLength(sd.doc));
             }
           }
         }
